@@ -55,7 +55,7 @@ class Relation:
 
     def pretty(self):
         def wstr(word):
-            return "*".join("eps%d" % g[1] if g[0] == "eps" else "a%d%d_%d" % (g[1], g[2], g[3])
+            return "*".join("eps%s" % g[1] if g[0] == "eps" else "a%s%s_%d" % (g[1], g[2], g[3])
                             for g in word) or "1"
         parts = []
         for coeff, word in self.terms:
@@ -68,10 +68,6 @@ class Relation:
 class DoubleQuiver:
     vertices: tuple
     arrows: tuple      # arrow keys ("arr", i, j, g)
-    loops: tuple       # one eps per vertex
-    gij: dict
-    fij: dict
-    sgn: dict          # sign on ordered pairs of the doubled orientation
 
 
 @dataclass(frozen=True)
@@ -154,18 +150,7 @@ class CartanDatum:
         return self._relations
 
     def _build(self):
-        gij = {}
-        fij = {}
-        sgn = {}
-        for (i, j) in self.double_orient():
-            gij[(i, j)] = self.gij(i, j)
-            fij[(i, j)] = self.fij(i, j)
-            sgn[(i, j)] = self.sgn(i, j)
-        self._quiver = DoubleQuiver(
-            vertices=self.vertices,
-            arrows=tuple(self.arrow_keys()),
-            loops=tuple(eps_key(i) for i in self.vertices),
-            gij=gij, fij=fij, sgn=sgn)
+        self._quiver = DoubleQuiver(vertices=self.vertices, arrows=tuple(self.arrow_keys()))
 
         rels = []
         for i in self.vertices:
@@ -220,8 +205,11 @@ class CartanDatum:
 
 def _check_cartan_matrix(vertices, cartan):
     n = len(vertices)
-    if len(cartan) != n or any(len(row) != n for row in cartan):
-        raise DatumError("shape", "Cartan matrix must be %dx%d" % (n, n))
+    if (not isinstance(cartan, (list, tuple)) or len(cartan) != n
+            or any(not isinstance(row, (list, tuple)) or len(row) != n for row in cartan)):
+        raise DatumError("shape", "Cartan matrix must be a %dx%d list of lists" % (n, n))
+    if not all(isinstance(x, int) for row in cartan for x in row):
+        raise DatumError("shape", "Cartan matrix entries must be integers")
     for a in range(n):
         if cartan[a][a] != 2:
             raise DatumError("diagonal", "c_ii must equal 2 at vertex %r" % (vertices[a],))

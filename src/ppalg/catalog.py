@@ -43,12 +43,6 @@ class CatalogEntry:
                 "rigid": self.rigid, "indecomposable": self.indecomposable}
 
 
-def generalized_simple(datum, i, field=QQ):
-    """E_i: dimension c_i at vertex i, the loop acting as a full nilpotent
-    Jordan block, all arrows zero."""
-    return pimod.generalized_simple(datum, i, field)
-
-
 def a2_datum():
     return validate_datum([[2, -1], [-1, 2]], [1, 1], [(1, 2)])
 
@@ -108,8 +102,8 @@ def b2_suite(trials=8, seed=0):
     extras so table results can be named.
     """
     datum = b2_datum()
-    E1 = generalized_simple(datum, 1)
-    E2 = generalized_simple(datum, 2)
+    E1 = pimod.generalized_simple(datum, 1)
+    E2 = pimod.generalized_simple(datum, 2)
 
     def boot(label, top, sub):
         res = starop.generic_extension(top, sub, trials=trials, seed=seed)
@@ -169,8 +163,8 @@ def a2_suite(trials=8, seed=0):
     """The rank-one pair over the symmetric rank-two datum, with the expected
     (decomposed) values of both bracketings of the triple product."""
     datum = a2_datum()
-    s1 = _certify("1", generalized_simple(datum, 1), seed=seed)
-    s2 = _certify("2", generalized_simple(datum, 2), seed=seed)
+    s1 = _certify("1", pimod.generalized_simple(datum, 1), seed=seed)
+    s2 = _certify("2", pimod.generalized_simple(datum, 2), seed=seed)
     expected = {
         "s1*s2": ("1/2",),
         "s2*s1": ("2/1",),

@@ -26,12 +26,17 @@ from .selftest import run_selftest
 from .starop import DivisionUndefined
 
 
-def _field_from_flag(flag):
-    if flag in (None, "q", "Q"):
+def _parse_field(ctx, param, flag):
+    """The field named by a --field value; a bad value is a usage error."""
+    if flag in ("q", "Q"):
         return QQ
-    if flag.startswith("fp:"):
-        return GF(int(flag.split(":", 1)[1]))
-    raise click.UsageError("--field must be 'q' or 'fp:<prime>'")
+    digits = flag[3:] if flag.startswith("fp:") else ""
+    if not digits.isdigit():
+        raise click.BadParameter("must be 'q' or 'fp:<prime>'")
+    try:
+        return GF(int(digits))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
 
 
 def _load_json(path):
@@ -57,7 +62,7 @@ def _datum_from_doc(doc):
         return validate_datum(cartan, sym, orient, vertices)
     except DatumError as exc:
         raise click.UsageError("invalid algebra (%s): %s" % (exc.code, exc))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise click.UsageError("malformed algebra config: %r" % (exc,))
 
 
@@ -81,6 +86,12 @@ def _load_module(path, field):
         return pimod.module_from_json(doc, datum, field)
     except ValueError as exc:
         raise click.UsageError("%s: %s" % (path, exc))
+
+
+def _fail(message, seed, fmt, out):
+    """Report a failed verification and exit 1."""
+    _emit({"error": message, "seed": seed}, fmt, out)
+    sys.exit(1)
 
 
 def _emit(payload, fmt, out, md=None):
@@ -122,7 +133,7 @@ def _common(fn):
                       help="Seed for all randomized steps.")(fn)
     fn = click.option("--trials", type=int, default=8, show_default=True,
                       help="Sample count for randomized searches.")(fn)
-    fn = click.option("--field", "field_flag", default="q", show_default=True,
+    fn = click.option("--field", default="q", show_default=True, callback=_parse_field,
                       help="Ground field: q or fp:<prime>.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["json", "md"]),
                       default="json", show_default=True)(fn)
@@ -140,7 +151,7 @@ def main():
 @main.command()
 @click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
 @_common
-def validate(algebra, seed, trials, field_flag, fmt, out):
+def validate(algebra, seed, trials, field, fmt, out):
     """Validate an algebra config file."""
     datum = _load_algebra(algebra)
     quiver, relations = datum.quiver(), datum.relations()
@@ -158,9 +169,9 @@ def validate(algebra, seed, trials, field_flag, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def check(module, seed, trials, field_flag, fmt, out):
+def check(module, seed, trials, field, fmt, out):
     """Check the defining relations on a module file."""
-    M = _load_module(module, _field_from_flag(field_flag))
+    M = _load_module(module, field)
     bad = pimod.check_relations(M)
     payload = {"ok": not bad, "violated": bad, "dims": {str(i): M.dims[i] for i in M.datum.vertices}}
     _emit(payload, fmt, out)
@@ -171,9 +182,9 @@ def check(module, seed, trials, field_flag, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def rank(module, seed, trials, field_flag, fmt, out):
+def rank(module, seed, trials, field, fmt, out):
     """Local freeness and the rank vector of a module."""
-    M = _load_module(module, _field_from_flag(field_flag))
+    M = _load_module(module, field)
     ok, ranks = pimod.is_locally_free(M)
     payload = {"locally_free": ok,
                "rank_vector": [ranks[i] for i in M.datum.vertices] if ok else None,
@@ -185,9 +196,8 @@ def rank(module, seed, trials, field_flag, fmt, out):
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
-def hom(mod_a, mod_b, seed, trials, field_flag, fmt, out):
+def hom(mod_a, mod_b, seed, trials, field, fmt, out):
     """dim Hom(A, B)."""
-    field = _field_from_flag(field_flag)
     A = _load_module(mod_a, field)
     B = _load_module(mod_b, field)
     payload = {"dim_hom": len(pimod.hom_basis(A, B)), "field": field.name}
@@ -198,9 +208,8 @@ def hom(mod_a, mod_b, seed, trials, field_flag, fmt, out):
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
-def ext(mod_a, mod_b, seed, trials, field_flag, fmt, out):
+def ext(mod_a, mod_b, seed, trials, field, fmt, out):
     """dim Ext^1(A, B) for locally free modules."""
-    field = _field_from_flag(field_flag)
     A = _load_module(mod_a, field)
     B = _load_module(mod_b, field)
     try:
@@ -215,7 +224,7 @@ def ext(mod_a, mod_b, seed, trials, field_flag, fmt, out):
 @click.argument("dvec")
 @click.argument("evec")
 @_common
-def forms(algebra, dvec, evec, seed, trials, field_flag, fmt, out):
+def forms(algebra, dvec, evec, seed, trials, field, fmt, out):
     """Euler forms and dimension formulas for two rank vectors."""
     datum = _load_algebra(algebra)
     d = _parse_rank_vector(dvec, datum)
@@ -230,9 +239,9 @@ def forms(algebra, dvec, evec, seed, trials, field_flag, fmt, out):
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @click.argument("vertex")
 @_common
-def pieces(module, vertex, seed, trials, field_flag, fmt, out):
+def pieces(module, vertex, seed, trials, field, fmt, out):
     """The canonical pieces sub_i, fac_i, K_i, Q_i at a vertex."""
-    M = _load_module(module, _field_from_flag(field_flag))
+    M = _load_module(module, field)
     try:
         i = pimod.parse_vertex(M.datum, vertex)
     except ValueError as exc:
@@ -253,9 +262,9 @@ def pieces(module, vertex, seed, trials, field_flag, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def efiltered(module, seed, trials, field_flag, fmt, out):
+def efiltered(module, seed, trials, field, fmt, out):
     """Decide whether a module admits a filtration by generalized simples."""
-    M = _load_module(module, _field_from_flag(field_flag))
+    M = _load_module(module, field)
     ok, witness = pimod.is_E_filtered(M)
     payload = {"e_filtered": ok,
                "witness": [str(i) for i in witness] if witness is not None else None}
@@ -265,9 +274,9 @@ def efiltered(module, seed, trials, field_flag, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def crystal(module, seed, trials, field_flag, fmt, out):
+def crystal(module, seed, trials, field, fmt, out):
     """Decide the recursive crystal-module property."""
-    M = _load_module(module, _field_from_flag(field_flag))
+    M = _load_module(module, field)
     payload = {"crystal": pimod.is_crystal(M)}
     _emit(payload, fmt, out)
 
@@ -275,9 +284,9 @@ def crystal(module, seed, trials, field_flag, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def rigid(module, seed, trials, field_flag, fmt, out):
+def rigid(module, seed, trials, field, fmt, out):
     """Rigidity and orbit codimension (self-Ext dimension halved)."""
-    M = _load_module(module, _field_from_flag(field_flag))
+    M = _load_module(module, field)
     try:
         flag, codim = pimod.is_rigid(M)
     except pimod.NotLocallyFree as exc:
@@ -290,9 +299,8 @@ def rigid(module, seed, trials, field_flag, fmt, out):
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
-def iso(mod_a, mod_b, seed, trials, field_flag, fmt, out):
+def iso(mod_a, mod_b, seed, trials, field, fmt, out):
     """Randomized isomorphism test (certified answers; may be inconclusive)."""
-    field = _field_from_flag(field_flag)
     A = _load_module(mod_a, field)
     B = _load_module(mod_b, field)
     try:
@@ -311,9 +319,9 @@ def iso(mod_a, mod_b, seed, trials, field_flag, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def decompose(module, seed, trials, field_flag, fmt, out):
+def decompose(module, seed, trials, field, fmt, out):
     """Split a module into indecomposable summands."""
-    M = _load_module(module, _field_from_flag(field_flag))
+    M = _load_module(module, field)
     try:
         parts = pimod.decompose(M, seed=seed)
     except ValueError as exc:
@@ -348,9 +356,8 @@ def _star_payload(res):
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
-def star(mod_a, mod_b, seed, trials, field_flag, fmt, out):
+def star(mod_a, mod_b, seed, trials, field, fmt, out):
     """The generic extension A * B (A on top, B as sub)."""
-    field = _field_from_flag(field_flag)
     A = _load_module(mod_a, field)
     B = _load_module(mod_b, field)
     for name, M in (("A", A), ("B", B)):
@@ -366,16 +373,14 @@ def star(mod_a, mod_b, seed, trials, field_flag, fmt, out):
 @click.argument("mod_m", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
-def divide_right(mod_m, mod_b, seed, trials, field_flag, fmt, out):
+def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
     """The generic cokernel M / B (B embedded generically into M)."""
-    field = _field_from_flag(field_flag)
     M = _load_module(mod_m, field)
     B = _load_module(mod_b, field)
     try:
         Q = starop.generic_cokernel(M, B, trials=trials, seed=seed)
     except (DivisionUndefined, ValueError) as exc:
-        _emit({"error": str(exc), "seed": seed}, fmt, out)
-        sys.exit(1)
+        _fail(str(exc), seed, fmt, out)
     _emit({"seed": seed, "trials": trials, "module": pimod.module_to_json(Q)}, fmt, out)
 
 
@@ -383,16 +388,14 @@ def divide_right(mod_m, mod_b, seed, trials, field_flag, fmt, out):
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_m", type=click.Path(exists=True, dir_okay=False))
 @_common
-def divide_left(mod_a, mod_m, seed, trials, field_flag, fmt, out):
+def divide_left(mod_a, mod_m, seed, trials, field, fmt, out):
     """The generic kernel A \\ M (M mapped generically onto A)."""
-    field = _field_from_flag(field_flag)
     A = _load_module(mod_a, field)
     M = _load_module(mod_m, field)
     try:
         K = starop.generic_kernel(A, M, trials=trials, seed=seed)
     except (DivisionUndefined, ValueError) as exc:
-        _emit({"error": str(exc), "seed": seed}, fmt, out)
-        sys.exit(1)
+        _fail(str(exc), seed, fmt, out)
     _emit({"seed": seed, "trials": trials, "module": pimod.module_to_json(K)}, fmt, out)
 
 
@@ -420,7 +423,7 @@ def _md_table(payload):
 @main.command()
 @click.argument("suite", type=click.Choice(["b2", "a2"]))
 @_common
-def table(suite, seed, trials, field_flag, fmt, out):
+def table(suite, seed, trials, field, fmt, out):
     """The full product table of a catalog suite."""
     try:
         if suite == "b2":
@@ -434,8 +437,7 @@ def table(suite, seed, trials, field_flag, fmt, out):
             p21 = catalog.a2_nonsplit(s.s2.module, s.s1.module, trials=trials, seed=seed)
             extras = [("1/2", p12), ("2/1", p21)]
     except catalog.CatalogError as exc:
-        _emit({"error": str(exc), "seed": seed}, fmt, out)
-        sys.exit(1)
+        _fail(str(exc), seed, fmt, out)
     cells = starop.star_table(entries, extra_pool=extras, trials=trials, seed=seed)
     payload = {
         "suite": suite, "seed": seed, "trials": trials,
@@ -450,9 +452,9 @@ def table(suite, seed, trials, field_flag, fmt, out):
 @main.command(name="reduce")
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def reduce_cmd(module, seed, trials, field_flag, fmt, out):
+def reduce_cmd(module, seed, trials, field, fmt, out):
     """Quotient a module over (C, nD) by its loop images, landing over (C, D)."""
-    M = _load_module(module, _field_from_flag(field_flag))
+    M = _load_module(module, field)
     ns = set(M.datum.sym)
     if len(ns) != 1:
         raise click.UsageError("symmetrizer is not a multiple of the identity")
@@ -471,9 +473,9 @@ def reduce_cmd(module, seed, trials, field_flag, fmt, out):
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "ncopies", type=int, required=True, help="Symmetrizer multiple.")
 @_common
-def lift(module, ncopies, seed, trials, field_flag, fmt, out):
+def lift(module, ncopies, seed, trials, field, fmt, out):
     """Lift a module over minimal (C, D) to (C, nD) by the shift construction."""
-    M = _load_module(module, _field_from_flag(field_flag))
+    M = _load_module(module, field)
     try:
         pair = symred.sym_pair(M.datum, ncopies)
         big = symred.tilde_lift(pair, M)
@@ -487,17 +489,15 @@ def lift(module, ncopies, seed, trials, field_flag, fmt, out):
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "ncopies", type=int, required=True, help="Symmetrizer multiple.")
 @_common
-def check_symmetrizer(mod_a, mod_b, ncopies, seed, trials, field_flag, fmt, out):
+def check_symmetrizer(mod_a, mod_b, ncopies, seed, trials, field, fmt, out):
     """Compare reduce(lift(A) * lift(B)) against A * B up to isomorphism."""
-    field = _field_from_flag(field_flag)
     A = _load_module(mod_a, field)
     B = _load_module(mod_b, field)
     try:
         pair = symred.sym_pair(A.datum, ncopies)
         report = symred.verify_symmetrizer_compat(pair, A, B, trials=trials, seed=seed)
     except symred.SymmetrizerError as exc:
-        _emit({"error": str(exc), "seed": seed}, fmt, out)
-        sys.exit(1)
+        _fail(str(exc), seed, fmt, out)
     report.update({"seed": seed, "trials": trials})
     _emit(report, fmt, out)
     if not report["agree"]:
@@ -511,13 +511,12 @@ def catalog_group():
 
 @catalog_group.command(name="list")
 @_common
-def catalog_list(seed, trials, field_flag, fmt, out):
+def catalog_list(seed, trials, field, fmt, out):
     """List all catalog entries with their certified flags."""
     try:
         entries = catalog.all_entries(trials=trials, seed=seed)
     except catalog.CatalogError as exc:
-        _emit({"error": str(exc), "seed": seed}, fmt, out)
-        sys.exit(1)
+        _fail(str(exc), seed, fmt, out)
     payload = {"entries": [{"label": label, **entry.flags()} for label, entry in entries]}
     _emit(payload, fmt, out)
 
@@ -525,13 +524,12 @@ def catalog_list(seed, trials, field_flag, fmt, out):
 @catalog_group.command(name="export")
 @click.argument("label")
 @_common
-def catalog_export(label, seed, trials, field_flag, fmt, out):
+def catalog_export(label, seed, trials, field, fmt, out):
     """Export one catalog entry as a module file."""
     try:
         entries = catalog.all_entries(trials=trials, seed=seed)
     except catalog.CatalogError as exc:
-        _emit({"error": str(exc), "seed": seed}, fmt, out)
-        sys.exit(1)
+        _fail(str(exc), seed, fmt, out)
     for name, entry in entries:
         if name == label or entry.label == label:
             _emit(pimod.module_to_json(entry.module), fmt, out)
@@ -539,29 +537,25 @@ def catalog_export(label, seed, trials, field_flag, fmt, out):
     raise click.UsageError("unknown catalog label %r" % label)
 
 
+def _md_selftest(report):
+    lines = ["# selftest (seed %d, trials %d)" % (report["seed"], report["trials"]), ""]
+    for c in report["criteria"]:
+        lines.append("- %s %s: %s" % (c["id"], c["title"], "pass" if c["passed"] else "FAIL"))
+    lines.append("")
+    lines.append("all passed: %s" % report["all_passed"])
+    return "\n".join(lines) + "\n"
+
+
 @main.command()
 @_common
-def selftest(seed, trials, field_flag, fmt, out):
+def selftest(seed, trials, field, fmt, out):
     """Run the full acceptance suite and report one line per criterion."""
     report = run_selftest(seed=seed, trials=trials)
-    if fmt == "md":
-        lines = ["# selftest (seed %d, trials %d)" % (seed, trials), ""]
-        for c in report["criteria"]:
-            lines.append("- %s %s: %s" % (c["id"], c["title"],
-                                          "pass" if c["passed"] else "FAIL"))
-        lines.append("")
-        lines.append("all passed: %s" % report["all_passed"])
-        text = "\n".join(lines) + "\n"
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
-    else:
+    if fmt != "md":
         for c in report["criteria"]:
             click.echo("%s %s: %s" % (c["id"], c["title"],
                                       "pass" if c["passed"] else "FAIL"), err=True)
-        _emit(report, fmt, out)
+    _emit(report, fmt, out, md=_md_selftest)
     if not report["all_passed"]:
         sys.exit(1)
 

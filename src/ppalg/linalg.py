@@ -123,7 +123,7 @@ class FieldFp:
     char = None
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, min(p, 1000)) if q * q <= p):
+        if not sympy.isprime(p):
             raise ValueError("modulus %d is not prime" % p)
         self.p = p
         self.char = p
@@ -261,16 +261,6 @@ class Mat:
     def col(self, j):
         return Mat(self.field, self.rows, 1, [[row[j]] for row in self.data])
 
-    def col_entries(self, j):
-        return tuple(row[j] for row in self.data)
-
-    def trace(self):
-        assert self.rows == self.cols
-        t = self.field.zero
-        for i in range(self.rows):
-            t = t + self.data[i][i]
-        return t
-
     def __repr__(self):
         return "Mat(%dx%d, %r)" % (self.rows, self.cols, self.data)
 
@@ -380,23 +370,6 @@ def nullspace(A):
     return basis
 
 
-def rank_nullspace(A):
-    """(rank, kernel basis as a list of column tuples)."""
-    ns = nullspace(A)
-    return A.cols - ns.cols, [ns.col_entries(j) for j in range(ns.cols)]
-
-
-def solve(A, b):
-    """Some x with A x = b, or None when the system is inconsistent."""
-    X = solve_matrix(A, Mat.column(A.field, b) if not isinstance(b, Mat) else b)
-    if X is None:
-        return None
-    return [X.data[i][0] for i in range(X.rows)]
-
-
-solve_linear = solve
-
-
 def solve_matrix(A, B):
     """Some X with A X = B (column by column), or None if inconsistent."""
     assert A.rows == B.rows
@@ -434,16 +407,6 @@ def column_space(A):
 def left_annihilator(B):
     """A matrix P with ker P = col(B); rows form a basis of the left kernel."""
     return nullspace(B.transpose()).transpose()
-
-
-def intersect_columns(B1, B2):
-    """Basis of col(B1) ∩ col(B2)."""
-    assert B1.rows == B2.rows
-    if B1.cols == 0 or B2.cols == 0:
-        return Mat.zeros(B1.field, B1.rows, 0)
-    ns = nullspace(hstack([B1, -B2]))
-    top = Mat(B1.field, B1.cols, ns.cols, [ns.data[i][:] for i in range(B1.cols)])
-    return column_space(B1 * top)
 
 
 def invariant_subspace(E, B):
@@ -539,23 +502,6 @@ def eval_poly(coeffs, A):
     return out
 
 
-def coprime_split(f):
-    """Generalized eigenspace decomposition of a square matrix over Q.
-
-    Splits the ambient space along the pairwise-coprime irreducible factors
-    of the characteristic polynomial; returns one basis matrix per factor.
-    The blocks are f-invariant and sum directly to the whole space.
-    """
-    assert f.rows == f.cols
-    if f.rows == 0:
-        return []
-    blocks = []
-    for coeffs, mult in coprime_factors(charpoly(f)):
-        blocks.append(nullspace(eval_poly(coeffs, f).power(mult)))
-    assert sum(b.cols for b in blocks) == f.rows
-    return blocks
-
-
 # -- serialization -----------------------------------------------------------
 
 def mat_to_json(A):
@@ -563,8 +509,14 @@ def mat_to_json(A):
 
 
 def mat_from_json(field, rows, cols, data):
+    """A rows x cols matrix from its JSON form; raises ValueError on a wrong
+    shape or an entry that is not an exact number (a float, "1/0")."""
     if data in (None, []):
         return Mat.zeros(field, rows, cols)
-    if len(data) != rows or any(len(row) != cols for row in data):
+    if (not isinstance(data, list) or len(data) != rows
+            or any(not isinstance(row, list) or len(row) != cols for row in data)):
         raise ValueError("matrix shape mismatch: expected %dx%d" % (rows, cols))
-    return Mat.from_rows(field, data)
+    try:
+        return Mat.from_rows(field, data)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError("bad matrix entry: %s" % exc) from None

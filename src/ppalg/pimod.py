@@ -179,12 +179,56 @@ def _var_layout(shapes):
     return offsets, total
 
 
-def _unflatten(field, vec, shapes, offsets):
+def _unflatten(field, vec, shapes):
+    """The inverse of the `_var_layout(shapes)` flattening."""
     out = {}
+    base = 0
     for key, (r, c) in shapes.items():
-        base = offsets[key]
         out[key] = Mat(field, r, c, [list(vec[base + u * c: base + (u + 1) * c]) for u in range(r)])
+        base += r * c
     return out
+
+
+def _commutation_system(field, shapes, constraints):
+    """The linear system f_i A - B f_j = 0 over the blocks f_k of `shapes`.
+
+    Each constraint (i, j, A, B) contributes rows(f_i) x cols(A) equations,
+    row-major; B = None stands for B = 0.  The unknowns are the blocks f_k,
+    vec'd row by row in the layout of `_var_layout(shapes)`.
+    """
+    offsets, nvars = _var_layout(shapes)
+    z = field.zero
+    rows = []
+    for i, j, A, B in constraints:
+        base_i, cols_i = offsets[i], shapes[i][1]
+        base_j, (rows_j, cols_j) = offsets[j], shapes[j]
+        for u in range(shapes[i][0]):
+            for v in range(A.cols):
+                row = [z] * nvars
+                for r in range(A.rows):
+                    a = A.data[r][v]
+                    if a:
+                        row[base_i + u * cols_i + r] = row[base_i + u * cols_i + r] + a
+                if B is not None:
+                    for r in range(rows_j):
+                        b = B.data[u][r]
+                        if b:
+                            row[base_j + r * cols_j + v] = row[base_j + r * cols_j + v] - b
+                rows.append(row)
+    return Mat(field, len(rows), nvars, rows) if rows else Mat.zeros(field, 0, nvars)
+
+
+def _module_constraints(M, N):
+    """(i, j, M_g, N_g) for every loop and every arrow g: j -> i, so that
+    the commutation system is the one of Hom(M, N)."""
+    return ([(i, i, M.eps[i], N.eps[i]) for i in M.datum.vertices]
+            + [(k[1], k[2], M.arrows[k], N.arrows[k]) for k in M.datum.arrow_keys()])
+
+
+def _kernel_basis(A, shapes):
+    """The kernel of A as a list of block dicts in the layout of `shapes`."""
+    ns = linalg.nullspace(A)
+    return [_unflatten(A.field, [row[k] for row in ns.data], shapes) for k in range(ns.cols)]
 
 
 def hom_basis(M, N):
@@ -195,47 +239,24 @@ def hom_basis(M, N):
     """
     if M.datum != N.datum:
         raise ValueError("modules over different data")
-    datum = M.datum
-    field = M.field
-    shapes = {i: (N.dims[i], M.dims[i]) for i in datum.vertices}
-    offsets, nvars = _var_layout(shapes)
-    rows = []
-    z = field.zero
+    shapes = {i: (N.dims[i], M.dims[i]) for i in M.datum.vertices}
+    return _kernel_basis(_commutation_system(M.field, shapes, _module_constraints(M, N)), shapes)
 
-    def block_rows(i_out, j_in, left_key, left_coef_mat, right_key, right_coef_mat):
-        # rows for  f_{i_out} * A - B * f_{j_in} = 0  where A = left_coef_mat
-        # (acts on the right of f) and B = right_coef_mat (acts on the left).
-        e_i, d_j = N.dims[i_out], left_coef_mat.cols
-        for u in range(e_i):
-            for v in range(d_j):
-                row = [z] * nvars
-                base = offsets[left_key]
-                dcols = shapes[left_key][1]
-                for r in range(shapes[left_key][1]):
-                    a = left_coef_mat.data[r][v]
-                    if a:
-                        row[base + u * dcols + r] = row[base + u * dcols + r] + a
-                base = offsets[right_key]
-                dcols = shapes[right_key][1]
-                for r in range(shapes[right_key][0]):
-                    b = right_coef_mat.data[u][r]
-                    if b:
-                        row[base + r * dcols + v] = row[base + r * dcols + v] - b
-                rows.append(row)
 
-    for i in datum.vertices:
-        block_rows(i, i, i, M.eps[i], i, N.eps[i])
-    for key in datum.arrow_keys():
-        _, i, j, _ = key
-        block_rows(i, j, i, M.arrows[key], j, N.arrows[key])
+def hom_t_dim(M, N):
+    """dim Hom_T(M, N): the maps commuting with the loops only.
 
-    A = Mat(field, len(rows), nvars, rows) if rows else Mat.zeros(field, 0, nvars)
-    ns = linalg.nullspace(A)
-    basis = []
-    for k in range(ns.cols):
-        vec = [ns.data[r][k] for r in range(nvars)]
-        basis.append(_unflatten(field, vec, shapes, offsets))
-    return basis
+    The loop constraints do not couple different vertices, so each vertex
+    is solved on its own.
+    """
+    if M.datum != N.datum:
+        raise ValueError("modules over different data")
+    total = 0
+    for i in M.datum.vertices:
+        A = _commutation_system(M.field, {i: (N.dims[i], M.dims[i])},
+                                [(i, i, M.eps[i], N.eps[i])])
+        total += linalg.nullspace(A).cols
+    return total
 
 
 def derivation_basis(M, N):
@@ -290,12 +311,7 @@ def derivation_basis(M, N):
             rows.extend(block)
 
     A = Mat(field, len(rows), nvars, rows) if rows else Mat.zeros(field, 0, nvars)
-    ns = linalg.nullspace(A)
-    basis = []
-    for k in range(ns.cols):
-        vec = [ns.data[r][k] for r in range(nvars)]
-        basis.append(_unflatten(field, vec, shapes, offsets))
-    return basis
+    return _kernel_basis(A, shapes)
 
 
 def hom_dim(M, N):
@@ -743,46 +759,14 @@ def _split_complement(M, spaces):
     field = M.field
     sub, incl = submodule(M, spaces)
     shapes = {i: (sub.dims[i], M.dims[i]) for i in M.datum.vertices}
-    offsets, nvars = _var_layout(shapes)
-    rows = []
-    rhs = []
-    z = field.zero
-
-    def add_rows(i_out, left_coef_mat, j_in, right_coef_mat, rhs_mat):
-        # psi_{i_out} * A - B * psi_{j_in} = rhs
-        for u in range(sub.dims[i_out]):
-            for v in range(left_coef_mat.cols):
-                row = [z] * nvars
-                base = offsets[i_out]
-                dcols = shapes[i_out][1]
-                for r in range(left_coef_mat.rows):
-                    a = left_coef_mat.data[r][v]
-                    if a:
-                        row[base + u * dcols + r] = row[base + u * dcols + r] + a
-                if right_coef_mat is not None:
-                    base = offsets[j_in]
-                    dcols = shapes[j_in][1]
-                    for r in range(right_coef_mat.cols):
-                        b = right_coef_mat.data[u][r]
-                        if b:
-                            row[base + r * dcols + v] = row[base + r * dcols + v] - b
-                rows.append(row)
-                rhs.append(rhs_mat.data[u][v] if rhs_mat is not None else z)
-
-    for i in M.datum.vertices:
-        add_rows(i, M.eps[i], i, sub.eps[i], None)
-    for key in M.datum.arrow_keys():
-        _, i, j, _ = key
-        add_rows(i, M.arrows[key], j, sub.arrows[key], None)
-    for i in M.datum.vertices:
-        add_rows(i, incl[i], i, None, Mat.identity(field, sub.dims[i]))
-
-    A = Mat(field, len(rows), nvars, rows) if rows else Mat.zeros(field, 0, nvars)
-    sol = linalg.solve_matrix(A, Mat.column(field, rhs))
+    retract = [(i, i, incl[i], None) for i in M.datum.vertices]   # psi_i incl_i = 1
+    A = _commutation_system(field, shapes, _module_constraints(M, sub) + retract)
+    eye = [field.one if u == v else field.zero
+           for i in M.datum.vertices for u in range(sub.dims[i]) for v in range(sub.dims[i])]
+    sol = linalg.solve_matrix(A, Mat.column(field, [field.zero] * (A.rows - len(eye)) + eye))
     if sol is None:
         return None
-    vec = [sol.data[r][0] for r in range(nvars)]
-    psi = _unflatten(field, vec, shapes, offsets)
+    psi = _unflatten(field, [row[0] for row in sol.data], shapes)
     comp_spaces = {i: linalg.nullspace(psi[i]) for i in M.datum.vertices}
     comp, _ = submodule(M, comp_spaces)
     assert comp.dim_total() + sub.dim_total() == M.dim_total()

@@ -14,7 +14,7 @@ import random
 
 from . import catalog, linalg, pimod, starop, symred
 from .cartan import alpha_form, beta_form, validate_datum
-from .linalg import QQ, Mat
+from .linalg import QQ
 from .starop import ExtensionClass
 
 
@@ -270,41 +270,14 @@ def criterion_symmetrizer_change(seed=0, trials=8):
     }
 
 
-def _hom_t_dim_solved(datum, d, e):
-    """dim Hom_T for rank vectors d, e, computed from the per-vertex
-    truncated-polynomial module structure by solving the commutation
-    systems (independent of the alpha formula)."""
-    total = 0
+def _free_module(datum, d):
+    """The locally free module of rank vector d with all arrows zero: a
+    direct sum of generalized simples."""
+    M = pimod.zero_module(datum)
     for k, i in enumerate(datum.vertices):
-        c = datum.ci(i)
-        A = _free_loop(c, d[k])
-        B = _free_loop(c, e[k])
-        # dim of {f : f A = B f}
-        rows = []
-        nvars = B.rows * A.rows
-        z = QQ.zero
-        for u in range(B.rows):
-            for v in range(A.rows):
-                row = [z] * nvars
-                for r in range(A.rows):
-                    if A.data[r][v]:
-                        row[u * A.rows + r] = row[u * A.rows + r] + A.data[r][v]
-                for r in range(B.rows):
-                    if B.data[u][r]:
-                        row[r * A.rows + v] = row[r * A.rows + v] - B.data[u][r]
-                rows.append(row)
-        mat = Mat(QQ, len(rows), nvars, rows) if rows else Mat.zeros(QQ, 0, nvars)
-        total += linalg.nullspace(mat).cols
-    return total
-
-
-def _free_loop(c, r):
-    """The nilpotent loop action on a free rank-r module over K[x]/(x^c)."""
-    E = Mat.zeros(QQ, c * r, c * r)
-    for b in range(r):
-        for u in range(1, c):
-            E.data[b * c + u][b * c + u - 1] = QQ.one
-    return E
+        for _ in range(d[k]):
+            M = pimod.direct_sum(M, pimod.generalized_simple(datum, i))
+    return M
 
 
 _DATA_POOL = (
@@ -328,7 +301,7 @@ def criterion_dim_formulas(seed=0, count=20):
         datum = validate_datum(C, D, _random_orientation(C, rng))
         d = tuple(rng.randint(0, 3) for _ in range(datum.n()))
         e = tuple(rng.randint(0, 3) for _ in range(datum.n()))
-        want = _hom_t_dim_solved(datum, d, e)
+        want = pimod.hom_t_dim(_free_module(datum, d), _free_module(datum, e))
         got = alpha_form(datum, d, e)
         if want != got:
             homt_failures.append({"k": k, "solved": want, "alpha": got})

@@ -58,13 +58,12 @@ def _connected(datum):
     return len(seen) == len(verts)
 
 
-def reduce_module(pair, M, with_maps=False):
+def reduce_module(pair, M):
     """The quotient of a big-side module by the image of all loops.
 
     The result lives over the small side: loops become zero, arrows descend
     (they commute with the loops since all f_ij = 1), and the rank vector
-    is preserved.  With `with_maps` the per-vertex projection matrices are
-    returned too.
+    is preserved.
     """
     if M.datum != pair.big:
         raise ValueError("module is not defined over the big side of the pair")
@@ -72,27 +71,10 @@ def reduce_module(pair, M, with_maps=False):
     if not ok:
         raise pimod.NotLocallyFree("reduction requires a locally free module")
     spaces = {i: linalg.column_space(M.eps[i]) for i in pair.big.vertices}
-    quot, proj = pimod.quotient(M, spaces)
+    quot, _ = pimod.quotient(M, spaces)
     for i in pair.big.vertices:
         assert quot.eps[i].is_zero()  # losing the loop action is the point
-    red = ModuleRep(pair.base, quot.dims, {}, quot.arrows, M.field)
-    if with_maps:
-        return red, proj
-    return red
-
-
-def reduce_morphism(pair, f, projM, projN):
-    """The induced map between reductions of a big-side morphism f: M -> N.
-
-    `projM`, `projN` are the projections returned by reduce_module; the
-    section behind projM is recovered by solving."""
-    out = {}
-    for i in pair.big.vertices:
-        X = linalg.solve_matrix(projM[i].transpose(),
-                                (projN[i] * f[i]).transpose())
-        assert X is not None
-        out[i] = X.transpose()
-    return out
+    return ModuleRep(pair.base, quot.dims, {}, quot.arrows, M.field)
 
 
 def tilde_lift(pair, M, n=None):

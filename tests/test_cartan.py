@@ -59,6 +59,12 @@ class TestValidate:
             validate_datum(*B2_C12, [])
         assert code_of(e) == "orientation_pair"
 
+    def test_cartan_not_an_integer_matrix(self):
+        for C in ("x", ["xy", "zw"], [[2, -1], [-1, "2"]], [[2, -1], [-1, 2.0]]):
+            with pytest.raises(DatumError) as e:
+                validate_datum(C, [1] * len(C), [])
+            assert code_of(e) == "shape"
+
     def test_orientation_cycle(self):
         C = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
         with pytest.raises(DatumError) as e:
@@ -138,6 +144,12 @@ class TestRelations:
         assert len([a for a in quiver.arrows if a[1] == 1]) == 2  # two arrows 2 -> 1
         mesh = {r.source: r for r in rels.by_kind("mesh")}
         assert len(mesh[1].terms) == 2  # one per multiplicity index
+
+    def test_pretty_with_string_vertices(self):
+        datum = validate_datum([[2, -1], [-1, 2]], [1, 1], [("a", "b")], vertices=("a", "b"))
+        pretty = {r.label: r.pretty() for r in datum.relations().relations}
+        assert pretty["mesh@'a'"] == "aab_1*aba_1"
+        assert pretty["nilpotency@'b'"] == "epsb"
 
     def test_symmetric_minimal_mesh_has_no_loops(self):
         datum = validate_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [1, 1, 1],

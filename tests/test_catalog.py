@@ -1,9 +1,8 @@
 import pytest
 
 from ppalg import catalog, pimod
-from ppalg.catalog import (a2_suite, b2_suite, generalized_simple,
-                           leclerc_module, leclerc_suite)
-from ppalg.pimod import hom_dim, iso_test
+from ppalg.catalog import a2_suite, b2_suite, leclerc_module, leclerc_suite
+from ppalg.pimod import generalized_simple, hom_dim, iso_test
 
 
 class TestGeneralizedSimples:

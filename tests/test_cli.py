@@ -42,6 +42,14 @@ def files(tmp_path_factory):
     write("bad.json", bad)
     write("sum.json", pimod.module_to_json(pimod.direct_sum(E1, E1)))
 
+    for name, entry in (("div0.json", "1/0"), ("float.json", 1.5)):
+        doc = dict(pimod.module_to_json(E1))
+        doc["epsilon"] = {"1": [["0", "0"], [entry, "0"]]}
+        write(name, doc)
+    write("labels.json", {"vertices": ["a", "b"], "cartan": [[2, -1], [-1, 2]],
+                          "symmetrizer": [1, 1], "orientation": [["a", "b"]]})
+    write("cartan_x.json", {"cartan": "x"})
+
     a2 = catalog.a2_datum()
     write("s1.json", pimod.module_to_json(pimod.generalized_simple(a2, 1)))
     write("s2.json", pimod.module_to_json(pimod.generalized_simple(a2, 2)))
@@ -68,6 +76,15 @@ class TestValidation:
         result = runner.invoke(main, ["validate", files["cyclic.json"]])
         assert result.exit_code == 2
         assert "cycle" in result.output
+
+    def test_string_vertex_labels(self, runner, files):
+        out = run_json(runner, ["validate", files["labels.json"]])
+        assert out["relations"]["mesh@'a'"] == "aab_1*aba_1"
+
+    def test_cartan_not_a_matrix_exit_2(self, runner, files):
+        result = runner.invoke(main, ["validate", files["cartan_x.json"]])
+        assert result.exit_code == 2
+        assert "(shape)" in result.output
 
     def test_usage_error_writes_no_output_file(self, runner, files):
         target = os.path.join(files["root"], "should_not_exist.json")
@@ -100,6 +117,19 @@ class TestModuleCommands:
         fp = run_json(runner, ["hom", files["e1.json"], files["e1.json"],
                                "--field", "fp:32003"])
         assert fp["dim_hom"] == out["dim_hom"] and fp["field"] == "F32003"
+
+    def test_bad_field_exit_2(self, runner, files):
+        for flag in ("fp:abc", "fp:4", "fp:", "fp:1022117", "r"):
+            result = runner.invoke(main, ["hom", files["e1.json"], files["e1.json"],
+                                          "--field", flag])
+            assert result.exit_code == 2, flag
+            assert "--field" in result.output
+
+    def test_malformed_entry_exit_2(self, runner, files):
+        for name in ("div0.json", "float.json"):
+            result = runner.invoke(main, ["check", files[name]])
+            assert result.exit_code == 2, name
+            assert name in result.output
 
     def test_forms(self, runner, files):
         out = run_json(runner, ["forms", files["a5.json"], "1,2,2,2,1", "1,2,2,2,1"])

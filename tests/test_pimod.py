@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ppalg import catalog, linalg, pimod, starop
-from ppalg.cartan import alpha_form
+from ppalg.cartan import alpha_form, default_orientation, symmetrized_form, validate_datum
 from ppalg.linalg import QQ, Mat
 from ppalg.pimod import (ModuleRep, NotLocallyFree,
                          canonical_pieces, check_relations, decompose,
@@ -176,6 +177,37 @@ class TestHomAndExt:
             M = random_tower(b2, rng.randint(1, 3), rng)
             N = random_tower(b2, rng.randint(1, 3), rng)
             assert len(hom_t_basis(M, N)) == alpha_form(b2, rank_vector(M), rank_vector(N))
+
+
+# Cartan matrix and symmetrizer of data beyond A2/B2: G2, C3 and the affine
+# datum with c_12 = c_21 = -2 (two arrows each way)
+_WIDER_DATA = {
+    "G2": ([[2, -3], [-1, 2]], [1, 3]),
+    "C3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [2, 2, 1]),
+    "A1~": ([[2, -2], [-2, 2]], [1, 1]),
+}
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16),
+       rank_m=st.integers(1, 3), rank_n=st.integers(1, 3))
+def test_hom_basis_commutes_and_ext_formula(name, seed, rank_m, rank_n):
+    C, D = _WIDER_DATA[name]
+    datum = validate_datum(C, D, default_orientation(C))
+    rng = random.Random(seed)
+    M = random_tower(datum, rank_m, rng)
+    N = random_tower(datum, rank_n, rng)
+    hb = hom_basis(M, N)
+    for f in hb:
+        for i in datum.vertices:
+            assert f[i] * M.eps[i] == N.eps[i] * f[i]
+        for key in datum.arrow_keys():
+            _, i, j, _ = key
+            assert f[i] * M.arrows[key] == N.arrows[key] * f[j]
+    dM, dN = rank_vector(M), rank_vector(N)
+    assert pimod.hom_t_dim(M, N) == alpha_form(datum, dM, dN)
+    assert len(hb) - ext1_dim(M, N) + hom_dim(N, M) == symmetrized_form(datum, dM, dN)
 
 
 class TestCanonicalPieces:
