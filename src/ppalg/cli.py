@@ -47,7 +47,10 @@ def _load_json(path):
         raise click.UsageError("cannot read %s: %s" % (path, exc))
 
 
-def _datum_from_doc(doc):
+def _datum_from_doc(doc, path):
+    """The Cartan datum of an algebra config read from `path`."""
+    if not isinstance(doc, dict):
+        raise click.UsageError("%s: an algebra config must be a JSON object" % path)
     try:
         vertices = doc.get("vertices")
         cartan = doc["cartan"]
@@ -61,17 +64,19 @@ def _datum_from_doc(doc):
             orient = [tuple(p) for p in orient]
         return validate_datum(cartan, sym, orient, vertices)
     except DatumError as exc:
-        raise click.UsageError("invalid algebra (%s): %s" % (exc.code, exc))
+        raise click.UsageError("%s: invalid algebra (%s): %s" % (path, exc.code, exc))
     except (KeyError, TypeError, IndexError) as exc:
-        raise click.UsageError("malformed algebra config: %r" % (exc,))
+        raise click.UsageError("%s: malformed algebra config: %r" % (path, exc))
 
 
 def _load_algebra(path):
-    return _datum_from_doc(_load_json(path))
+    return _datum_from_doc(_load_json(path), path)
 
 
 def _load_module(path, field):
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise click.UsageError("%s: a module file must be a JSON object" % path)
     if "algebra" not in doc and isinstance(doc.get("module"), dict):
         doc = doc["module"]  # accept reports of module-producing commands as-is
     alg = doc.get("algebra")
@@ -79,7 +84,7 @@ def _load_module(path, field):
         alg_path = alg if os.path.isabs(alg) else os.path.join(os.path.dirname(path) or ".", alg)
         datum = _load_algebra(alg_path)
     elif isinstance(alg, dict):
-        datum = _datum_from_doc(alg)
+        datum = _datum_from_doc(alg, path)
     else:
         raise click.UsageError("%s: module file needs an 'algebra' entry" % path)
     try:

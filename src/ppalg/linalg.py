@@ -1,14 +1,21 @@
-"""Exact dense linear algebra over Q or a prime field.
+"""Exact linear algebra over Q or a prime field.
 
 Everything here is exact: the default scalars are `fractions.Fraction`
 values, optionally replaced by GF(p) elements for fast cross-checks.
-Matrices are small and dense (desk scale), so plain Gaussian elimination
-with exact division is used throughout.  No floating point anywhere.
+Matrices are stored dense, but the systems solved are mostly sparse (the
+Hom and Der systems are under 1% nonzero), so every rank, kernel, solve and
+column space goes through one elimination kernel, `_rref`, that works on
+sparse integer rows: fraction-free over Q (rows kept primitive), residues
+mod p over GF(p).  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import is_not
 
 import sympy
 
@@ -118,7 +125,10 @@ class FpElement:
 
 
 class FieldFp:
-    """The prime field GF(p); used only for speed cross-checks."""
+    """The prime field GF(p); used only for speed cross-checks.
+
+    Eliminations over GF(p) share `_rref`'s sparse integer kernel with Q:
+    rows hold the residues `FpElement.v`."""
 
     char = None
 
@@ -308,43 +318,112 @@ def block_diag(mats, field):
     return out
 
 
+def _eliminate(r, c, P, p, col_rows=None, i=None, limit=0):
+    """r := a*r - b*P, which clears r[c]; then r is made primitive (p = 0,
+    over Q) or reduced mod p.  Columns below `limit` that r gains are
+    recorded in col_rows under row index i."""
+    pc, rc = P[c], r[c]
+    g = gcd(pc, rc)
+    a, b = pc // g, rc // g
+    if a != 1:
+        for k in r:
+            r[k] *= a
+    for k, v in P.items():
+        w = r.get(k)
+        if w is None:
+            r[k] = -b * v % p if p else -b * v
+            if col_rows is not None and k < limit:
+                col_rows[k].add(i)
+        else:
+            w = (w - b * v) % p if p else w - b * v
+            if w:
+                r[k] = w
+            else:
+                del r[k]
+    if not p and r:
+        g = gcd(*r.values())
+        if g > 1:
+            for k in r:
+                r[k] //= g
+
+
 def _rref(data, rows, cols, pivot_limit=None):
     """In-place reduced row echelon form; returns the pivot column list.
 
     Pivots are only chosen among the first `pivot_limit` columns, which lets
-    the same routine solve augmented systems.
+    the same routine solve augmented systems.  On return `data[:rows]` holds
+    dense rows of field elements, the pivot rows first and in pivot order.
+
+    The elimination runs on sparse integer rows `{col: int}`: over Q each
+    row is scaled to a primitive integer row, over GF(p) it holds residues.
+    Each column is cleared with the shortest row that is nonzero there, by
+    r := a*r - b*pivot on the rows nonzero in that column only; then
+    back-substitution runs from the last pivot upwards.
     """
+    if not rows or not cols:
+        return []
     limit = cols if pivot_limit is None else pivot_limit
-    pivots = []
-    r = 0
+    first = data[0][0]
+    p = first.p if isinstance(first, FpElement) else 0
+    sparse = []
+    col_rows = defaultdict(set)  # column < limit -> rows that may be nonzero there
+    for i, row in enumerate(data[:rows]):
+        if p:
+            r = {c: x.v for c, x in enumerate(row) if x.v}
+        else:
+            # skip the shared zero (Mat.zeros, system builders) at C speed
+            nz = compress(enumerate(row), map(is_not, row, repeat(QQ.zero)))
+            r = {c: x.as_integer_ratio() for c, x in nz if x}
+            den = lcm(*[d for _, d in r.values()])
+            r = {c: n * (den // d) for c, (n, d) in r.items()}
+            g = gcd(*r.values())
+            if g > 1:
+                for c in r:
+                    r[c] //= g
+        sparse.append(r)
+        for c in r:
+            if c < limit:
+                col_rows[c].add(i)
+    if not col_rows:
+        return []
+    done = [False] * rows
+    pivots, pivot_rows = [], []
     for c in range(limit):
-        pr = None
-        for rr in range(r, rows):
-            if data[rr][c]:
-                pr = rr
-                break
-        if pr is None:
+        cand = [i for i in col_rows.pop(c, ()) if not done[i] and c in sparse[i]]
+        if not cand:
             continue
-        if pr != r:
-            data[r], data[pr] = data[pr], data[r]
-        piv = data[r][c]
-        if piv != 1:
-            data[r] = [x / piv for x in data[r]]
-        rowr = data[r]
-        for rr in range(rows):
-            if rr == r:
-                continue
-            f = data[rr][c]
-            if not f:
-                continue
-            rowrr = data[rr]
-            for cc in range(c, cols):
-                if rowr[cc]:
-                    rowrr[cc] = rowrr[cc] - f * rowr[cc]
+        piv = min(cand, key=lambda i: len(sparse[i]))
+        done[piv] = True
+        P = sparse[piv]
+        if p and P[c] != 1:
+            inv = pow(P[c], -1, p)
+            for k in P:
+                P[k] = P[k] * inv % p
+        for i in cand:
+            if i != piv:
+                _eliminate(sparse[i], c, P, p, col_rows, i, limit)
         pivots.append(c)
-        r += 1
-        if r == rows:
+        pivot_rows.append(piv)
+        if len(pivots) == rows:
             break
+    for k in range(len(pivots) - 1, 0, -1):
+        c, P = pivots[k], sparse[pivot_rows[k]]
+        for j in pivot_rows[:k]:
+            if c in sparse[j]:
+                _eliminate(sparse[j], c, P, p)
+
+    zero = FpElement(0, p) if p else QQ.zero
+    for k, i in enumerate(pivot_rows + [i for i in range(rows) if not done[i]]):
+        dense = [zero] * cols
+        r = sparse[i]
+        if p:
+            for c, v in r.items():
+                dense[c] = FpElement(v, p)
+        else:
+            d = r[pivots[k]] if k < len(pivots) else 1
+            for c, v in r.items():
+                dense[c] = Fraction(v) if d == 1 else Fraction(v, d)
+        data[k] = dense
     return pivots
 
 
@@ -386,9 +465,10 @@ def solve_matrix(A, B):
 
 
 def inverse(A):
+    """A^-1; a square A X = I is solvable only when A is invertible."""
     assert A.rows == A.cols
     X = solve_matrix(A, Mat.identity(A.field, A.rows))
-    if X is None or rank(A) < A.rows:
+    if X is None:
         raise ValueError("matrix is singular")
     return X
 

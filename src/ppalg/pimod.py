@@ -877,15 +877,22 @@ def parse_vertex(datum, s):
     raise ValueError("unknown vertex %r" % (s,))
 
 
+def _json_object(doc, key):
+    value = doc.get(key) or {}
+    if not isinstance(value, dict):
+        raise ValueError("%r must be a JSON object" % key)
+    return value
+
+
 def module_from_json(doc, datum, field=QQ):
-    dims = {parse_vertex(datum, k): int(v) for k, v in (doc.get("dims") or {}).items()}
+    dims = {parse_vertex(datum, k): int(v) for k, v in _json_object(doc, "dims").items()}
     eps = {}
-    for k, m in (doc.get("epsilon") or {}).items():
+    for k, m in _json_object(doc, "epsilon").items():
         i = parse_vertex(datum, k)
         d = dims.get(i, 0)
         eps[i] = linalg.mat_from_json(field, d, d, m)
     arrows = {}
-    for k, m in (doc.get("arrows") or {}).items():
+    for k, m in _json_object(doc, "arrows").items():
         parts = k.split("_")
         if len(parts) != 4 or parts[0] != "a":
             raise ValueError("bad arrow key %r (expected a_<target>_<source>_<g>)" % (k,))

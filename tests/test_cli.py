@@ -49,6 +49,12 @@ def files(tmp_path_factory):
     write("labels.json", {"vertices": ["a", "b"], "cartan": [[2, -1], [-1, 2]],
                           "symmetrizer": [1, 1], "orientation": [["a", "b"]]})
     write("cartan_x.json", {"cartan": "x"})
+    write("list_algebra.json", [1])
+    write("list_module.json", [])
+    for key in ("dims", "epsilon", "arrows"):
+        doc = dict(pimod.module_to_json(E1))
+        doc[key] = [1, 1]
+        write("list_%s.json" % key, doc)
 
     a2 = catalog.a2_datum()
     write("s1.json", pimod.module_to_json(pimod.generalized_simple(a2, 1)))
@@ -85,6 +91,11 @@ class TestValidation:
         result = runner.invoke(main, ["validate", files["cartan_x.json"]])
         assert result.exit_code == 2
         assert "(shape)" in result.output
+
+    def test_algebra_not_an_object_exit_2(self, runner, files):
+        result = runner.invoke(main, ["validate", files["list_algebra.json"]])
+        assert result.exit_code == 2
+        assert "list_algebra.json" in result.output
 
     def test_usage_error_writes_no_output_file(self, runner, files):
         target = os.path.join(files["root"], "should_not_exist.json")
@@ -130,6 +141,18 @@ class TestModuleCommands:
             result = runner.invoke(main, ["check", files[name]])
             assert result.exit_code == 2, name
             assert name in result.output
+
+    def test_module_not_an_object_exit_2(self, runner, files):
+        result = runner.invoke(main, ["check", files["list_module.json"]])
+        assert result.exit_code == 2
+        assert "list_module.json" in result.output
+
+    def test_module_field_not_an_object_exit_2(self, runner, files):
+        for key in ("dims", "epsilon", "arrows"):
+            name = "list_%s.json" % key
+            result = runner.invoke(main, ["check", files[name]])
+            assert result.exit_code == 2, name
+            assert name in result.output and key in result.output
 
     def test_forms(self, runner, files):
         out = run_json(runner, ["forms", files["a5.json"], "1,2,2,2,1", "1,2,2,2,1"])

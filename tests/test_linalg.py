@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from ppalg import catalog, linalg, pimod
-from ppalg.linalg import GF, QQ, Mat
+from ppalg.linalg import GF, QQ, FpElement, Mat
 
 
 def mat(rows):
@@ -178,3 +181,107 @@ class TestPrimeField:
         for p in (32004, 1022117):  # 1022117 = 1009 * 1013
             with pytest.raises(ValueError):
                 GF(p)
+
+
+# -- the elimination kernel against sympy's DomainMatrix.rref ------------------
+
+P = 32003
+BIG = 2 ** 70
+SYMPY_FIELD = {QQ: sympy.QQ, GF(P): sympy.GF(P, symmetric=False)}
+
+
+@st.composite
+def sparse_mat(draw, field, rows=None, cols=None):
+    """A sparse matrix over `field`, of a drawn shape where none is given:
+    entries with numerators and denominators above 2^64, duplicated and
+    rescaled rows, and the 0 x n, n x 0 and all-zero cases."""
+    rows = draw(st.sampled_from(range(9))) if rows is None else rows
+    cols = draw(st.sampled_from(range(9))) if cols is None else cols
+    density = draw(st.sampled_from([0.0, 0.2, 0.4, 0.7, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        num = rng.choice([rng.randint(-3, 3), rng.randint(-BIG, BIG)])
+        if field is not QQ:
+            return num
+        return Fraction(num, rng.choice([1, rng.randint(1, 3), rng.randint(1, BIG)]))
+
+    out = []
+    for _ in range(rows):
+        if out and rng.random() < 0.25:
+            out.append([rng.randint(1, 3) * x for x in rng.choice(out)])
+        else:
+            out.append([entry() if rng.random() < density else 0 for _ in range(cols)])
+    return Mat(field, rows, cols, [[field.coerce(x) for x in row] for row in out])
+
+
+def to_exact(field, x):
+    return x if field is QQ else x.v
+
+
+def sympy_rref(field, data, cols):
+    """sympy's reduced row echelon form of dense rows and its pivots."""
+    dom = SYMPY_FIELD[field]
+    conv = ((lambda x: dom(x.numerator, x.denominator)) if field is QQ
+            else (lambda x: dom(x.v)))
+    R, pivots = DomainMatrix([[conv(x) for x in row] for row in data],
+                             (len(data), cols), dom).rref()
+    back = ((lambda e: Fraction(int(e.numerator), int(e.denominator))) if field is QQ
+            else (lambda e: int(e) % P))
+    return [[back(e) for e in row] for row in R.to_list()], list(pivots)
+
+
+def kernel_rref(A, pivot_limit=None):
+    data = [row[:] for row in A.data]
+    pivots = linalg._rref(data, A.rows, A.cols, pivot_limit)
+    for row in data:  # the tracer reads the rows back as field elements
+        assert len(row) == A.cols
+        assert all(isinstance(x, Fraction if A.field is QQ else FpElement) for x in row)
+    return [[to_exact(A.field, x) for x in row] for row in data], pivots
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF"])
+KERNEL_EXAMPLES = settings(derandomize=True, max_examples=50, deadline=None)
+
+
+@FIELDS
+@KERNEL_EXAMPLES
+@given(data=st.data())
+def test_rref_matches_sympy(field, data):
+    A = data.draw(sparse_mat(field))
+    assert kernel_rref(A) == sympy_rref(field, A.data, A.cols)
+
+
+@FIELDS
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (3, 4)])
+def test_rref_edge_shapes(field, shape):
+    A = Mat.zeros(field, *shape)
+    assert kernel_rref(A) == sympy_rref(field, A.data, A.cols) == (
+        [[0] * shape[1]] * shape[0], [])
+    assert kernel_rref(A, pivot_limit=shape[1] // 2)[1] == []
+
+
+@FIELDS
+@KERNEL_EXAMPLES
+@given(data=st.data())
+def test_augmented_rref_matches_sympy(field, data):
+    """[A | B] with pivots limited to A's columns: the A part is the RREF of
+    A, and B's part is unique, and matches sympy, when A X = B is solvable."""
+    A = data.draw(sparse_mat(field))
+    if data.draw(st.booleans()):  # a consistent system B = A X
+        B = A * data.draw(sparse_mat(field, rows=A.cols))
+    else:
+        B = data.draw(sparse_mat(field, rows=A.rows))
+    AB = linalg.hstack([A, B])
+    got, pivots = kernel_rref(AB, pivot_limit=A.cols)
+    ref_a, pivots_a = sympy_rref(field, A.data, A.cols)
+    assert pivots == pivots_a
+    assert [row[:A.cols] for row in got] == ref_a
+    ref_ab, pivots_ab = sympy_rref(field, AB.data, AB.cols)
+    consistent = pivots_ab == pivots_a
+    assert consistent == all(not x for row in got[len(pivots):] for x in row)
+    if consistent:
+        assert got == ref_ab
+    # elimination keeps the row space of [A | B]
+    as_field = [[field.coerce(x) for x in row] for row in got]
+    assert sympy_rref(field, as_field, AB.cols) == (ref_ab, pivots_ab)
