@@ -205,7 +205,7 @@ def hom(mod_a, mod_b, seed, trials, field, fmt, out):
     """dim Hom(A, B)."""
     A = _load_module(mod_a, field)
     B = _load_module(mod_b, field)
-    payload = {"dim_hom": len(pimod.hom_basis(A, B)), "field": field.name}
+    payload = {"dim_hom": pimod.hom_dim(A, B), "field": field.name}
     _emit(payload, fmt, out)
 
 

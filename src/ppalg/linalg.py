@@ -512,15 +512,21 @@ def closure_under(E, B):
 
 
 def complete_basis(B):
-    """Standard basis vectors completing the (independent) columns of B."""
-    n = B.rows
+    """(C, P) for a matrix B with independent columns.
+
+    C holds the standard basis vectors that complete B's columns to a basis,
+    and P the rows of the RREF of [B | I] after B's pivots, restricted to
+    the I part: P B = 0 and P C = I, so P is the lower block of
+    [B | C]^-1, the projection onto C's coordinates along col(B).
+    """
+    n, k = B.rows, B.cols
     data = [row[:] for row in hstack([B, Mat.identity(B.field, n)]).data]
-    pivots = _rref(data, n, B.cols + n)
-    extra = [c - B.cols for c in pivots if c >= B.cols]
-    out = Mat.zeros(B.field, n, len(extra))
-    for k, j in enumerate(extra):
-        out.data[j][k] = B.field.one
-    return out
+    pivots = _rref(data, n, k + n)
+    extra = [c - k for c in pivots if c >= k]
+    C = Mat.zeros(B.field, n, len(extra))
+    for col, j in enumerate(extra):
+        C.data[j][col] = B.field.one
+    return C, Mat(B.field, len(extra), n, [row[k:] for row in data[k:n]])
 
 
 # -- characteristic polynomials and coprime factor splitting ----------------

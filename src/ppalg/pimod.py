@@ -7,6 +7,10 @@ four-term sequence Hom -> Hom_T -> Der -> Ext^1, the canonical pieces
 sub_i / fac_i / K_i / Q_i, the E-filtered and crystal tests, rigidity,
 randomized isomorphism testing and direct-sum decomposition.
 
+Every linear system (Hom, Hom_T, Der, split retractions) is written by one
+builder, `_linear_system`; dimensions are unknowns minus the system's rank,
+and only hom_basis and derivation_basis solve for a kernel basis.
+
 All randomized verdicts are reproducible from their seed, and "don't know"
 is a first-class outcome (IsoInconclusive, DecomposeUndecided) -- never a
 silent wrong answer.
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .linalg import QQ, Mat
-from .cartan import alpha_form, arrow_key, gen_source, gen_target, symmetrized_form
+from .cartan import alpha_form, arrow_key, eps_key, gen_source, gen_target, symmetrized_form
 
 
 class NotLocallyFree(ValueError):
@@ -189,40 +193,38 @@ def _unflatten(field, vec, shapes):
     return out
 
 
-def _commutation_system(field, shapes, constraints):
-    """The linear system f_i A - B f_j = 0 over the blocks f_k of `shapes`.
+def _linear_system(field, shapes, equations):
+    """The linear system of `equations` in the unknown blocks X_k of `shapes`.
 
-    Each constraint (i, j, A, B) contributes rows(f_i) x cols(A) equations,
-    row-major; B = None stands for B = 0.  The unknowns are the blocks f_k,
-    vec'd row by row in the layout of `_var_layout(shapes)`.
+    Each equation is a list of terms (coeff, k, L, R) and stands for
+    sum coeff * L X_k R = 0; it contributes rows(L) x cols(R) rows,
+    row-major, so all its terms must share that shape.  The unknowns are
+    the blocks X_k, vec'd row by row in the layout of `_var_layout(shapes)`.
     """
     offsets, nvars = _var_layout(shapes)
     z = field.zero
     rows = []
-    for i, j, A, B in constraints:
-        base_i, cols_i = offsets[i], shapes[i][1]
-        base_j, (rows_j, cols_j) = offsets[j], shapes[j]
-        for u in range(shapes[i][0]):
-            for v in range(A.cols):
-                row = [z] * nvars
-                for r in range(A.rows):
-                    a = A.data[r][v]
-                    if a:
-                        row[base_i + u * cols_i + r] = row[base_i + u * cols_i + r] + a
-                if B is not None:
-                    for r in range(rows_j):
-                        b = B.data[u][r]
-                        if b:
-                            row[base_j + r * cols_j + v] = row[base_j + r * cols_j + v] - b
-                rows.append(row)
+    for terms in equations:
+        if not terms:
+            continue
+        _, _, L0, R0 = terms[0]
+        block = [[z] * nvars for _ in range(L0.rows * R0.cols)]
+        for coeff, k, L, R in terms:
+            # (L X R)[u][v] = sum over r, c of L[u][r] X[r][c] R[c][v]: walk
+            # the nonzeros of L's rows and R's columns only
+            base, width = offsets[k], shapes[k][1]
+            lnz = [[(base + r * width, coeff * x) for r, x in enumerate(row) if x] for row in L.data]
+            rnz = [[(c, row[v]) for c, row in enumerate(R.data) if row[v]] for v in range(R.cols)]
+            for u, lu in enumerate(lnz):
+                if not lu:
+                    continue
+                for v, rv in enumerate(rnz):
+                    out = block[u * R.cols + v]
+                    for off, x in lu:
+                        for c, y in rv:
+                            out[off + c] = out[off + c] + x * y
+        rows.extend(block)
     return Mat(field, len(rows), nvars, rows) if rows else Mat.zeros(field, 0, nvars)
-
-
-def _module_constraints(M, N):
-    """(i, j, M_g, N_g) for every loop and every arrow g: j -> i, so that
-    the commutation system is the one of Hom(M, N)."""
-    return ([(i, i, M.eps[i], N.eps[i]) for i in M.datum.vertices]
-            + [(k[1], k[2], M.arrows[k], N.arrows[k]) for k in M.datum.arrow_keys()])
 
 
 def _kernel_basis(A, shapes):
@@ -231,32 +233,62 @@ def _kernel_basis(A, shapes):
     return [_unflatten(A.field, [row[k] for row in ns.data], shapes) for k in range(ns.cols)]
 
 
+def _nullity(A):
+    return A.cols - linalg.rank(A)
+
+
+def _hom_equations(M, N, arrows):
+    """The equations f_i M_g - N_g f_j = 0 on blocks f_i of shape N_i x M_i,
+    one for every loop and for every arrow g: j -> i in `arrows`."""
+    field = M.field
+    gens = [eps_key(i) for i in M.datum.vertices] + arrows
+    return [[(1, gen_target(g), Mat.identity(field, N.dims[gen_target(g)]), M.gen_mat(g)),
+             (-1, gen_source(g), N.gen_mat(g), Mat.identity(field, M.dims[gen_source(g)]))]
+            for g in gens]
+
+
+def _hom_system(M, N, arrows):
+    """(system, shapes) of the maps M -> N commuting with the loops and `arrows`."""
+    if M.datum != N.datum:
+        raise ValueError("modules over different data")
+    shapes = {i: (N.dims[i], M.dims[i]) for i in M.datum.vertices}
+    return _linear_system(M.field, shapes, _hom_equations(M, N, arrows)), shapes
+
+
+def _der_system(M, N):
+    """(system, shapes) of Der(M, N): one block N_{t(a)} x M_{s(a)} per
+    arrow a, and per relation its word derivative,
+    sum coeff * N(prefix) delta_a M(suffix) = 0 over the arrow positions."""
+    if M.datum != N.datum:
+        raise ValueError("modules over different data")
+    datum = M.datum
+    shapes = {k: (N.dims[k[1]], M.dims[gen_source(k)]) for k in datum.arrow_keys()}
+    equations = []
+    for rel in datum.relations().relations:
+        if N.dims[rel.target] and M.dims[rel.source]:
+            equations.append([(coeff, gen, N.eval_word(word[:p], rel.target),
+                               M.eval_word(word[p + 1:], gen_source(gen)))
+                              for coeff, word in rel.terms
+                              for p, gen in enumerate(word) if gen[0] == "arr"])
+    return _linear_system(M.field, shapes, equations), shapes
+
+
 def hom_basis(M, N):
     """Basis of the intertwiner space Hom(M, N).
 
     Elements are dicts {vertex: matrix N_i x M_i} commuting with every loop
     and arrow action.
     """
-    if M.datum != N.datum:
-        raise ValueError("modules over different data")
-    shapes = {i: (N.dims[i], M.dims[i]) for i in M.datum.vertices}
-    return _kernel_basis(_commutation_system(M.field, shapes, _module_constraints(M, N)), shapes)
+    return _kernel_basis(*_hom_system(M, N, M.datum.arrow_keys()))
+
+
+def hom_dim(M, N):
+    return _nullity(_hom_system(M, N, M.datum.arrow_keys())[0])
 
 
 def hom_t_dim(M, N):
-    """dim Hom_T(M, N): the maps commuting with the loops only.
-
-    The loop constraints do not couple different vertices, so each vertex
-    is solved on its own.
-    """
-    if M.datum != N.datum:
-        raise ValueError("modules over different data")
-    total = 0
-    for i in M.datum.vertices:
-        A = _commutation_system(M.field, {i: (N.dims[i], M.dims[i])},
-                                [(i, i, M.eps[i], N.eps[i])])
-        total += linalg.nullspace(A).cols
-    return total
+    """dim Hom_T(M, N): the maps commuting with the loops only."""
+    return _nullity(_hom_system(M, N, [])[0])
 
 
 def derivation_basis(M, N):
@@ -268,54 +300,7 @@ def derivation_basis(M, N):
     action satisfies all relations.  The constraints are assembled from the
     word derivative of each relation.
     """
-    if M.datum != N.datum:
-        raise ValueError("modules over different data")
-    datum = M.datum
-    field = M.field
-    shapes = {k: (N.dims[k[1]], M.dims[gen_source(k)]) for k in datum.arrow_keys()}
-    offsets, nvars = _var_layout(shapes)
-    rows = []
-    z = field.zero
-
-    for rel in datum.relations().relations:
-        if rel.kind == "nilpotency":
-            continue  # pure-loop word: derivative vanishes identically
-        nrows = N.dims[rel.target] * M.dims[rel.source]
-        if nrows == 0:
-            continue
-        block = [[z] * nvars for _ in range(nrows)]
-        touched = False
-        for coeff, word in rel.terms:
-            for p, gen in enumerate(word):
-                if gen[0] != "arr":
-                    continue
-                L = N.eval_word(word[:p], rel.target)          # N_{t(gen)} -> N_target
-                R = M.eval_word(word[p + 1:], gen_source(gen))  # M_source -> M_{s(gen)}
-                base = offsets[gen]
-                r_dim, c_dim = shapes[gen]
-                for u in range(L.rows):
-                    Lrow = L.data[u]
-                    for v in range(M.dims[rel.source]):
-                        out = block[u * M.dims[rel.source] + v]
-                        for r in range(r_dim):
-                            lu = Lrow[r]
-                            if not lu:
-                                continue
-                            lu = lu if coeff == 1 else coeff * lu
-                            for c in range(c_dim):
-                                rv = R.data[c][v]
-                                if rv:
-                                    out[base + r * c_dim + c] = out[base + r * c_dim + c] + lu * rv
-                        touched = True
-        if touched:
-            rows.extend(block)
-
-    A = Mat(field, len(rows), nvars, rows) if rows else Mat.zeros(field, 0, nvars)
-    return _kernel_basis(A, shapes)
-
-
-def hom_dim(M, N):
-    return len(hom_basis(M, N))
+    return _kernel_basis(*_der_system(M, N))
 
 
 def ext1_dim(M, N):
@@ -327,7 +312,7 @@ def ext1_dim(M, N):
     """
     dM = rank_vector(M)
     dN = rank_vector(N)
-    ext = len(derivation_basis(M, N)) - alpha_form(M.datum, dM, dN) + len(hom_basis(M, N))
+    ext = _nullity(_der_system(M, N)[0]) - alpha_form(M.datum, dM, dN) + hom_dim(M, N)
     if ext < 0:
         raise ConsistencyError("negative Ext^1 dimension: %d" % ext)
     return ext
@@ -403,12 +388,8 @@ def quotient(M, spaces):
     dims = {}
     for i in M.datum.vertices:
         B = spaces.get(i, Mat.zeros(field, M.dims[i], 0))
-        C = linalg.complete_basis(B)
-        full = linalg.hstack([B, C], field=field, rows=M.dims[i])
-        inv = linalg.inverse(full) if M.dims[i] else Mat.zeros(field, 0, 0)
-        proj[i] = Mat(field, C.cols, M.dims[i], [inv.data[r][:] for r in range(B.cols, M.dims[i])])
-        sect[i] = C
-        dims[i] = C.cols
+        sect[i], proj[i] = linalg.complete_basis(B)
+        dims[i] = sect[i].cols
     eps = {}
     arrows = {}
     for i in M.datum.vertices:
@@ -639,7 +620,7 @@ def _simple_hom_dims(M):
         dims = []
         for i in M.datum.vertices:
             E = generalized_simple(M.datum, i, M.field)
-            dims.append((len(hom_basis(E, M)), len(hom_basis(M, E))))
+            dims.append((hom_dim(E, M), hom_dim(M, E)))
         M._cache[key] = tuple(dims)
     return M._cache[key]
 
@@ -648,7 +629,7 @@ def iso_fingerprint(M):
     """A cheap isomorphism invariant: dimensions, End, and Hom against all E_i."""
     key = "fingerprint"
     if key not in M._cache:
-        M._cache[key] = (M.dim_vector(), len(hom_basis(M, M)), _simple_hom_dims(M))
+        M._cache[key] = (M.dim_vector(), hom_dim(M, M), _simple_hom_dims(M))
     return M._cache[key]
 
 
@@ -670,7 +651,7 @@ def iso_test(M, N, trials=8, seed=0):
         return False
     hb = hom_basis(M, N)
     end_dim = iso_fingerprint(M)[1]
-    if len(hb) != end_dim or len(hom_basis(N, M)) != end_dim:
+    if len(hb) != end_dim or hom_dim(N, M) != end_dim:
         return False
     rng = random.Random(seed)
     for _ in range(trials):
@@ -759,8 +740,9 @@ def _split_complement(M, spaces):
     field = M.field
     sub, incl = submodule(M, spaces)
     shapes = {i: (sub.dims[i], M.dims[i]) for i in M.datum.vertices}
-    retract = [(i, i, incl[i], None) for i in M.datum.vertices]   # psi_i incl_i = 1
-    A = _commutation_system(field, shapes, _module_constraints(M, sub) + retract)
+    retract = [[(1, i, Mat.identity(field, sub.dims[i]), incl[i])]   # psi_i incl_i = 1
+               for i in M.datum.vertices]
+    A = _linear_system(field, shapes, _hom_equations(M, sub, M.datum.arrow_keys()) + retract)
     eye = [field.one if u == v else field.zero
            for i in M.datum.vertices for u in range(sub.dims[i]) for v in range(sub.dims[i])]
     sol = linalg.solve_matrix(A, Mat.column(field, [field.zero] * (A.rows - len(eye)) + eye))
@@ -884,8 +866,15 @@ def _json_object(doc, key):
     return value
 
 
+def _dim_value(v):
+    """A dimension from JSON: an integer, or a string that int() reads."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError("dimension %r is not an integer" % (v,))
+    return int(v)
+
+
 def module_from_json(doc, datum, field=QQ):
-    dims = {parse_vertex(datum, k): int(v) for k, v in _json_object(doc, "dims").items()}
+    dims = {parse_vertex(datum, k): _dim_value(v) for k, v in _json_object(doc, "dims").items()}
     eps = {}
     for k, m in _json_object(doc, "epsilon").items():
         i = parse_vertex(datum, k)

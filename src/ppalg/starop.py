@@ -257,7 +257,7 @@ def _cell_labels(mid, rl, M, cl, N, pool, trials, seed):
 def anonymous_label(M):
     """A stable descriptive label for a module with no catalog match."""
     rk = pimod.rank_vector(M) if pimod.is_locally_free(M)[0] else None
-    end = len(pimod.hom_basis(M, M))
+    end = pimod.hom_dim(M, M)
     ext = pimod.ext1_dim(M, M) if rk is not None else -1
     return "anon(dims=%s,rank=%s,end=%d,ext=%d)" % (
         list(M.dim_vector()), list(rk) if rk else "?", end, ext)

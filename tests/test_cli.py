@@ -56,6 +56,12 @@ def files(tmp_path_factory):
         doc[key] = [1, 1]
         write("list_%s.json" % key, doc)
 
+    for name, value in (("list", [1]), ("null", None), ("float", 1.5), ("bool", True),
+                        ("string", "1")):
+        doc = dict(pimod.module_to_json(E2))
+        doc["dims"] = {"2": value}
+        write("dims_%s.json" % name, doc)
+
     a2 = catalog.a2_datum()
     write("s1.json", pimod.module_to_json(pimod.generalized_simple(a2, 1)))
     write("s2.json", pimod.module_to_json(pimod.generalized_simple(a2, 2)))
@@ -153,6 +159,16 @@ class TestModuleCommands:
             result = runner.invoke(main, ["check", files[name]])
             assert result.exit_code == 2, name
             assert name in result.output and key in result.output
+
+    @pytest.mark.parametrize("name", ["list", "null", "float", "bool"])
+    def test_module_dims_not_an_integer_exit_2(self, runner, files, name):
+        result = runner.invoke(main, ["check", files["dims_%s.json" % name]])
+        assert result.exit_code == 2, result.output
+        assert "dims_%s.json" % name in result.output and "dimension" in result.output
+
+    def test_module_dims_string_accepted(self, runner, files):
+        out = run_json(runner, ["check", files["dims_string.json"]])
+        assert out["dims"] == {"1": 0, "2": 1}
 
     def test_forms(self, runner, files):
         out = run_json(runner, ["forms", files["a5.json"], "1,2,2,2,1", "1,2,2,2,1"])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from ppalg import catalog, linalg, pimod
@@ -129,7 +129,8 @@ class TestSubspaces:
 
     def test_complete_basis(self):
         B = mat([[1], [1]])
-        C = linalg.complete_basis(B)
+        C, P = linalg.complete_basis(B)
+        assert C == mat([[1], [0]]) and P == mat([[1, -1]])
         assert linalg.rank(linalg.hstack([B, C])) == 2
 
 
@@ -285,3 +286,39 @@ def test_augmented_rref_matches_sympy(field, data):
     # elimination keeps the row space of [A | B]
     as_field = [[field.coerce(x) for x in row] for row in got]
     assert sympy_rref(field, as_field, AB.cols) == (ref_ab, pivots_ab)
+
+
+# -- complete_basis: the projection along col(B) from one elimination ----------
+
+def independent_columns(field, n, k, rng):
+    """An n x k matrix whose rows at k distinct positions form a lower
+    triangular block with a nonzero diagonal, so its columns are independent."""
+    def entry():
+        num = rng.choice([0, 0, rng.randint(-3, 3), rng.randint(-BIG, BIG)])
+        return Fraction(num, rng.choice([1, rng.randint(1, BIG)])) if field is QQ else num
+
+    B = Mat(field, n, k, [[field.coerce(entry()) for _ in range(k)] for _ in range(n)])
+    for j, r in enumerate(rng.sample(range(n), k)):
+        B.data[r][j + 1:] = [field.zero] * (k - j - 1)
+        if not B.data[r][j]:
+            B.data[r][j] = field.one
+    return B
+
+
+@FIELDS
+@KERNEL_EXAMPLES
+@given(n=st.integers(0, 6), k=st.integers(0, 6), rng=st.randoms(use_true_random=False))
+@example(n=0, k=0, rng=random.Random(0))
+@example(n=5, k=0, rng=random.Random(1))
+@example(n=5, k=5, rng=random.Random(2))
+def test_complete_basis_projection(field, n, k, rng):
+    """P B = 0 and P C = I, and P is the lower block of [B | C]^-1."""
+    k = min(k, n)
+    B = independent_columns(field, n, k, rng)
+    C, P = linalg.complete_basis(B)
+    assert (C.rows, C.cols, P.rows, P.cols) == (n, n - k, n - k, n)
+    assert sorted(sum(map(bool, row)) for row in C.transpose().data) == [1] * (n - k)
+    assert (P * B).is_zero()
+    assert P * C == Mat.identity(field, n - k)
+    inv = linalg.inverse(linalg.hstack([B, C]))
+    assert P == Mat(field, n - k, n, inv.data[k:])

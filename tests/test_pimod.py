@@ -205,9 +205,17 @@ def test_hom_basis_commutes_and_ext_formula(name, seed, rank_m, rank_n):
         for key in datum.arrow_keys():
             _, i, j, _ = key
             assert f[i] * M.arrows[key] == N.arrows[key] * f[j]
+    derb = derivation_basis(M, N)
+    for delta in derb:  # raises InvalidDerivation on a relation residual
+        starop.extension_module(starop.ExtensionClass(M, N, delta))
     dM, dN = rank_vector(M), rank_vector(N)
-    assert pimod.hom_t_dim(M, N) == alpha_form(datum, dM, dN)
-    assert len(hb) - ext1_dim(M, N) + hom_dim(N, M) == symmetrized_form(datum, dM, dN)
+    alpha = alpha_form(datum, dM, dN)
+    ext = ext1_dim(M, N)
+    assert pimod.hom_t_dim(M, N) == alpha
+    assert hom_dim(M, N) == len(hb)
+    assert len(derb) == ext + alpha - len(hb)
+    assert ext == ext1_dim_oracle(M, N)
+    assert len(hb) - ext + hom_dim(N, M) == symmetrized_form(datum, dM, dN)
 
 
 class TestCanonicalPieces:
