@@ -148,9 +148,11 @@ def _common(fn):
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Exact computations for preprojective algebras of symmetrizable
     Cartan matrices."""
+    ctx.with_resource(pimod.memo_run())  # one memo per command invocation
 
 
 @main.command()

@@ -347,22 +347,19 @@ def _eliminate(r, c, P, p, col_rows=None, i=None, limit=0):
                 r[k] //= g
 
 
-def _rref(data, rows, cols, pivot_limit=None):
-    """In-place reduced row echelon form; returns the pivot column list.
+def _forward(data, rows, cols, limit):
+    """Forward elimination of the dense rows `data[:rows]`, which it only reads.
 
-    Pivots are only chosen among the first `pivot_limit` columns, which lets
-    the same routine solve augmented systems.  On return `data[:rows]` holds
-    dense rows of field elements, the pivot rows first and in pivot order.
-
-    The elimination runs on sparse integer rows `{col: int}`: over Q each
-    row is scaled to a primitive integer row, over GF(p) it holds residues.
-    Each column is cleared with the shortest row that is nonzero there, by
-    r := a*r - b*pivot on the rows nonzero in that column only; then
-    back-substitution runs from the last pivot upwards.
+    Returns (p, sparse, pivots, pivot_rows): the modulus (0 over Q), the
+    rows as sparse integer rows `{col: int}` -- over Q each row is scaled
+    to a primitive integer row, over GF(p) it holds residues -- and the
+    pivot columns, all below `limit`, with the row index of each.  Each
+    column is cleared with the shortest row that is nonzero there, by
+    r := a*r - b*pivot on the rows nonzero in that column only; a pivot
+    row keeps its entries in later pivot columns.
     """
     if not rows or not cols:
-        return []
-    limit = cols if pivot_limit is None else pivot_limit
+        return 0, [], [], []
     first = data[0][0]
     p = first.p if isinstance(first, FpElement) else 0
     sparse = []
@@ -384,11 +381,11 @@ def _rref(data, rows, cols, pivot_limit=None):
         for c in r:
             if c < limit:
                 col_rows[c].add(i)
-    if not col_rows:
-        return []
     done = [False] * rows
     pivots, pivot_rows = [], []
     for c in range(limit):
+        if not col_rows:
+            break
         cand = [i for i in col_rows.pop(c, ()) if not done[i] and c in sparse[i]]
         if not cand:
             continue
@@ -406,6 +403,22 @@ def _rref(data, rows, cols, pivot_limit=None):
         pivot_rows.append(piv)
         if len(pivots) == rows:
             break
+    return p, sparse, pivots, pivot_rows
+
+
+def _rref(data, rows, cols, pivot_limit=None):
+    """In-place reduced row echelon form; returns the pivot column list.
+
+    Pivots are only chosen among the first `pivot_limit` columns, which lets
+    the same routine solve augmented systems.  On return `data[:rows]` holds
+    dense rows of field elements, the pivot rows first and in pivot order.
+    `_forward` eliminates; then back-substitution runs from the last pivot
+    upwards and the rows are written back dense.
+    """
+    limit = cols if pivot_limit is None else pivot_limit
+    p, sparse, pivots, pivot_rows = _forward(data, rows, cols, limit)
+    if not pivots:
+        return []
     for k in range(len(pivots) - 1, 0, -1):
         c, P = pivots[k], sparse[pivot_rows[k]]
         for j in pivot_rows[:k]:
@@ -413,7 +426,8 @@ def _rref(data, rows, cols, pivot_limit=None):
                 _eliminate(sparse[j], c, P, p)
 
     zero = FpElement(0, p) if p else QQ.zero
-    for k, i in enumerate(pivot_rows + [i for i in range(rows) if not done[i]]):
+    is_pivot_row = set(pivot_rows)
+    for k, i in enumerate(pivot_rows + [i for i in range(rows) if i not in is_pivot_row]):
         dense = [zero] * cols
         r = sparse[i]
         if p:
@@ -428,8 +442,9 @@ def _rref(data, rows, cols, pivot_limit=None):
 
 
 def rank(A):
-    data = [row[:] for row in A.data]
-    return len(_rref(data, A.rows, A.cols))
+    """The rank of A: forward elimination only, with no back-substitution
+    and no copy of A."""
+    return len(_forward(A.data, A.rows, A.cols, A.cols)[2])
 
 
 def nullspace(A):

@@ -11,6 +11,15 @@ Every linear system (Hom, Hom_T, Der, split retractions) is written by one
 builder, `_linear_system`; dimensions are unknowns minus the system's rank,
 and only hom_basis and derivation_basis solve for a kernel basis.
 
+The small, immutable answers -- ext1_dim, hom_dim, is_locally_free,
+is_E_filtered, is_crystal and iso_fingerprint -- are memoized for one run,
+keyed by the full content of the modules (datum, field, dims and every
+nonzero entry, compared exactly).  A run is a `memo_run()` block: each
+`selftest.run_criteria` pass and each CLI command is one, and a memoized
+function called outside any run opens one for its outermost call.  Every
+run starts empty and ends with its block, so results never depend on what
+an earlier run computed.
+
 All randomized verdicts are reproducible from their seed, and "don't know"
 is a first-class outcome (IsoInconclusive, DecomposeUndecided) -- never a
 silent wrong answer.
@@ -18,7 +27,10 @@ silent wrong answer.
 
 from __future__ import annotations
 
+import copy
+import functools
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import linalg
@@ -105,6 +117,76 @@ class ModuleRep:
         return "ModuleRep(dims=%r)" % (self.dims,)
 
 
+# -- the per-run memo (see the module docstring) --------------------------------
+
+_memo = None   # the open run's {(function, content keys...): result}, if any
+
+
+@contextmanager
+def memo_run():
+    """Open a fresh memo for one run; the previous one is restored on exit."""
+    global _memo
+    saved, _memo = _memo, {}
+    try:
+        yield
+    finally:
+        _memo = saved
+
+
+class _Content:
+    """A module's full content, compared exactly, with its hash computed once."""
+
+    __slots__ = ("content", "hash")
+
+    def __init__(self, content):
+        self.content = content
+        self.hash = hash(content)
+
+    def __eq__(self, other):
+        return self.hash == other.hash and self.content == other.content
+
+    def __hash__(self):
+        return self.hash
+
+
+def _content_key(M):
+    """Datum, field, dims and the nonzeros of every loop and arrow matrix."""
+    key = M._cache.get("content")
+    if key is None:
+        def nonzeros(A):
+            return tuple((r, c, x) for r, row in enumerate(A.data) for c, x in enumerate(row) if x)
+
+        key = M._cache["content"] = _Content((
+            M.datum, M.field, M.dim_vector(),
+            tuple(nonzeros(M.eps[i]) for i in M.datum.vertices),
+            tuple(nonzeros(M.arrows[k]) for k in M.datum.arrow_keys())))
+    return key
+
+
+def _memoized(fresh=None):
+    """Memoize a function of modules for the open run; with no run open, the
+    outermost call opens one, so its recursion shares it.  `fresh` turns a
+    stored result into the one handed out, so no caller can alter it."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def memo(*mods):
+            if _memo is None:
+                with memo_run():
+                    return memo(*mods)
+            key = (fn.__name__,) + tuple(map(_content_key, mods))
+            if key not in _memo:
+                _memo[key] = fn(*mods)
+            out = _memo[key]
+            return fresh(out) if fresh else out
+        return memo
+    return wrap
+
+
+def _fresh_pair(result):
+    flag, extra = result
+    return flag, copy.copy(extra)
+
+
 def check_relations(M):
     """Labels of all violated defining relations (empty list when ok)."""
     bad = []
@@ -118,6 +200,7 @@ def check_relations(M):
     return bad
 
 
+@_memoized(fresh=_fresh_pair)
 def is_locally_free(M):
     """(True, rank vector dict) iff each vertex space is free over K[x]/(x^c_i).
 
@@ -265,11 +348,24 @@ def _der_system(M, N):
     shapes = {k: (N.dims[k[1]], M.dims[gen_source(k)]) for k in datum.arrow_keys()}
     equations = []
     for rel in datum.relations().relations:
-        if N.dims[rel.target] and M.dims[rel.source]:
-            equations.append([(coeff, gen, N.eval_word(word[:p], rel.target),
-                               M.eval_word(word[p + 1:], gen_source(gen)))
-                              for coeff, word in rel.terms
-                              for p, gen in enumerate(word) if gen[0] == "arr"])
+        if not (N.dims[rel.target] and M.dims[rel.source]):
+            continue
+        terms = []
+        for coeff, word in rel.terms:
+            if all(gen[0] != "arr" for gen in word):
+                continue
+            # prefix[p] = N(word[:p]), left to right; suffix[p] = M(word[p+1:]),
+            # right to left: each product of the word is formed once
+            prefix = [Mat.identity(M.field, N.dims[rel.target])]
+            for gen in word[:-1]:
+                prefix.append(prefix[-1] * N.gen_mat(gen))
+            suffix = [Mat.identity(M.field, M.dims[rel.source])]
+            for gen in reversed(word[1:]):
+                suffix.append(M.gen_mat(gen) * suffix[-1])
+            suffix.reverse()
+            terms.extend((coeff, gen, prefix[p], suffix[p])
+                         for p, gen in enumerate(word) if gen[0] == "arr")
+        equations.append(terms)
     return _linear_system(M.field, shapes, equations), shapes
 
 
@@ -282,6 +378,7 @@ def hom_basis(M, N):
     return _kernel_basis(*_hom_system(M, N, M.datum.arrow_keys()))
 
 
+@_memoized()
 def hom_dim(M, N):
     return _nullity(_hom_system(M, N, M.datum.arrow_keys())[0])
 
@@ -303,6 +400,7 @@ def derivation_basis(M, N):
     return _kernel_basis(*_der_system(M, N))
 
 
+@_memoized()
 def ext1_dim(M, N):
     """dim Ext^1(M, N) for locally free M, N.
 
@@ -510,6 +608,7 @@ def _minimal_symmetric(datum):
     return all(datum.ci(i) == 1 for i in datum.vertices)
 
 
+@_memoized(fresh=_fresh_pair)
 def is_E_filtered(M):
     """(flag, witness) where the witness lists the peeled vertices bottom-up.
 
@@ -548,6 +647,7 @@ def _efiltered_search(M):
     return False, None
 
 
+@_memoized()
 def is_crystal(M):
     """Recursive test: E-filtered, with locally free sub_i / fac_i and
     crystal Q_i / K_i at every vertex (proper pieces only, which makes the
@@ -614,23 +714,12 @@ def hom_is_surjective(f, N):
     return all(linalg.rank(f[i]) == N.dims[i] for i in N.datum.vertices)
 
 
-def _simple_hom_dims(M):
-    key = "simple_hom_dims"
-    if key not in M._cache:
-        dims = []
-        for i in M.datum.vertices:
-            E = generalized_simple(M.datum, i, M.field)
-            dims.append((hom_dim(E, M), hom_dim(M, E)))
-        M._cache[key] = tuple(dims)
-    return M._cache[key]
-
-
+@_memoized()
 def iso_fingerprint(M):
     """A cheap isomorphism invariant: dimensions, End, and Hom against all E_i."""
-    key = "fingerprint"
-    if key not in M._cache:
-        M._cache[key] = (M.dim_vector(), hom_dim(M, M), _simple_hom_dims(M))
-    return M._cache[key]
+    simples = [generalized_simple(M.datum, i, M.field) for i in M.datum.vertices]
+    return (M.dim_vector(), hom_dim(M, M),
+            tuple((hom_dim(E, M), hom_dim(M, E)) for E in simples))
 
 
 def iso_test(M, N, trials=8, seed=0):

@@ -349,14 +349,18 @@ _CRITERIA = (
 
 
 def run_criteria(seed=0, trials=8):
-    """Criteria one through nine, with per-criterion derived seeds."""
+    """Criteria one through nine, with per-criterion derived seeds.
+
+    Each pass is one run of `pimod.memo_run`: it starts from an empty memo,
+    so the two passes of `run_selftest` are independent computations."""
     out = []
-    for fn in _CRITERIA:
-        if fn in (criterion_ext_theorems, criterion_efiltered_closure,
-                  criterion_dim_formulas):
-            out.append(fn(seed=seed))
-        else:
-            out.append(fn(seed=seed, trials=trials))
+    with pimod.memo_run():
+        for fn in _CRITERIA:
+            if fn in (criterion_ext_theorems, criterion_efiltered_closure,
+                      criterion_dim_formulas):
+                out.append(fn(seed=seed))
+            else:
+                out.append(fn(seed=seed, trials=trials))
     return out
 
 

@@ -250,7 +250,13 @@ KERNEL_EXAMPLES = settings(derandomize=True, max_examples=50, deadline=None)
 @given(data=st.data())
 def test_rref_matches_sympy(field, data):
     A = data.draw(sparse_mat(field))
-    assert kernel_rref(A) == sympy_rref(field, A.data, A.cols)
+    got, pivots = kernel_rref(A)
+    assert (got, pivots) == sympy_rref(field, A.data, A.cols)
+    # rank and is_invertible run the forward elimination only, on A itself
+    before = [row[:] for row in A.data]
+    assert linalg.rank(A) == len(pivots)
+    assert linalg.is_invertible(A) == (A.rows == A.cols == len(pivots))
+    assert A.data == before
 
 
 @FIELDS

@@ -393,3 +393,112 @@ class TestSerialization:
         with pytest.raises(ValueError):
             pimod.module_from_json({"dims": {"1": 2, "2": 1},
                                     "arrows": {"a_1_1_1": [["1", "1"], ["1", "1"]]}}, b2)
+
+
+# -- the per-run memo -----------------------------------------------------------
+
+def _wider(name):
+    C, D = _WIDER_DATA[name]
+    return validate_datum(C, D, default_orientation(C))
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16),
+       rank_m=st.integers(1, 3), rank_n=st.integers(1, 3))
+def test_memo_matches_unmemoized(name, seed, rank_m, rank_n):
+    datum = _wider(name)
+    rng = random.Random(seed)
+    M = random_tower(datum, rank_m, rng)
+    N = random_tower(datum, rank_n, rng)
+    want = (ext1_dim.__wrapped__(M, N), hom_dim.__wrapped__(M, N),
+            is_crystal.__wrapped__(M), is_E_filtered.__wrapped__(N))
+    with pimod.memo_run():
+        for _ in range(2):  # a miss, then a hit
+            assert (ext1_dim(M, N), hom_dim(M, N), is_crystal(M), is_E_filtered(N)) == want
+
+
+def _count_der_systems(monkeypatch):
+    calls = []
+    der_system = pimod._der_system
+
+    def counted(M, N):
+        calls.append((M, N))
+        return der_system(M, N)
+
+    monkeypatch.setattr(pimod, "_der_system", counted)
+    return calls
+
+
+class TestRunMemo:
+    def test_content_equal_copy_hits(self, b2_mods, monkeypatch):
+        _, _, M3 = b2_mods
+        twin = pimod.module_from_json(pimod.module_to_json(M3), M3.datum)
+        assert twin is not M3
+        calls = _count_der_systems(monkeypatch)
+        with pimod.memo_run():
+            ext = ext1_dim(M3, M3)
+            entries = len(pimod._memo)
+            assert ext1_dim(twin, twin) == ext
+            assert ext1_dim(M3, twin) == ext
+            assert len(pimod._memo) == entries
+        assert len(calls) == 1
+
+    def test_no_collisions(self, a2, b2_mods):
+        E1, _, M3 = b2_mods
+        # one entry changed
+        arrows = {k: A.copy() for k, A in M3.arrows.items()}
+        key = next(k for k, A in arrows.items() if not A.is_zero())
+        r, c = next((r, c) for r, row in enumerate(arrows[key].data)
+                    for c, x in enumerate(row) if x)
+        arrows[key].data[r][c] = arrows[key].data[r][c] * 2
+        bent = ModuleRep(M3.datum, M3.dims, M3.eps, arrows)
+        # the same (empty) matrices over another datum or another field
+        a1t = _wider("A1~")
+        pairs = [(generalized_simple(d, 1, f), generalized_simple(d, 2, f))
+                 for d in (a2, a1t) for f in (QQ, linalg.GF(32003))]
+        with pimod.memo_run():
+            assert hom_dim(M3, E1) == hom_dim.__wrapped__(M3, E1)
+            assert hom_dim(bent, E1) == hom_dim.__wrapped__(bent, E1)
+            assert len(pimod._memo) == 2
+            for M, N in pairs:
+                assert ext1_dim(M, N) == ext1_dim.__wrapped__(M, N)
+            assert [ext1_dim(M, N) for M, N in pairs] == [1, 1, 2, 2]
+            assert len([k for k in pimod._memo if k[0] == "ext1_dim"]) == 4
+
+    def test_no_memo_outlives_its_call(self, b2):
+        assert pimod._memo is None
+        E1 = generalized_simple(b2, 1)
+        assert is_crystal(E1)
+        assert pimod._memo is None
+        with pytest.raises(NotLocallyFree):
+            ext1_dim(ModuleRep(b2, {1: 1}, {}, {}), E1)
+        assert pimod._memo is None
+        with pimod.memo_run():
+            outer = pimod._memo
+            hom_dim(E1, E1)
+            with pimod.memo_run():
+                assert pimod._memo == {} and pimod._memo is not outer
+            assert pimod._memo is outer
+        assert pimod._memo is None
+
+    def test_results_are_not_shared(self, b2_mods):
+        _, _, M3 = b2_mods
+        with pimod.memo_run():
+            is_locally_free(M3)[1].clear()
+            is_E_filtered(M3)[1].append("x")
+            assert is_locally_free(M3) == (True, {1: 1, 2: 1})
+            assert is_E_filtered(M3) == (True, [2, 1])
+
+    def test_each_criteria_pass_computes(self, monkeypatch):
+        from ppalg import selftest
+        monkeypatch.setattr(selftest, "_CRITERIA", (selftest.criterion_leclerc,))
+        calls = _count_der_systems(monkeypatch)
+        counts, reports = [], []
+        for _ in range(2):
+            calls.clear()
+            reports.append(selftest.run_criteria(seed=0))
+            counts.append(len(calls))
+        assert reports[0] == reports[1] and reports[0][0]["passed"]
+        assert counts[0] == counts[1] > 0
+        assert pimod._memo is None
