@@ -18,7 +18,10 @@ nonzero entry, compared exactly).  A run is a `memo_run()` block: each
 `selftest.run_criteria` pass and each CLI command is one, and a memoized
 function called outside any run opens one for its outermost call.  Every
 run starts empty and ends with its block, so results never depend on what
-an earlier run computed.
+an earlier run computed.  Nothing is kept on the module objects: code that
+asks about the same modules in a loop outside a run (match_label over a
+pool, repeated iso_test) recomputes each answer unless it wraps the loop in
+`memo_run()`.
 
 All randomized verdicts are reproducible from their seed, and "don't know"
 is a first-class outcome (IsoInconclusive, DecomposeUndecided) -- never a
@@ -348,24 +351,11 @@ def _der_system(M, N):
     shapes = {k: (N.dims[k[1]], M.dims[gen_source(k)]) for k in datum.arrow_keys()}
     equations = []
     for rel in datum.relations().relations:
-        if not (N.dims[rel.target] and M.dims[rel.source]):
-            continue
-        terms = []
-        for coeff, word in rel.terms:
-            if all(gen[0] != "arr" for gen in word):
-                continue
-            # prefix[p] = N(word[:p]), left to right; suffix[p] = M(word[p+1:]),
-            # right to left: each product of the word is formed once
-            prefix = [Mat.identity(M.field, N.dims[rel.target])]
-            for gen in word[:-1]:
-                prefix.append(prefix[-1] * N.gen_mat(gen))
-            suffix = [Mat.identity(M.field, M.dims[rel.source])]
-            for gen in reversed(word[1:]):
-                suffix.append(M.gen_mat(gen) * suffix[-1])
-            suffix.reverse()
-            terms.extend((coeff, gen, prefix[p], suffix[p])
-                         for p, gen in enumerate(word) if gen[0] == "arr")
-        equations.append(terms)
+        if N.dims[rel.target] and M.dims[rel.source]:
+            equations.append([(coeff, gen, N.eval_word(word[:p], rel.target),
+                               M.eval_word(word[p + 1:], gen_source(gen)))
+                              for coeff, word in rel.terms
+                              for p, gen in enumerate(word) if gen[0] == "arr"])
     return _linear_system(M.field, shapes, equations), shapes
 
 
