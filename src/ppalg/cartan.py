@@ -130,11 +130,8 @@ class CartanDatum:
         raise KeyError("(%r,%r) is not an oriented edge" % (i, j))
 
     def arrow_keys(self):
-        out = []
-        for (i, j) in self.double_orient():
-            for g in range(1, self.gij(i, j) + 1):
-                out.append(arrow_key(i, j, g))
-        return out
+        """The arrows of the double quiver, as the tuple it stores."""
+        return self.quiver().arrows
 
     def is_symmetric(self):
         return all(self.c(i, j) == self.c(j, i) for i in self.vertices for j in self.vertices)
@@ -150,7 +147,9 @@ class CartanDatum:
         return self._relations
 
     def _build(self):
-        self._quiver = DoubleQuiver(vertices=self.vertices, arrows=tuple(self.arrow_keys()))
+        self._quiver = DoubleQuiver(vertices=self.vertices, arrows=tuple(
+            arrow_key(i, j, g) for (i, j) in self.double_orient()
+            for g in range(1, self.gij(i, j) + 1)))
 
         rels = []
         for i in self.vertices:

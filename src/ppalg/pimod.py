@@ -7,9 +7,14 @@ four-term sequence Hom -> Hom_T -> Der -> Ext^1, the canonical pieces
 sub_i / fac_i / K_i / Q_i, the E-filtered and crystal tests, rigidity,
 randomized isomorphism testing and direct-sum decomposition.
 
-Every linear system (Hom, Hom_T, Der, split retractions) is written by one
-builder, `_linear_system`; dimensions are unknowns minus the system's rank,
-and only hom_basis and derivation_basis solve for a kernel basis.
+Every linear system (Hom, Hom_T, Der, the annihilator ideals of End) is
+written by one builder, `_linear_system`; dimensions are unknowns minus the
+system's rank, and only hom_basis, derivation_basis and the annihilator
+ideals solve for a kernel basis.
+
+`decompose` has one split step: split M into the generalized eigenspaces
+of a random endomorphism, drawn from End(M) and then from the annihilator
+ideals Ann(e_k), and recurse (see `decompose`).
 
 The small, immutable answers -- ext1_dim, hom_dim, is_locally_free,
 is_E_filtered, is_crystal and iso_fingerprint -- are memoized for one run,
@@ -50,7 +55,8 @@ class IsoInconclusive(RuntimeError):
 
 
 class DecomposeUndecided(RuntimeError):
-    """Random endomorphisms failed to split a module with non-local End."""
+    """No draw from End(M) or from an annihilator ideal Ann(e_k) split a
+    module whose End is not local."""
 
 
 class ConsistencyError(AssertionError):
@@ -327,7 +333,7 @@ def _hom_equations(M, N, arrows):
     """The equations f_i M_g - N_g f_j = 0 on blocks f_i of shape N_i x M_i,
     one for every loop and for every arrow g: j -> i in `arrows`."""
     field = M.field
-    gens = [eps_key(i) for i in M.datum.vertices] + arrows
+    gens = [eps_key(i) for i in M.datum.vertices] + list(arrows)
     return [[(1, gen_target(g), Mat.identity(field, N.dims[gen_target(g)]), M.gen_mat(g)),
              (-1, gen_source(g), N.gen_mat(g), Mat.identity(field, M.dims[gen_source(g)]))]
             for g in gens]
@@ -766,7 +772,10 @@ def _end_is_local(M, endb):
 def _split_spaces(M, f):
     """Split M along the coprime factors of the char polynomial of an
     endomorphism f; returns a list of per-vertex space dicts, or None if
-    the polynomial has a single irreducible factor."""
+    the polynomial has a single irreducible factor.
+
+    Each space is the kernel of p(f)^m for one factor p^m; together they
+    must fill every vertex space (raises ConsistencyError otherwise)."""
     poly = linalg.charpoly_product(f[i] for i in M.datum.vertices)
     factors = linalg.coprime_factors(poly)
     if len(factors) <= 1:
@@ -780,33 +789,14 @@ def _split_spaces(M, f):
             continue
         out.append(spaces)
     for i in M.datum.vertices:
-        assert sum(s[i].cols for s in out) == M.dims[i]
+        total = sum(s[i].cols for s in out)
+        if total != M.dims[i]:
+            raise ConsistencyError("split spaces at %r have total dimension %d, not %d"
+                                   % (i, total, M.dims[i]))
     return out if len(out) > 1 else None
 
 
 DECOMPOSE_RETRIES = 8
-
-
-def _module_closure(M, vectors):
-    """Per-vertex bases of the submodule generated by the given elements
-    (each element is a dict vertex -> column matrix)."""
-    spans = {i: [] for i in M.datum.vertices}
-    for v in vectors:
-        for i in M.datum.vertices:
-            spans[i].append(v[i])
-    U = {i: linalg.column_space(linalg.hstack(spans[i], field=M.field, rows=M.dims[i]))
-         for i in M.datum.vertices}
-    while True:
-        new = {}
-        for i in M.datum.vertices:
-            imgs = [U[i], M.eps[i] * U[i]]
-            for key in M.datum.arrow_keys():
-                if key[1] == i:
-                    imgs.append(M.arrows[key] * U[gen_source(key)])
-            new[i] = linalg.column_space(linalg.hstack(imgs, field=M.field, rows=M.dims[i]))
-        if all(new[i].cols == U[i].cols for i in M.datum.vertices):
-            return U
-        U = new
 
 
 def _split_complement(M, spaces):
@@ -837,12 +827,18 @@ def _split_complement(M, spaces):
 def decompose(M, seed=0):
     """Split M into indecomposable summands (as a list).
 
-    First splits along generalized eigenspaces of random endomorphisms
-    (which separates non-isomorphic summands), then peels isotypic
-    summands by splitting off the submodule generated by random elements,
-    certified through an explicit retraction.  Raises DecomposeUndecided
-    when the retry budget runs out -- never a wrong split.  Requires the
-    rational ground field.
+    One split step, repeated: draw a random endomorphism f and split M
+    into the generalized eigenspaces of f (`_split_spaces`), then recurse
+    on the pieces.  The draws come first from End(M), which separates
+    non-isomorphic summands, then from the left ideals
+    Ann(e_k) = {f in End M : f e_k = 0} of the standard basis vectors,
+    vertices of smallest dimension first.  A draw from Ann(e_k) is
+    singular, so unless it is nilpotent its eigenspaces are Fitting's
+    split ker f^n (+) im f^n of M into two nonzero submodules; this splits
+    isotypic sums X (+) X, where random endomorphisms rarely have a
+    reducible characteristic polynomial.  A module is returned whole once
+    End(M) is certified local.  Raises DecomposeUndecided when every draw
+    fails -- never a wrong split.  Requires the rational ground field.
     """
     if M.field is not QQ:
         raise ValueError("decompose requires the rational field")
@@ -850,17 +846,19 @@ def decompose(M, seed=0):
     return _decompose(M, rng)
 
 
-def _random_element(M, rng):
-    """A random element supported at a single vertex (zero elsewhere);
-    closures of such elements are the best direct-summand candidates."""
-    support = [i for i in M.datum.vertices if M.dims[i]]
-    at = rng.choice(support)
-    out = {}
-    for i in M.datum.vertices:
-        col = [[M.field.coerce(rng.randint(-COEFF_BOUND, COEFF_BOUND) if i == at else 0)]
-               for _ in range(M.dims[i])]
-        out[i] = Mat(M.field, M.dims[i], 1, col)
-    return out
+def _endomorphism_sources(M, endb):
+    """End(M) (the basis `endb`), then a basis of each Ann(e_k), over the
+    vertices in order of increasing dimension."""
+    yield endb
+    field = M.field
+    shapes = {i: (M.dims[i], M.dims[i]) for i in M.datum.vertices}
+    hom = _hom_equations(M, M, M.datum.arrow_keys())
+    for i in sorted(M.datum.vertices, key=lambda i: M.dims[i]):
+        d = M.dims[i]
+        for k in range(d):
+            e_k = Mat.column(field, [int(r == k) for r in range(d)])
+            kills = [[(1, i, Mat.identity(field, d), e_k)]]   # f_i e_k = 0
+            yield _kernel_basis(_linear_system(field, shapes, hom + kills), shapes)
 
 
 def _decompose(M, rng):
@@ -869,33 +867,19 @@ def _decompose(M, rng):
     endb = hom_basis(M, M)
     if len(endb) == 1 or _end_is_local(M, endb):
         return [M]
-    for _ in range(DECOMPOSE_RETRIES):
-        f = random_combination(endb, rng, M.field)
-        if not f:
-            continue
-        blocks = _split_spaces(M, f)
-        if blocks is None:
-            continue
-        out = []
-        for spaces in blocks:
-            piece, _ = submodule(M, spaces)
-            out.extend(_decompose(piece, rng))
-        return out
-    for gens in range(1, M.dim_total()):
-        progress = False
-        for _ in range(4):
-            vs = [_random_element(M, rng) for _ in range(gens)]
-            spaces = _module_closure(M, vs)
-            dim = sum(b.cols for b in spaces.values())
-            if dim == 0 or dim == M.dim_total():
+    for basis in _endomorphism_sources(M, endb):
+        for _ in range(DECOMPOSE_RETRIES):
+            f = random_combination(basis, rng, M.field)
+            if not f:   # Ann(e_k) = 0
+                break
+            blocks = _split_spaces(M, f)
+            if blocks is None:
                 continue
-            progress = True
-            split = _split_complement(M, spaces)
-            if split is not None:
-                sub, comp = split
-                return _decompose(sub, rng) + _decompose(comp, rng)
-        if not progress and gens > 1:
-            break
+            out = []
+            for spaces in blocks:
+                piece, _ = submodule(M, spaces)
+                out.extend(_decompose(piece, rng))
+            return out
     raise DecomposeUndecided("could not split a module with non-local End "
                              "(dims %r)" % (M.dims,))
 

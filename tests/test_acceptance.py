@@ -8,6 +8,7 @@ everything else just has to hold exactly.  The same checks back the CLI
 import json
 import time
 
+import pytest
 from click.testing import CliRunner
 
 from ppalg.cli import main
@@ -35,6 +36,14 @@ def _run(fn, budget=None, **kw):
 def test_c01_b2_table_reproduction():
     report = _run(criterion_b2_table, budget=60)
     assert report["details"]["cells"] == 36
+
+
+@pytest.mark.parametrize("seed", [1, 9])
+def test_c01_b2_table_isotypic_cells(seed):
+    # at these seeds the cells 1/1 * 1/21/2 and 2/12/1 * 1/21/2 are a sum
+    # X (+) X that random endomorphisms do not split
+    report = criterion_b2_table(seed=seed)
+    assert report["passed"], report["details"]
 
 
 def test_c02_a2_non_associativity():

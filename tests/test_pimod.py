@@ -297,6 +297,20 @@ class TestFiltrationAndCrystal:
                     for (a, b) in b2.orient)
 
 
+def _conjugate(M, g):
+    """M in the basis changed by the invertible matrix g[i] at each vertex."""
+    return ModuleRep(M.datum, M.dims,
+                     {i: g[i] * M.eps[i] * linalg.inverse(g[i]) for i in M.datum.vertices},
+                     {k: g[k[1]] * A * linalg.inverse(g[k[2]]) for k, A in M.arrows.items()})
+
+
+def _random_invertible(rng, d):
+    while True:
+        g = Mat.from_rows(QQ, [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+        if linalg.is_invertible(g):
+            return g
+
+
 class TestIsoAndDecompose:
     def test_self_iso(self, b2_mods):
         _, _, M3 = b2_mods
@@ -314,10 +328,7 @@ class TestIsoAndDecompose:
     def test_iso_after_base_change(self, b2_mods):
         _, _, M3 = b2_mods
         g = {1: Mat.from_rows(QQ, [[1, 2], [0, 1]]), 2: Mat.from_rows(QQ, [[3]])}
-        conj = ModuleRep(M3.datum, M3.dims,
-                         {i: g[i] * M3.eps[i] * linalg.inverse(g[i]) for i in (1, 2)},
-                         {k: g[k[1]] * A * linalg.inverse(g[k[2]])
-                          for k, A in M3.arrows.items()})
+        conj = _conjugate(M3, g)
         assert check_relations(conj) == []
         assert iso_test(M3, conj)
 
@@ -325,6 +336,25 @@ class TestIsoAndDecompose:
         E1 = generalized_simple(b2, 1)
         parts = decompose(direct_sum(E1, E1), seed=0)
         assert len(parts) == 2 and all(iso_test(p, E1) for p in parts)
+        # X (+) X in a random basis: random endomorphisms rarely split it,
+        # a draw from an annihilator ideal Ann(e_k) does
+        X = next(e.module for e in catalog.b2_suite().entries if e.label == "2/12/1")
+        for seed in range(4):
+            rng = random.Random(seed)
+            conj = _conjugate(direct_sum(X, X), {i: _random_invertible(rng, 4) for i in (1, 2)})
+            assert check_relations(conj) == []
+            parts = decompose(conj, seed=seed)
+            assert len(parts) == 2 and all(iso_test(p, X, trials=16) for p in parts)
+
+    def test_split_spaces_checks_dimensions(self, b2, monkeypatch):
+        E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
+        M = direct_sum(E1, E2)
+        f = {1: Mat.identity(QQ, 2), 2: Mat.identity(QQ, 1).scale(2)}
+        assert len(pimod._split_spaces(M, f)) == 2
+        real = linalg.coprime_factors
+        monkeypatch.setattr(linalg, "coprime_factors", lambda poly: real(poly) + real(poly)[:1])
+        with pytest.raises(pimod.ConsistencyError):
+            pimod._split_spaces(M, f)
 
     def test_decompose_indecomposable(self, b2_mods):
         _, _, M3 = b2_mods
