@@ -63,7 +63,7 @@ def a_type_datum(n):
     return validate_datum(C, [1] * n, [(i, i + 1) for i in range(1, n)])
 
 
-def _certify(label, M, expect_indecomposable=True, seed=0):
+def _certify(label, M, seed=0):
     if pimod.check_relations(M):
         raise CatalogError("%s: defining relations violated" % label)
     lf, _ = pimod.is_locally_free(M)
@@ -74,10 +74,9 @@ def _certify(label, M, expect_indecomposable=True, seed=0):
         raise CatalogError("%s: not a crystal module" % label)
     rigid, _ = pimod.is_rigid(M)
     pieces = pimod.decompose(M, seed=seed)
-    indec = len(pieces) == 1
-    if expect_indecomposable and not indec:
+    if len(pieces) != 1:
         raise CatalogError("%s: decomposes into %d summands" % (label, len(pieces)))
-    return CatalogEntry(label, M, lf, crystal, rigid, indec)
+    return CatalogEntry(label, M, lf, crystal, rigid, True)
 
 
 @dataclass

@@ -133,18 +133,23 @@ def _parse_rank_vector(text, datum):
     return tuple(parts)
 
 
-def _common(fn):
+def _report_options(fn):
     fn = click.option("--seed", type=int, default=0, show_default=True,
                       help="Seed for all randomized steps.")(fn)
     fn = click.option("--trials", type=int, default=8, show_default=True,
                       help="Sample count for randomized searches.")(fn)
-    fn = click.option("--field", default="q", show_default=True, callback=_parse_field,
-                      help="Ground field: q or fp:<prime>.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["json", "md"]),
                       default="json", show_default=True)(fn)
     fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
                       help="Write the report to a file instead of stdout.")(fn)
     return fn
+
+
+def _common(fn):
+    """The options of commands that read module files: the report options and --field."""
+    fn = click.option("--field", default="q", show_default=True, callback=_parse_field,
+                      help="Ground field: q or fp:<prime>.")(fn)
+    return _report_options(fn)
 
 
 @click.group()
@@ -157,8 +162,8 @@ def main(ctx):
 
 @main.command()
 @click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
-@_common
-def validate(algebra, seed, trials, field, fmt, out):
+@_report_options
+def validate(algebra, seed, trials, fmt, out):
     """Validate an algebra config file."""
     datum = _load_algebra(algebra)
     quiver, relations = datum.quiver(), datum.relations()
@@ -230,8 +235,8 @@ def ext(mod_a, mod_b, seed, trials, field, fmt, out):
 @click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
 @click.argument("dvec")
 @click.argument("evec")
-@_common
-def forms(algebra, dvec, evec, seed, trials, field, fmt, out):
+@_report_options
+def forms(algebra, dvec, evec, seed, trials, fmt, out):
     """Euler forms and dimension formulas for two rank vectors."""
     datum = _load_algebra(algebra)
     d = _parse_rank_vector(dvec, datum)
@@ -429,8 +434,8 @@ def _md_table(payload):
 
 @main.command()
 @click.argument("suite", type=click.Choice(["b2", "a2"]))
-@_common
-def table(suite, seed, trials, field, fmt, out):
+@_report_options
+def table(suite, seed, trials, fmt, out):
     """The full product table of a catalog suite."""
     try:
         if suite == "b2":
@@ -517,8 +522,8 @@ def catalog_group():
 
 
 @catalog_group.command(name="list")
-@_common
-def catalog_list(seed, trials, field, fmt, out):
+@_report_options
+def catalog_list(seed, trials, fmt, out):
     """List all catalog entries with their certified flags."""
     try:
         entries = catalog.all_entries(trials=trials, seed=seed)
@@ -530,8 +535,8 @@ def catalog_list(seed, trials, field, fmt, out):
 
 @catalog_group.command(name="export")
 @click.argument("label")
-@_common
-def catalog_export(label, seed, trials, field, fmt, out):
+@_report_options
+def catalog_export(label, seed, trials, fmt, out):
     """Export one catalog entry as a module file."""
     try:
         entries = catalog.all_entries(trials=trials, seed=seed)
@@ -554,8 +559,8 @@ def _md_selftest(report):
 
 
 @main.command()
-@_common
-def selftest(seed, trials, field, fmt, out):
+@_report_options
+def selftest(seed, trials, fmt, out):
     """Run the full acceptance suite and report one line per criterion."""
     report = run_selftest(seed=seed, trials=trials)
     if fmt != "md":

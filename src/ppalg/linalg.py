@@ -527,21 +527,21 @@ def closure_under(E, B):
 
 
 def complete_basis(B):
-    """(C, P) for a matrix B with independent columns.
+    """(extra, L, P) for an n x k matrix B with independent columns.
 
-    C holds the standard basis vectors that complete B's columns to a basis,
-    and P the rows of the RREF of [B | I] after B's pivots, restricted to
-    the I part: P B = 0 and P C = I, so P is the lower block of
-    [B | C]^-1, the projection onto C's coordinates along col(B).
+    The standard basis vectors e_j, j in `extra`, complete B's columns to a
+    basis; with C = [e_j for j in extra], [L; P] = [B | C]^-1 is the I part
+    of the RREF of [B | I]: L B = I and L C = 0 (coordinates in col(B)),
+    P B = 0 and P C = I (the projection onto C's coordinates along col(B)).
+    Raises ValueError when B's columns are dependent.
     """
     n, k = B.rows, B.cols
     data = [row[:] for row in hstack([B, Mat.identity(B.field, n)]).data]
     pivots = _rref(data, n, k + n)
-    extra = [c - k for c in pivots if c >= k]
-    C = Mat.zeros(B.field, n, len(extra))
-    for col, j in enumerate(extra):
-        C.data[j][col] = B.field.one
-    return C, Mat(B.field, len(extra), n, [row[k:] for row in data[k:n]])
+    if pivots[:k] != list(range(k)):
+        raise ValueError("the columns are linearly dependent")
+    return ([c - k for c in pivots[k:]], Mat(B.field, k, n, [row[k:] for row in data[:k]]),
+            Mat(B.field, n - k, n, [row[k:] for row in data[k:n]]))
 
 
 # -- characteristic polynomials and coprime factor splitting ----------------

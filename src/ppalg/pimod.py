@@ -12,6 +12,10 @@ written by one builder, `_linear_system`; dimensions are unknowns minus the
 system's rank, and only hom_basis, derivation_basis and the annihilator
 ideals solve for a kernel basis.
 
+`submodule`, `quotient` and `canonical_pieces` share one block-triangular
+split per vertex, `_split`; it refuses (ValueError) spaces with dependent
+columns or not closed under the action.
+
 `decompose` has one split step: split M into the generalized eigenspaces
 of a random endomorphism, drawn from End(M) and then from the annihilator
 ideals Ann(e_k), and recurse (see `decompose`).
@@ -443,30 +447,47 @@ def verify_ext_theorems(M, N):
 
 # -- submodules, quotients, canonical pieces ---------------------------------
 
+def _split(M, spaces):
+    """(sub, incl, quot, proj) for the submodule spanned by `spaces`.
+
+    `complete_basis` completes each B_i = spaces[i] (zero where missing) by
+    standard basis vectors C_i, with [B_i | C_i]^-1 = [L_i; P_i].  In these
+    bases every loop and arrow A: j -> i is block upper triangular: L_i A B_j
+    is the submodule's matrix (the X with B_i X = A B_j), P_i A C_j the
+    quotient's, and P_i A B_j = 0 is the closure check (else ValueError).
+    """
+    incl, extra, coords, proj = {}, {}, {}, {}
+    for i in M.datum.vertices:
+        incl[i] = spaces.get(i, Mat.zeros(M.field, M.dims[i], 0))
+        extra[i], coords[i], proj[i] = linalg.complete_basis(incl[i])
+    sub_mats, quot_mats = {}, {}
+    for g in [eps_key(i) for i in M.datum.vertices] + list(M.datum.arrow_keys()):
+        i, j = gen_target(g), gen_source(g)
+        A = M.gen_mat(g)
+        AB = A * incl[j]
+        if not (proj[i] * AB).is_zero():
+            raise ValueError("spaces are not closed under %r" % (g,))
+        sub_mats[g] = coords[i] * AB
+        AC = Mat(M.field, A.rows, len(extra[j]), [[row[c] for c in extra[j]] for row in A.data])
+        quot_mats[g] = proj[i] * AC
+
+    def module(mats):
+        dims = {i: mats[eps_key(i)].rows for i in M.datum.vertices}
+        return ModuleRep(M.datum, dims, {i: mats[eps_key(i)] for i in M.datum.vertices},
+                         {k: mats[k] for k in M.datum.arrow_keys()}, M.field)
+
+    return module(sub_mats), incl, module(quot_mats), proj
+
+
 def submodule(M, spaces):
     """The submodule spanned by the given per-vertex column bases.
 
     `spaces[i]` must have independent columns and the spans must be closed
-    under all loop and arrow actions (checked).  Returns (module, inclusion
-    maps per vertex).
+    under all loop and arrow actions (both checked).  Returns (module,
+    inclusion maps per vertex).
     """
-    field = M.field
-    bases = {i: spaces.get(i, Mat.zeros(field, M.dims[i], 0)) for i in M.datum.vertices}
-    dims = {i: bases[i].cols for i in M.datum.vertices}
-    eps = {}
-    arrows = {}
-    for i in M.datum.vertices:
-        X = linalg.solve_matrix(bases[i], M.eps[i] * bases[i])
-        if X is None:
-            raise ValueError("spaces are not closed under the loop at %r" % (i,))
-        eps[i] = X
-    for key in M.datum.arrow_keys():
-        _, i, j, _ = key
-        X = linalg.solve_matrix(bases[i], M.arrows[key] * bases[j])
-        if X is None:
-            raise ValueError("spaces are not closed under arrow %r" % (key,))
-        arrows[key] = X
-    return ModuleRep(M.datum, dims, eps, arrows, field), bases
+    sub, incl, _, _ = _split(M, spaces)
+    return sub, incl
 
 
 def quotient(M, spaces):
@@ -476,28 +497,8 @@ def quotient(M, spaces):
     coordinates of a completed basis, so the section is the chosen
     complement; different completions give isomorphic quotients.
     """
-    field = M.field
-    proj = {}
-    sect = {}
-    dims = {}
-    for i in M.datum.vertices:
-        B = spaces.get(i, Mat.zeros(field, M.dims[i], 0))
-        sect[i], proj[i] = linalg.complete_basis(B)
-        dims[i] = sect[i].cols
-    eps = {}
-    arrows = {}
-    for i in M.datum.vertices:
-        eps[i] = proj[i] * (M.eps[i] * sect[i])
-    for key in M.datum.arrow_keys():
-        _, i, j, _ = key
-        if not (proj[i] * (M.arrows[key] * spaces.get(j, Mat.zeros(field, M.dims[j], 0)))).is_zero():
-            raise ValueError("spaces are not a submodule (arrow %r leaks)" % (key,))
-        arrows[key] = proj[i] * (M.arrows[key] * sect[j])
-    for i in M.datum.vertices:
-        B = spaces.get(i, Mat.zeros(field, M.dims[i], 0))
-        if not (proj[i] * (M.eps[i] * B)).is_zero():
-            raise ValueError("spaces are not a submodule (loop at %r leaks)" % (i,))
-    return ModuleRep(M.datum, dims, eps, arrows, field), proj
+    _, _, quot, proj = _split(M, spaces)
+    return quot, proj
 
 
 def sub_space(M, i):
@@ -539,18 +540,9 @@ def canonical_pieces(M, i):
     The two short exact sequences 0 -> K_i -> M -> fac_i -> 0 and
     0 -> sub_i -> M -> Q_i -> 0 are exact by construction.
     """
-    field = M.field
-    zero_spaces = {j: Mat.zeros(field, M.dims[j], 0) for j in M.datum.vertices}
-    sub_sp = dict(zero_spaces)
-    sub_sp[i] = sub_space(M, i)
-    sub_mod, sub_incl = submodule(M, sub_sp)
-    quot_mod, quot_proj = quotient(M, sub_sp)
-    k_sp = {j: linalg.Mat.identity(field, M.dims[j]) for j in M.datum.vertices}
+    k_sp = {j: Mat.identity(M.field, M.dims[j]) for j in M.datum.vertices}
     k_sp[i] = k_space(M, i)
-    ker_mod, ker_incl = submodule(M, k_sp)
-    fac_mod, fac_proj = quotient(M, k_sp)
-    return CanonicalPieces(sub_mod, sub_incl, quot_mod, quot_proj,
-                           ker_mod, ker_incl, fac_mod, fac_proj)
+    return CanonicalPieces(*_split(M, {i: sub_space(M, i)}), *_split(M, k_sp))
 
 
 # -- E-filtered and crystal tests ---------------------------------------------
@@ -626,17 +618,13 @@ def is_E_filtered(M):
 def _efiltered_search(M):
     if M.dim_total() == 0:
         return True, []
-    field = M.field
     for i in M.datum.vertices:
         c = M.datum.ci(i)
         for v in _rank_one_candidates(M, i):
             cols = [v]
             for _ in range(c - 1):
                 cols.append(M.eps[i] * cols[-1])
-            V = linalg.hstack(cols)
-            spaces = {j: Mat.zeros(field, M.dims[j], 0) for j in M.datum.vertices}
-            spaces[i] = V
-            Q, _ = quotient(M, spaces)
+            Q, _ = quotient(M, {i: linalg.hstack(cols)})
             ok, wit = _efiltered_search(Q)
             if ok:
                 return True, [i] + wit

@@ -36,6 +36,13 @@ def random_tower(datum, total_rank, rng, field=QQ):
 
 # -- criteria ------------------------------------------------------------------
 
+C4_PAIRS = 60           # random pairs over A2 and over B2 each
+C4_MAX_RANK = 4         # tower ranks are drawn from 1..C4_MAX_RANK
+C5_COUNT = 50           # cokernels and kernels checked, each
+C5_MAX_ATTEMPTS = 400   # random extensions drawn at most
+C9_COUNT = 20           # random data checked for each formula
+
+
 def criterion_b2_table(seed=0, trials=8):
     """All 36 product-table cells match the expected decompositions."""
     suite = catalog.b2_suite(trials=trials, seed=seed)
@@ -123,15 +130,15 @@ def criterion_leclerc(seed=0, trials=8):
     }
 
 
-def criterion_ext_theorems(seed=0, pairs_per_datum=60, max_rank=4):
+def criterion_ext_theorems(seed=0):
     """Ext-formula and Ext-duality on seeded random locally free pairs."""
     failures = []
     total = 0
     for salt, datum in ((1, catalog.a2_datum()), (2, catalog.b2_datum())):
         rng = _seeded(seed, salt)
-        for k in range(pairs_per_datum):
-            M = random_tower(datum, rng.randint(1, max_rank), rng)
-            N = random_tower(datum, rng.randint(1, max_rank), rng)
+        for k in range(C4_PAIRS):
+            M = random_tower(datum, rng.randint(1, C4_MAX_RANK), rng)
+            N = random_tower(datum, rng.randint(1, C4_MAX_RANK), rng)
             total += 1
             try:
                 pimod.verify_ext_theorems(M, N)
@@ -144,7 +151,7 @@ def criterion_ext_theorems(seed=0, pairs_per_datum=60, max_rank=4):
     }
 
 
-def criterion_efiltered_closure(seed=0, count=50, max_attempts=400):
+def criterion_efiltered_closure(seed=0):
     """Cokernels of injections / kernels of surjections between crystal
     modules stay E-filtered."""
     datum = catalog.b2_datum()
@@ -154,7 +161,7 @@ def criterion_efiltered_closure(seed=0, count=50, max_attempts=400):
     inj_done = surj_done = 0
     failures = []
     attempts = 0
-    while (inj_done < count or surj_done < count) and attempts < max_attempts:
+    while (inj_done < C5_COUNT or surj_done < C5_COUNT) and attempts < C5_MAX_ATTEMPTS:
         attempts += 1
         sub = rng.choice(pool)
         top = rng.choice(pool)
@@ -162,7 +169,7 @@ def criterion_efiltered_closure(seed=0, count=50, max_attempts=400):
         mid, _, _ = starop.extension_module(ExtensionClass(top, sub, delta))
         if not pimod.is_crystal(mid):
             continue
-        if inj_done < count:
+        if inj_done < C5_COUNT:
             hb = pimod.hom_basis(sub, mid)
             for _ in range(4):
                 f = pimod.random_combination(hb, rng)
@@ -172,7 +179,7 @@ def criterion_efiltered_closure(seed=0, count=50, max_attempts=400):
                         failures.append({"kind": "cokernel", "attempt": attempts})
                     inj_done += 1
                     break
-        if surj_done < count:
+        if surj_done < C5_COUNT:
             hb = pimod.hom_basis(mid, top)
             for _ in range(4):
                 f = pimod.random_combination(hb, rng)
@@ -185,7 +192,7 @@ def criterion_efiltered_closure(seed=0, count=50, max_attempts=400):
                     break
     return {
         "id": "c5", "title": "efiltered-closure",
-        "passed": inj_done >= count and surj_done >= count and not failures,
+        "passed": inj_done >= C5_COUNT and surj_done >= C5_COUNT and not failures,
         "details": {"injective_checked": inj_done, "surjective_checked": surj_done,
                     "failures": failures},
     }
@@ -291,12 +298,12 @@ _DATA_POOL = (
 )
 
 
-def criterion_dim_formulas(seed=0, count=20):
+def criterion_dim_formulas(seed=0):
     """alpha(d,e) equals the solved Hom_T dimension; beta(d,d) does not
     depend on the orientation."""
     rng = _seeded(seed, 11)
     homt_failures = []
-    for k in range(count):
+    for k in range(C9_COUNT):
         C, D = _DATA_POOL[rng.randrange(len(_DATA_POOL))]
         datum = validate_datum(C, D, _random_orientation(C, rng))
         d = tuple(rng.randint(0, 3) for _ in range(datum.n()))
@@ -306,7 +313,7 @@ def criterion_dim_formulas(seed=0, count=20):
         if want != got:
             homt_failures.append({"k": k, "solved": want, "alpha": got})
     beta_failures = []
-    for k in range(count):
+    for k in range(C9_COUNT):
         C, D = _DATA_POOL[rng.randrange(len(_DATA_POOL))]
         o1 = _random_orientation(C, rng)
         o2 = _random_orientation(C, rng)
@@ -318,7 +325,7 @@ def criterion_dim_formulas(seed=0, count=20):
     return {
         "id": "c9", "title": "dimension-formulas",
         "passed": not homt_failures and not beta_failures,
-        "details": {"homt_checked": count, "beta_checked": count,
+        "details": {"homt_checked": C9_COUNT, "beta_checked": C9_COUNT,
                     "homt_failures": homt_failures, "beta_failures": beta_failures},
     }
 

@@ -142,6 +142,16 @@ class TestModuleCommands:
             assert result.exit_code == 2, flag
             assert "--field" in result.output
 
+    def test_field_only_on_commands_that_read_it(self, runner, files):
+        # these commands load no module file, so a field would go unused
+        for args in (["validate", files["b2.json"]],
+                     ["forms", files["b2.json"], "1,1", "1,0"],
+                     ["table", "a2"], ["catalog", "list"],
+                     ["catalog", "export", "b2:1/1"], ["selftest"]):
+            result = runner.invoke(main, args + ["--field", "fp:7"])
+            assert result.exit_code == 2, args
+            assert "--field" in result.output, args
+
     def test_malformed_entry_exit_2(self, runner, files):
         for name in ("div0.json", "float.json"):
             result = runner.invoke(main, ["check", files[name]])

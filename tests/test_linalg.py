@@ -129,9 +129,16 @@ class TestSubspaces:
 
     def test_complete_basis(self):
         B = mat([[1], [1]])
-        C, P = linalg.complete_basis(B)
-        assert C == mat([[1], [0]]) and P == mat([[1, -1]])
-        assert linalg.rank(linalg.hstack([B, C])) == 2
+        extra, L, P = linalg.complete_basis(B)
+        C = completion(QQ, 2, extra)
+        assert C == mat([[1], [0]]) and L == mat([[0, 1]]) and P == mat([[1, -1]])
+        assert_split_inverse(B, C, L, P)
+
+    def test_complete_basis_rejects_dependent_columns(self):
+        # two equal columns: the RREF of [B | I] has a pivot in the I part
+        # before B's second column, so no L with L B = I exists
+        with pytest.raises(ValueError):
+            linalg.complete_basis(mat([[1, 1], [0, 0], [0, 0]]))
 
 
 class TestSerialization:
@@ -294,7 +301,23 @@ def test_augmented_rref_matches_sympy(field, data):
     assert sympy_rref(field, as_field, AB.cols) == (ref_ab, pivots_ab)
 
 
-# -- complete_basis: the projection along col(B) from one elimination ----------
+# -- complete_basis: both blocks of [B | C]^-1 from one elimination -----------
+
+def completion(field, n, extra):
+    """The n x len(extra) matrix of the standard basis vectors e_j, j in extra."""
+    C = Mat.zeros(field, n, len(extra))
+    for col, j in enumerate(extra):
+        C.data[j][col] = field.one
+    return C
+
+
+def assert_split_inverse(B, C, L, P):
+    """L and P are the blocks of [B | C]^-1, checked against `linalg.inverse`."""
+    field, n, k = B.field, B.rows, B.cols
+    assert (L.rows, L.cols, P.rows, P.cols) == (k, n, n - k, n)
+    assert L * B == Mat.identity(field, k) and (L * C).is_zero()
+    assert (P * B).is_zero() and P * C == Mat.identity(field, n - k)
+    assert linalg.vstack([L, P], field=field, cols=n) == linalg.inverse(linalg.hstack([B, C]))
 
 def independent_columns(field, n, k, rng):
     """An n x k matrix whose rows at k distinct positions form a lower
@@ -318,13 +341,9 @@ def independent_columns(field, n, k, rng):
 @example(n=5, k=0, rng=random.Random(1))
 @example(n=5, k=5, rng=random.Random(2))
 def test_complete_basis_projection(field, n, k, rng):
-    """P B = 0 and P C = I, and P is the lower block of [B | C]^-1."""
+    """[L; P] = [B | C]^-1: L B = I, L C = 0, P B = 0 and P C = I."""
     k = min(k, n)
     B = independent_columns(field, n, k, rng)
-    C, P = linalg.complete_basis(B)
-    assert (C.rows, C.cols, P.rows, P.cols) == (n, n - k, n - k, n)
-    assert sorted(sum(map(bool, row)) for row in C.transpose().data) == [1] * (n - k)
-    assert (P * B).is_zero()
-    assert P * C == Mat.identity(field, n - k)
-    inv = linalg.inverse(linalg.hstack([B, C]))
-    assert P == Mat(field, n - k, n, inv.data[k:])
+    extra, L, P = linalg.complete_basis(B)
+    assert len(extra) == len(set(extra)) == n - k and set(extra) <= set(range(n))
+    assert_split_inverse(B, completion(field, n, extra), L, P)

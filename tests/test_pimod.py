@@ -4,7 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ppalg import catalog, linalg, pimod, starop
-from ppalg.cartan import alpha_form, default_orientation, symmetrized_form, validate_datum
+from ppalg.cartan import (alpha_form, default_orientation, eps_key, gen_source, gen_target,
+                          symmetrized_form, validate_datum)
 from ppalg.linalg import QQ, Mat
 from ppalg.pimod import (ModuleRep, NotLocallyFree,
                          canonical_pieces, check_relations, decompose,
@@ -216,6 +217,82 @@ def test_hom_basis_commutes_and_ext_formula(name, seed, rank_m, rank_n):
     assert len(derb) == ext + alpha - len(hb)
     assert ext == ext1_dim_oracle(M, N)
     assert len(hb) - ext + hom_dim(N, M) == symmetrized_form(datum, dM, dN)
+
+
+# -- submodule and quotient: one block-triangular split per vertex ------------
+
+class TestDependentSpaces:
+    """Spaces with dependent columns are refused, not silently mis-sized."""
+
+    def test_quotient_by_dependent_columns(self, b2_mods):
+        E1 = b2_mods[0]   # eps e_1 = e_2: span(e_1) is not a submodule
+        with pytest.raises(ValueError):
+            pimod.quotient(E1, {1: Mat.from_rows(QQ, [[1, 1], [0, 0]])})
+
+    def test_submodule_of_dependent_columns(self, b2_mods):
+        E1 = b2_mods[0]   # the columns span e_2 only
+        with pytest.raises(ValueError):
+            pimod.submodule(E1, {1: Mat.from_rows(QQ, [[0, 0], [1, 1]])})
+
+
+def _split_cases(M, rng):
+    """Submodule spans (a kernel of a random endomorphism, sub_i and the
+    K_i spaces) and one random span, which is rarely closed."""
+    datum = M.datum
+    f = pimod.random_combination(hom_basis(M, M), rng)
+    cases = [{i: linalg.nullspace(f[i]) for i in datum.vertices}]
+    for i in datum.vertices:
+        cases.append({i: pimod.sub_space(M, i)})
+        k_sp = {j: Mat.identity(QQ, M.dims[j]) for j in datum.vertices}
+        k_sp[i] = pimod.k_space(M, i)
+        cases.append(k_sp)
+    random_span = {}
+    for i in datum.vertices:
+        cols = rng.randint(0, M.dims[i])
+        A = Mat.from_rows(QQ, [[rng.randint(-2, 2) for _ in range(cols)]
+                               for _ in range(M.dims[i])])
+        random_span[i] = linalg.column_space(A)
+    return cases + [random_span]
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16),
+       rank=st.integers(1, 4))
+def test_split_matches_solve_and_projection(name, seed, rank):
+    """`_split` against the references: each submodule matrix is the
+    solution X of B_t X = A B_s (`solve_matrix`), each quotient matrix is
+    P_t A C_s with C the completing standard basis vectors, and the spans
+    are refused exactly when some A B_s leaves col(B_t)."""
+    C, D = _WIDER_DATA[name]
+    datum = validate_datum(C, D, default_orientation(C))
+    rng = random.Random(seed)
+    M = random_tower(datum, rank, rng)
+    gens = [eps_key(i) for i in datum.vertices] + list(datum.arrow_keys())
+    for spaces in _split_cases(M, rng):
+        B = {i: spaces.get(i, Mat.zeros(QQ, M.dims[i], 0)) for i in datum.vertices}
+        want_sub = {g: linalg.solve_matrix(B[gen_target(g)], M.gen_mat(g) * B[gen_source(g)])
+                    for g in gens}
+        if None in want_sub.values():
+            with pytest.raises(ValueError):
+                pimod._split(M, spaces)
+            continue
+        sub, incl, quot, proj = pimod._split(M, spaces)
+        completion = {}
+        for i in datum.vertices:
+            extra, _, P = linalg.complete_basis(B[i])
+            completion[i] = Mat(QQ, M.dims[i], len(extra),
+                                [[QQ.one if j == r else QQ.zero for j in extra]
+                                 for r in range(M.dims[i])])
+            assert sub.dims[i] + quot.dims[i] == M.dims[i]
+            assert incl[i] == B[i] and proj[i] == P
+        for g in gens:
+            i, j, A = gen_target(g), gen_source(g), M.gen_mat(g)
+            assert sub.gen_mat(g) == want_sub[g]
+            assert quot.gen_mat(g) == proj[i] * (A * completion[j])
+            assert A * incl[j] == incl[i] * sub.gen_mat(g)
+            assert proj[i] * A == quot.gen_mat(g) * proj[j]
+        assert check_relations(sub) == [] and check_relations(quot) == []
 
 
 class TestCanonicalPieces:
