@@ -86,9 +86,6 @@ class B2Suite:
     extras: list           # additional indecomposables appearing in the table
     expected_table: dict   # (row label, col label) -> sorted tuple of labels
 
-    def pool(self):
-        return [(e.label, e.module) for e in self.entries + self.extras]
-
 
 def b2_suite(trials=8, seed=0):
     """The six rank-two catalog modules plus the expected 6x6 product table.

@@ -134,10 +134,7 @@ def _parse_rank_vector(text, datum):
 
 
 def _report_options(fn):
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="Seed for all randomized steps.")(fn)
-    fn = click.option("--trials", type=int, default=8, show_default=True,
-                      help="Sample count for randomized searches.")(fn)
+    """--format and --out, which every command takes."""
     fn = click.option("--format", "fmt", type=click.Choice(["json", "md"]),
                       default="json", show_default=True)(fn)
     fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -152,6 +149,17 @@ def _common(fn):
     return _report_options(fn)
 
 
+_seed_option = click.option("--seed", type=int, default=0, show_default=True,
+                            help="Seed for all randomized steps.")
+
+
+def _randomized(fn):
+    """--seed and --trials, for the commands whose searches draw samples."""
+    fn = click.option("--trials", type=int, default=8, show_default=True,
+                      help="Sample count for randomized searches.")(fn)
+    return _seed_option(fn)
+
+
 @click.group()
 @click.pass_context
 def main(ctx):
@@ -163,7 +171,7 @@ def main(ctx):
 @main.command()
 @click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
 @_report_options
-def validate(algebra, seed, trials, fmt, out):
+def validate(algebra, fmt, out):
     """Validate an algebra config file."""
     datum = _load_algebra(algebra)
     quiver, relations = datum.quiver(), datum.relations()
@@ -181,7 +189,7 @@ def validate(algebra, seed, trials, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def check(module, seed, trials, field, fmt, out):
+def check(module, field, fmt, out):
     """Check the defining relations on a module file."""
     M = _load_module(module, field)
     bad = pimod.check_relations(M)
@@ -194,7 +202,7 @@ def check(module, seed, trials, field, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def rank(module, seed, trials, field, fmt, out):
+def rank(module, field, fmt, out):
     """Local freeness and the rank vector of a module."""
     M = _load_module(module, field)
     ok, ranks = pimod.is_locally_free(M)
@@ -208,7 +216,7 @@ def rank(module, seed, trials, field, fmt, out):
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
-def hom(mod_a, mod_b, seed, trials, field, fmt, out):
+def hom(mod_a, mod_b, field, fmt, out):
     """dim Hom(A, B)."""
     A = _load_module(mod_a, field)
     B = _load_module(mod_b, field)
@@ -220,7 +228,7 @@ def hom(mod_a, mod_b, seed, trials, field, fmt, out):
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
-def ext(mod_a, mod_b, seed, trials, field, fmt, out):
+def ext(mod_a, mod_b, field, fmt, out):
     """dim Ext^1(A, B) for locally free modules."""
     A = _load_module(mod_a, field)
     B = _load_module(mod_b, field)
@@ -236,7 +244,7 @@ def ext(mod_a, mod_b, seed, trials, field, fmt, out):
 @click.argument("dvec")
 @click.argument("evec")
 @_report_options
-def forms(algebra, dvec, evec, seed, trials, fmt, out):
+def forms(algebra, dvec, evec, fmt, out):
     """Euler forms and dimension formulas for two rank vectors."""
     datum = _load_algebra(algebra)
     d = _parse_rank_vector(dvec, datum)
@@ -251,7 +259,7 @@ def forms(algebra, dvec, evec, seed, trials, fmt, out):
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @click.argument("vertex")
 @_common
-def pieces(module, vertex, seed, trials, field, fmt, out):
+def pieces(module, vertex, field, fmt, out):
     """The canonical pieces sub_i, fac_i, K_i, Q_i at a vertex."""
     M = _load_module(module, field)
     try:
@@ -274,7 +282,7 @@ def pieces(module, vertex, seed, trials, field, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def efiltered(module, seed, trials, field, fmt, out):
+def efiltered(module, field, fmt, out):
     """Decide whether a module admits a filtration by generalized simples."""
     M = _load_module(module, field)
     ok, witness = pimod.is_E_filtered(M)
@@ -286,7 +294,7 @@ def efiltered(module, seed, trials, field, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def crystal(module, seed, trials, field, fmt, out):
+def crystal(module, field, fmt, out):
     """Decide the recursive crystal-module property."""
     M = _load_module(module, field)
     payload = {"crystal": pimod.is_crystal(M)}
@@ -296,7 +304,7 @@ def crystal(module, seed, trials, field, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def rigid(module, seed, trials, field, fmt, out):
+def rigid(module, field, fmt, out):
     """Rigidity and orbit codimension (self-Ext dimension halved)."""
     M = _load_module(module, field)
     try:
@@ -311,6 +319,7 @@ def rigid(module, seed, trials, field, fmt, out):
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
+@_randomized
 def iso(mod_a, mod_b, seed, trials, field, fmt, out):
     """Randomized isomorphism test (certified answers; may be inconclusive)."""
     A = _load_module(mod_a, field)
@@ -331,7 +340,8 @@ def iso(mod_a, mod_b, seed, trials, field, fmt, out):
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def decompose(module, seed, trials, field, fmt, out):
+@_seed_option
+def decompose(module, seed, field, fmt, out):
     """Split a module into indecomposable summands."""
     M = _load_module(module, field)
     try:
@@ -368,6 +378,7 @@ def _star_payload(res):
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
+@_randomized
 def star(mod_a, mod_b, seed, trials, field, fmt, out):
     """The generic extension A * B (A on top, B as sub)."""
     A = _load_module(mod_a, field)
@@ -385,6 +396,7 @@ def star(mod_a, mod_b, seed, trials, field, fmt, out):
 @click.argument("mod_m", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
+@_randomized
 def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
     """The generic cokernel M / B (B embedded generically into M)."""
     M = _load_module(mod_m, field)
@@ -400,6 +412,7 @@ def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_m", type=click.Path(exists=True, dir_okay=False))
 @_common
+@_randomized
 def divide_left(mod_a, mod_m, seed, trials, field, fmt, out):
     """The generic kernel A \\ M (M mapped generically onto A)."""
     A = _load_module(mod_a, field)
@@ -435,6 +448,7 @@ def _md_table(payload):
 @main.command()
 @click.argument("suite", type=click.Choice(["b2", "a2"]))
 @_report_options
+@_randomized
 def table(suite, seed, trials, fmt, out):
     """The full product table of a catalog suite."""
     try:
@@ -464,7 +478,7 @@ def table(suite, seed, trials, fmt, out):
 @main.command(name="reduce")
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def reduce_cmd(module, seed, trials, field, fmt, out):
+def reduce_cmd(module, field, fmt, out):
     """Quotient a module over (C, nD) by its loop images, landing over (C, D)."""
     M = _load_module(module, field)
     ns = set(M.datum.sym)
@@ -485,7 +499,7 @@ def reduce_cmd(module, seed, trials, field, fmt, out):
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "ncopies", type=int, required=True, help="Symmetrizer multiple.")
 @_common
-def lift(module, ncopies, seed, trials, field, fmt, out):
+def lift(module, ncopies, field, fmt, out):
     """Lift a module over minimal (C, D) to (C, nD) by the shift construction."""
     M = _load_module(module, field)
     try:
@@ -501,6 +515,7 @@ def lift(module, ncopies, seed, trials, field, fmt, out):
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "ncopies", type=int, required=True, help="Symmetrizer multiple.")
 @_common
+@_randomized
 def check_symmetrizer(mod_a, mod_b, ncopies, seed, trials, field, fmt, out):
     """Compare reduce(lift(A) * lift(B)) against A * B up to isomorphism."""
     A = _load_module(mod_a, field)
@@ -523,6 +538,7 @@ def catalog_group():
 
 @catalog_group.command(name="list")
 @_report_options
+@_randomized
 def catalog_list(seed, trials, fmt, out):
     """List all catalog entries with their certified flags."""
     try:
@@ -536,6 +552,7 @@ def catalog_list(seed, trials, fmt, out):
 @catalog_group.command(name="export")
 @click.argument("label")
 @_report_options
+@_randomized
 def catalog_export(label, seed, trials, fmt, out):
     """Export one catalog entry as a module file."""
     try:
@@ -560,6 +577,7 @@ def _md_selftest(report):
 
 @main.command()
 @_report_options
+@_randomized
 def selftest(seed, trials, fmt, out):
     """Run the full acceptance suite and report one line per criterion."""
     report = run_selftest(seed=seed, trials=trials)

@@ -264,10 +264,6 @@ class Mat:
             out = out * self
         return out
 
-    def transpose(self):
-        return Mat(self.field, self.cols, self.rows,
-                   [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def col(self, j):
         return Mat(self.field, self.rows, 1, [[row[j]] for row in self.data])
 
@@ -497,33 +493,6 @@ def column_space(A):
     data = [row[:] for row in A.data]
     pivots = _rref(data, A.rows, A.cols)
     return hstack([A.col(j) for j in pivots], field=A.field, rows=A.rows)
-
-
-def left_annihilator(B):
-    """A matrix P with ker P = col(B); rows form a basis of the left kernel."""
-    return nullspace(B.transpose()).transpose()
-
-
-def invariant_subspace(E, B):
-    """Largest E-invariant subspace contained in col(B)."""
-    U = column_space(B)
-    while U.cols:
-        P = left_annihilator(U)
-        X = nullspace(P * (E * U))
-        if X.cols == U.cols:
-            break
-        U = column_space(U * X)
-    return U
-
-
-def closure_under(E, B):
-    """Smallest E-invariant subspace containing col(B)."""
-    U = column_space(B)
-    while True:
-        W = column_space(hstack([U, E * U]))
-        if W.cols == U.cols:
-            return U
-        U = W
 
 
 def complete_basis(B):

@@ -227,9 +227,10 @@ def is_locally_free(M):
         if d % c:
             return False, None
         E = M.eps[i]
-        if not E.power(c).is_zero():
+        P = E.power(c - 1)
+        if not (P * E).is_zero():
             return False, None
-        if linalg.rank(E.power(c - 1)) != d // c:
+        if linalg.rank(P) != d // c:
             return False, None
         ranks[i] = d // c
     return True, ranks
@@ -501,25 +502,35 @@ def quotient(M, spaces):
     return quot, proj
 
 
+def _loop_powers(first, d, step):
+    """[first, step(first), step(step(first)), ...] up to the first zero
+    block or d blocks; by Cayley-Hamilton, a d x d loop's d-th power adds
+    nothing to the span of the lower ones."""
+    blocks = [first]
+    while len(blocks) < d and not blocks[-1].is_zero():
+        blocks.append(step(blocks[-1]))
+    return blocks
+
+
 def sub_space(M, i):
     """Basis of sub_i(M): the largest loop-invariant subspace of the common
-    kernel of all arrows with source i."""
-    field = M.field
-    outgoing = [M.arrows[k] for k in M.datum.arrow_keys() if gen_source(k) == i]
-    if outgoing:
-        W = linalg.nullspace(linalg.vstack(outgoing))
-    else:
-        W = Mat.identity(field, M.dims[i])
-    return linalg.invariant_subspace(M.eps[i], W)
+    kernel of the arrows out of i.  With A the stacked outgoing arrows, that
+    is the kernel of [A; A eps_i; A eps_i^2; ...], from one `nullspace`."""
+    E = M.eps[i]
+    A = linalg.vstack([M.arrows[k] for k in M.datum.arrow_keys() if gen_source(k) == i],
+                      field=M.field, cols=M.dims[i])
+    return linalg.nullspace(linalg.vstack(_loop_powers(A, M.dims[i], lambda X: X * E)))
 
 
 def k_space(M, i):
-    """Basis at vertex i of K_i(M): the loop closure of all incoming images."""
-    field = M.field
-    incoming = [M.arrows[k] for k in M.datum.arrow_keys() if gen_target(k) == i and gen_source(k) != i]
-    imgs = [linalg.column_space(A) for A in incoming]
-    span = linalg.hstack(imgs, field=field, rows=M.dims[i]) if imgs else Mat.zeros(field, M.dims[i], 0)
-    return linalg.closure_under(M.eps[i], span)
+    """Basis at vertex i of K_i(M): the smallest loop-invariant subspace
+    containing the images of the arrows into i.  With S the incoming arrows
+    side by side, that is the column space of [S | eps_i S | eps_i^2 S | ...],
+    from one `column_space`; its basis is a subset of those columns."""
+    E = M.eps[i]
+    S = linalg.hstack([M.arrows[k] for k in M.datum.arrow_keys() if gen_target(k) == i],
+                      field=M.field, rows=M.dims[i])
+    return linalg.column_space(linalg.hstack(_loop_powers(S, M.dims[i], lambda X: E * X)))
 
 
 @dataclass

@@ -152,6 +152,25 @@ class TestModuleCommands:
             assert result.exit_code == 2, args
             assert "--field" in result.output, args
 
+    def test_seed_and_trials_only_on_commands_that_read_them(self, runner, files):
+        # these commands draw no random samples, so a seed or trial count
+        # would go unused; decompose draws endomorphisms but has no trial count
+        e1, e2, b2 = files["e1.json"], files["e2.json"], files["b2.json"]
+        unused = [(args, flag) for flag in ("--seed", "--trials")
+                  for args in (["validate", b2], ["check", e1], ["rank", e1],
+                               ["hom", e1, e2], ["ext", e1, e2],
+                               ["forms", b2, "1,1", "1,0"], ["pieces", e1, "1"],
+                               ["efiltered", e1], ["crystal", e1], ["rigid", e1],
+                               ["reduce", e1], ["lift", e1, "--n", "2"])]
+        unused.append((["decompose", e1], "--trials"))
+        assert len(unused) == 25
+        for args, flag in unused:
+            result = runner.invoke(main, args + [flag, "3"])
+            assert result.exit_code == 2, (args, flag)
+            assert flag in result.output, (args, flag)
+        assert run_json(runner, ["decompose", e1, "--seed", "3"])["seed"] == 3
+        assert run_json(runner, ["iso", e1, e1, "--seed", "3", "--trials", "2"])["trials"] == 2
+
     def test_malformed_entry_exit_2(self, runner, files):
         for name in ("div0.json", "float.json"):
             result = runner.invoke(main, ["check", files[name]])

@@ -38,7 +38,9 @@ class TestRankNullspace:
         rng = random.Random(5)
         for _ in range(30):
             A = random_mat(rng, rng.randint(0, 5), rng.randint(0, 5))
-            assert linalg.rank(A) == linalg.rank(A.transpose())
+            At = Mat(QQ, A.cols, A.rows, [[A.data[i][j] for i in range(A.rows)]
+                                          for j in range(A.cols)])
+            assert linalg.rank(A) == linalg.rank(At)
 
     def test_nullspace_annihilates(self):
         rng = random.Random(6)
@@ -111,22 +113,11 @@ class TestCoprimeSplit:
             blocks = split_blocks(f)
             assert sum(b.cols for b in blocks) == n
             for B in blocks:
-                # f maps col(B) into col(B)
-                P = linalg.left_annihilator(B)
-                assert (P * (f * B)).is_zero()
+                # f maps col(B) into col(B): [B | f B] has no more rank than B
+                assert linalg.rank(linalg.hstack([B, f * B])) == B.cols
 
 
 class TestSubspaces:
-    def test_invariant_subspace(self):
-        E = mat([[0, 1], [0, 0]])
-        # span(e1) is E-invariant, span(e2) is not
-        assert linalg.invariant_subspace(E, mat([[1], [0]])).cols == 1
-        assert linalg.invariant_subspace(E, mat([[0], [1]])).cols == 0
-
-    def test_closure(self):
-        E = mat([[0, 0], [1, 0]])
-        assert linalg.closure_under(E, mat([[1], [0]])).cols == 2
-
     def test_complete_basis(self):
         B = mat([[1], [1]])
         extra, L, P = linalg.complete_basis(B)

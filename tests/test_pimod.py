@@ -115,6 +115,18 @@ class TestBasics:
         assert is_E_filtered(M) == (False, None)
         assert not is_crystal(M)
 
+    def test_not_locally_free_loop_power(self, b2):
+        # d = 2 is divisible by c_1 = 2, but eps_1^2 = diag(1, 0) != 0
+        M = ModuleRep(b2, {1: 2}, {1: Mat.from_rows(QQ, [[1, 0], [0, 0]])}, {})
+        assert is_locally_free(M) == (False, None)
+
+    def test_not_locally_free_jordan_type(self, b2):
+        # eps_1^2 = 0 on d = 4, but rank eps_1 = 1: blocks of sizes 2, 1, 1
+        E = Mat.zeros(QQ, 4, 4)
+        E.data[0][1] = QQ.one
+        M = ModuleRep(b2, {1: 4}, {1: E}, {})
+        assert is_locally_free(M) == (False, None)
+
     def test_direct_sum_ranks_add(self, b2_mods):
         E1, E2, M3 = b2_mods
         S = direct_sum(E1, M3)
@@ -386,6 +398,117 @@ def _random_invertible(rng, d):
         g = Mat.from_rows(QQ, [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
         if linalg.is_invertible(g):
             return g
+
+
+# -- sub_i and K_i against the fixed-point loops they replace ------------------
+
+def _transpose(A):
+    return Mat(A.field, A.cols, A.rows,
+               [[A.data[i][j] for i in range(A.rows)] for j in range(A.cols)])
+
+
+def invariant_subspace(E, B):
+    """Reference: the largest E-invariant subspace in col(B), found by
+    shrinking U to the part that E maps back into U until it is stable."""
+    U = linalg.column_space(B)
+    while U.cols:
+        P = _transpose(linalg.nullspace(_transpose(U)))   # ker P = col(U)
+        X = linalg.nullspace(P * (E * U))
+        if X.cols == U.cols:
+            break
+        U = linalg.column_space(U * X)
+    return U
+
+
+def closure_under(E, B):
+    """Reference: the smallest E-invariant subspace containing col(B), found
+    by adding E's images until the span is stable."""
+    U = linalg.column_space(B)
+    while True:
+        W = linalg.column_space(linalg.hstack([U, E * U]))
+        if W.cols == U.cols:
+            return U
+        U = W
+
+
+def ref_sub_space(M, i):
+    outgoing = [M.arrows[k] for k in M.datum.arrow_keys() if gen_source(k) == i]
+    W = linalg.nullspace(linalg.vstack(outgoing)) if outgoing else Mat.identity(QQ, M.dims[i])
+    return invariant_subspace(M.eps[i], W)
+
+
+def ref_k_space(M, i):
+    imgs = [linalg.column_space(M.arrows[k]) for k in M.datum.arrow_keys()
+            if gen_target(k) == i]
+    return closure_under(M.eps[i], linalg.hstack(imgs, field=QQ, rows=M.dims[i]))
+
+
+def assert_subspaces_match_references(M):
+    for i in M.datum.vertices:
+        assert pimod.sub_space(M, i) == ref_sub_space(M, i)
+        assert pimod.k_space(M, i) == ref_k_space(M, i)
+
+
+class TestSubAndKSpaces:
+    """Hand cases with the loop E = [[0, 1], [0, 0]] (or its transpose) at
+    vertex 1 of B2, where c_1 = 2."""
+
+    @staticmethod
+    def _module(b2, eps1, arrow):
+        key = ("arr", 2, 1, 1) if arrow.rows == 1 else ("arr", 1, 2, 1)
+        return ModuleRep(b2, {1: 2, 2: 1}, {1: Mat.from_rows(QQ, eps1)}, {key: arrow})
+
+    def test_sub_space_keeps_an_invariant_kernel(self, b2):
+        # the arrow out of 1 kills span(e1), which E maps to zero
+        M = self._module(b2, [[0, 1], [0, 0]], Mat.from_rows(QQ, [[0, 1]]))
+        assert pimod.sub_space(M, 1) == Mat.from_rows(QQ, [[1], [0]])
+        assert_subspaces_match_references(M)
+
+    def test_sub_space_drops_a_kernel_that_is_not_invariant(self, b2):
+        # the arrow out of 1 kills span(e2), but E e2 = e1
+        M = self._module(b2, [[0, 1], [0, 0]], Mat.from_rows(QQ, [[1, 0]]))
+        assert pimod.sub_space(M, 1).cols == 0
+        assert_subspaces_match_references(M)
+
+    def test_k_space_closes_an_image_under_the_loop(self, b2):
+        # the arrow into 1 hits span(e1), and E e1 = e2
+        M = self._module(b2, [[0, 0], [1, 0]], Mat.from_rows(QQ, [[1], [0]]))
+        assert pimod.k_space(M, 1) == Mat.from_rows(QQ, [[1, 0], [0, 1]])
+        assert_subspaces_match_references(M)
+
+    def test_loop_that_is_not_nilpotent(self):
+        # c_2 = 2, but the loop at 2 is invertible, so the powers of the
+        # loop never vanish and the stacks stop after dims[2] = 2 blocks
+        datum = catalog.b2_relabeled_datum()
+        arrows = {("arr", 1, 2, 1): Mat.from_rows(QQ, [[1, 0]]),
+                  ("arr", 2, 1, 1): Mat.from_rows(QQ, [[1], [1]])}
+        for eps2, sub, k in (([[1, 0], [0, 2]], [[0], [1]], [[1, 1], [1, 2]]),
+                             ([[0, 1], [1, 0]], None, [[1], [1]])):
+            M = ModuleRep(datum, {1: 1, 2: 2}, {2: Mat.from_rows(QQ, eps2)}, arrows)
+            assert "nilpotency@2" in check_relations(M)
+            want_sub = Mat.from_rows(QQ, sub) if sub else Mat.zeros(QQ, 2, 0)
+            assert pimod.sub_space(M, 2) == want_sub
+            assert pimod.k_space(M, 2) == Mat.from_rows(QQ, k)
+            assert_subspaces_match_references(M)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16),
+       rank=st.integers(1, 4))
+def test_subspaces_match_fixed_point_references(name, seed, rank):
+    """sub_i and K_i, each from one elimination, are the very matrices the
+    fixed-point loops give, on towers, on their canonical pieces and after
+    a random change of basis."""
+    datum = _wider(name)
+    rng = random.Random(seed)
+    M = random_tower(datum, rank, rng)
+    mods = [M, _conjugate(M, {i: _random_invertible(rng, M.dims[i]) for i in datum.vertices})]
+    for i in datum.vertices:
+        p = canonical_pieces(M, i)
+        mods += [p.sub, p.quot, p.ker, p.fac]
+    for N in mods:
+        assert_subspaces_match_references(N)
 
 
 class TestIsoAndDecompose:
