@@ -14,7 +14,12 @@ ideals solve for a kernel basis.
 
 `submodule`, `quotient` and `canonical_pieces` share one block-triangular
 split per vertex, `_split`; it refuses (ValueError) spaces with dependent
-columns or not closed under the action.
+columns or not closed under the action, and it completes a basis only where
+the space is neither empty nor the identity.
+
+`is_crystal` runs no E-filtered search: it certifies E-filtered by peeling
+off a nonzero sub_i (see `is_crystal`), so its False verdicts are exact.
+The backtracking search lives on in `is_E_filtered` alone.
 
 `decompose` has one split step: split M into the generalized eigenspaces
 of a random endomorphism, drawn from End(M) and then from the annihilator
@@ -456,21 +461,45 @@ def _split(M, spaces):
     bases every loop and arrow A: j -> i is block upper triangular: L_i A B_j
     is the submodule's matrix (the X with B_i X = A B_j), P_i A C_j the
     quotient's, and P_i A B_j = 0 is the closure check (else ValueError).
+
+    Where B_i is empty the vertex goes whole to the quotient (C_i = P_i = I,
+    L_i empty), and where B_i is the identity it goes whole to the submodule
+    (L_i = I, C_i and P_i empty).  These are the RREFs of [0 | I] and
+    [I | I], so there the completion and the products by B_i, C_i, L_i and
+    P_i are skipped: the matrices are copies or column selections of A.
     """
+    field = M.field
     incl, extra, coords, proj = {}, {}, {}, {}
     for i in M.datum.vertices:
-        incl[i] = spaces.get(i, Mat.zeros(M.field, M.dims[i], 0))
-        extra[i], coords[i], proj[i] = linalg.complete_basis(incl[i])
+        n = M.dims[i]
+        B = incl[i] = spaces.get(i, Mat.zeros(field, n, 0))
+        if B.cols == 0:
+            extra[i], coords[i], proj[i] = list(range(n)), None, Mat.identity(field, n)
+        elif B.cols == n and B == Mat.identity(field, n):
+            extra[i], coords[i], proj[i] = [], None, Mat.zeros(field, 0, n)
+        else:
+            extra[i], coords[i], proj[i] = linalg.complete_basis(B)
     sub_mats, quot_mats = {}, {}
     for g in [eps_key(i) for i in M.datum.vertices] + list(M.datum.arrow_keys()):
         i, j = gen_target(g), gen_source(g)
         A = M.gen_mat(g)
-        AB = A * incl[j]
-        if not (proj[i] * AB).is_zero():
-            raise ValueError("spaces are not closed under %r" % (g,))
-        sub_mats[g] = coords[i] * AB
-        AC = Mat(M.field, A.rows, len(extra[j]), [[row[c] for c in extra[j]] for row in A.data])
-        quot_mats[g] = proj[i] * AC
+        if incl[j].cols == 0:
+            AB = Mat.zeros(field, A.rows, 0)
+        elif coords[j] is None:   # B_j = I
+            AB = A.copy()
+        else:
+            AB = A * incl[j]
+        AC = Mat(field, A.rows, len(extra[j]), [[row[c] for c in extra[j]] for row in A.data])
+        if coords[i] is not None:
+            if not (proj[i] * AB).is_zero():
+                raise ValueError("spaces are not closed under %r" % (g,))
+            sub_mats[g], quot_mats[g] = coords[i] * AB, proj[i] * AC
+        elif incl[i].cols == 0:   # whole to the quotient
+            if not AB.is_zero():
+                raise ValueError("spaces are not closed under %r" % (g,))
+            sub_mats[g], quot_mats[g] = Mat.zeros(field, 0, AB.cols), AC
+        else:                     # whole to the submodule
+            sub_mats[g], quot_mats[g] = AB, Mat.zeros(field, 0, AC.cols)
 
     def module(mats):
         dims = {i: mats[eps_key(i)].rows for i in M.datum.vertices}
@@ -617,6 +646,10 @@ def is_E_filtered(M):
     small set of generator choices per vertex).  With a minimal symmetrizer
     and symmetric C the property reduces to nilpotency of the
     representation, which prunes the search up front.
+
+    True comes with its witness and is certified; a False from the search
+    is not (only a few generators are tried per vertex).  `is_crystal` does
+    not call this test: it certifies E-filtered by peeling instead.
     """
     ok, _ = is_locally_free(M)
     if not ok:
@@ -648,7 +681,16 @@ def is_crystal(M):
     crystal Q_i / K_i at every vertex (proper pieces only, which makes the
     recursion terminate).  Over a minimal symmetrizer with symmetric C the
     crystal and E-filtered properties coincide, which shortcuts the
-    recursion entirely."""
+    recursion entirely.
+
+    E-filtered is certified by peeling, with no search (`is_E_filtered` is
+    not called): a nonzero M passing the per-vertex tests is E-filtered iff
+    some sub_i(M) is nonzero, because
+      - a locally free sub_i(M) is supported at i, so it is E_i^r;
+      - Q_i is crystal, hence E-filtered, and E-filtered modules are closed
+        under extensions, so M is E-filtered;
+      - conversely, the bottom step E_j of a filtration lies in sub_j(M).
+    So every False rests on exact rank tests alone."""
     if M.dim_total() == 0:
         return True
     ok, _ = is_locally_free(M)
@@ -656,19 +698,20 @@ def is_crystal(M):
         return False
     if _minimal_symmetric(M.datum):
         return _is_nilpotent_rep(M)
-    if not is_E_filtered(M)[0]:
-        return False
+    peeled = False
     for i in M.datum.vertices:
         pieces = canonical_pieces(M, i)
         if not is_locally_free(pieces.sub)[0]:
             return False
         if not is_locally_free(pieces.fac)[0]:
             return False
-        if pieces.sub.dim_total() and not is_crystal(pieces.quot):
-            return False
+        if pieces.sub.dim_total():
+            if not is_crystal(pieces.quot):
+                return False
+            peeled = True
         if pieces.fac.dim_total() and not is_crystal(pieces.ker):
             return False
-    return True
+    return peeled
 
 
 def is_rigid(M):

@@ -43,9 +43,9 @@ C5_MAX_ATTEMPTS = 400   # random extensions drawn at most
 C9_COUNT = 20           # random data checked for each formula
 
 
-def criterion_b2_table(seed=0, trials=8):
+def criterion_b2_table(seed=0, trials=8, suite=None):
     """All 36 product-table cells match the expected decompositions."""
-    suite = catalog.b2_suite(trials=trials, seed=seed)
+    suite = suite or catalog.b2_suite(trials=trials, seed=seed)
     entries = [(e.label, e.module) for e in suite.entries]
     extras = [(e.label, e.module) for e in suite.extras]
     cells = starop.star_table(entries, extra_pool=extras, trials=trials, seed=seed)
@@ -151,11 +151,11 @@ def criterion_ext_theorems(seed=0):
     }
 
 
-def criterion_efiltered_closure(seed=0):
+def criterion_efiltered_closure(seed=0, suite=None):
     """Cokernels of injections / kernels of surjections between crystal
-    modules stay E-filtered."""
+    modules stay E-filtered; `suite` is built with the default trials."""
     datum = catalog.b2_datum()
-    suite = catalog.b2_suite(seed=seed)
+    suite = suite or catalog.b2_suite(seed=seed)
     pool = [e.module for e in suite.entries]
     rng = _seeded(seed, 5)
     inj_done = surj_done = 0
@@ -198,10 +198,10 @@ def criterion_efiltered_closure(seed=0):
     }
 
 
-def criterion_cancellation(seed=0, trials=8):
+def criterion_cancellation(seed=0, trials=8, suite=None):
     """Left/right star maps with a fixed rigid factor are injective on the
     six catalog modules."""
-    suite = catalog.b2_suite(trials=trials, seed=seed)
+    suite = suite or catalog.b2_suite(trials=trials, seed=seed)
     entries = [(e.label, e.module) for e in suite.entries]
     try:
         report = starop.check_cancellation(entries, trials=trials, seed=seed)
@@ -214,9 +214,9 @@ def criterion_cancellation(seed=0, trials=8):
     }
 
 
-def criterion_divisions(seed=0, trials=8):
+def criterion_divisions(seed=0, trials=8, suite=None):
     """(M1 * M2) / M2 = M1 and M1 \\ (M1 * M2) = M2 on all catalog pairs."""
-    suite = catalog.b2_suite(trials=trials, seed=seed)
+    suite = suite or catalog.b2_suite(trials=trials, seed=seed)
     failures = []
     pairs = 0
     for l1, M1 in [(e.label, e.module) for e in suite.entries]:
@@ -359,13 +359,25 @@ def run_criteria(seed=0, trials=8):
     """Criteria one through nine, with per-criterion derived seeds.
 
     Each pass is one run of `pimod.memo_run`: it starts from an empty memo,
-    so the two passes of `run_selftest` are independent computations."""
+    so the two passes of `run_selftest` are independent computations.  Each
+    distinct `catalog.b2_suite` of a pass is built once and shared by c1,
+    c5, c6 and c7 (c5 always takes the suite of the default trials=8)."""
     out = []
+    suites = {}   # trials -> the pass's catalog.b2_suite
+
+    def b2_suite(t):
+        if t not in suites:
+            suites[t] = catalog.b2_suite(trials=t, seed=seed)
+        return suites[t]
+
     with pimod.memo_run():
         for fn in _CRITERIA:
-            if fn in (criterion_ext_theorems, criterion_efiltered_closure,
-                      criterion_dim_formulas):
+            if fn in (criterion_ext_theorems, criterion_dim_formulas):
                 out.append(fn(seed=seed))
+            elif fn is criterion_efiltered_closure:
+                out.append(fn(seed=seed, suite=b2_suite(8)))
+            elif fn in (criterion_b2_table, criterion_cancellation, criterion_divisions):
+                out.append(fn(seed=seed, trials=trials, suite=b2_suite(trials)))
             else:
                 out.append(fn(seed=seed, trials=trials))
     return out

@@ -272,15 +272,14 @@ def check_cancellation(entries, trials=8, seed=0):
     injective up to isomorphism on the list; any collision is reported with
     its witness pair.
     """
+    # both sides read one table of products, table[t][s] = T * S
+    table = [[star(T, S, trials=trials, seed=seed) for _, S in entries] for _, T in entries]
     collisions = []
     comparisons = 0
     for side in ("right", "left"):
-        for rl, R in entries:
-            products = []
-            for xl, X in entries:
-                res = (generic_extension(X, R, trials=trials, seed=seed) if side == "right"
-                       else generic_extension(R, X, trials=trials, seed=seed))
-                products.append((xl, res.module))
+        for r, (rl, _) in enumerate(entries):
+            products = [(xl, table[x][r] if side == "right" else table[r][x])
+                        for x, (xl, _) in enumerate(entries)]
             for a in range(len(products)):
                 for b in range(a + 1, len(products)):
                     comparisons += 1

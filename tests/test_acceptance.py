@@ -11,6 +11,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from ppalg import catalog, selftest
 from ppalg.cli import main
 from ppalg.selftest import (criterion_a2, criterion_b2_table,
                             criterion_cancellation, criterion_dim_formulas,
@@ -99,3 +100,34 @@ def test_c10_selftest_determinism():
     report = json.loads(first.output[first.output.index("{"):])
     assert report["all_passed"]
     assert [c["id"] for c in report["criteria"]] == ["c%d" % k for k in range(1, 11)]
+
+
+def test_run_criteria_builds_each_b2_suite_once(monkeypatch):
+    """c1, c6 and c7 share the pass's suite; c5 takes the one built with the
+    default trials, which is the same suite when trials is 8."""
+    built, given = [], {}
+
+    def b2_suite(trials=8, seed=0):
+        built.append((trials, seed))
+        return ("suite", trials, seed)
+
+    def recorder(name):
+        def criterion(seed=0, trials=8, suite=None):
+            given[name] = suite
+            return {"id": name}
+        return criterion
+
+    names = ("criterion_b2_table", "criterion_efiltered_closure",
+             "criterion_cancellation", "criterion_divisions")
+    monkeypatch.setattr(catalog, "b2_suite", b2_suite)
+    for name in names:
+        monkeypatch.setattr(selftest, name, recorder(name))
+    monkeypatch.setattr(selftest, "_CRITERIA", tuple(getattr(selftest, n) for n in names))
+    for trials, want in ((8, [(8, 3)]), (4, [(4, 3), (8, 3)])):
+        built.clear()
+        selftest.run_criteria(seed=3, trials=trials)
+        assert built == want
+        shared = {given[n] for n in ("criterion_b2_table", "criterion_cancellation",
+                                     "criterion_divisions")}
+        assert shared == {("suite", trials, 3)}
+        assert given["criterion_efiltered_closure"] == ("suite", 8, 3)

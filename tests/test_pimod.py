@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ppalg import catalog, linalg, pimod, starop
+from ppalg import catalog, linalg, pimod, starop, symred
 from ppalg.cartan import (alpha_form, default_orientation, eps_key, gen_source, gen_target,
                           symmetrized_form, validate_datum)
 from ppalg.linalg import QQ, Mat
@@ -307,6 +307,112 @@ def test_split_matches_solve_and_projection(name, seed, rank):
         assert check_relations(sub) == [] and check_relations(quot) == []
 
 
+def split_reference(M, spaces):
+    """`_split` with `complete_basis` and every product at every vertex,
+    trivial spaces included."""
+    incl, extra, coords, proj = {}, {}, {}, {}
+    for i in M.datum.vertices:
+        incl[i] = spaces.get(i, Mat.zeros(M.field, M.dims[i], 0))
+        extra[i], coords[i], proj[i] = linalg.complete_basis(incl[i])
+    sub_mats, quot_mats = {}, {}
+    for g in [eps_key(i) for i in M.datum.vertices] + list(M.datum.arrow_keys()):
+        i, j = gen_target(g), gen_source(g)
+        A = M.gen_mat(g)
+        AB = A * incl[j]
+        if not (proj[i] * AB).is_zero():
+            raise ValueError("spaces are not closed under %r" % (g,))
+        sub_mats[g] = coords[i] * AB
+        AC = Mat(M.field, A.rows, len(extra[j]), [[row[c] for c in extra[j]] for row in A.data])
+        quot_mats[g] = proj[i] * AC
+    return sub_mats, incl, quot_mats, proj
+
+
+def _assert_split_matches_reference(M, spaces, monkeypatch):
+    """Equal matrices, or refusal on both sides; `complete_basis` runs only
+    at the vertices whose space is proper and nonzero."""
+    try:
+        want = split_reference(M, spaces)
+    except ValueError:
+        want = None
+    completed = []
+    complete_basis = linalg.complete_basis
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "complete_basis", lambda B: completed.append(B) or complete_basis(B))
+        if want is None:
+            with pytest.raises(ValueError):
+                pimod._split(M, spaces)
+            return
+        sub, incl, quot, proj = pimod._split(M, spaces)
+    proper = [i for i in M.datum.vertices
+              if 0 < spaces.get(i, Mat.zeros(QQ, M.dims[i], 0)).cols
+              and spaces[i] != Mat.identity(QQ, M.dims[i])]
+    assert completed == [spaces[i] for i in proper]
+    want_sub, want_incl, want_quot, want_proj = want
+    assert incl == want_incl and proj == want_proj
+    for g, X in want_sub.items():
+        assert sub.gen_mat(g) == X
+        assert quot.gen_mat(g) == want_quot[g]
+
+
+def _part_of_sum(T, U):
+    """The spaces of T inside T (+) U: [I; 0] per vertex, which is the
+    identity where U is 0 and has no columns where T is 0."""
+    return {i: Mat(QQ, T.dims[i] + U.dims[i], T.dims[i],
+                   [[QQ.one if r == c else QQ.zero for c in range(T.dims[i])]
+                    for r in range(T.dims[i] + U.dims[i])])
+            for i in T.datum.vertices}
+
+
+def test_split_trivial_vertices_match_reference(b2_mods, monkeypatch):
+    """Over C3, T = E_1 (+) E_2 inside T (+) E_2 (+) E_3: the space is the
+    identity at 1, proper at 2 and empty at 3 (or the identity at 3 too).
+    Over B2, all of M3 at vertex 1 is not closed: the arrow 1 -> 2 leaves
+    the empty space at 2."""
+    datum = _wider("C3")
+    E = {i: generalized_simple(datum, i) for i in datum.vertices}
+    T, U = direct_sum(E[1], E[2]), direct_sum(E[2], E[3])
+    M, spaces = direct_sum(T, U), _part_of_sum(T, U)
+    assert [spaces[i].cols for i in datum.vertices] == [2, 2, 0]
+    assert spaces[1] == Mat.identity(QQ, 2) and spaces[2].rows == 4
+    _assert_split_matches_reference(M, spaces, monkeypatch)
+    _assert_split_matches_reference(M, {**spaces, 3: Mat.identity(QQ, 1)}, monkeypatch)
+    M3 = b2_mods[2]
+    with pytest.raises(ValueError):
+        pimod._split(M3, {1: Mat.identity(QQ, 2)})
+    _assert_split_matches_reference(M3, {1: Mat.identity(QQ, 2)}, monkeypatch)
+    _assert_split_matches_reference(M3, {2: Mat.identity(QQ, 1)}, monkeypatch)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16),
+       rank_t=st.integers(1, 3), rank_u=st.integers(1, 3))
+def test_split_matches_reference(name, seed, rank_t, rank_u):
+    """Sums T (+) U split along T, the spaces of `_split_cases` and spans
+    mixing empty, identity and random spaces per vertex."""
+    datum = _wider(name)
+    rng = random.Random(seed)
+    T, U = random_tower(datum, rank_t, rng), random_tower(datum, rank_u, rng)
+    M = direct_sum(T, U)
+    cases = [_part_of_sum(T, U)] + _split_cases(M, rng)
+    for _ in range(3):
+        mixed = {}
+        for i in datum.vertices:
+            n = M.dims[i]
+            kind = rng.choice(("empty", "identity", "random"))
+            if kind == "identity":
+                mixed[i] = Mat.identity(QQ, n)
+            elif kind == "random":
+                cols = rng.randint(0, n)
+                A = Mat(QQ, n, cols, [[QQ.coerce(rng.randint(-2, 2)) for _ in range(cols)]
+                                      for _ in range(n)])
+                mixed[i] = linalg.column_space(A)
+        cases.append(mixed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for spaces in cases:
+            _assert_split_matches_reference(M, spaces, monkeypatch)
+
+
 class TestCanonicalPieces:
     def test_m3_pieces_at_2(self, b2_mods):
         E1, E2, M3 = b2_mods
@@ -384,6 +490,89 @@ class TestFiltrationAndCrystal:
             assert alpha_form(b2, e, e) - hom_dim(E, E) == \
                 sum(b2.ci(a) * abs(b2.c(a, b)) * e[b2.index[a]] * e[b2.index[b]]
                     for (a, b) in b2.orient)
+
+
+# -- is_crystal: E-filtered certified by peeling ---------------------------------
+
+@pimod._memoized()
+def crystal_reference(M):
+    """The crystal test that runs the E-filtered search first, in place of
+    asking that some sub_i(M) be nonzero; memoized like `is_crystal`."""
+    if M.dim_total() == 0:
+        return True
+    ok, _ = is_locally_free(M)
+    if not ok:
+        return False
+    if pimod._minimal_symmetric(M.datum):
+        return pimod._is_nilpotent_rep(M)
+    if not is_E_filtered(M)[0]:
+        return False
+    for i in M.datum.vertices:
+        pieces = canonical_pieces(M, i)
+        if not is_locally_free(pieces.sub)[0]:
+            return False
+        if not is_locally_free(pieces.fac)[0]:
+            return False
+        if pieces.sub.dim_total() and not crystal_reference(pieces.quot):
+            return False
+        if pieces.fac.dim_total() and not crystal_reference(pieces.ker):
+            return False
+    return True
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16),
+       rank=st.integers(1, 5))
+def test_crystal_matches_efiltered_search_reference(name, seed, rank):
+    """Towers, their four canonical pieces at every vertex, the sums of the
+    tower with each piece, and the kernel and coimage of a random
+    endomorphism (where the False verdicts come from)."""
+    datum = _wider(name)
+    rng = random.Random(seed)
+    M = random_tower(datum, rank, rng)
+    pieces = []
+    for i in datum.vertices:
+        p = canonical_pieces(M, i)
+        pieces += [p.sub, p.quot, p.ker, p.fac]
+    f = pimod.random_combination(hom_basis(M, M), rng)
+    ker, _, coim, _ = pimod._split(M, {i: linalg.nullspace(f[i]) for i in datum.vertices})
+    with pimod.memo_run():
+        for X in [M] + pieces + [direct_sum(M, P) for P in pieces] + [ker, coim]:
+            assert is_crystal(X) == crystal_reference(X)
+
+
+def test_crystal_needs_a_nonzero_sub():
+    """The lift to symmetrizer (2, 2) of an A1~ module with a cycle of
+    arrows is locally free with sub_i = fac_i = 0 at both vertices: every
+    per-vertex test passes and only the peeling condition refuses it."""
+    datum = _wider("A1~")
+    one = Mat.from_rows(QQ, [[1]])
+    M = ModuleRep(datum, {1: 1, 2: 1}, {}, {("arr", 2, 1, 1): one, ("arr", 1, 2, 2): one})
+    lift = symred.tilde_lift(symred.sym_pair(datum, 2), M)
+    assert lift.datum.sym == (2, 2) and check_relations(lift) == []
+    assert is_locally_free(lift)[0]
+    for i in lift.datum.vertices:
+        p = canonical_pieces(lift, i)
+        assert p.sub.dim_total() == p.fac.dim_total() == 0
+    assert not is_crystal(lift)
+    assert is_E_filtered(lift) == (False, None) and not crystal_reference(lift)
+
+
+def test_crystal_runs_no_efiltered_search(b2, monkeypatch):
+    suite = catalog.b2_suite()
+    mods = [e.module for e in suite.entries + suite.extras]
+    degenerate = ModuleRep(b2, {1: 2, 2: 1}, {1: Mat.from_rows(QQ, [[0, 1], [0, 0]])},
+                           {("arr", 2, 1, 1): Mat.from_rows(QQ, [[0, 1]])})
+    mods += [degenerate, direct_sum(mods[0], mods[2])]
+    want = [crystal_reference(M) for M in mods]
+    assert want == [True] * 8 + [False, True]
+
+    def refuse(M):
+        raise AssertionError("E-filtered search called")
+
+    monkeypatch.setattr(pimod, "_efiltered_search", refuse)
+    assert [is_crystal(M) for M in mods] == want
 
 
 def _conjugate(M, g):

@@ -169,8 +169,14 @@ class TestTableAndCancellation:
         report = starop.check_cancellation([("1/1", E1)], seed=0)
         assert report["ok"] and report["comparisons"] == 0
 
-    def test_cancellation_pair_distinct(self, a2):
+    def test_cancellation_pair_distinct(self, a2, monkeypatch):
         S1, S2 = generalized_simple(a2, 1), generalized_simple(a2, 2)
+        products = []
+        generic = starop.generic_extension
+        monkeypatch.setattr(starop, "generic_extension",
+                            lambda top, sub, **kw: products.append(1) or generic(top, sub, **kw))
         report = starop.check_cancellation([("1", S1), ("2", S2)], seed=0)
         # two sides, two fixed factors, one pair each
         assert report["ok"] and report["comparisons"] == 4
+        # both sides read one table of the four ordered products
+        assert len(products) == 4
