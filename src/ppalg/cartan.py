@@ -74,9 +74,6 @@ class DoubleQuiver:
 class RelationSet:
     relations: tuple
 
-    def by_kind(self, kind):
-        return [r for r in self.relations if r.kind == kind]
-
 
 class CartanDatum:
     """A validated (C, D, Omega) with its derived double quiver and relations.

@@ -28,7 +28,7 @@ class CatalogError(RuntimeError):
     """A catalog entry failed one of its certification gates."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogEntry:
     label: str
     module: ModuleRep
@@ -79,14 +79,15 @@ def _certify(label, M, seed=0):
     return CatalogEntry(label, M, lf, crystal, rigid, True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class B2Suite:
     datum: object
-    entries: list          # the six non-projective indecomposable rigids
-    extras: list           # additional indecomposables appearing in the table
+    entries: tuple         # the six non-projective indecomposable rigids
+    extras: tuple          # additional indecomposables appearing in the table
     expected_table: dict   # (row label, col label) -> sorted tuple of labels
 
 
+@pimod._memoized
 def b2_suite(trials=8, seed=0):
     """The six rank-two catalog modules plus the expected 6x6 product table.
 
@@ -95,7 +96,8 @@ def b2_suite(trials=8, seed=0):
     The expected table transcribes all 36 cells; a split cell expands to
     {row label, col label}.  Two further indecomposables show up inside the
     table ("1/21/12/1" and "2/1/1/2"); they are certified and returned as
-    extras so table results can be named.
+    extras so table results can be named.  Memoized per `pimod.memo_run`,
+    so one `selftest.run_criteria` pass builds each distinct suite once.
     """
     datum = b2_datum()
     E1 = pimod.generalized_simple(datum, 1)
@@ -144,7 +146,7 @@ def b2_suite(trials=8, seed=0):
         labels = [rl, cl] if val == "+" else list(val)
         expected[(rl, cl)] = tuple(sorted(labels))
     assert len(expected) == 36
-    return B2Suite(datum, entries, [big, proj], expected)
+    return B2Suite(datum, tuple(entries), (big, proj), expected)
 
 
 @dataclass

@@ -93,6 +93,16 @@ def _load_module(path, field):
         raise click.UsageError("%s: %s" % (path, exc))
 
 
+def _load_pair(path_a, path_b, field):
+    """Two module files, which must be over the same algebra."""
+    A = _load_module(path_a, field)
+    B = _load_module(path_b, field)
+    if A.datum != B.datum:
+        raise click.UsageError("%s and %s are modules over different algebras"
+                               % (path_a, path_b))
+    return A, B
+
+
 def _fail(message, seed, fmt, out):
     """Report a failed verification and exit 1."""
     _emit({"error": message, "seed": seed}, fmt, out)
@@ -207,7 +217,7 @@ def rank(module, field, fmt, out):
     M = _load_module(module, field)
     ok, ranks = pimod.is_locally_free(M)
     payload = {"locally_free": ok,
-               "rank_vector": [ranks[i] for i in M.datum.vertices] if ok else None,
+               "rank_vector": list(ranks) if ok else None,
                "dims": {str(i): M.dims[i] for i in M.datum.vertices}}
     _emit(payload, fmt, out)
 
@@ -218,8 +228,7 @@ def rank(module, field, fmt, out):
 @_common
 def hom(mod_a, mod_b, field, fmt, out):
     """dim Hom(A, B)."""
-    A = _load_module(mod_a, field)
-    B = _load_module(mod_b, field)
+    A, B = _load_pair(mod_a, mod_b, field)
     payload = {"dim_hom": pimod.hom_dim(A, B), "field": field.name}
     _emit(payload, fmt, out)
 
@@ -230,8 +239,7 @@ def hom(mod_a, mod_b, field, fmt, out):
 @_common
 def ext(mod_a, mod_b, field, fmt, out):
     """dim Ext^1(A, B) for locally free modules."""
-    A = _load_module(mod_a, field)
-    B = _load_module(mod_b, field)
+    A, B = _load_pair(mod_a, mod_b, field)
     try:
         payload = {"dim_ext1": pimod.ext1_dim(A, B), "field": field.name}
     except pimod.NotLocallyFree as exc:
@@ -322,8 +330,7 @@ def rigid(module, field, fmt, out):
 @_randomized
 def iso(mod_a, mod_b, seed, trials, field, fmt, out):
     """Randomized isomorphism test (certified answers; may be inconclusive)."""
-    A = _load_module(mod_a, field)
-    B = _load_module(mod_b, field)
+    A, B = _load_pair(mod_a, mod_b, field)
     try:
         verdict = "isomorphic" if pimod.iso_test(A, B, trials=trials, seed=seed) \
             else "not-isomorphic"
@@ -381,8 +388,7 @@ def _star_payload(res):
 @_randomized
 def star(mod_a, mod_b, seed, trials, field, fmt, out):
     """The generic extension A * B (A on top, B as sub)."""
-    A = _load_module(mod_a, field)
-    B = _load_module(mod_b, field)
+    A, B = _load_pair(mod_a, mod_b, field)
     for name, M in (("A", A), ("B", B)):
         if pimod.check_relations(M):
             raise click.UsageError("%s violates the defining relations" % name)
@@ -399,8 +405,7 @@ def star(mod_a, mod_b, seed, trials, field, fmt, out):
 @_randomized
 def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
     """The generic cokernel M / B (B embedded generically into M)."""
-    M = _load_module(mod_m, field)
-    B = _load_module(mod_b, field)
+    M, B = _load_pair(mod_m, mod_b, field)
     try:
         Q = starop.generic_cokernel(M, B, trials=trials, seed=seed)
     except (DivisionUndefined, ValueError) as exc:
@@ -415,8 +420,7 @@ def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
 @_randomized
 def divide_left(mod_a, mod_m, seed, trials, field, fmt, out):
     """The generic kernel A \\ M (M mapped generically onto A)."""
-    A = _load_module(mod_a, field)
-    M = _load_module(mod_m, field)
+    A, M = _load_pair(mod_a, mod_m, field)
     try:
         K = starop.generic_kernel(A, M, trials=trials, seed=seed)
     except (DivisionUndefined, ValueError) as exc:
@@ -518,8 +522,7 @@ def lift(module, ncopies, field, fmt, out):
 @_randomized
 def check_symmetrizer(mod_a, mod_b, ncopies, seed, trials, field, fmt, out):
     """Compare reduce(lift(A) * lift(B)) against A * B up to isomorphism."""
-    A = _load_module(mod_a, field)
-    B = _load_module(mod_b, field)
+    A, B = _load_pair(mod_a, mod_b, field)
     try:
         pair = symred.sym_pair(A.datum, ncopies)
         report = symred.verify_symmetrizer_compat(pair, A, B, trials=trials, seed=seed)

@@ -25,17 +25,18 @@ The backtracking search lives on in `is_E_filtered` alone.
 of a random endomorphism, drawn from End(M) and then from the annihilator
 ideals Ann(e_k), and recurse (see `decompose`).
 
-The small, immutable answers -- ext1_dim, hom_dim, is_locally_free,
-is_E_filtered, is_crystal and iso_fingerprint -- are memoized for one run,
-keyed by the full content of the modules (datum, field, dims and every
-nonzero entry, compared exactly).  A run is a `memo_run()` block: each
-`selftest.run_criteria` pass and each CLI command is one, and a memoized
-function called outside any run opens one for its outermost call.  Every
-run starts empty and ends with its block, so results never depend on what
-an earlier run computed.  Nothing is kept on the module objects: code that
-asks about the same modules in a loop outside a run (match_label over a
-pool, repeated iso_test) recomputes each answer unless it wraps the loop in
-`memo_run()`.
+The per-run memo `_memoized` shares all of a run's work: ext1_dim, hom_dim,
+is_locally_free, is_E_filtered, is_crystal, iso_fingerprint and
+`catalog.b2_suite`.  It keys the arguments bound to the signature, defaults
+applied: a module by its full content (datum, field, dims and every nonzero
+entry, compared exactly), anything else by value.  Results are immutable (a
+rank vector or a witness is a tuple) and handed out uncopied.  A run is a
+`memo_run()` block: each `selftest.run_criteria` pass and each CLI command
+is one, and a memoized function called outside any run opens one for its
+outermost call.  Every run starts empty, so results never depend on an
+earlier run.  Nothing is kept on the module objects: a loop over the same
+modules outside a run (match_label over a pool, repeated iso_test)
+recomputes each answer unless it is wrapped in `memo_run()`.
 
 All randomized verdicts are reproducible from their seed, and "don't know"
 is a first-class outcome (IsoInconclusive, DecomposeUndecided) -- never a
@@ -44,8 +45,8 @@ silent wrong answer.
 
 from __future__ import annotations
 
-import copy
 import functools
+import inspect
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -168,7 +169,10 @@ class _Content:
 
 
 def _content_key(M):
-    """Datum, field, dims and the nonzeros of every loop and arrow matrix."""
+    """The memo key of an argument: a module's datum, field, dims and the
+    nonzeros of every loop and arrow matrix; anything else is its own key."""
+    if not isinstance(M, ModuleRep):
+        return M
     key = M._cache.get("content")
     if key is None:
         def nonzeros(A):
@@ -181,28 +185,27 @@ def _content_key(M):
     return key
 
 
-def _memoized(fresh=None):
-    """Memoize a function of modules for the open run; with no run open, the
-    outermost call opens one, so its recursion shares it.  `fresh` turns a
-    stored result into the one handed out, so no caller can alter it."""
-    def wrap(fn):
-        @functools.wraps(fn)
-        def memo(*mods):
-            if _memo is None:
-                with memo_run():
-                    return memo(*mods)
-            key = (fn.__name__,) + tuple(map(_content_key, mods))
-            if key not in _memo:
-                _memo[key] = fn(*mods)
-            out = _memo[key]
-            return fresh(out) if fresh else out
-        return memo
-    return wrap
+def _memoized(fn):
+    """Memoize fn for the open run; with no run open, the outermost call
+    opens one, so its recursion shares it.  fn must return immutable values:
+    they are handed out as stored.  See the module docstring for the key."""
+    name, sig = fn.__name__, inspect.signature(fn)
+    arity = len(sig.parameters)
 
-
-def _fresh_pair(result):
-    flag, extra = result
-    return flag, copy.copy(extra)
+    @functools.wraps(fn)
+    def memo(*args, **kwargs):
+        if _memo is None:
+            with memo_run():
+                return memo(*args, **kwargs)
+        if kwargs or len(args) < arity:   # module functions are called positionally
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        key = (name,) + tuple(map(_content_key, args))
+        if key not in _memo:
+            _memo[key] = fn(*args)
+        return _memo[key]
+    return memo
 
 
 def check_relations(M):
@@ -218,14 +221,15 @@ def check_relations(M):
     return bad
 
 
-@_memoized(fresh=_fresh_pair)
+@_memoized
 def is_locally_free(M):
-    """(True, rank vector dict) iff each vertex space is free over K[x]/(x^c_i).
+    """(True, rank vector) iff each vertex space is free over K[x]/(x^c_i),
+    else (False, None); the rank vector is a tuple in vertex order.
 
     Freeness is decided from ranks of powers of the loop: all Jordan blocks
     of eps_i must have size exactly c_i.
     """
-    ranks = {}
+    ranks = []
     for i in M.datum.vertices:
         c = M.datum.ci(i)
         d = M.dims[i]
@@ -237,15 +241,15 @@ def is_locally_free(M):
             return False, None
         if linalg.rank(P) != d // c:
             return False, None
-        ranks[i] = d // c
-    return True, ranks
+        ranks.append(d // c)
+    return True, tuple(ranks)
 
 
 def rank_vector(M):
     ok, ranks = is_locally_free(M)
     if not ok:
         raise NotLocallyFree("module is not locally free")
-    return tuple(ranks[i] for i in M.datum.vertices)
+    return ranks
 
 
 def direct_sum(M, N):
@@ -384,7 +388,7 @@ def hom_basis(M, N):
     return _kernel_basis(*_hom_system(M, N, M.datum.arrow_keys()))
 
 
-@_memoized()
+@_memoized
 def hom_dim(M, N):
     return _nullity(_hom_system(M, N, M.datum.arrow_keys())[0])
 
@@ -406,7 +410,7 @@ def derivation_basis(M, N):
     return _kernel_basis(*_der_system(M, N))
 
 
-@_memoized()
+@_memoized
 def ext1_dim(M, N):
     """dim Ext^1(M, N) for locally free M, N.
 
@@ -636,9 +640,10 @@ def _minimal_symmetric(datum):
     return all(datum.ci(i) == 1 for i in datum.vertices)
 
 
-@_memoized(fresh=_fresh_pair)
+@_memoized
 def is_E_filtered(M):
-    """(flag, witness) where the witness lists the peeled vertices bottom-up.
+    """(flag, witness) where the witness is the tuple of peeled vertices,
+    bottom-up (None when the flag is False).
 
     Decides whether M admits a filtration with subquotients among the E_i
     by backtracking: pick a vertex i and a free rank-one loop-submodule of
@@ -661,7 +666,7 @@ def is_E_filtered(M):
 
 def _efiltered_search(M):
     if M.dim_total() == 0:
-        return True, []
+        return True, ()
     for i in M.datum.vertices:
         c = M.datum.ci(i)
         for v in _rank_one_candidates(M, i):
@@ -671,11 +676,11 @@ def _efiltered_search(M):
             Q, _ = quotient(M, {i: linalg.hstack(cols)})
             ok, wit = _efiltered_search(Q)
             if ok:
-                return True, [i] + wit
+                return True, (i,) + wit
     return False, None
 
 
-@_memoized()
+@_memoized
 def is_crystal(M):
     """Recursive test: E-filtered, with locally free sub_i / fac_i and
     crystal Q_i / K_i at every vertex (proper pieces only, which makes the
@@ -728,7 +733,7 @@ def is_rigid(M):
 COEFF_BOUND = 10  # random coefficients are integers in [-10, 10]
 
 
-def random_combination(basis, rng, field=QQ):
+def random_combination(basis, rng):
     """A random integer combination of hom/der basis elements (dict-shaped)."""
     if not basis:
         return {}
@@ -752,7 +757,7 @@ def hom_is_surjective(f, N):
     return all(linalg.rank(f[i]) == N.dims[i] for i in N.datum.vertices)
 
 
-@_memoized()
+@_memoized
 def iso_fingerprint(M):
     """A cheap isomorphism invariant: dimensions, End, and Hom against all E_i."""
     simples = [generalized_simple(M.datum, i, M.field) for i in M.datum.vertices]
@@ -782,7 +787,7 @@ def iso_test(M, N, trials=8, seed=0):
         return False
     rng = random.Random(seed)
     for _ in range(trials):
-        f = random_combination(hb, rng, M.field)
+        f = random_combination(hb, rng)
         if f and all(linalg.is_invertible(f[i]) for i in M.datum.vertices):
             return True
     raise IsoInconclusive("no invertible intertwiner found in %d trials" % trials)
@@ -911,7 +916,7 @@ def _decompose(M, rng):
         return [M]
     for basis in _endomorphism_sources(M, endb):
         for _ in range(DECOMPOSE_RETRIES):
-            f = random_combination(basis, rng, M.field)
+            f = random_combination(basis, rng)
             if not f:   # Ann(e_k) = 0
                 break
             blocks = _split_spaces(M, f)

@@ -9,6 +9,7 @@ ten re-runs the first nine and compares the serialized payloads).
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 
@@ -29,7 +30,7 @@ def random_tower(datum, total_rank, rng, field=QQ):
     for _ in range(total_rank - 1):
         E = pimod.generalized_simple(datum, rng.choice(datum.vertices), field)
         top, sub = (M, E) if rng.random() < 0.5 else (E, M)
-        delta = pimod.random_combination(pimod.derivation_basis(top, sub), rng, field)
+        delta = pimod.random_combination(pimod.derivation_basis(top, sub), rng)
         M, _, _ = starop.extension_module(ExtensionClass(top, sub, delta))
     return M
 
@@ -43,9 +44,9 @@ C5_MAX_ATTEMPTS = 400   # random extensions drawn at most
 C9_COUNT = 20           # random data checked for each formula
 
 
-def criterion_b2_table(seed=0, trials=8, suite=None):
+def criterion_b2_table(seed=0, trials=8):
     """All 36 product-table cells match the expected decompositions."""
-    suite = suite or catalog.b2_suite(trials=trials, seed=seed)
+    suite = catalog.b2_suite(trials=trials, seed=seed)
     entries = [(e.label, e.module) for e in suite.entries]
     extras = [(e.label, e.module) for e in suite.extras]
     cells = starop.star_table(entries, extra_pool=extras, trials=trials, seed=seed)
@@ -151,11 +152,11 @@ def criterion_ext_theorems(seed=0):
     }
 
 
-def criterion_efiltered_closure(seed=0, suite=None):
+def criterion_efiltered_closure(seed=0):
     """Cokernels of injections / kernels of surjections between crystal
-    modules stay E-filtered; `suite` is built with the default trials."""
+    modules stay E-filtered, over the suite built with the default trials."""
     datum = catalog.b2_datum()
-    suite = suite or catalog.b2_suite(seed=seed)
+    suite = catalog.b2_suite(seed=seed)
     pool = [e.module for e in suite.entries]
     rng = _seeded(seed, 5)
     inj_done = surj_done = 0
@@ -198,10 +199,10 @@ def criterion_efiltered_closure(seed=0, suite=None):
     }
 
 
-def criterion_cancellation(seed=0, trials=8, suite=None):
+def criterion_cancellation(seed=0, trials=8):
     """Left/right star maps with a fixed rigid factor are injective on the
     six catalog modules."""
-    suite = suite or catalog.b2_suite(trials=trials, seed=seed)
+    suite = catalog.b2_suite(trials=trials, seed=seed)
     entries = [(e.label, e.module) for e in suite.entries]
     try:
         report = starop.check_cancellation(entries, trials=trials, seed=seed)
@@ -214,9 +215,9 @@ def criterion_cancellation(seed=0, trials=8, suite=None):
     }
 
 
-def criterion_divisions(seed=0, trials=8, suite=None):
+def criterion_divisions(seed=0, trials=8):
     """(M1 * M2) / M2 = M1 and M1 \\ (M1 * M2) = M2 on all catalog pairs."""
-    suite = suite or catalog.b2_suite(trials=trials, seed=seed)
+    suite = catalog.b2_suite(trials=trials, seed=seed)
     failures = []
     pairs = 0
     for l1, M1 in [(e.label, e.module) for e in suite.entries]:
@@ -359,28 +360,12 @@ def run_criteria(seed=0, trials=8):
     """Criteria one through nine, with per-criterion derived seeds.
 
     Each pass is one run of `pimod.memo_run`: it starts from an empty memo,
-    so the two passes of `run_selftest` are independent computations.  Each
-    distinct `catalog.b2_suite` of a pass is built once and shared by c1,
+    so the two passes of `run_selftest` are independent computations.  The
+    memo also builds each distinct `catalog.b2_suite` once per pass for c1,
     c5, c6 and c7 (c5 always takes the suite of the default trials=8)."""
-    out = []
-    suites = {}   # trials -> the pass's catalog.b2_suite
-
-    def b2_suite(t):
-        if t not in suites:
-            suites[t] = catalog.b2_suite(trials=t, seed=seed)
-        return suites[t]
-
     with pimod.memo_run():
-        for fn in _CRITERIA:
-            if fn in (criterion_ext_theorems, criterion_dim_formulas):
-                out.append(fn(seed=seed))
-            elif fn is criterion_efiltered_closure:
-                out.append(fn(seed=seed, suite=b2_suite(8)))
-            elif fn in (criterion_b2_table, criterion_cancellation, criterion_divisions):
-                out.append(fn(seed=seed, trials=trials, suite=b2_suite(trials)))
-            else:
-                out.append(fn(seed=seed, trials=trials))
-    return out
+        return [fn(seed=seed, trials=trials) if "trials" in inspect.signature(fn).parameters
+                else fn(seed=seed) for fn in _CRITERIA]
 
 
 def run_selftest(seed=0, trials=8):

@@ -117,7 +117,7 @@ def generic_extension(top, sub, trials=8, seed=0):
     rng = random.Random(seed)
     best = None
     for _ in range(max(1, trials)):
-        delta = pimod.random_combination(derb, rng, top.field)
+        delta = pimod.random_combination(derb, rng)
         mid, inject, project = extension_module(ExtensionClass(top, sub, delta))
         ext_self = pimod.ext1_dim(mid, mid)
         if best is None or ext_self < best[0]:
@@ -149,8 +149,9 @@ def generic_cokernel(mid, sub, trials=8, seed=0):
     """The generic cokernel of embeddings of `sub` into `mid`.
 
     Samples hom space elements, keeps the injective ones, and returns the
-    cokernel minimizing dim Ext^1 with itself.  The result is checked to be
-    E-filtered (cokernels of monomorphisms between crystal modules are).
+    first cokernel minimizing dim Ext^1 with itself (a rigid one ends the
+    search).  The result is checked to be E-filtered (cokernels of
+    monomorphisms between crystal modules are).
     """
     rkM = pimod.rank_vector(mid)
     rkS = pimod.rank_vector(sub)
@@ -160,7 +161,7 @@ def generic_cokernel(mid, sub, trials=8, seed=0):
     rng = random.Random(seed)
     best = None
     for _ in range(max(1, trials)):
-        f = pimod.random_combination(hb, rng, mid.field)
+        f = pimod.random_combination(hb, rng)
         if not f or not pimod.hom_is_injective(f, sub):
             continue
         spaces = {i: f[i] for i in mid.datum.vertices}  # injective => independent columns
@@ -168,6 +169,8 @@ def generic_cokernel(mid, sub, trials=8, seed=0):
         ext_self = pimod.ext1_dim(coker, coker)
         if best is None or ext_self < best[0]:
             best = (ext_self, coker)
+        if ext_self == 0:
+            break
     if best is None:
         raise DivisionUndefined("division undefined (no generic embedding found)")
     coker = best[1]
@@ -185,7 +188,7 @@ def generic_kernel(top, mid, trials=8, seed=0):
     rng = random.Random(seed)
     best = None
     for _ in range(max(1, trials)):
-        f = pimod.random_combination(hb, rng, mid.field)
+        f = pimod.random_combination(hb, rng)
         if not f or not pimod.hom_is_surjective(f, top):
             continue
         spaces = {i: linalg.nullspace(f[i]) for i in mid.datum.vertices}
@@ -193,6 +196,8 @@ def generic_kernel(top, mid, trials=8, seed=0):
         ext_self = pimod.ext1_dim(ker, ker)
         if best is None or ext_self < best[0]:
             best = (ext_self, ker)
+        if ext_self == 0:
+            break
     if best is None:
         raise DivisionUndefined("division undefined (no generic surjection found)")
     ker = best[1]

@@ -104,30 +104,30 @@ def test_c10_selftest_determinism():
 
 def test_run_criteria_builds_each_b2_suite_once(monkeypatch):
     """c1, c6 and c7 share the pass's suite; c5 takes the one built with the
-    default trials, which is the same suite when trials is 8."""
-    built, given = [], {}
+    default trials, which is the same suite when trials is 8.  A build is
+    counted where it certifies its first entry."""
+    built, given = [], []
+    certify, memoized = catalog._certify, catalog.b2_suite
 
-    def b2_suite(trials=8, seed=0):
-        built.append((trials, seed))
-        return ("suite", trials, seed)
+    def counted(label, M, seed=0):
+        if label == "1/1":
+            built.append(seed)
+        return certify(label, M, seed=seed)
 
-    def recorder(name):
-        def criterion(seed=0, trials=8, suite=None):
-            given[name] = suite
-            return {"id": name}
-        return criterion
+    def recorded(*args, **kwargs):   # outside the memo, as a tracer wraps it
+        given.append(memoized(*args, **kwargs))
+        return given[-1]
 
     names = ("criterion_b2_table", "criterion_efiltered_closure",
              "criterion_cancellation", "criterion_divisions")
-    monkeypatch.setattr(catalog, "b2_suite", b2_suite)
-    for name in names:
-        monkeypatch.setattr(selftest, name, recorder(name))
+    monkeypatch.setattr(catalog, "_certify", counted)
+    monkeypatch.setattr(catalog, "b2_suite", recorded)
     monkeypatch.setattr(selftest, "_CRITERIA", tuple(getattr(selftest, n) for n in names))
-    for trials, want in ((8, [(8, 3)]), (4, [(4, 3), (8, 3)])):
+    for trials, builds in ((8, 1), (4, 2)):
         built.clear()
-        selftest.run_criteria(seed=3, trials=trials)
-        assert built == want
-        shared = {given[n] for n in ("criterion_b2_table", "criterion_cancellation",
-                                     "criterion_divisions")}
-        assert shared == {("suite", trials, 3)}
-        assert given["criterion_efiltered_closure"] == ("suite", 8, 3)
+        given.clear()
+        reports = selftest.run_criteria(seed=3, trials=trials)
+        assert all(r["passed"] for r in reports)
+        assert built == [3] * builds
+        c1, c5, c6, c7 = given
+        assert c1 is c6 is c7 and (c5 is c1) == (trials == 8)

@@ -56,6 +56,27 @@ class TestB2Suite:
         assert suite.expected_table[("1/1", "1/1")] == ("1/1", "1/1")
         assert suite.expected_table[("1/1", "2")] == ("1/1/2",)
 
+    def test_spellings_share_one_build(self, monkeypatch):
+        """The memo binds the arguments to the signature, defaults applied,
+        so these three calls are one entry; other trials are another.  A
+        build is counted where it certifies its first entry."""
+        built = []
+        certify = catalog._certify
+
+        def counted(label, M, seed=0):
+            if label == "1/1":
+                built.append(seed)
+            return certify(label, M, seed=seed)
+
+        monkeypatch.setattr(catalog, "_certify", counted)
+        with pimod.memo_run():
+            same = [b2_suite(seed=2), b2_suite(8, 2), b2_suite(trials=8, seed=2)]
+            assert built == [2]
+            assert same[0] is same[1] is same[2]
+            assert b2_suite(4, seed=2) is not same[0]
+            assert built == [2, 2]
+        assert isinstance(same[0].entries, tuple) and isinstance(same[0].extras, tuple)
+
 
 class TestA2Suite:
     def test_expected_products(self):

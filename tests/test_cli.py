@@ -199,6 +199,16 @@ class TestModuleCommands:
         out = run_json(runner, ["check", files["dims_string.json"]])
         assert out["dims"] == {"1": 0, "2": 1}
 
+    @pytest.mark.parametrize("command", [["hom"], ["ext"], ["iso"], ["star"],
+                                         ["check-symmetrizer", "--n", "2"],
+                                         ["divide-right"], ["divide-left"]])
+    def test_modules_over_different_algebras_exit_2(self, runner, files, command):
+        a, b = files["s1.json"], files["e1.json"]   # over a2 and over b2
+        result = runner.invoke(main, command + [a, b])
+        assert result.exit_code == 2, result.output
+        assert "s1.json" in result.output and "e1.json" in result.output
+        assert "different algebras" in result.output
+
     def test_forms(self, runner, files):
         out = run_json(runner, ["forms", files["a5.json"], "1,2,2,2,1", "1,2,2,2,1"])
         assert out["alpha"] == 14 and out["beta"] == 12

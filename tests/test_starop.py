@@ -123,6 +123,25 @@ class TestDivisions:
         M3 = star(E1, E2, seed=0)
         assert iso_test(generic_kernel(E1, M3, seed=0), E2)
 
+    def test_divisions_stop_at_first_rigid_candidate(self, b2, monkeypatch):
+        """No later draw can beat Ext^1 = 0 (ties keep the first), so one
+        rigid candidate ends each search."""
+        E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
+        M3 = star(E1, E2, seed=0)
+        calls = []
+        ext1_dim = pimod.ext1_dim
+
+        def counted(M, N):
+            calls.append((M, N))
+            return ext1_dim(M, N)
+
+        monkeypatch.setattr(pimod, "ext1_dim", counted)
+        for divide in (lambda: generic_cokernel(M3, E2, seed=0),
+                       lambda: generic_kernel(E1, M3, seed=0)):
+            calls.clear()
+            divide()
+            assert len(calls) == 1
+
     def test_kernel_of_projection(self, b2):
         # Hom(E2, E1) = 0, so the generic surjection onto E1 has kernel E2
         E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
