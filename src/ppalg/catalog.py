@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import pimod, starop
 from .cartan import validate_datum
@@ -84,7 +85,7 @@ class B2Suite:
     datum: object
     entries: tuple         # the six non-projective indecomposable rigids
     extras: tuple          # additional indecomposables appearing in the table
-    expected_table: dict   # (row label, col label) -> sorted tuple of labels
+    expected_table: MappingProxyType   # read-only: (row label, col label) -> sorted label tuple
 
 
 @pimod._memoized
@@ -97,7 +98,9 @@ def b2_suite(trials=8, seed=0):
     {row label, col label}.  Two further indecomposables show up inside the
     table ("1/21/12/1" and "2/1/1/2"); they are certified and returned as
     extras so table results can be named.  Memoized per `pimod.memo_run`,
-    so one `selftest.run_criteria` pass builds each distinct suite once.
+    so one `selftest.run_criteria` pass builds each distinct suite once and
+    every caller in the run gets the same object: its table is read-only,
+    and its modules must not be changed.
     """
     datum = b2_datum()
     E1 = pimod.generalized_simple(datum, 1)
@@ -146,7 +149,7 @@ def b2_suite(trials=8, seed=0):
         labels = [rl, cl] if val == "+" else list(val)
         expected[(rl, cl)] = tuple(sorted(labels))
     assert len(expected) == 36
-    return B2Suite(datum, tuple(entries), (big, proj), expected)
+    return B2Suite(datum, tuple(entries), (big, proj), MappingProxyType(expected))
 
 
 @dataclass

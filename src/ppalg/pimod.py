@@ -27,10 +27,11 @@ ideals Ann(e_k), and recurse (see `decompose`).
 
 The per-run memo `_memoized` shares all of a run's work: ext1_dim, hom_dim,
 is_locally_free, is_E_filtered, is_crystal, iso_fingerprint and
-`catalog.b2_suite`.  It keys the arguments bound to the signature, defaults
-applied: a module by its full content (datum, field, dims and every nonzero
-entry, compared exactly), anything else by value.  Results are immutable (a
-rank vector or a witness is a tuple) and handed out uncopied.  A run is a
+`catalog.b2_suite`.  It keys the arguments as they are spelled: a positional
+module by its full content (datum, field, dims and every nonzero entry,
+compared exactly), any other argument and every keyword by value.  Results
+are immutable (a rank vector or a witness is a tuple, a suite's table a
+read-only mapping) and handed out uncopied.  A run is a
 `memo_run()` block: each `selftest.run_criteria` pass and each CLI command
 is one, and a memoized function called outside any run opens one for its
 outermost call.  Every run starts empty, so results never depend on an
@@ -46,7 +47,6 @@ silent wrong answer.
 from __future__ import annotations
 
 import functools
-import inspect
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -189,21 +189,16 @@ def _memoized(fn):
     """Memoize fn for the open run; with no run open, the outermost call
     opens one, so its recursion shares it.  fn must return immutable values:
     they are handed out as stored.  See the module docstring for the key."""
-    name, sig = fn.__name__, inspect.signature(fn)
-    arity = len(sig.parameters)
+    name = fn.__name__
 
     @functools.wraps(fn)
     def memo(*args, **kwargs):
         if _memo is None:
             with memo_run():
                 return memo(*args, **kwargs)
-        if kwargs or len(args) < arity:   # module functions are called positionally
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
-        key = (name,) + tuple(map(_content_key, args))
+        key = (name, tuple(sorted(kwargs.items())), *map(_content_key, args))
         if key not in _memo:
-            _memo[key] = fn(*args)
+            _memo[key] = fn(*args, **kwargs)
         return _memo[key]
     return memo
 

@@ -56,10 +56,10 @@ class TestB2Suite:
         assert suite.expected_table[("1/1", "1/1")] == ("1/1", "1/1")
         assert suite.expected_table[("1/1", "2")] == ("1/1/2",)
 
-    def test_spellings_share_one_build(self, monkeypatch):
-        """The memo binds the arguments to the signature, defaults applied,
-        so these three calls are one entry; other trials are another.  A
-        build is counted where it certifies its first entry."""
+    def test_one_build_per_suite_per_run(self, monkeypatch):
+        """Inside one run, the spelling the criteria use builds once; other
+        trials build another suite.  A build is counted where it certifies
+        its first entry.  The shared suite cannot be altered."""
         built = []
         certify = catalog._certify
 
@@ -70,12 +70,14 @@ class TestB2Suite:
 
         monkeypatch.setattr(catalog, "_certify", counted)
         with pimod.memo_run():
-            same = [b2_suite(seed=2), b2_suite(8, 2), b2_suite(trials=8, seed=2)]
+            suite = b2_suite(trials=8, seed=2)
+            assert b2_suite(trials=8, seed=2) is suite
             assert built == [2]
-            assert same[0] is same[1] is same[2]
-            assert b2_suite(4, seed=2) is not same[0]
+            assert b2_suite(trials=4, seed=2) is not suite
             assert built == [2, 2]
-        assert isinstance(same[0].entries, tuple) and isinstance(same[0].extras, tuple)
+        assert isinstance(suite.entries, tuple) and isinstance(suite.extras, tuple)
+        with pytest.raises(TypeError):
+            suite.expected_table[("1/1", "2")] = ()
 
 
 class TestA2Suite:
