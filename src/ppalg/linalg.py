@@ -17,8 +17,6 @@ from itertools import compress, repeat
 from math import gcd, lcm
 from operator import is_not
 
-import sympy
-
 
 class FieldQ:
     """The field of rational numbers (arbitrary precision)."""
@@ -133,7 +131,7 @@ class FieldFp:
     char = None
 
     def __init__(self, p):
-        if not sympy.isprime(p):
+        if not _is_prime(p):
             raise ValueError("modulus %d is not prime" % p)
         self.p = p
         self.char = p
@@ -159,6 +157,41 @@ class FieldFp:
 
     def __repr__(self):
         return "GF(%d)" % self.p
+
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017); the bound itself is a strong
+# pseudoprime to all 13 bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Whether the integer n is prime: a deterministic Miller-Rabin test
+    below `_MR_BOUND`, sympy's `isprime` at or above it."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_BOUND:
+        import sympy
+        return bool(sympy.isprime(n))
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 QQ = FieldQ()
@@ -515,60 +548,86 @@ def complete_basis(B):
 
 # -- characteristic polynomials and coprime factor splitting ----------------
 #
-# Factoring over Q is delegated to sympy; everything else stays on Fraction.
-
-def _to_sympy(A):
-    if A.field is not QQ:
-        raise ValueError("polynomial factorization requires the rational field")
-    return sympy.Matrix(A.rows, A.cols,
-                        lambda i, j: sympy.Rational(A.data[i][j].numerator,
-                                                    A.data[i][j].denominator))
-
-
-_X = sympy.Symbol("x")
-
+# Polynomials are coefficient lists, highest degree first.  Characteristic
+# polynomials are computed exactly here; only the factoring over Q needs
+# sympy, which is imported on the first call of `coprime_factors`.
 
 def charpoly(A):
-    """Characteristic polynomial of a square matrix as a sympy Poly in x."""
+    """The characteristic polynomial det(xI - A) of a square matrix over Q,
+    as its monic coefficient list of Fractions, highest degree first.
+
+    Berkowitz's division-free recurrence on the integer matrix D*A, where D
+    is the common denominator of A's entries: coefficient k of det(xI - DA)
+    is D^k times coefficient k of det(xI - A).
+    """
+    if A.field is not QQ:
+        raise ValueError("polynomial factorization requires the rational field")
     assert A.rows == A.cols
-    if A.rows == 0:
-        return sympy.Poly(1, _X, domain="QQ")
-    return sympy.Poly(_to_sympy(A).charpoly(_X).as_expr(), _X, domain="QQ")
+    n = A.rows
+    D = lcm(*[x.denominator for row in A.data for x in row]) if n else 1
+    B = [[x.numerator * (D // x.denominator) for x in row] for row in A.data]
+    # Berkowitz: with B[k:, k:] = [[a, R], [C, B1]], the polynomial of
+    # B[k:, k:] is the lower triangular Toeplitz matrix with first column
+    # t = [1, -a, -RC, -R B1 C, -R B1^2 C, ...] times that of B1.
+    poly = [1]
+    for k in range(n - 1, -1, -1):
+        R, C = B[k][k + 1:], [row[k] for row in B[k + 1:]]
+        sub = [row[k + 1:] for row in B[k + 1:]]
+        t = [1, -B[k][k]]
+        for _ in range(n - k - 1):
+            t.append(-sum(r * c for r, c in zip(R, C)))
+            C = [sum(s * c for s, c in zip(row, C)) for row in sub]
+        poly = [sum(t[i - j] * poly[j] for j in range(min(i + 1, len(poly))))
+                for i in range(len(t))]
+    return [Fraction(c, D ** k) for k, c in enumerate(poly)]
 
 
 def charpoly_product(mats):
-    """The product of the characteristic polynomials of several matrices."""
-    poly = sympy.Poly(1, _X, domain="QQ")
+    """The product of the characteristic polynomials of several matrices,
+    as a coefficient list (the convolution of their coefficient lists)."""
+    out = [Fraction(1)]
     for A in mats:
-        poly = poly * charpoly(A)
-    return poly
+        p = charpoly(A)
+        prod = [Fraction(0)] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            if a:
+                for j, b in enumerate(p):
+                    prod[i + j] += a * b
+        out = prod
+    return out
 
 
-def coprime_factors(poly):
-    """[(coeffs, multiplicity)] over the distinct irreducible factors of poly.
+def coprime_factors(coeffs):
+    """[(coeffs, multiplicity)] over the distinct irreducible factors over Q
+    of the polynomial with coefficient list `coeffs`.
 
-    Coefficient lists are monic, highest degree first, as Fractions.
+    Coefficient lists are monic, highest degree first, as Fractions.  The
+    factors come in the order of sympy's `factor_list`.
     """
+    import sympy  # the only sympy use of the program: factoring over Q
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], x,
+                      domain="QQ")
     _, factors = sympy.factor_list(poly)
     out = []
     for p, m in factors:
-        p = sympy.Poly(p, _X, domain="QQ")
-        lead = p.LC()
-        coeffs = [Fraction(sympy.Rational(c / lead).p, sympy.Rational(c / lead).q)
-                  for c in p.all_coeffs()]
-        if len(coeffs) == 1:
+        p = sympy.Poly(p, x, domain="QQ").monic()
+        if p.degree() < 1:
             continue  # constant factor
-        out.append((coeffs, int(m)))
+        out.append(([Fraction(int(c.p), int(c.q)) for c in p.all_coeffs()], int(m)))
     return out
 
 
 def eval_poly(coeffs, A):
-    """Evaluate a polynomial (highest degree first) at a square matrix."""
+    """Evaluate a polynomial (highest degree first) at a square matrix, by
+    Horner's rule: each coefficient is added on the diagonal."""
     out = Mat.zeros(A.field, A.rows, A.rows)
     for c in coeffs:
         out = out * A
         if c:
-            out = out + Mat.identity(A.field, A.rows).scale(c)
+            c = A.field.coerce(c)
+            for i, row in enumerate(out.data):
+                row[i] = row[i] + c
     return out
 
 

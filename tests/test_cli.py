@@ -141,6 +141,10 @@ class TestModuleCommands:
                                           "--field", flag])
             assert result.exit_code == 2, flag
             assert "--field" in result.output
+        result = runner.invoke(main, ["hom", files["e1.json"], files["e1.json"],
+                                      "--field", "fp:561"])
+        assert result.exit_code == 2
+        assert "modulus 561 is not prime" in result.output
 
     def test_field_only_on_commands_that_read_it(self, runner, files):
         # these commands load no module file, so a field would go unused

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -177,9 +180,47 @@ class TestPrimeField:
             assert linalg.rank(Mat.from_rows(QQ, rows)) == linalg.rank(Mat.from_rows(F, rows))
 
     def test_not_prime(self):
-        for p in (32004, 1022117):  # 1022117 = 1009 * 1013
-            with pytest.raises(ValueError):
+        for p in (32004, 1022117, 0, 1, -7, 561):  # 1022117 = 1009 * 1013
+            with pytest.raises(ValueError, match="modulus %d is not prime" % p):
                 GF(p)
+
+
+# -- the deterministic Miller-Rabin test behind GF(p) --------------------------
+
+MR_BOUND = 3317044064679887385961981  # a strong pseudoprime to bases 2 ... 41
+
+
+class TestIsPrime:
+    def test_matches_sympy_below_20000(self):
+        assert [n for n in range(-3, 20000) if linalg._is_prime(n)] == \
+            [n for n in range(-3, 20000) if sympy.isprime(n)]
+
+    def test_pseudoprimes_are_composite(self):
+        # Carmichael numbers, then the least strong pseudoprimes to the bases
+        # 2, 3, 5, 7 and to the first 11 primes
+        for n in (561, 1105, 1729, 41041, 3215031751, 3825123056546413051):
+            assert not linalg._is_prime(n), n
+
+    def test_mersenne_primes(self):
+        assert linalg._is_prime(2 ** 61 - 1) and linalg._is_prime(2 ** 89 - 1)
+        assert not linalg._is_prime(2 ** 67 - 1)  # 193707721 * 761838257287
+
+    def test_sympy_only_at_or_above_the_bound(self, monkeypatch):
+        """Below the bound the bases decide; from it on sympy does, which
+        rejects the bound itself though all 13 bases pass it."""
+        asked = []
+
+        class Stub:
+            @staticmethod
+            def isprime(n):
+                asked.append(n)
+                return sympy.isprime(n)
+
+        monkeypatch.setitem(sys.modules, "sympy", Stub)
+        assert linalg._is_prime(2 ** 61 - 1) and not linalg._is_prime(MR_BOUND - 2)
+        assert asked == []
+        assert linalg._is_prime(2 ** 89 - 1) and not linalg._is_prime(MR_BOUND)
+        assert asked == [2 ** 89 - 1, MR_BOUND]
 
 
 # -- the elimination kernel against sympy's DomainMatrix.rref ------------------
@@ -338,3 +379,147 @@ def test_complete_basis_projection(field, n, k, rng):
     extra, L, P = linalg.complete_basis(B)
     assert len(extra) == len(set(extra)) == n - k and set(extra) <= set(range(n))
     assert_split_inverse(B, completion(field, n, extra), L, P)
+
+
+# -- characteristic polynomials against sympy's Matrix.charpoly --------------
+
+X = sympy.Symbol("x")
+
+
+def to_sympy(A):
+    return sympy.Matrix(A.rows, A.cols, lambda i, j: sympy.Rational(
+        A.data[i][j].numerator, A.data[i][j].denominator))
+
+
+def sympy_charpoly(A):
+    """sympy's characteristic polynomial of A: monic, highest degree first."""
+    if not A.rows:
+        return [Fraction(1)]
+    return [Fraction(int(c.p), int(c.q)) for c in to_sympy(A).charpoly(X).all_coeffs()]
+
+
+@st.composite
+def square_mat(draw):
+    """(A, kind, coeffs): a square matrix of size 0-8 with small fractional
+    entries, dense, nilpotent (strictly upper triangular), one Jordan block,
+    or the companion matrix of x^n + c_1 x^(n-1) + ... + c_n, coeffs = [c_i]."""
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["dense", "nilpotent", "jordan", "companion"]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+
+    coeffs = [entry() for _ in range(n)]
+    lam = entry()
+    if kind == "dense":
+        data = [[entry() for _ in range(n)] for _ in range(n)]
+    elif kind == "nilpotent":
+        data = [[entry() if j > i else 0 for j in range(n)] for i in range(n)]
+    elif kind == "jordan":
+        data = [[lam if j == i else 1 if j == i + 1 else 0 for j in range(n)]
+                for i in range(n)]
+    else:
+        data = [[1 if i == j + 1 else 0 for j in range(n - 1)] + [-coeffs[n - 1 - i]]
+                for i in range(n)]
+    return Mat(QQ, n, n, [[Fraction(x) for x in row] for row in data]), kind, coeffs
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(case=square_mat())
+@example(case=(Mat(QQ, 0, 0, []), "dense", []))
+def test_charpoly_matches_sympy(case):
+    A, kind, coeffs = case
+    got = linalg.charpoly(A)
+    assert got == sympy_charpoly(A)
+    assert all(type(c) is Fraction for c in got) and got[0] == 1
+    if kind == "nilpotent":
+        assert got == [1] + [0] * A.rows
+    elif kind == "companion":
+        assert got == [1] + coeffs
+
+
+def test_charpoly_requires_rationals():
+    for n in (0, 2):
+        with pytest.raises(ValueError, match="rational field"):
+            linalg.charpoly(Mat.identity(GF(7), n))
+
+
+def sympy_factors(mats):
+    """The reference for `coprime_factors(charpoly_product(mats))`, all in
+    sympy: Matrix.charpoly per block, their Poly product, factor_list."""
+    poly = sympy.Poly(1, X, domain="QQ")
+    for A in mats:
+        if A.rows:
+            poly = poly * sympy.Poly(to_sympy(A).charpoly(X).as_expr(), X, domain="QQ")
+    out = []
+    for p, m in sympy.factor_list(poly)[1]:
+        p = sympy.Poly(p, X, domain="QQ")
+        lead = p.LC()
+        coeffs = [Fraction(sympy.Rational(c / lead).p, sympy.Rational(c / lead).q)
+                  for c in p.all_coeffs()]
+        if len(coeffs) > 1:
+            out.append((coeffs, int(m)))
+    return out
+
+
+def test_coprime_factors_match_sympy_route_on_decompose_draws(monkeypatch):
+    """On the endomorphism blocks `decompose` draws for the B2 catalog
+    entries and for sums of two of them, the factors and their order are
+    the sympy-Poly route's, so the summand order is too.  (An entry with a
+    local End(M) is certified indecomposable before any draw.)"""
+    drawn = []
+    real = linalg.charpoly_product
+
+    def record(mats):
+        mats = list(mats)
+        drawn.append(mats)
+        return real(mats)
+
+    suite = catalog.b2_suite()
+    modules = [e.module for e in suite.entries + suite.extras]
+    monkeypatch.setattr(linalg, "charpoly_product", record)
+    for M in modules + [pimod.direct_sum(M, N) for M, N in zip(modules, modules[1:])]:
+        pimod.decompose(M)
+    monkeypatch.undo()
+    assert any(len(sympy_factors(mats)) > 1 for mats in drawn)
+    for mats in drawn:
+        assert linalg.coprime_factors(linalg.charpoly_product(mats)) == sympy_factors(mats)
+
+
+@pytest.mark.parametrize("coeffs", [[Fraction(c) for c in (2, 3, 4)], [Fraction(1, 3)], []])
+def test_eval_poly_matches_power_sum(coeffs):
+    """Horner on the diagonal equals sum c_k A^(d-k), entry for entry."""
+    A = mat([[Fraction(1, 2), 3, 0], [-1, 0, Fraction(2, 7)], [0, 5, -2]])
+    want = Mat.zeros(QQ, 3, 3)
+    for k, c in enumerate(coeffs):
+        want = want + A.power(len(coeffs) - 1 - k).scale(c)
+    assert linalg.eval_poly(coeffs, A) == want
+
+
+# -- sympy stays off the import path -----------------------------------------
+
+SYMPY_ON_DEMAND = """
+import random, sys
+import ppalg, ppalg.cli
+from ppalg import catalog, linalg, pimod
+from ppalg.selftest import random_tower
+b2 = catalog.b2_datum()
+M = random_tower(b2, 3, random.Random(0))
+pimod.ext1_dim(M, M), pimod.hom_dim(M, M), pimod.is_crystal(M)
+pimod.canonical_pieces(M, 1)
+Mp = random_tower(b2, 3, random.Random(0), field=linalg.GF(32003))
+pimod.ext1_dim(Mp, Mp), pimod.hom_dim(Mp, Mp)
+assert "sympy" not in sys.modules, "loaded without a factoring"
+pimod.decompose(pimod.direct_sum(M, pimod.generalized_simple(b2, 2)))
+assert "sympy" in sys.modules, "decompose factored without sympy"
+"""
+
+
+def test_sympy_loaded_only_to_factor():
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-c", SYMPY_ON_DEMAND], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
