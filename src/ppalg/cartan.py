@@ -101,15 +101,6 @@ class CartanDatum:
     def n(self):
         return len(self.vertices)
 
-    def edges(self):
-        """Unordered pairs {i,j} with c_ij < 0, in vertex order."""
-        out = []
-        for a, i in enumerate(self.vertices):
-            for j in self.vertices[a + 1:]:
-                if self.c(i, j) < 0:
-                    out.append((i, j))
-        return out
-
     def double_orient(self):
         return self.orient + tuple((j, i) for (i, j) in self.orient)
 

@@ -115,8 +115,11 @@ def _emit(payload, fmt, out, md=None):
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError("cannot write %s: %s" % (out, exc))
     else:
         click.echo(text, nl=False)
 

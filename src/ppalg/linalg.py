@@ -1,21 +1,19 @@
-"""Exact linear algebra over Q or a prime field.
+"""Exact linear algebra over Q or a prime field, with no floating point.
 
-Everything here is exact: the default scalars are `fractions.Fraction`
-values, optionally replaced by GF(p) elements for fast cross-checks.
-Matrices are stored dense, but the systems solved are mostly sparse (the
-Hom and Der systems are under 1% nonzero), so every rank, kernel, solve and
-column space goes through one elimination kernel, `_rref`, that works on
-sparse integer rows: fraction-free over Q (rows kept primitive), residues
-mod p over GF(p).  No floating point anywhere.
+The default scalars are `fractions.Fraction` values, optionally replaced by
+GF(p) elements for fast cross-checks.  Matrices are stored dense, but the
+systems solved are mostly sparse (the Hom and Der systems are under 1%
+nonzero), so every rank, kernel, solve and column space goes through one
+elimination kernel on kernel rows {col: int}: primitive integer rows over
+Q, residues over GF(p).  `rows_rank` and `rows_nullspace` take such rows
+from the system builder of `pimod`; the `Mat` entry points convert first.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import compress, repeat
 from math import gcd, lcm
-from operator import is_not
 
 
 class FieldQ:
@@ -125,10 +123,8 @@ class FpElement:
 class FieldFp:
     """The prime field GF(p); used only for speed cross-checks.
 
-    Eliminations over GF(p) share `_rref`'s sparse integer kernel with Q:
+    Eliminations over GF(p) share the sparse integer kernel with Q: kernel
     rows hold the residues `FpElement.v`."""
-
-    char = None
 
     def __init__(self, p):
         if not _is_prime(p):
@@ -347,6 +343,28 @@ def block_diag(mats, field):
     return out
 
 
+def kernel_row(row, p):
+    """The integer row `row` ({col: int}) as a kernel row: zero entries
+    dropped, then reduced mod p, or over Q (p = 0) made primitive."""
+    if p:
+        return {c: x % p for c, x in row.items() if x % p}
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items() if x}
+
+
+def _sparse_rows(data, rows, p):
+    """The dense rows `data[:rows]` of field elements as kernel rows mod p
+    (over Q, p = 0, each row is first scaled by the lcm of its denominators)."""
+    if p:
+        return [{c: x.v for c, x in enumerate(row) if x.v} for row in data[:rows]]
+    out = []
+    for row in data[:rows]:
+        r = {c: x.as_integer_ratio() for c, x in enumerate(row) if x}
+        den = lcm(*[d for _, d in r.values()])
+        out.append(kernel_row({c: n * (den // d) for c, (n, d) in r.items()}, 0))
+    return out
+
+
 def _eliminate(r, c, P, p, col_rows=None, i=None, limit=0):
     """r := a*r - b*P, which clears r[c]; then r is made primitive (p = 0,
     over Q) or reduced mod p.  Columns below `limit` that r gains are
@@ -376,41 +394,22 @@ def _eliminate(r, c, P, p, col_rows=None, i=None, limit=0):
                 r[k] //= g
 
 
-def _forward(data, rows, cols, limit):
-    """Forward elimination of the dense rows `data[:rows]`, which it only reads.
+def _forward(sparse, p, limit):
+    """Forward elimination of the kernel rows `sparse` (mod p; p = 0 over Q),
+    in place.
 
-    Returns (p, sparse, pivots, pivot_rows): the modulus (0 over Q), the
-    rows as sparse integer rows `{col: int}` -- over Q each row is scaled
-    to a primitive integer row, over GF(p) it holds residues -- and the
-    pivot columns, all below `limit`, with the row index of each.  Each
-    column is cleared with the shortest row that is nonzero there, by
-    r := a*r - b*pivot on the rows nonzero in that column only; a pivot
-    row keeps its entries in later pivot columns.
+    Returns (pivots, pivot_rows): the pivot columns, all below `limit`, with
+    the index of each one's row.  Each column is cleared with the shortest
+    row that is nonzero there, by r := a*r - b*pivot on the rows nonzero in
+    that column only; a pivot row keeps its entries in later pivot columns,
+    and over GF(p) it is scaled to 1 at its pivot.
     """
-    if not rows or not cols:
-        return 0, [], [], []
-    first = data[0][0]
-    p = first.p if isinstance(first, FpElement) else 0
-    sparse = []
     col_rows = defaultdict(set)  # column < limit -> rows that may be nonzero there
-    for i, row in enumerate(data[:rows]):
-        if p:
-            r = {c: x.v for c, x in enumerate(row) if x.v}
-        else:
-            # skip the shared zero (Mat.zeros, system builders) at C speed
-            nz = compress(enumerate(row), map(is_not, row, repeat(QQ.zero)))
-            r = {c: x.as_integer_ratio() for c, x in nz if x}
-            den = lcm(*[d for _, d in r.values()])
-            r = {c: n * (den // d) for c, (n, d) in r.items()}
-            g = gcd(*r.values())
-            if g > 1:
-                for c in r:
-                    r[c] //= g
-        sparse.append(r)
+    for i, r in enumerate(sparse):
         for c in r:
             if c < limit:
                 col_rows[c].add(i)
-    done = [False] * rows
+    done = [False] * len(sparse)
     pivots, pivot_rows = [], []
     for c in range(limit):
         if not col_rows:
@@ -430,9 +429,45 @@ def _forward(data, rows, cols, limit):
                 _eliminate(sparse[i], c, P, p, col_rows, i, limit)
         pivots.append(c)
         pivot_rows.append(piv)
-        if len(pivots) == rows:
+        if len(pivots) == len(sparse):
             break
-    return p, sparse, pivots, pivot_rows
+    return pivots, pivot_rows
+
+
+def _reduce(sparse, p, limit):
+    """`_forward`, then back-substitution from the last pivot upwards, which
+    leaves the pivot rows of the RREF; returns (pivots, pivot_rows)."""
+    pivots, pivot_rows = _forward(sparse, p, limit)
+    for k in range(len(pivots) - 1, 0, -1):
+        c, P = pivots[k], sparse[pivot_rows[k]]
+        for j in pivot_rows[:k]:
+            if c in sparse[j]:
+                _eliminate(sparse[j], c, P, p)
+    return pivots, pivot_rows
+
+
+def rows_rank(field, rows, cols):
+    """The rank of kernel rows in `cols` unknowns (forward elimination only)."""
+    return len(_forward(rows, field.char, cols)[0])
+
+
+def rows_nullspace(field, rows, cols):
+    """Basis of the solutions of the kernel rows `rows` in `cols` unknowns
+    over `field`, as the columns of a matrix; the rows are reduced in place.
+    Free column f gives the vector with 1 at f and -r[f] / r[c] at the pivot
+    c of each pivot row r of the sparse RREF."""
+    p = field.char
+    pivots, pivot_rows = _reduce(rows, p, cols)
+    free = {f: k for k, f in enumerate(sorted(set(range(cols)).difference(pivots)))}
+    basis = Mat.zeros(field, cols, len(free))
+    for f, k in free.items():
+        basis.data[f][k] = field.one
+    for c, i in zip(pivots, pivot_rows):
+        d = rows[i][c]
+        for f, v in rows[i].items():
+            if f != c:
+                basis.data[c][free[f]] = FpElement(-v, p) if p else Fraction(-v, d)
+    return basis
 
 
 def _rref(data, rows, cols, pivot_limit=None):
@@ -440,57 +475,34 @@ def _rref(data, rows, cols, pivot_limit=None):
 
     Pivots are only chosen among the first `pivot_limit` columns, which lets
     the same routine solve augmented systems.  On return `data[:rows]` holds
-    dense rows of field elements, the pivot rows first and in pivot order.
-    `_forward` eliminates; then back-substitution runs from the last pivot
-    upwards and the rows are written back dense.
+    dense rows of field elements, the pivot rows first and in pivot order:
+    the rows are reduced as kernel rows (`_reduce`) and written back dense.
     """
-    limit = cols if pivot_limit is None else pivot_limit
-    p, sparse, pivots, pivot_rows = _forward(data, rows, cols, limit)
+    p = data[0][0].p if rows and cols and isinstance(data[0][0], FpElement) else 0
+    sparse = _sparse_rows(data, rows, p)
+    pivots, pivot_rows = _reduce(sparse, p, cols if pivot_limit is None else pivot_limit)
     if not pivots:
         return []
-    for k in range(len(pivots) - 1, 0, -1):
-        c, P = pivots[k], sparse[pivot_rows[k]]
-        for j in pivot_rows[:k]:
-            if c in sparse[j]:
-                _eliminate(sparse[j], c, P, p)
 
     zero = FpElement(0, p) if p else QQ.zero
     is_pivot_row = set(pivot_rows)
     for k, i in enumerate(pivot_rows + [i for i in range(rows) if i not in is_pivot_row]):
         dense = [zero] * cols
-        r = sparse[i]
-        if p:
-            for c, v in r.items():
-                dense[c] = FpElement(v, p)
-        else:
-            d = r[pivots[k]] if k < len(pivots) else 1
-            for c, v in r.items():
-                dense[c] = Fraction(v) if d == 1 else Fraction(v, d)
+        d = sparse[i][pivots[k]] if k < len(pivots) and not p else 1
+        for c, v in sparse[i].items():
+            dense[c] = FpElement(v, p) if p else Fraction(v) if d == 1 else Fraction(v, d)
         data[k] = dense
     return pivots
 
 
 def rank(A):
-    """The rank of A: forward elimination only, with no back-substitution
-    and no copy of A."""
-    return len(_forward(A.data, A.rows, A.cols, A.cols)[2])
+    """The rank of A: forward elimination only, with no back-substitution."""
+    return rows_rank(A.field, _sparse_rows(A.data, A.rows, A.field.char), A.cols)
 
 
 def nullspace(A):
     """Basis of {x : A x = 0}, returned as the columns of a matrix."""
-    data = [row[:] for row in A.data]
-    pivots = _rref(data, A.rows, A.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(A.cols) if c not in pivot_set]
-    z, o = A.field.zero, A.field.one
-    basis = Mat.zeros(A.field, A.cols, len(free))
-    for k, fc in enumerate(free):
-        basis.data[fc][k] = o
-        for r, pc in enumerate(pivots):
-            v = data[r][fc]
-            if v:
-                basis.data[pc][k] = -v
-    return basis
+    return rows_nullspace(A.field, _sparse_rows(A.data, A.rows, A.field.char), A.cols)
 
 
 def solve_matrix(A, B):
@@ -522,9 +534,10 @@ def is_invertible(A):
 
 
 def column_space(A):
-    """An independent subset of A's columns spanning its column space."""
-    data = [row[:] for row in A.data]
-    pivots = _rref(data, A.rows, A.cols)
+    """An independent subset of A's columns spanning its column space: the
+    pivot columns, from forward elimination only."""
+    p = A.field.char
+    pivots = _forward(_sparse_rows(A.data, A.rows, p), p, A.cols)[0]
     return hstack([A.col(j) for j in pivots], field=A.field, rows=A.rows)
 
 

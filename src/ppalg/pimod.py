@@ -8,9 +8,9 @@ sub_i / fac_i / K_i / Q_i, the E-filtered and crystal tests, rigidity,
 randomized isomorphism testing and direct-sum decomposition.
 
 Every linear system (Hom, Hom_T, Der, the annihilator ideals of End) is
-written by one builder, `_linear_system`; dimensions are unknowns minus the
-system's rank, and only hom_basis, derivation_basis and the annihilator
-ideals solve for a kernel basis.
+written by one builder, `_linear_system`, as `linalg` kernel rows {col: int},
+never as a matrix; dimensions come from `rows_rank`, and only hom_basis,
+derivation_basis and the annihilator ideals solve it by `rows_nullspace`.
 
 `submodule`, `quotient` and `canonical_pieces` share one block-triangular
 split per vertex, `_split`; it refuses (ValueError) spaces with dependent
@@ -50,6 +50,7 @@ import functools
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from math import lcm
 
 from . import linalg
 from .linalg import QQ, Mat
@@ -284,38 +285,36 @@ def _var_layout(shapes):
     return offsets, total
 
 
-def _unflatten(field, vec, shapes):
-    """The inverse of the `_var_layout(shapes)` flattening."""
-    out = {}
-    base = 0
-    for key, (r, c) in shapes.items():
-        out[key] = Mat(field, r, c, [list(vec[base + u * c: base + (u + 1) * c]) for u in range(r)])
-        base += r * c
-    return out
-
-
 def _linear_system(field, shapes, equations):
-    """The linear system of `equations` in the unknown blocks X_k of `shapes`.
+    """(rows, nvars): the kernel rows (see `linalg`) of `equations` in the
+    unknown blocks X_k of `shapes`.
 
     Each equation is a list of terms (coeff, k, L, R) and stands for
-    sum coeff * L X_k R = 0; it contributes rows(L) x cols(R) rows,
-    row-major, so all its terms must share that shape.  The unknowns are
-    the blocks X_k, vec'd row by row in the layout of `_var_layout(shapes)`.
+    sum coeff * L X_k R = 0; it contributes rows(L) x cols(R) rows, row-major
+    and zero rows dropped, so all its terms must share that shape.  The
+    unknowns are the blocks X_k, vec'd row by row in the layout of
+    `_var_layout(shapes)`.  Over Q, L and R are scaled to integers by the
+    lcm D of the equation's denominators, which scales it by D^2.
     """
     offsets, nvars = _var_layout(shapes)
-    z = field.zero
+    p = field.char
     rows = []
     for terms in equations:
         if not terms:
             continue
+        D = 1 if p else lcm(*[x.denominator for _, _, L, R in terms for row in L.data + R.data
+                              for x in row if x])
+        num = (lambda x: x.v) if p else (lambda x: x.numerator * (D // x.denominator))
         _, _, L0, R0 = terms[0]
-        block = [[z] * nvars for _ in range(L0.rows * R0.cols)]
+        block = [{} for _ in range(L0.rows * R0.cols)]
         for coeff, k, L, R in terms:
             # (L X R)[u][v] = sum over r, c of L[u][r] X[r][c] R[c][v]: walk
             # the nonzeros of L's rows and R's columns only
             base, width = offsets[k], shapes[k][1]
-            lnz = [[(base + r * width, coeff * x) for r, x in enumerate(row) if x] for row in L.data]
-            rnz = [[(c, row[v]) for c, row in enumerate(R.data) if row[v]] for v in range(R.cols)]
+            lnz = [[(base + r * width, coeff * num(x)) for r, x in enumerate(row) if x]
+                   for row in L.data]
+            rnz = [[(c, num(row[v])) for c, row in enumerate(R.data) if row[v]]
+                   for v in range(R.cols)]
             for u, lu in enumerate(lnz):
                 if not lu:
                     continue
@@ -323,19 +322,23 @@ def _linear_system(field, shapes, equations):
                     out = block[u * R.cols + v]
                     for off, x in lu:
                         for c, y in rv:
-                            out[off + c] = out[off + c] + x * y
-        rows.extend(block)
-    return Mat(field, len(rows), nvars, rows) if rows else Mat.zeros(field, 0, nvars)
+                            out[off + c] = out.get(off + c, 0) + x * y
+        rows += filter(None, (linalg.kernel_row(r, p) for r in block))
+    return rows, nvars
 
 
-def _kernel_basis(A, shapes):
-    """The kernel of A as a list of block dicts in the layout of `shapes`."""
-    ns = linalg.nullspace(A)
-    return [_unflatten(A.field, [row[k] for row in ns.data], shapes) for k in range(ns.cols)]
+def _kernel_basis(field, system, shapes):
+    """The solutions of system = (rows, nvars), as block dicts laid out by
+    `shapes` (the inverse of the `_var_layout(shapes)` flattening)."""
+    ns = linalg.rows_nullspace(field, *system)
+    offsets, _ = _var_layout(shapes)
+    return [{key: Mat(field, r, c, [[ns.data[offsets[key] + u * c + v][k] for v in range(c)]
+                                    for u in range(r)])
+             for key, (r, c) in shapes.items()} for k in range(ns.cols)]
 
 
-def _nullity(A):
-    return A.cols - linalg.rank(A)
+def _nullity(field, system):
+    return system[1] - linalg.rows_rank(field, *system)
 
 
 def _hom_equations(M, N, arrows):
@@ -380,17 +383,17 @@ def hom_basis(M, N):
     Elements are dicts {vertex: matrix N_i x M_i} commuting with every loop
     and arrow action.
     """
-    return _kernel_basis(*_hom_system(M, N, M.datum.arrow_keys()))
+    return _kernel_basis(M.field, *_hom_system(M, N, M.datum.arrow_keys()))
 
 
 @_memoized
 def hom_dim(M, N):
-    return _nullity(_hom_system(M, N, M.datum.arrow_keys())[0])
+    return _nullity(M.field, _hom_system(M, N, M.datum.arrow_keys())[0])
 
 
 def hom_t_dim(M, N):
     """dim Hom_T(M, N): the maps commuting with the loops only."""
-    return _nullity(_hom_system(M, N, [])[0])
+    return _nullity(M.field, _hom_system(M, N, [])[0])
 
 
 def derivation_basis(M, N):
@@ -402,7 +405,7 @@ def derivation_basis(M, N):
     action satisfies all relations.  The constraints are assembled from the
     word derivative of each relation.
     """
-    return _kernel_basis(*_der_system(M, N))
+    return _kernel_basis(M.field, *_der_system(M, N))
 
 
 @_memoized
@@ -415,7 +418,7 @@ def ext1_dim(M, N):
     """
     dM = rank_vector(M)
     dN = rank_vector(N)
-    ext = _nullity(_der_system(M, N)[0]) - alpha_form(M.datum, dM, dN) + hom_dim(M, N)
+    ext = _nullity(M.field, _der_system(M, N)[0]) - alpha_form(M.datum, dM, dN) + hom_dim(M, N)
     if ext < 0:
         raise ConsistencyError("negative Ext^1 dimension: %d" % ext)
     return ext
@@ -844,24 +847,26 @@ DECOMPOSE_RETRIES = 8
 def _split_complement(M, spaces):
     """A retraction of M onto the submodule spanned by `spaces`, or None.
 
-    Solves for an intertwiner psi: M -> sub with psi restricted to the
-    submodule equal to the identity; when it exists, ker(psi) is a direct
-    complement and (sub, complement) is returned as two submodules.
+    A retraction is psi = sum_b x_b h_b over a basis h_b of Hom(M, sub) with
+    psi_i incl_i = 1 at every vertex i (one `solve_matrix`); ker(psi) is then
+    a direct complement, and (sub, complement) is returned as two submodules.
     """
     field = M.field
     sub, incl = submodule(M, spaces)
-    shapes = {i: (sub.dims[i], M.dims[i]) for i in M.datum.vertices}
-    retract = [[(1, i, Mat.identity(field, sub.dims[i]), incl[i])]   # psi_i incl_i = 1
-               for i in M.datum.vertices]
-    A = _linear_system(field, shapes, _hom_equations(M, sub, M.datum.arrow_keys()) + retract)
-    eye = [field.one if u == v else field.zero
-           for i in M.datum.vertices for u in range(sub.dims[i]) for v in range(sub.dims[i])]
-    sol = linalg.solve_matrix(A, Mat.column(field, [field.zero] * (A.rows - len(eye)) + eye))
+    hb = hom_basis(M, sub)
+
+    def flat(f):
+        return Mat.column(field, [x for i in incl for row in f[i].data for x in row])
+
+    sol = linalg.solve_matrix(
+        linalg.hstack([flat({i: h[i] * incl[i] for i in incl}) for h in hb], field=field,
+                      rows=sum(d * d for d in sub.dims.values())),
+        flat({i: Mat.identity(field, d) for i, d in sub.dims.items()}))
     if sol is None:
         return None
-    psi = _unflatten(field, [row[0] for row in sol.data], shapes)
-    comp_spaces = {i: linalg.nullspace(psi[i]) for i in M.datum.vertices}
-    comp, _ = submodule(M, comp_spaces)
+    psi = {i: sum((h[i].scale(x) for (x,), h in zip(sol.data, hb)),
+                  Mat.zeros(field, sub.dims[i], M.dims[i])) for i in incl}
+    comp, _ = submodule(M, {i: linalg.nullspace(psi[i]) for i in incl})
     assert comp.dim_total() + sub.dim_total() == M.dim_total()
     return sub, comp
 
@@ -900,7 +905,7 @@ def _endomorphism_sources(M, endb):
         for k in range(d):
             e_k = Mat.column(field, [int(r == k) for r in range(d)])
             kills = [[(1, i, Mat.identity(field, d), e_k)]]   # f_i e_k = 0
-            yield _kernel_basis(_linear_system(field, shapes, hom + kills), shapes)
+            yield _kernel_basis(field, _linear_system(field, shapes, hom + kills), shapes)
 
 
 def _decompose(M, rng):

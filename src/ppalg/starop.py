@@ -145,6 +145,30 @@ def star(top, sub, trials=8, seed=0):
     return generic_extension(top, sub, trials=trials, seed=seed).module
 
 
+def _generic_division(hb, keep, piece, trials, seed, map_name, piece_name):
+    """The divisions' search: the first `piece(f)` of least dim Ext^1 with
+    itself over `trials` draws f from `hb` passing `keep`; raises unless E-filtered."""
+    rng = random.Random(seed)
+    best = None
+    for _ in range(max(1, trials)):
+        f = pimod.random_combination(hb, rng)
+        if not f or not keep(f):
+            continue
+        P = piece(f)
+        ext_self = pimod.ext1_dim(P, P)
+        if best is None or ext_self < best[0]:
+            best = (ext_self, P)
+        if ext_self == 0:
+            break
+    if best is None:
+        raise DivisionUndefined("division undefined (no generic %s found)" % map_name)
+    ok, _ = pimod.is_E_filtered(best[1])
+    if not ok:
+        raise pimod.ConsistencyError("%s between crystal modules failed the E-filtered test"
+                                     % piece_name)
+    return best[1]
+
+
 def generic_cokernel(mid, sub, trials=8, seed=0):
     """The generic cokernel of embeddings of `sub` into `mid`.
 
@@ -157,55 +181,19 @@ def generic_cokernel(mid, sub, trials=8, seed=0):
     rkS = pimod.rank_vector(sub)
     if any(a < b for a, b in zip(rkM, rkS)):
         raise ValueError("rank vector of the sub exceeds the ambient module")
-    hb = pimod.hom_basis(sub, mid)
-    rng = random.Random(seed)
-    best = None
-    for _ in range(max(1, trials)):
-        f = pimod.random_combination(hb, rng)
-        if not f or not pimod.hom_is_injective(f, sub):
-            continue
-        spaces = {i: f[i] for i in mid.datum.vertices}  # injective => independent columns
-        coker, _ = pimod.quotient(mid, spaces)
-        ext_self = pimod.ext1_dim(coker, coker)
-        if best is None or ext_self < best[0]:
-            best = (ext_self, coker)
-        if ext_self == 0:
-            break
-    if best is None:
-        raise DivisionUndefined("division undefined (no generic embedding found)")
-    coker = best[1]
-    ok, _ = pimod.is_E_filtered(coker)
-    if not ok:
-        raise pimod.ConsistencyError("cokernel of a monomorphism between crystal "
-                                     "modules failed the E-filtered test")
-    return coker
+    return _generic_division(
+        pimod.hom_basis(sub, mid), lambda f: pimod.hom_is_injective(f, sub),
+        lambda f: pimod.quotient(mid, f)[0],   # injective => independent columns
+        trials, seed, "embedding", "cokernel of a monomorphism")
 
 
 def generic_kernel(top, mid, trials=8, seed=0):
     """The generic kernel of surjections from `mid` onto `top` (dual of
     generic_cokernel); the result is checked to be E-filtered."""
-    hb = pimod.hom_basis(mid, top)
-    rng = random.Random(seed)
-    best = None
-    for _ in range(max(1, trials)):
-        f = pimod.random_combination(hb, rng)
-        if not f or not pimod.hom_is_surjective(f, top):
-            continue
-        spaces = {i: linalg.nullspace(f[i]) for i in mid.datum.vertices}
-        ker, _ = pimod.submodule(mid, spaces)
-        ext_self = pimod.ext1_dim(ker, ker)
-        if best is None or ext_self < best[0]:
-            best = (ext_self, ker)
-        if ext_self == 0:
-            break
-    if best is None:
-        raise DivisionUndefined("division undefined (no generic surjection found)")
-    ker = best[1]
-    ok, _ = pimod.is_E_filtered(ker)
-    if not ok:
-        raise pimod.ConsistencyError("kernel of an epimorphism between crystal "
-                                     "modules failed the E-filtered test")
-    return ker
+    return _generic_division(
+        pimod.hom_basis(mid, top), lambda f: pimod.hom_is_surjective(f, top),
+        lambda f: pimod.submodule(mid, {i: linalg.nullspace(f[i]) for i in f})[0],
+        trials, seed, "surjection", "kernel of an epimorphism")
 
 
 @dataclass

@@ -322,6 +322,16 @@ class TestCatalogCommands:
         result = runner.invoke(main, ["catalog", "export", "nope"])
         assert result.exit_code == 2
 
+    def test_export_into_missing_directory_exit_2(self, runner, tmp_path):
+        """An --out path in a directory that does not exist is a usage error
+        naming the path, not a traceback."""
+        target = str(tmp_path / "nodir" / "x.json")
+        result = runner.invoke(main, ["catalog", "export", "b2:2", "--out", target])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert target in result.output
+        assert not os.path.exists(os.path.dirname(target))
+
 
 def test_byte_identical_reports(runner, files):
     a = runner.invoke(main, ["forms", files["a5.json"], "1,2,2,2,1", "0,1,1,1,0"])

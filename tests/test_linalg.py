@@ -259,16 +259,32 @@ def to_exact(field, x):
     return x if field is QQ else x.v
 
 
-def sympy_rref(field, data, cols):
-    """sympy's reduced row echelon form of dense rows and its pivots."""
+def to_domain(field, data, cols):
+    """Dense rows of field elements as a sympy DomainMatrix."""
     dom = SYMPY_FIELD[field]
     conv = ((lambda x: dom(x.numerator, x.denominator)) if field is QQ
             else (lambda x: dom(x.v)))
-    R, pivots = DomainMatrix([[conv(x) for x in row] for row in data],
-                             (len(data), cols), dom).rref()
-    back = ((lambda e: Fraction(int(e.numerator), int(e.denominator))) if field is QQ
-            else (lambda e: int(e) % P))
-    return [[back(e) for e in row] for row in R.to_list()], list(pivots)
+    return DomainMatrix([[conv(x) for x in row] for row in data], (len(data), cols), dom)
+
+
+def from_domain(field, e):
+    return Fraction(int(e.numerator), int(e.denominator)) if field is QQ else int(e) % P
+
+
+def sympy_rref(field, data, cols):
+    """sympy's reduced row echelon form of dense rows and its pivots."""
+    R, pivots = to_domain(field, data, cols).rref()
+    return [[from_domain(field, e) for e in row] for row in R.to_list()], list(pivots)
+
+
+def sympy_nullspace(A):
+    """sympy's nullspace basis of A as the columns of a matrix.  Scaled so
+    that each vector's last nonzero entry is 1, it is the RREF basis: 1 at
+    one free column, zero at the others."""
+    basis = to_domain(A.field, A.data, A.cols).nullspace(divide_last=True).to_list()
+    return Mat(A.field, A.cols, len(basis),
+               [[A.field.coerce(from_domain(A.field, v[r])) for v in basis]
+                for r in range(A.cols)])
 
 
 def kernel_rref(A, pivot_limit=None):
@@ -291,10 +307,13 @@ def test_rref_matches_sympy(field, data):
     A = data.draw(sparse_mat(field))
     got, pivots = kernel_rref(A)
     assert (got, pivots) == sympy_rref(field, A.data, A.cols)
-    # rank and is_invertible run the forward elimination only, on A itself
+    # rank, is_invertible, nullspace and column_space leave A as it is
     before = [row[:] for row in A.data]
     assert linalg.rank(A) == len(pivots)
     assert linalg.is_invertible(A) == (A.rows == A.cols == len(pivots))
+    assert linalg.nullspace(A) == sympy_nullspace(A)
+    assert linalg.column_space(A) == linalg.hstack([A.col(j) for j in pivots],
+                                                   field=field, rows=A.rows)
     assert A.data == before
 
 

@@ -1,4 +1,6 @@
 import random
+from itertools import islice
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -231,6 +233,97 @@ def test_hom_basis_commutes_and_ext_formula(name, seed, rank_m, rank_n):
     assert len(hb) - ext + hom_dim(N, M) == symmetrized_form(datum, dM, dN)
     report = verify_ext_theorems(M, N)   # raises ExtTheoremError on a failed identity
     assert report["formula_ok"] and report["duality_ok"]
+
+
+# -- the system builder against the dense builder it replaced ------------------
+
+def dense_linear_system(field, shapes, equations):
+    """The reference for `pimod._linear_system`: the system of `equations`
+    as one dense `Mat` of field elements, one nvars-wide row per entry of
+    each equation, zero rows kept."""
+    offsets, nvars = pimod._var_layout(shapes)
+    z = field.zero
+    rows = []
+    for terms in equations:
+        if not terms:
+            continue
+        _, _, L0, R0 = terms[0]
+        block = [[z] * nvars for _ in range(L0.rows * R0.cols)]
+        for coeff, k, L, R in terms:
+            base, width = offsets[k], shapes[k][1]
+            lnz = [[(base + r * width, coeff * x) for r, x in enumerate(row) if x] for row in L.data]
+            rnz = [[(c, row[v]) for c, row in enumerate(R.data) if row[v]] for v in range(R.cols)]
+            for u, lu in enumerate(lnz):
+                if not lu:
+                    continue
+                for v, rv in enumerate(rnz):
+                    out = block[u * R.cols + v]
+                    for off, x in lu:
+                        for c, y in rv:
+                            out[off + c] = out[off + c] + x * y
+        rows.extend(block)
+    return Mat(field, len(rows), nvars, rows) if rows else Mat.zeros(field, 0, nvars)
+
+
+def kernel_rows_of(A):
+    """The nonzero rows of the dense A as kernel rows: over Q scaled to
+    primitive integer rows, over GF(p) their residues."""
+    out = []
+    for row in A.data:
+        if A.field is QQ:
+            den = lcm(*(x.denominator for x in row))
+            r = {c: int(x * den) for c, x in enumerate(row) if x}
+            g = gcd(*r.values())
+            r = {c: v // g for c, v in r.items()}
+        else:
+            r = {c: x.v for c, x in enumerate(row) if x}
+        if r:
+            out.append(r)
+    return out
+
+
+def systems_built_by(*calls):
+    """(field, shapes, equations) of every system the calls hand to the builder."""
+    seen = []
+    build = pimod._linear_system
+
+    def record(field, shapes, equations):
+        seen.append((field, shapes, equations))
+        return build(field, shapes, equations)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pimod, "_linear_system", record)
+        for call in calls:
+            call()
+    return seen
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16),
+       rank_m=st.integers(1, 3), rank_n=st.integers(1, 3), modular=st.booleans())
+def test_linear_system_matches_dense_reference(name, seed, rank_m, rank_n, modular):
+    """On towers conjugated to have denominators, over Q and GF(32003): the
+    Hom, Hom_T, Der and Ann(e_k) systems come out as the reference's nonzero
+    rows in kernel form, with the reference's rank and nullspace."""
+    datum = _wider(name)
+    rng = random.Random(seed)
+    M, N = [_conjugate(T, {i: _random_invertible(rng, T.dims[i]) for i in datum.vertices})
+            for T in (random_tower(datum, rank_m, rng), random_tower(datum, rank_n, rng))]
+    if modular:
+        M, N = [pimod.module_from_json(pimod.module_to_json(T), datum, linalg.GF(32003))
+                for T in (M, N)]
+    systems = systems_built_by(lambda: hom_basis(M, N), lambda: pimod.hom_t_dim(M, N),
+                               lambda: derivation_basis(M, N),
+                               lambda: next(islice(pimod._endomorphism_sources(M, []), 1, None)))
+    assert len(systems) == 4
+    for field, shapes, equations in systems:
+        ref = dense_linear_system(field, shapes, equations)
+        rows, nvars = pimod._linear_system(field, shapes, equations)
+        assert nvars == ref.cols
+        assert rows == kernel_rows_of(ref)
+        assert linalg.rows_rank(field, [dict(r) for r in rows], nvars) == linalg.rank(ref)
+        assert linalg.rows_nullspace(field, rows, nvars) == linalg.nullspace(ref)
 
 
 # -- submodule and quotient: one block-triangular split per vertex ------------
@@ -766,6 +859,31 @@ class TestIsoAndDecompose:
         M = generalized_simple(b2, 2, field=GF(32003))
         with pytest.raises(ValueError):
             decompose(M)
+
+
+def test_split_complement_on_b2_sums_and_products():
+    """Each sum X (+) Y of the six B2 entries splits along X with a
+    complement isomorphic to Y.  Each generic_extension(A, B) has a
+    retraction onto its sub B exactly when the product is A (+) B, and then
+    the complement is isomorphic to A."""
+    with pimod.memo_run():
+        mods = [e.module for e in catalog.b2_suite().entries]
+        for X in mods:
+            for Y in mods:
+                S = direct_sum(X, Y)
+                spaces = {i: linalg.vstack([Mat.identity(QQ, X.dims[i]),
+                                            Mat.zeros(QQ, Y.dims[i], X.dims[i])])
+                          for i in S.datum.vertices}
+                sub, comp = pimod._split_complement(S, spaces)
+                assert iso_test(sub, X) and iso_test(comp, Y)
+        for A in mods:
+            for B in mods:
+                res = starop.generic_extension(A, B)
+                split = pimod._split_complement(res.module, res.inject)
+                if not iso_test(res.module, direct_sum(B, A)):
+                    assert split is None
+                else:
+                    assert iso_test(split[0], B) and iso_test(split[1], A)
 
 
 class TestClosureProperties:
