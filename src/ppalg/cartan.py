@@ -3,8 +3,9 @@
 A Cartan datum is a triple (C, D, Omega): a symmetrizable generalized
 Cartan matrix C, a symmetrizer D = diag(c_i), and an acyclic orientation
 Omega of the underlying graph.  From it we derive the double quiver (one
-loop eps_i per vertex, g_ij arrows each way per edge) and the defining
-relations of the preprojective algebra: nilpotency eps_i^{c_i} = 0,
+loop eps_i per vertex, g_ij arrows each way per edge; `arrow_keys()` is the
+tuple of its arrows) and the defining relations of the preprojective
+algebra (`relations()`, a tuple of `Relation`s): nilpotency eps_i^{c_i} = 0,
 commutativity eps_i^{f_ji} a_ij = a_ij eps_j^{f_ij}, and the mesh relation
 at every vertex.
 """
@@ -64,17 +65,6 @@ class Relation:
         return " ".join(parts).lstrip("+ ")
 
 
-@dataclass(frozen=True)
-class DoubleQuiver:
-    vertices: tuple
-    arrows: tuple      # arrow keys ("arr", i, j, g)
-
-
-@dataclass(frozen=True)
-class RelationSet:
-    relations: tuple
-
-
 class CartanDatum:
     """A validated (C, D, Omega) with its derived double quiver and relations.
 
@@ -88,7 +78,7 @@ class CartanDatum:
         self.cartan = tuple(tuple(row) for row in cartan)
         self.sym = tuple(sym)
         self.orient = tuple(tuple(p) for p in orient)
-        self._quiver = None
+        self._arrows = None
         self._relations = None
 
     # raw accessors by vertex label
@@ -118,26 +108,23 @@ class CartanDatum:
         raise KeyError("(%r,%r) is not an oriented edge" % (i, j))
 
     def arrow_keys(self):
-        """The arrows of the double quiver, as the tuple it stores."""
-        return self.quiver().arrows
+        """The arrows ("arr", i, j, g) of the double quiver, built once."""
+        if self._arrows is None:
+            self._build()
+        return self._arrows
 
     def is_symmetric(self):
         return all(self.c(i, j) == self.c(j, i) for i in self.vertices for j in self.vertices)
 
-    def quiver(self):
-        if self._quiver is None:
-            self._build()
-        return self._quiver
-
     def relations(self):
+        """The defining relations, as a tuple of `Relation`s built once."""
         if self._relations is None:
             self._build()
         return self._relations
 
     def _build(self):
-        self._quiver = DoubleQuiver(vertices=self.vertices, arrows=tuple(
-            arrow_key(i, j, g) for (i, j) in self.double_orient()
-            for g in range(1, self.gij(i, j) + 1)))
+        self._arrows = tuple(arrow_key(i, j, g) for (i, j) in self.double_orient()
+                             for g in range(1, self.gij(i, j) + 1))
 
         rels = []
         for i in self.vertices:
@@ -165,7 +152,7 @@ class CartanDatum:
                         terms.append((s, word))
             if terms:
                 rels.append(Relation("mesh@%r" % (i,), "mesh", i, i, tuple(terms)))
-        self._relations = RelationSet(tuple(rels))
+        self._relations = tuple(rels)
 
     # serialization
     def to_json(self):
@@ -347,11 +334,6 @@ def minimal_symmetrizer(cartan):
         for v, x in zip(comp, ints):
             values[v] = int(x) // shrink
     return [int(v) for v in values]
-
-
-def build_double_quiver(datum):
-    """The double quiver and the instantiated relation families of the datum."""
-    return datum.quiver(), datum.relations()
 
 
 def _check_rank_vector(datum, d):

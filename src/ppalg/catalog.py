@@ -37,7 +37,6 @@ class CatalogEntry:
     crystal: bool
     rigid: bool
     indecomposable: bool
-    note: str = ""
 
     def flags(self):
         return {"locally_free": self.locally_free, "crystal": self.crystal,
@@ -247,8 +246,7 @@ def leclerc_suite():
         if not pimod.is_crystal(M):
             raise CatalogError("%s: not a crystal module" % label)
         rigid, _ = pimod.is_rigid(M)
-        entries.append(CatalogEntry(label, M, True, True, rigid, True,
-                                    note="one-parameter family member"))
+        entries.append(CatalogEntry(label, M, True, True, rigid, True))
     return datum, entries
 
 

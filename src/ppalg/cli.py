@@ -187,14 +187,13 @@ def main(ctx):
 def validate(algebra, fmt, out):
     """Validate an algebra config file."""
     datum = _load_algebra(algebra)
-    quiver, relations = datum.quiver(), datum.relations()
     payload = {
         "valid": True,
         "vertices": list(datum.vertices),
         "symmetrizer": list(datum.sym),
         "orientation": [list(p) for p in datum.orient],
-        "arrows": ["a_%s_%s_%d" % (k[1], k[2], k[3]) for k in quiver.arrows],
-        "relations": {r.label: r.pretty() for r in relations.relations},
+        "arrows": ["a_%s_%s_%d" % (k[1], k[2], k[3]) for k in datum.arrow_keys()],
+        "relations": {r.label: r.pretty() for r in datum.relations()},
     }
     _emit(payload, fmt, out)
 

@@ -68,21 +68,6 @@ class FpElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElement(self.v - w, self.p)
-
-    def __rsub__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElement(w - self.v, self.p)
-
-    def __neg__(self):
-        return FpElement(-self.v, self.p)
-
     def __mul__(self, other):
         w = self._lift(other)
         if w is NotImplemented:
@@ -90,18 +75,6 @@ class FpElement:
         return FpElement(self.v * w, self.p)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElement(self.v * pow(w, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElement(w * pow(self.v, -1, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, FpElement):
@@ -205,7 +178,8 @@ class Mat:
     """A dense rows x cols matrix with exact entries.
 
     `data` is a list of row lists and is owned by the matrix; callers must
-    not alias it.  Entries support +, -, *, /, bool (Fraction or FpElement).
+    not alias it.  Entries (Fraction or FpElement) support +, * and bool;
+    matrices support +, * and `scale`.
     """
 
     __slots__ = ("field", "rows", "cols", "data")
@@ -254,14 +228,6 @@ class Mat:
         assert (self.rows, self.cols) == (other.rows, other.cols)
         return Mat(self.field, self.rows, self.cols,
                    [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
-
-    def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Mat(self.field, self.rows, self.cols,
-                   [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
-
-    def __neg__(self):
-        return Mat(self.field, self.rows, self.cols, [[-a for a in row] for row in self.data])
 
     def scale(self, c):
         c = self.field.coerce(c)

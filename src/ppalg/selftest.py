@@ -16,7 +16,6 @@ import random
 from . import catalog, linalg, pimod, starop, symred
 from .cartan import alpha_form, beta_form, validate_datum
 from .linalg import QQ
-from .starop import ExtensionClass
 
 
 def _seeded(seed, salt):
@@ -31,7 +30,7 @@ def random_tower(datum, total_rank, rng, field=QQ):
         E = pimod.generalized_simple(datum, rng.choice(datum.vertices), field)
         top, sub = (M, E) if rng.random() < 0.5 else (E, M)
         delta = pimod.random_combination(pimod.derivation_basis(top, sub), rng)
-        M, _, _ = starop.extension_module(ExtensionClass(top, sub, delta))
+        M, _, _ = starop.extension_module(top, sub, delta)
     return M
 
 
@@ -167,7 +166,7 @@ def criterion_efiltered_closure(seed=0):
         sub = rng.choice(pool)
         top = rng.choice(pool)
         delta = pimod.random_combination(pimod.derivation_basis(top, sub), rng)
-        mid, _, _ = starop.extension_module(ExtensionClass(top, sub, delta))
+        mid, _, _ = starop.extension_module(top, sub, delta)
         if not pimod.is_crystal(mid):
             continue
         if inj_done < C5_COUNT:

@@ -7,6 +7,8 @@ term found by sampling derivation classes settles the answer exactly.  For
 non-rigid inputs there is no algorithmic membership test for generic pairs,
 so results carry an explicit "heuristic" flag; genericity is approximated
 by minimizing dim Ext^1 of the candidate with itself (semicontinuity).
+Each sampled class goes straight to `extension_module(top, sub, delta)`,
+which builds its middle term from the two modules and the derivation.
 """
 
 from __future__ import annotations
@@ -27,17 +29,10 @@ class DivisionUndefined(RuntimeError):
     """No generic embedding/surjection was found; the division is undefined."""
 
 
-@dataclass
-class ExtensionClass:
-    """An extension datum: top (quotient) module, sub module, derivation."""
-
-    top: ModuleRep
-    sub: ModuleRep
-    delta: dict  # arrow key -> matrix sub_dims[target] x top_dims[source]
-
-
-def extension_module(cls):
-    """The middle term of the extension described by a derivation class.
+def extension_module(top, sub, delta):
+    """The middle term of the extension of `top` (quotient) by `sub` with
+    derivation `delta` (arrow key -> sub_dims[target] x top_dims[source]
+    matrix; a missing key is zero).
 
     Lives on the vertex-wise direct sum sub_i (+) top_i; arrows act by
     [[sub_a, delta_a], [0, top_a]], loops act diagonally (derivations have
@@ -46,7 +41,6 @@ def extension_module(cls):
     result are re-checked and InvalidDerivation is raised on a nonzero
     residual.
     """
-    top, sub, delta = cls.top, cls.sub, cls.delta
     if top.datum != sub.datum:
         raise ValueError("extension of modules over different data")
     datum = top.datum
@@ -102,7 +96,6 @@ class StarResult:
     flags: tuple
     seed: int
     trials: int
-    decomposition: tuple = ()   # catalog labels, when a pool was supplied
 
 
 def generic_extension(top, sub, trials=8, seed=0):
@@ -118,7 +111,7 @@ def generic_extension(top, sub, trials=8, seed=0):
     best = None
     for _ in range(max(1, trials)):
         delta = pimod.random_combination(derb, rng)
-        mid, inject, project = extension_module(ExtensionClass(top, sub, delta))
+        mid, inject, project = extension_module(top, sub, delta)
         ext_self = pimod.ext1_dim(mid, mid)
         if best is None or ext_self < best[0]:
             best = (ext_self, delta, mid, inject, project)
@@ -233,9 +226,9 @@ def star_table(entries, extra_pool=(), trials=8, seed=0):
 
 
 def _cell_labels(mid, rl, M, cl, N, pool, trials, seed):
-    # certify a split cell directly; kept for time only: decompose finds
-    # the same labels (the seed-0 selftest report is the same without this
-    # shortcut), but the perfbench criteria workload runs ~5-10% longer
+    # certify a split cell directly; kept for time only: decompose finds the
+    # same labels (run_criteria reports at seeds 0-3 are unchanged without it),
+    # but perfbench criteria then took 7.07 s, not 6.61 s (medians, 2 cores)
     try:
         if pimod.iso_test(mid, pimod.direct_sum(M, N), trials=trials, seed=seed):
             return sorted([rl, cl])

@@ -77,8 +77,8 @@ def reduce_module(pair, M):
     return ModuleRep(pair.base, quot.dims, {}, quot.arrows, M.field)
 
 
-def tilde_lift(pair, M, n=None):
-    """The big-side module on n copies of M with the loop acting by shift.
+def tilde_lift(pair, M):
+    """The big-side module on n = pair.n copies of M with the loop acting by shift.
 
     Arrows act diagonally (one copy each); the loop sends copy k to copy
     k+1 and kills the last.  Requires symmetric C: the construction breaks
@@ -90,9 +90,7 @@ def tilde_lift(pair, M, n=None):
         raise ValueError("module is not defined over the base side of the pair")
     if not pair.base.is_symmetric():
         raise SymmetrizerError("tilde lift requires a symmetric Cartan matrix")
-    n = pair.n if n is None else n
-    if n != pair.n:
-        raise ValueError("copy count must match the pair")
+    n = pair.n
     fld = M.field
     dims = {i: n * M.dims[i] for i in pair.big.vertices}
     eps = {}

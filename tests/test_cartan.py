@@ -4,9 +4,9 @@ import random
 import pytest
 
 from ppalg import cartan
-from ppalg.cartan import (DatumError, alpha_form, beta_form, build_double_quiver,
-                          default_orientation, dim_formulas, euler_forms,
-                          minimal_symmetrizer, symmetrized_form, validate_datum)
+from ppalg.cartan import (DatumError, alpha_form, beta_form, default_orientation,
+                          dim_formulas, euler_forms, minimal_symmetrizer,
+                          symmetrized_form, validate_datum)
 
 B2_C12 = ([[2, -2], [-1, 2]], [1, 2])      # c = (1, 2)
 B2_TABLE = ([[2, -1], [-2, 2]], [2, 1])      # c = (2, 1)
@@ -116,11 +116,11 @@ class TestMinimalSymmetrizer:
 class TestRelations:
     def test_b2_c12_presentation(self):
         datum = validate_datum(*B2_C12, [(1, 2)])
-        _, rels = build_double_quiver(datum)
-        nil = {r.source: r.terms[0][1] for r in rels.relations if r.kind == "nilpotency"}
+        rels = datum.relations()
+        nil = {r.source: r.terms[0][1] for r in rels if r.kind == "nilpotency"}
         assert nil[1] == (("eps", 1),)
         assert nil[2] == (("eps", 2), ("eps", 2))
-        mesh = {r.source: r for r in rels.relations if r.kind == "mesh"}
+        mesh = {r.source: r for r in rels if r.kind == "mesh"}
         # mesh at 1: + a12 a21
         assert mesh[1].terms == ((1, (("arr", 1, 2, 1), ("arr", 2, 1, 1))),)
         # mesh at 2: -(a21 a12 eps2 + eps2 a21 a12)
@@ -131,8 +131,8 @@ class TestRelations:
 
     def test_commutativity_powers(self):
         datum = validate_datum(*B2_C12, [(1, 2)])
-        _, rels = build_double_quiver(datum)
-        comm = {(r.target, r.source): r for r in rels.relations
+        rels = datum.relations()
+        comm = {(r.target, r.source): r for r in rels
                 if r.kind == "commutativity"}
         # eps_1^{f_21} a_12 = a_12 eps_2^{f_12} with f_21 = 1, f_12 = 2
         plus, minus = comm[(1, 2)].terms
@@ -141,22 +141,22 @@ class TestRelations:
 
     def test_multiple_arrows_for_gcd_two(self):
         datum = validate_datum([[2, -2], [-2, 2]], [1, 1], [(1, 2)])
-        quiver, rels = build_double_quiver(datum)
-        assert len([a for a in quiver.arrows if a[1] == 1]) == 2  # two arrows 2 -> 1
-        mesh = {r.source: r for r in rels.relations if r.kind == "mesh"}
+        rels = datum.relations()
+        assert len([a for a in datum.arrow_keys() if a[1] == 1]) == 2  # two arrows 2 -> 1
+        mesh = {r.source: r for r in rels if r.kind == "mesh"}
         assert len(mesh[1].terms) == 2  # one per multiplicity index
 
     def test_pretty_with_string_vertices(self):
         datum = validate_datum([[2, -1], [-1, 2]], [1, 1], [("a", "b")], vertices=("a", "b"))
-        pretty = {r.label: r.pretty() for r in datum.relations().relations}
+        pretty = {r.label: r.pretty() for r in datum.relations()}
         assert pretty["mesh@'a'"] == "aab_1*aba_1"
         assert pretty["nilpotency@'b'"] == "epsb"
 
     def test_symmetric_minimal_mesh_has_no_loops(self):
         datum = validate_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [1, 1, 1],
                                [(1, 2), (2, 3)])
-        _, rels = build_double_quiver(datum)
-        mesh = [r for r in rels.relations if r.kind == "mesh"]
+        rels = datum.relations()
+        mesh = [r for r in rels if r.kind == "mesh"]
         assert mesh
         for r in mesh:
             for _, word in r.terms:

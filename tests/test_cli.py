@@ -4,7 +4,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from ppalg import catalog, pimod
+from ppalg import catalog, cli, pimod
 from ppalg.cli import main
 
 
@@ -331,6 +331,47 @@ class TestCatalogCommands:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert target in result.output
         assert not os.path.exists(os.path.dirname(target))
+
+
+def test_certified_negative_commands(runner, tmp_path):
+    """`crystal` and `efiltered` say false on a locally free A1~ module over
+    the minimal symmetrizer whose arrows form a cycle."""
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({
+        "algebra": {"cartan": [[2, -2], [-2, 2]], "symmetrizer": [1, 1],
+                    "orientation": [[1, 2]]},
+        "dims": {"1": 1, "2": 1}, "arrows": {"a_2_1_1": [["1"]], "a_1_2_2": [["1"]]}}))
+    assert run_json(runner, ["crystal", str(path)]) == {"crystal": False}
+    assert run_json(runner, ["efiltered", str(path)]) == {"e_filtered": False, "witness": None}
+
+
+class TestMarkdownReports:
+    def test_rank_nested_dims(self, runner, tmp_path):
+        """Commands without their own renderer print nested key lists."""
+        target = tmp_path / "m3.json"
+        assert runner.invoke(main, ["catalog", "export", "b2:1/1/2",
+                                    "--out", str(target)]).exit_code == 0
+        result = runner.invoke(main, ["rank", "--format", "md", str(target)])
+        assert result.exit_code == 0
+        assert result.output == ("- **dims**:\n"
+                                 "  - **1**: 2\n"
+                                 "  - **2**: 1\n"
+                                 "- **locally_free**: True\n"
+                                 "- **rank_vector**: [1, 1]\n")
+
+    def test_selftest_failure(self, runner, monkeypatch):
+        report = {"seed": 3, "trials": 8, "all_passed": False, "criteria": [
+            {"id": "c1", "title": "b2-table", "passed": True, "details": {}},
+            {"id": "c2", "title": "a2-noncommutative", "passed": False, "details": {}}]}
+        monkeypatch.setattr(cli, "run_selftest", lambda seed, trials: report)
+        result = runner.invoke(main, ["selftest", "--format", "md", "--seed", "3"])
+        assert result.exit_code == 1
+        assert result.output == ("# selftest (seed 3, trials 8)\n"
+                                 "\n"
+                                 "- c1 b2-table: pass\n"
+                                 "- c2 a2-noncommutative: FAIL\n"
+                                 "\n"
+                                 "all passed: False\n")
 
 
 def test_byte_identical_reports(runner, files):

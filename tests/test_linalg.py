@@ -169,8 +169,6 @@ class TestPrimeField:
         F = GF(32003)
         a = F.coerce(Fraction(3, 2))
         assert a * 2 == 3
-        assert (F.one / F.coerce(7)) * 7 == 1
-        assert -F.coerce(1) == 32002
 
     def test_rank_matches_rationals_for_small_entries(self):
         rng = random.Random(10)

@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ppalg import catalog, linalg, pimod, starop, symred
+from ppalg import catalog, linalg, pimod, selftest, starop, symred
 from ppalg.cartan import (alpha_form, default_orientation, eps_key, gen_source, gen_target,
                           symmetrized_form, validate_datum)
 from ppalg.linalg import QQ, Mat
@@ -84,7 +84,7 @@ def ext1_dim_oracle(M, N):
         delta = {}
         for a in arrows:
             _, i, j, _ = a
-            delta[a] = N.arrows[a] * f[j] - f[i] * M.arrows[a]
+            delta[a] = N.arrows[a] * f[j] + (f[i] * M.arrows[a]).scale(-1)
         images.append(flatten(delta))
     A = Mat(QQ, len(images), len(flatten(derb[0])) if derb else
             sum(N.dims[a[1]] * M.dims[a[2]] for a in arrows), images) \
@@ -178,6 +178,21 @@ class TestHomAndExt:
         assert report["euler"] == -2
         assert report["duality_ok"]
 
+    def test_ext_theorem_failure_is_reported(self, b2, monkeypatch):
+        """A wrong Ext^1 dimension breaks the Ext-formula: `verify_ext_theorems`
+        raises with the report, and criterion c4 fails listing it."""
+        real = pimod.ext1_dim
+        monkeypatch.setattr(pimod, "ext1_dim", lambda M, N: real(M, N) + 1)
+        E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
+        with pytest.raises(pimod.ExtTheoremError) as exc:
+            verify_ext_theorems(E1, E2)
+        assert exc.value.report["formula_ok"] is False
+        assert exc.value.report["duality_ok"] is True
+        result = selftest.criterion_ext_theorems(seed=0)
+        assert result["passed"] is False
+        failures = result["details"]["failures"]
+        assert failures and all(f["report"]["formula_ok"] is False for f in failures)
+
     def test_ext_against_connecting_map_oracle(self, a2, b2):
         rng = random.Random(21)
         for datum in (a2, b2):
@@ -222,7 +237,7 @@ def test_hom_basis_commutes_and_ext_formula(name, seed, rank_m, rank_n):
             assert f[i] * M.arrows[key] == N.arrows[key] * f[j]
     derb = derivation_basis(M, N)
     for delta in derb:  # raises InvalidDerivation on a relation residual
-        starop.extension_module(starop.ExtensionClass(M, N, delta))
+        starop.extension_module(M, N, delta)
     dM, dN = rank_vector(M), rank_vector(N)
     alpha = alpha_form(datum, dM, dN)
     ext = ext1_dim(M, N)
@@ -652,6 +667,20 @@ def test_crystal_needs_a_nonzero_sub():
         assert p.sub.dim_total() == p.fac.dim_total() == 0
     assert not is_crystal(lift)
     assert is_E_filtered(lift) == (False, None) and not crystal_reference(lift)
+
+
+def test_certified_negative_on_minimal_symmetrizer():
+    """The A1~ module of `test_crystal_needs_a_nonzero_sub` itself, over the
+    minimal symmetrizer (1, 1): locally free, but its arrows form a cycle, so
+    the representation is not nilpotent and both tests refuse it before any
+    search."""
+    one = Mat.from_rows(QQ, [[1]])
+    M = ModuleRep(_wider("A1~"), {1: 1, 2: 1}, {}, {("arr", 2, 1, 1): one, ("arr", 1, 2, 2): one})
+    assert M.datum.sym == (1, 1) and M.datum.orient == ((1, 2),)
+    assert check_relations(M) == [] and is_locally_free(M) == (True, (1, 1))
+    assert not pimod._is_nilpotent_rep(M)
+    assert is_crystal(M) is False
+    assert is_E_filtered(M) == (False, None)
 
 
 def test_crystal_runs_no_efiltered_search(b2, monkeypatch):

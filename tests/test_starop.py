@@ -4,9 +4,9 @@ import pytest
 
 from ppalg import catalog, pimod, starop
 from ppalg.pimod import direct_sum, generalized_simple, iso_test, rank_vector
-from ppalg.starop import (DivisionUndefined, ExtensionClass, InvalidDerivation,
-                          extension_module, generic_cokernel, generic_extension,
-                          generic_kernel, star, star_table)
+from ppalg.starop import (DivisionUndefined, InvalidDerivation, extension_module,
+                          generic_cokernel, generic_extension, generic_kernel, star,
+                          star_table)
 
 
 @pytest.fixture(scope="module")
@@ -22,20 +22,20 @@ def a2():
 class TestExtensionModule:
     def test_zero_class_is_direct_sum(self, b2):
         E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
-        mid, inj, prj = extension_module(ExtensionClass(E1, E2, {}))
+        mid, inj, prj = extension_module(E1, E2, {})
         assert iso_test(mid, direct_sum(E2, E1))
 
     def test_rank_vectors_add(self, b2):
         E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
         derb = pimod.derivation_basis(E1, E2)
-        mid, _, _ = extension_module(ExtensionClass(E1, E2, derb[0]))
+        mid, _, _ = extension_module(E1, E2, derb[0])
         assert rank_vector(mid) == (1, 1)
         assert pimod.check_relations(mid) == []
 
     def test_loops_stay_block_diagonal(self, b2):
         E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
         derb = pimod.derivation_basis(E1, E2)
-        mid, inj, prj = extension_module(ExtensionClass(E1, E2, derb[0]))
+        mid, inj, prj = extension_module(E1, E2, derb[0])
         # the loop of the middle term restricts to the sub and descends to the top
         for i in b2.vertices:
             assert mid.eps[i] * inj[i] == inj[i] * E2.eps[i]
@@ -53,7 +53,7 @@ class TestExtensionModule:
     def test_nonsplit_a2_is_indecomposable(self, a2):
         S1, S2 = generalized_simple(a2, 1), generalized_simple(a2, 2)
         derb = pimod.derivation_basis(S1, S2)
-        mid, _, _ = extension_module(ExtensionClass(S1, S2, derb[0]))
+        mid, _, _ = extension_module(S1, S2, derb[0])
         assert len(pimod.decompose(mid, seed=0)) == 1
 
     def test_invalid_derivation_rejected(self, b2):
@@ -68,7 +68,7 @@ class TestExtensionModule:
                                            for _ in range(M3.dims[k[1]])])
                      for k in b2.arrow_keys()}
             try:
-                extension_module(ExtensionClass(M3, M3, delta))
+                extension_module(M3, M3, delta)
             except InvalidDerivation:
                 raised = True
                 break
@@ -78,7 +78,7 @@ class TestExtensionModule:
         E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
         from ppalg.linalg import Mat, QQ
         with pytest.raises(ValueError):
-            extension_module(ExtensionClass(E1, E2, {("arr", 2, 1, 1): Mat.zeros(QQ, 5, 5)}))
+            extension_module(E1, E2, {("arr", 2, 1, 1): Mat.zeros(QQ, 5, 5)})
 
 
 class TestGenericExtension:
@@ -182,6 +182,15 @@ class TestTableAndCancellation:
         assert cells[("1", "1")].split and cells[("2", "2")].split
         assert cells[("1", "2")].labels == ("1/2",)
         assert cells[("2", "1")].labels == ("2/1",)
+
+    def test_anonymous_labels_without_extra_pool(self):
+        """With no extra pool, the summands of the B2 table that match no
+        entry get the descriptive label of `anonymous_label`."""
+        suite = catalog.b2_suite(trials=8, seed=0)
+        cells = star_table([(e.label, e.module) for e in suite.entries], trials=8, seed=0)
+        assert len(cells) == 36
+        assert cells[("1/1", "2/12/1")].labels == ("anon(dims=[4, 2],rank=[2, 2],end=4,ext=0)",)
+        assert cells[("2", "1/1/2")].labels == ("anon(dims=[2, 2],rank=[1, 2],end=2,ext=0)",)
 
     def test_cancellation_singleton(self, b2):
         E1 = generalized_simple(b2, 1)

@@ -5,7 +5,6 @@ import pytest
 from ppalg import catalog, linalg, pimod, starop
 from ppalg.pimod import generalized_simple, iso_test, rank_vector
 from ppalg.selftest import random_tower
-from ppalg.starop import ExtensionClass
 from ppalg.symred import (SymmetrizerError, reduce_module, sym_pair, tilde_lift,
                           verify_symmetrizer_compat)
 
@@ -100,7 +99,7 @@ class TestReduce:
             top = random_tower(a2_pair.big, rng.randint(1, 2), rng)
             sub = random_tower(a2_pair.big, rng.randint(1, 2), rng)
             delta = pimod.random_combination(pimod.derivation_basis(top, sub), rng)
-            mid, _, _ = starop.extension_module(ExtensionClass(top, sub, delta))
+            mid, _, _ = starop.extension_module(top, sub, delta)
             assert reduce_module(a2_pair, mid).dim_total() == \
                 reduce_module(a2_pair, sub).dim_total() + reduce_module(a2_pair, top).dim_total()
 
