@@ -36,6 +36,11 @@ def arrow_key(i, j, g):
     return ("arr", i, j, g)
 
 
+def arrow_name(key):
+    """The name "a_<target>_<source>_<g>" of an arrow key in JSON files."""
+    return "a_%s_%s_%d" % key[1:]
+
+
 def gen_source(gen):
     return gen[1] if gen[0] == "eps" else gen[2]
 
@@ -179,6 +184,8 @@ class CartanDatum:
 
 def _check_cartan_matrix(vertices, cartan):
     n = len(vertices)
+    if n == 0:
+        raise DatumError("shape", "Cartan matrix must have at least one vertex")
     if (not isinstance(cartan, (list, tuple)) or len(cartan) != n
             or any(not isinstance(row, (list, tuple)) or len(row) != n for row in cartan)):
         raise DatumError("shape", "Cartan matrix must be a %dx%d list of lists" % (n, n))

@@ -18,7 +18,7 @@ import sys
 import click
 
 from . import catalog, linalg, pimod, starop, symred
-from .cartan import DatumError, default_orientation, dim_formulas, \
+from .cartan import DatumError, arrow_name, default_orientation, dim_formulas, \
     euler_forms, minimal_symmetrizer, validate_datum
 from .linalg import GF, QQ
 from .pimod import DecomposeUndecided, IsoInconclusive
@@ -192,7 +192,7 @@ def validate(algebra, fmt, out):
         "vertices": list(datum.vertices),
         "symmetrizer": list(datum.sym),
         "orientation": [list(p) for p in datum.orient],
-        "arrows": ["a_%s_%s_%d" % (k[1], k[2], k[3]) for k in datum.arrow_keys()],
+        "arrows": [arrow_name(k) for k in datum.arrow_keys()],
         "relations": {r.label: r.pretty() for r in datum.relations()},
     }
     _emit(payload, fmt, out)
@@ -375,7 +375,7 @@ def _star_payload(res):
         "ext_self": res.ext_self, "flags": list(res.flags),
         "module": pimod.module_to_json(res.module),
         "certificate": {
-            "delta": {"a_%s_%s_%d" % (k[1], k[2], k[3]): linalg.mat_to_json(m)
+            "delta": {arrow_name(k): linalg.mat_to_json(m)
                       for k, m in sorted(res.delta.items(), key=lambda kv: str(kv[0]))},
             "inject": {str(i): linalg.mat_to_json(m) for i, m in res.inject.items()},
             "project": {str(i): linalg.mat_to_json(m) for i, m in res.project.items()},
@@ -463,11 +463,11 @@ def table(suite, seed, trials, fmt, out):
             entries = [(e.label, e.module) for e in s.entries]
             extras = [(e.label, e.module) for e in s.extras]
         else:
-            s = catalog.a2_suite(trials=trials, seed=seed)
+            s = catalog.a2_suite(seed=seed)
             entries = [(s.s1.label, s.s1.module), (s.s2.label, s.s2.module)]
-            p12 = catalog.a2_nonsplit(s.s1.module, s.s2.module, trials=trials, seed=seed)
-            p21 = catalog.a2_nonsplit(s.s2.module, s.s1.module, trials=trials, seed=seed)
-            extras = [("1/2", p12), ("2/1", p21)]
+            extras = [(label, catalog.certified_product(label, top.module, sub.module,
+                                                        trials=trials, seed=seed))
+                      for label, top, sub in (("1/2", s.s1, s.s2), ("2/1", s.s2, s.s1))]
     except catalog.CatalogError as exc:
         _fail(str(exc), seed, fmt, out)
     cells = starop.star_table(entries, extra_pool=extras, trials=trials, seed=seed)
@@ -585,7 +585,10 @@ def _md_selftest(report):
 @_randomized
 def selftest(seed, trials, fmt, out):
     """Run the full acceptance suite and report one line per criterion."""
-    report = run_selftest(seed=seed, trials=trials)
+    try:
+        report = run_selftest(seed=seed, trials=trials)
+    except catalog.CatalogError as exc:
+        _fail(str(exc), seed, fmt, out)
     if fmt != "md":
         for c in report["criteria"]:
             click.echo("%s %s: %s" % (c["id"], c["title"],

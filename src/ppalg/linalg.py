@@ -591,8 +591,6 @@ def coprime_factors(coeffs):
     out = []
     for p, m in factors:
         p = sympy.Poly(p, x, domain="QQ").monic()
-        if p.degree() < 1:
-            continue  # constant factor
         out.append(([Fraction(int(c.p), int(c.q)) for c in p.all_coeffs()], int(m)))
     return out
 

@@ -54,7 +54,8 @@ from math import lcm
 
 from . import linalg
 from .linalg import QQ, Mat
-from .cartan import alpha_form, arrow_key, eps_key, gen_source, gen_target, symmetrized_form
+from .cartan import alpha_form, arrow_key, arrow_name, eps_key, gen_source, gen_target, \
+    symmetrized_form
 
 
 class NotLocallyFree(ValueError):
@@ -826,20 +827,15 @@ def _split_spaces(M, f):
     factors = linalg.coprime_factors(poly)
     if len(factors) <= 1:
         return None
-    out = []
-    for coeffs, mult in factors:
-        spaces = {}
-        for i in M.datum.vertices:
-            spaces[i] = linalg.nullspace(linalg.eval_poly(coeffs, f[i]).power(mult))
-        if sum(s.cols for s in spaces.values()) == 0:
-            continue
-        out.append(spaces)
+    # no factor's spaces are all zero: it divides the char polynomial of some f_i
+    out = [{i: linalg.nullspace(linalg.eval_poly(coeffs, f[i]).power(mult))
+            for i in M.datum.vertices} for coeffs, mult in factors]
     for i in M.datum.vertices:
         total = sum(s[i].cols for s in out)
         if total != M.dims[i]:
             raise ConsistencyError("split spaces at %r have total dimension %d, not %d"
                                    % (i, total, M.dims[i]))
-    return out if len(out) > 1 else None
+    return out
 
 
 DECOMPOSE_RETRIES = 8
@@ -935,14 +931,10 @@ def _decompose(M, rng):
 def match_label(M, pool, trials=8, seed=0):
     """The label of the pool entry isomorphic to M, or None.
 
-    `pool` is a list of (label, module) pairs; candidates are filtered by
-    fingerprint before the randomized isomorphism test runs.
+    `pool` is a list of (label, module) pairs; `iso_test` rejects a
+    candidate of another dimension vector or fingerprint before it draws.
     """
     for label, N in pool:
-        if M.dim_vector() != N.dim_vector():
-            continue
-        if iso_fingerprint(M) != iso_fingerprint(N):
-            continue
         if iso_test(M, N, trials=trials, seed=seed):
             return label
     return None
@@ -956,8 +948,8 @@ def module_to_json(M, algebra=None):
         "dims": {str(i): M.dims[i] for i in M.datum.vertices if M.dims[i]},
         "epsilon": {str(i): linalg.mat_to_json(M.eps[i])
                     for i in M.datum.vertices if M.dims[i] and not M.eps[i].is_zero()},
-        "arrows": {"a_%s_%s_%d" % (i, j, g): linalg.mat_to_json(A)
-                   for (_, i, j, g), A in sorted(M.arrows.items(), key=lambda kv: str(kv[0]))
+        "arrows": {arrow_name(key): linalg.mat_to_json(A)
+                   for key, A in sorted(M.arrows.items(), key=lambda kv: str(kv[0]))
                    if not A.is_zero()},
     }
     return doc

@@ -30,7 +30,7 @@ def random_tower(datum, total_rank, rng, field=QQ):
         E = pimod.generalized_simple(datum, rng.choice(datum.vertices), field)
         top, sub = (M, E) if rng.random() < 0.5 else (E, M)
         delta = pimod.random_combination(pimod.derivation_basis(top, sub), rng)
-        M, _, _ = starop.extension_module(top, sub, delta)
+        M = starop.extension_module(top, sub, delta)
     return M
 
 
@@ -66,7 +66,7 @@ def criterion_b2_table(seed=0, trials=8):
 
 def criterion_a2(seed=0, trials=8):
     """Non-commutativity and non-associativity of * in the smallest case."""
-    suite = catalog.a2_suite(trials=trials, seed=seed)
+    suite = catalog.a2_suite(seed=seed)
     S1, S2 = suite.s1.module, suite.s2.module
     p12 = starop.star(S1, S2, trials=trials, seed=seed)
     p21 = starop.star(S2, S1, trials=trials, seed=seed)
@@ -166,7 +166,7 @@ def criterion_efiltered_closure(seed=0):
         sub = rng.choice(pool)
         top = rng.choice(pool)
         delta = pimod.random_combination(pimod.derivation_basis(top, sub), rng)
-        mid, _, _ = starop.extension_module(top, sub, delta)
+        mid = starop.extension_module(top, sub, delta)
         if not pimod.is_crystal(mid):
             continue
         if inj_done < C5_COUNT:

@@ -13,6 +13,7 @@ which builds its middle term from the two modules and the derivation.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -36,10 +37,8 @@ def extension_module(top, sub, delta):
 
     Lives on the vertex-wise direct sum sub_i (+) top_i; arrows act by
     [[sub_a, delta_a], [0, top_a]], loops act diagonally (derivations have
-    no loop component).  Returns (module, inject, project) where inject
-    embeds the sub and project maps onto the top; the relations of the
-    result are re-checked and InvalidDerivation is raised on a nonzero
-    residual.
+    no loop component).  The relations of the result are re-checked and
+    InvalidDerivation is raised on a nonzero residual.
     """
     if top.datum != sub.datum:
         raise ValueError("extension of modules over different data")
@@ -55,29 +54,14 @@ def extension_module(top, sub, delta):
             d = Mat.zeros(fld, sub.dims[i], top.dims[j])
         if (d.rows, d.cols) != (sub.dims[i], top.dims[j]):
             raise ValueError("derivation block %r must be %dx%d" % (key, sub.dims[i], top.dims[j]))
-        A = Mat.zeros(fld, dims[i], dims[j])
-        for u in range(sub.dims[i]):
-            A.data[u][:sub.dims[j]] = sub.arrows[key].data[u][:]
-            A.data[u][sub.dims[j]:] = d.data[u][:]
-        for u in range(top.dims[i]):
-            A.data[sub.dims[i] + u][sub.dims[j]:] = top.arrows[key].data[u][:]
-        arrows[key] = A
+        arrows[key] = linalg.vstack([
+            linalg.hstack([sub.arrows[key], d]),
+            linalg.hstack([Mat.zeros(fld, top.dims[i], sub.dims[j]), top.arrows[key]])])
     mid = ModuleRep(datum, dims, eps, arrows, fld)
     bad = pimod.check_relations(mid)
     if bad:
         raise InvalidDerivation("not a derivation; violated relations: %r" % (bad,))
-    inject = {}
-    project = {}
-    for i in datum.vertices:
-        inc = Mat.zeros(fld, dims[i], sub.dims[i])
-        for u in range(sub.dims[i]):
-            inc.data[u][u] = fld.one
-        prj = Mat.zeros(fld, top.dims[i], dims[i])
-        for u in range(top.dims[i]):
-            prj.data[u][sub.dims[i] + u] = fld.one
-        inject[i] = inc
-        project[i] = prj
-    return mid, inject, project
+    return mid
 
 
 @dataclass
@@ -88,14 +72,49 @@ class StarResult:
     top: ModuleRep
     sub: ModuleRep
     delta: dict
-    inject: dict
-    project: dict
     ext_self: int               # dim Ext^1 of the middle term with itself
-    rigid: bool                 # middle term rigid
     certified: bool             # lemma-certified (rigid inputs, rigid middle)
     flags: tuple
     seed: int
     trials: int
+
+    @property
+    def rigid(self):
+        """Whether the middle term is rigid."""
+        return self.ext_self == 0
+
+    @property
+    def inject(self):
+        """The embedding [I; 0] of the sub into the middle term, per vertex."""
+        fld = self.module.field
+        return {i: linalg.vstack([Mat.identity(fld, d), Mat.zeros(fld, self.top.dims[i], d)])
+                for i, d in self.sub.dims.items()}
+
+    @property
+    def project(self):
+        """The projection [0 I] of the middle term onto the top, per vertex."""
+        fld = self.module.field
+        return {i: linalg.hstack([Mat.zeros(fld, d, self.sub.dims[i]), Mat.identity(fld, d)])
+                for i, d in self.top.dims.items()}
+
+
+def _least_self_ext(basis, build, trials, seed, keep=None):
+    """The first (ext_self, x, build(x)) of least dim Ext^1 of build(x) with
+    itself over `trials` draws x from `basis` (a rigid one ends the search);
+    draws failing `keep` are skipped, and None is returned if all are."""
+    rng = random.Random(seed)
+    best = None
+    for _ in range(max(1, trials)):
+        x = pimod.random_combination(basis, rng)
+        if keep is not None and not keep(x):
+            continue
+        M = build(x)
+        ext_self = pimod.ext1_dim(M, M)
+        if best is None or ext_self < best[0]:
+            best = (ext_self, x, M)
+        if ext_self == 0:
+            break
+    return best
 
 
 def generic_extension(top, sub, trials=8, seed=0):
@@ -106,18 +125,8 @@ def generic_extension(top, sub, trials=8, seed=0):
     With rigid inputs and a rigid middle term the result is exact by the
     short-exact-sequence lemma; otherwise it is flagged.
     """
-    derb = pimod.derivation_basis(top, sub)
-    rng = random.Random(seed)
-    best = None
-    for _ in range(max(1, trials)):
-        delta = pimod.random_combination(derb, rng)
-        mid, inject, project = extension_module(top, sub, delta)
-        ext_self = pimod.ext1_dim(mid, mid)
-        if best is None or ext_self < best[0]:
-            best = (ext_self, delta, mid, inject, project)
-        if ext_self == 0:
-            break
-    ext_self, delta, mid, inject, project = best
+    ext_self, delta, mid = _least_self_ext(
+        pimod.derivation_basis(top, sub), lambda d: extension_module(top, sub, d), trials, seed)
     top_rigid, _ = pimod.is_rigid(top)
     sub_rigid, _ = pimod.is_rigid(sub)
     flags = []
@@ -126,9 +135,7 @@ def generic_extension(top, sub, trials=8, seed=0):
     elif ext_self != 0:
         flags.append("product possibly non-rigid")
     return StarResult(
-        module=mid, top=top, sub=sub, delta=delta,
-        inject=inject, project=project,
-        ext_self=ext_self, rigid=(ext_self == 0),
+        module=mid, top=top, sub=sub, delta=delta, ext_self=ext_self,
         certified=(top_rigid and sub_rigid and ext_self == 0),
         flags=tuple(flags), seed=seed, trials=trials)
 
@@ -139,27 +146,15 @@ def star(top, sub, trials=8, seed=0):
 
 
 def _generic_division(hb, keep, piece, trials, seed, map_name, piece_name):
-    """The divisions' search: the first `piece(f)` of least dim Ext^1 with
-    itself over `trials` draws f from `hb` passing `keep`; raises unless E-filtered."""
-    rng = random.Random(seed)
-    best = None
-    for _ in range(max(1, trials)):
-        f = pimod.random_combination(hb, rng)
-        if not f or not keep(f):
-            continue
-        P = piece(f)
-        ext_self = pimod.ext1_dim(P, P)
-        if best is None or ext_self < best[0]:
-            best = (ext_self, P)
-        if ext_self == 0:
-            break
+    """The least-Ext^1 `piece(f)` over nonzero draws f from `hb` passing
+    `keep`; raises unless one passes and the piece is E-filtered."""
+    best = _least_self_ext(hb, piece, trials, seed, keep=lambda f: f and keep(f))
     if best is None:
         raise DivisionUndefined("division undefined (no generic %s found)" % map_name)
-    ok, _ = pimod.is_E_filtered(best[1])
-    if not ok:
+    if not pimod.is_E_filtered(best[2])[0]:
         raise pimod.ConsistencyError("%s between crystal modules failed the E-filtered test"
                                      % piece_name)
-    return best[1]
+    return best[2]
 
 
 def generic_cokernel(mid, sub, trials=8, seed=0):
@@ -266,13 +261,9 @@ def check_cancellation(entries, trials=8, seed=0):
         for r, (rl, _) in enumerate(entries):
             products = [(xl, table[x][r] if side == "right" else table[r][x])
                         for x, (xl, _) in enumerate(entries)]
-            for a in range(len(products)):
-                for b in range(a + 1, len(products)):
-                    comparisons += 1
-                    same = pimod.iso_test(products[a][1], products[b][1],
-                                          trials=trials, seed=seed)
-                    if same:
-                        collisions.append({"side": side, "fixed": rl,
-                                           "pair": (products[a][0], products[b][0])})
+            for (al, A), (bl, B) in itertools.combinations(products, 2):
+                comparisons += 1
+                if pimod.iso_test(A, B, trials=trials, seed=seed):
+                    collisions.append({"side": side, "fixed": rl, "pair": (al, bl)})
     return {"comparisons": comparisons, "collisions": collisions,
             "ok": not collisions}

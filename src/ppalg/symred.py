@@ -101,17 +101,7 @@ def tilde_lift(pair, M):
             for u in range(d):
                 E.data[(k + 1) * d + u][k * d + u] = fld.one
         eps[i] = E
-    arrows = {}
-    for key in pair.big.arrow_keys():
-        _, i, j, _ = key
-        A = M.arrows[key]
-        big = Mat.zeros(fld, n * M.dims[i], n * M.dims[j])
-        for k in range(n):
-            for u in range(A.rows):
-                for v in range(A.cols):
-                    if A.data[u][v]:
-                        big.data[k * M.dims[i] + u][k * M.dims[j] + v] = A.data[u][v]
-        arrows[key] = big
+    arrows = {key: linalg.block_diag([M.arrows[key]] * n, fld) for key in pair.big.arrow_keys()}
     return ModuleRep(pair.big, dims, eps, arrows, fld)
 
 

@@ -33,7 +33,7 @@ class TestB2Suite:
         assert [e.label for e in suite.entries] == \
             ["1/1", "2", "1/1/2", "2/1/1", "2/12/1", "1/21/2"]
         for e in suite.entries:
-            assert e.locally_free and e.crystal and e.rigid and e.indecomposable
+            assert all(e.flags().values())
 
     def test_pairwise_non_isomorphic(self, suite):
         mods = [e.module for e in suite.entries]
@@ -110,7 +110,7 @@ class TestLeclercFamily:
         _, entries = leclerc_suite()
         assert len(entries) == 3
         for e in entries:
-            assert e.crystal and not e.rigid
+            assert e.flags()["crystal"] and not e.rigid
 
     def test_self_extension_has_rigid_middle_only_on_diagonal(self):
         from ppalg import starop

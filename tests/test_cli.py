@@ -41,6 +41,7 @@ def files(tmp_path_factory):
     bad["epsilon"] = {"2": [["1"]]}  # identity loop is not nilpotent
     write("bad.json", bad)
     write("sum.json", pimod.module_to_json(pimod.direct_sum(E1, E1)))
+    write("e1e2.json", pimod.module_to_json(pimod.direct_sum(E1, E2)))
 
     for name, entry in (("div0.json", "1/0"), ("float.json", 1.5)):
         doc = dict(pimod.module_to_json(E1))
@@ -49,6 +50,8 @@ def files(tmp_path_factory):
     write("labels.json", {"vertices": ["a", "b"], "cartan": [[2, -1], [-1, 2]],
                           "symmetrizer": [1, 1], "orientation": [["a", "b"]]})
     write("cartan_x.json", {"cartan": "x"})
+    write("cartan_empty.json", {"cartan": []})
+    write("over_empty.json", {"algebra": {"cartan": []}, "dims": {}})
     write("list_algebra.json", [1])
     write("list_module.json", [])
     for key in ("dims", "epsilon", "arrows"):
@@ -97,6 +100,17 @@ class TestValidation:
         result = runner.invoke(main, ["validate", files["cartan_x.json"]])
         assert result.exit_code == 2
         assert "(shape)" in result.output
+
+    def test_empty_cartan_exit_2(self, runner, files):
+        result = runner.invoke(main, ["validate", files["cartan_empty.json"]])
+        assert result.exit_code == 2
+        assert "(shape)" in result.output and "at least one vertex" in result.output
+        for args in (["lift", files["over_empty.json"], "--n", "2"],
+                     ["check-symmetrizer", files["over_empty.json"], files["over_empty.json"],
+                      "--n", "2"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+            assert "at least one vertex" in result.output
 
     def test_algebra_not_an_object_exit_2(self, runner, files):
         result = runner.invoke(main, ["validate", files["list_algebra.json"]])
@@ -234,9 +248,21 @@ class TestModuleCommands:
         out = run_json(runner, ["iso", files["e1.json"], files["e2.json"]])
         assert out["verdict"] == "not-isomorphic"
 
+    def test_iso_inconclusive_exit_1(self, runner, files):
+        result = runner.invoke(main, ["iso", files["e1.json"], files["e1.json"], "--trials", "0"])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {"verdict": "inconclusive", "seed": 0, "trials": 0}
+
     def test_decompose(self, runner, files):
         out = run_json(runner, ["decompose", files["sum.json"]])
         assert out["count"] == 2
+
+    def test_decompose_undecided_exit_1(self, runner, files, monkeypatch):
+        monkeypatch.setattr(pimod, "DECOMPOSE_RETRIES", 0)
+        result = runner.invoke(main, ["decompose", files["e1e2.json"]])
+        assert result.exit_code == 1
+        out = json.loads(result.output)
+        assert "could not split" in out["undecided"] and out["seed"] == 0
 
     def test_algebra_by_path_reference(self, runner, files):
         doc = json.loads(open(files["e1.json"]).read())
@@ -372,6 +398,16 @@ class TestMarkdownReports:
                                  "- c2 a2-noncommutative: FAIL\n"
                                  "\n"
                                  "all passed: False\n")
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_selftest_uncertified_catalog_exit_1(runner, trials):
+    """Too few trials leave a catalog product uncertified: a reported
+    failure, not a traceback."""
+    result = runner.invoke(main, ["selftest", "--trials", trials])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    out = json.loads(result.output)
+    assert out["seed"] == 0 and "product not certified" in out["error"]
 
 
 def test_byte_identical_reports(runner, files):

@@ -683,6 +683,30 @@ def test_certified_negative_on_minimal_symmetrizer():
     assert is_E_filtered(M) == (False, None)
 
 
+@pytest.mark.parametrize("C, D, seed, piece", [
+    ([[2, -2], [-1, 2]], (1, 2), 145, "quot"),
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], (2, 2, 1), 292, "ker"),
+])
+def test_crystal_refuses_a_piece_at_vertex_1(C, D, seed, piece):
+    """Two E-filtered towers that are not crystal: at vertex 1 the sub and
+    fac are locally free, and Q_1 (below a nonzero sub_1) or K_1 (above a
+    nonzero fac_1) is not crystal."""
+    datum = validate_datum(C, D, default_orientation(C))
+    rng = random.Random(seed)
+    M = random_tower(datum, rng.randint(2, 5), rng)
+    p = canonical_pieces(M, 1)
+    assert is_locally_free(p.sub)[0] and is_locally_free(p.fac)[0]
+    if piece == "quot":
+        assert M.dim_vector() == (2, 6)
+        assert p.sub.dim_vector() == (1, 0) and p.fac.dim_total() == 0
+    else:
+        assert M.dim_vector() == (2, 2, 1)
+        assert p.sub.dim_total() == 0 and p.fac.dim_vector() == (2, 0, 0)
+    assert is_crystal(getattr(p, piece)) is False
+    assert is_crystal(M) is False
+    assert is_E_filtered(M)[0] is True
+
+
 def test_crystal_runs_no_efiltered_search(b2, monkeypatch):
     suite = catalog.b2_suite()
     mods = [e.module for e in suite.entries + suite.extras]
@@ -828,6 +852,11 @@ class TestIsoAndDecompose:
     def test_self_iso(self, b2_mods):
         _, _, M3 = b2_mods
         assert iso_test(M3, M3)
+
+    def test_no_trials_is_inconclusive(self, b2_mods):
+        _, _, M3 = b2_mods
+        with pytest.raises(pimod.IsoInconclusive):
+            iso_test(M3, M3, trials=0)
 
     def test_not_iso_by_fingerprint(self, b2_mods):
         E1, E2, M3 = b2_mods

@@ -99,7 +99,7 @@ class TestReduce:
             top = random_tower(a2_pair.big, rng.randint(1, 2), rng)
             sub = random_tower(a2_pair.big, rng.randint(1, 2), rng)
             delta = pimod.random_combination(pimod.derivation_basis(top, sub), rng)
-            mid, _, _ = starop.extension_module(top, sub, delta)
+            mid = starop.extension_module(top, sub, delta)
             assert reduce_module(a2_pair, mid).dim_total() == \
                 reduce_module(a2_pair, sub).dim_total() + reduce_module(a2_pair, top).dim_total()
 

@@ -6,6 +6,8 @@ Deleting one would break only `perfbench/run.py --trace 1`; this test makes
 it fail here too.
 """
 
+import json
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -29,3 +31,25 @@ def test_every_traced_name_exists(monkeypatch):
     tracer = _LookupTracer()
     tracepoints.install(tracer)
     assert "linalg._rref" in tracer.names
+
+
+class _StubTracer:
+    """The counters `per_layer` reads, all empty."""
+
+    def __init__(self):
+        self.calls, self.self_s = Counter(), Counter()
+        self.counts, self.total_s = Counter(), Counter()
+
+    def distinct_ratio(self, name):
+        return 0.0
+
+
+def test_per_layer_names_match_benchmark(monkeypatch):
+    """`per_layer` reports exactly the per-layer metrics BENCHMARK.json
+    declares, less `trace_overhead_s`, which `perfbench/run.py` adds."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracepoints
+
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    want = {m["name"] for m in declared} - {"trace_overhead_s"}
+    assert set(tracepoints.per_layer(_StubTracer())) == want
