@@ -73,7 +73,8 @@ def _load_algebra(path):
     return _datum_from_doc(_load_json(path), path)
 
 
-def _load_module(path, field):
+def _parse_module(path, field):
+    """The module file at `path`, parsed but not checked against the relations."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise click.UsageError("%s: a module file must be a JSON object" % path)
@@ -91,6 +92,15 @@ def _load_module(path, field):
         return pimod.module_from_json(doc, datum, field)
     except ValueError as exc:
         raise click.UsageError("%s: %s" % (path, exc))
+
+
+def _load_module(path, field):
+    """The module file at `path`; a file violating the relations is refused."""
+    M = _parse_module(path, field)
+    bad = pimod.check_relations(M)
+    if bad:
+        raise click.UsageError("%s: violates the defining relations: %s" % (path, bad))
+    return M
 
 
 def _load_pair(path_a, path_b, field):
@@ -203,7 +213,7 @@ def validate(algebra, fmt, out):
 @_common
 def check(module, field, fmt, out):
     """Check the defining relations on a module file."""
-    M = _load_module(module, field)
+    M = _parse_module(module, field)
     bad = pimod.check_relations(M)
     payload = {"ok": not bad, "violated": bad, "dims": {str(i): M.dims[i] for i in M.datum.vertices}}
     _emit(payload, fmt, out)
@@ -392,8 +402,6 @@ def star(mod_a, mod_b, seed, trials, field, fmt, out):
     """The generic extension A * B (A on top, B as sub)."""
     A, B = _load_pair(mod_a, mod_b, field)
     for name, M in (("A", A), ("B", B)):
-        if pimod.check_relations(M):
-            raise click.UsageError("%s violates the defining relations" % name)
         if not pimod.is_crystal(M):
             raise click.UsageError("%s is not a crystal module" % name)
     res = starop.generic_extension(A, B, trials=trials, seed=seed)

@@ -7,6 +7,8 @@ nonzero), so every rank, kernel, solve and column space goes through one
 elimination kernel on kernel rows {col: int}: primitive integer rows over
 Q, residues over GF(p).  `rows_rank` and `rows_nullspace` take such rows
 from the system builder of `pimod`; the `Mat` entry points convert first.
+The builder's factors are int forms (den, rows, cols), a matrix as integer
+rows over one denominator; `int_product` multiplies them on their nonzeros.
 """
 
 from __future__ import annotations
@@ -316,6 +318,33 @@ def kernel_row(row, p):
         return {c: x % p for c, x in row.items() if x % p}
     g = gcd(*row.values())
     return {c: x // g for c, x in row.items() if x}
+
+
+def int_form(A):
+    """(den, rows, cols) with A = rows / den, each row {col: int} of A's
+    nonzeros: over Q den is the lcm of A's denominators, over GF(p) the
+    rows hold residues and den = 1."""
+    if A.field.char:
+        return 1, [{c: x.v for c, x in enumerate(row) if x.v} for row in A.data], A.cols
+    den = lcm(*[x.denominator for row in A.data for x in row if x])
+    return den, [{c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x}
+                 for row in A.data], A.cols
+
+
+def int_product(A, B, p):
+    """The int form of the product of two int forms, from their nonzeros
+    only; over GF(p) (p > 0) the entries are reduced mod p."""
+    da, arows, _ = A
+    db, brows, cols = B
+    out = []
+    for arow in arows:
+        acc = {}
+        for k, a in arow.items():
+            for c, b in brows[k].items():
+                acc[c] = acc.get(c, 0) + a * b
+        out.append({c: x % p for c, x in acc.items() if x % p} if p
+                   else {c: x for c, x in acc.items() if x})
+    return da * db, out, cols
 
 
 def _sparse_rows(data, rows, p):

@@ -11,6 +11,9 @@ Every linear system (Hom, Hom_T, Der, the annihilator ideals of End) is
 written by one builder, `_linear_system`, as `linalg` kernel rows {col: int},
 never as a matrix; dimensions come from `rows_rank`, and only hom_basis,
 derivation_basis and the annihilator ideals solve it by `rows_nullspace`.
+The builder's factors, and the words of `check_relations`, are products of
+the generators' int forms (`linalg.int_form`, integer rows over one
+denominator) computed by `_word` on their nonzeros, never dense products.
 
 `submodule`, `quotient` and `canonical_pieces` share one block-triangular
 split per vertex, `_split`; it refuses (ValueError) spaces with dependent
@@ -35,9 +38,11 @@ read-only mapping) and handed out uncopied.  A run is a
 `memo_run()` block: each `selftest.run_criteria` pass and each CLI command
 is one, and a memoized function called outside any run opens one for its
 outermost call.  Every run starts empty, so results never depend on an
-earlier run.  Nothing is kept on the module objects: a loop over the same
-modules outside a run (match_label over a pool, repeated iso_test)
-recomputes each answer unless it is wrapped in `memo_run()`.
+earlier run.  A module object keeps two things in its `_cache`, each made on
+first use: its content key and its generators' int forms.  No result is
+kept on it: a loop over the same modules outside a run (match_label over a
+pool, repeated iso_test) recomputes each answer unless it is wrapped in
+`memo_run()`.
 
 All randomized verdicts are reproducible from their seed, and "don't know"
 is a first-class outcome (IsoInconclusive, DecomposeUndecided) -- never a
@@ -127,13 +132,6 @@ class ModuleRep:
     def dim_vector(self):
         return tuple(self.dims[i] for i in self.datum.vertices)
 
-    def eval_word(self, word, target):
-        """The matrix of a path word (leftmost factor applied last)."""
-        out = Mat.identity(self.field, self.dims[target])
-        for gen in word:
-            out = out * self.gen_mat(gen)
-        return out
-
     def __repr__(self):
         return "ModuleRep(dims=%r)" % (self.dims,)
 
@@ -205,15 +203,41 @@ def _memoized(fn):
     return memo
 
 
+def _word(M, word, target):
+    """The int form (see `linalg.int_form`) of the matrix of a path word,
+    leftmost factor applied last; the empty word is the identity at `target`.
+    The generators' int forms are cached on M, which is immutable."""
+    if not word:
+        return 1, [{r: 1} for r in range(M.dims[target])], M.dims[target]
+    forms = M._cache.setdefault("int", {})
+    out = None
+    for gen in word:
+        form = forms.get(gen)
+        if form is None:
+            form = forms[gen] = linalg.int_form(M.gen_mat(gen))
+        out = form if out is None else linalg.int_product(out, form, M.field.char)
+    return out
+
+
 def check_relations(M):
-    """Labels of all violated defining relations (empty list when ok)."""
+    """Labels of all violated defining relations (empty list when ok).
+
+    Each relation's words are summed over the lcm of their denominators and
+    the integer sum is tested for zero exactly (mod p over GF(p))."""
+    p = M.field.char
     bad = []
     for rel in M.datum.relations():
-        total = Mat.zeros(M.field, M.dims[rel.target], M.dims[rel.source])
-        for coeff, word in rel.terms:
-            term = M.eval_word(word, rel.target)
-            total = total + (term if coeff == 1 else term.scale(coeff))
-        if not total.is_zero():
+        if not (M.dims[rel.target] and M.dims[rel.source]):
+            continue
+        words = [(coeff, _word(M, word, rel.target)) for coeff, word in rel.terms]
+        den = lcm(*[d for _, (d, _, _) in words])
+        total = [{} for _ in range(M.dims[rel.target])]
+        for coeff, (d, rows, _) in words:
+            s = coeff * (den // d)
+            for acc, row in zip(total, rows):
+                for c, x in row.items():
+                    acc[c] = acc.get(c, 0) + s * x
+        if any(x % p if p else x for acc in total for x in acc.values()):
             bad.append(rel.label)
     return bad
 
@@ -290,12 +314,13 @@ def _linear_system(field, shapes, equations):
     """(rows, nvars): the kernel rows (see `linalg`) of `equations` in the
     unknown blocks X_k of `shapes`.
 
-    Each equation is a list of terms (coeff, k, L, R) and stands for
-    sum coeff * L X_k R = 0; it contributes rows(L) x cols(R) rows, row-major
-    and zero rows dropped, so all its terms must share that shape.  The
-    unknowns are the blocks X_k, vec'd row by row in the layout of
-    `_var_layout(shapes)`.  Over Q, L and R are scaled to integers by the
-    lcm D of the equation's denominators, which scales it by D^2.
+    Each equation is a list of terms (coeff, k, L, R), with L and R int
+    forms (see `linalg.int_form`), and stands for sum coeff * L X_k R = 0;
+    it contributes rows(L) x cols(R) rows, row-major and zero rows dropped,
+    so all its terms must share that shape.  The unknowns are the blocks X_k,
+    vec'd row by row in the layout of `_var_layout(shapes)`.  Each term is
+    scaled by m / (den L * den R), m the lcm of den L * den R over the
+    equation's terms, which scales the equation by m.
     """
     offsets, nvars = _var_layout(shapes)
     p = field.char
@@ -303,24 +328,24 @@ def _linear_system(field, shapes, equations):
     for terms in equations:
         if not terms:
             continue
-        D = 1 if p else lcm(*[x.denominator for _, _, L, R in terms for row in L.data + R.data
-                              for x in row if x])
-        num = (lambda x: x.v) if p else (lambda x: x.numerator * (D // x.denominator))
+        m = lcm(*[L[0] * R[0] for _, _, L, R in terms])
         _, _, L0, R0 = terms[0]
-        block = [{} for _ in range(L0.rows * R0.cols)]
-        for coeff, k, L, R in terms:
+        block = [{} for _ in range(len(L0[1]) * R0[2])]
+        for coeff, k, (dl, lrows, _), (dr, rrows, rcols) in terms:
             # (L X R)[u][v] = sum over r, c of L[u][r] X[r][c] R[c][v]: walk
             # the nonzeros of L's rows and R's columns only
+            s = coeff * (m // (dl * dr))
             base, width = offsets[k], shapes[k][1]
-            lnz = [[(base + r * width, coeff * num(x)) for r, x in enumerate(row) if x]
-                   for row in L.data]
-            rnz = [[(c, num(row[v])) for c, row in enumerate(R.data) if row[v]]
-                   for v in range(R.cols)]
-            for u, lu in enumerate(lnz):
-                if not lu:
+            rnz = [[] for _ in range(rcols)]
+            for c, row in enumerate(rrows):
+                for v, y in row.items():
+                    rnz[v].append((c, y))
+            for u, lrow in enumerate(lrows):
+                if not lrow:
                     continue
+                lu = [(base + r * width, s * x) for r, x in lrow.items()]
                 for v, rv in enumerate(rnz):
-                    out = block[u * R.cols + v]
+                    out = block[u * rcols + v]
                     for off, x in lu:
                         for c, y in rv:
                             out[off + c] = out.get(off + c, 0) + x * y
@@ -345,11 +370,12 @@ def _nullity(field, system):
 def _hom_equations(M, N, arrows):
     """The equations f_i M_g - N_g f_j = 0 on blocks f_i of shape N_i x M_i,
     one for every loop and for every arrow g: j -> i in `arrows`."""
-    field = M.field
-    gens = [eps_key(i) for i in M.datum.vertices] + list(arrows)
-    return [[(1, gen_target(g), Mat.identity(field, N.dims[gen_target(g)]), M.gen_mat(g)),
-             (-1, gen_source(g), N.gen_mat(g), Mat.identity(field, M.dims[gen_source(g)]))]
-            for g in gens]
+    equations = []
+    for g in [eps_key(i) for i in M.datum.vertices] + list(arrows):
+        t, s = gen_target(g), gen_source(g)
+        equations.append([(1, t, _word(N, (), t), _word(M, (g,), t)),
+                          (-1, s, _word(N, (g,), t), _word(M, (), s))])
+    return equations
 
 
 def _hom_system(M, N, arrows):
@@ -371,8 +397,8 @@ def _der_system(M, N):
     equations = []
     for rel in datum.relations():
         if N.dims[rel.target] and M.dims[rel.source]:
-            equations.append([(coeff, gen, N.eval_word(word[:p], rel.target),
-                               M.eval_word(word[p + 1:], gen_source(gen)))
+            equations.append([(coeff, gen, _word(N, word[:p], rel.target),
+                               _word(M, word[p + 1:], gen_source(gen)))
                               for coeff, word in rel.terms
                               for p, gen in enumerate(word) if gen[0] == "arr"])
     return _linear_system(M.field, shapes, equations), shapes
@@ -900,8 +926,8 @@ def _endomorphism_sources(M, endb):
     for i in sorted(M.datum.vertices, key=lambda i: M.dims[i]):
         d = M.dims[i]
         for k in range(d):
-            e_k = Mat.column(field, [int(r == k) for r in range(d)])
-            kills = [[(1, i, Mat.identity(field, d), e_k)]]   # f_i e_k = 0
+            e_k = 1, [{0: 1} if r == k else {} for r in range(d)], 1
+            kills = [[(1, i, _word(M, (), i), e_k)]]   # f_i e_k = 0
             yield _kernel_basis(field, _linear_system(field, shapes, hom + kills), shapes)
 
 

@@ -73,10 +73,14 @@ class StarResult:
     sub: ModuleRep
     delta: dict
     ext_self: int               # dim Ext^1 of the middle term with itself
-    certified: bool             # lemma-certified (rigid inputs, rigid middle)
     flags: tuple
     seed: int
     trials: int
+
+    @property
+    def certified(self):
+        """Lemma-certified (rigid inputs, rigid middle): no flag was raised."""
+        return not self.flags
 
     @property
     def rigid(self):
@@ -136,7 +140,6 @@ def generic_extension(top, sub, trials=8, seed=0):
         flags.append("product possibly non-rigid")
     return StarResult(
         module=mid, top=top, sub=sub, delta=delta, ext_self=ext_self,
-        certified=(top_rigid and sub_rigid and ext_self == 0),
         flags=tuple(flags), seed=seed, trials=trials)
 
 
@@ -191,7 +194,6 @@ class TableCell:
     labels: tuple        # decomposition of the product, as pool labels
     split: bool          # product is row (+) col
     certified: bool
-    flags: tuple
     error: str = ""
 
 
@@ -212,11 +214,10 @@ def star_table(entries, extra_pool=(), trials=8, seed=0):
                 res = generic_extension(M, N, trials=trials, seed=seed)
                 labels = _cell_labels(res.module, rl, M, cl, N, pool, trials, seed)
                 split = sorted([rl, cl]) == labels
-                cells[(rl, cl)] = TableCell(rl, cl, tuple(labels), split,
-                                            res.certified, res.flags)
+                cells[(rl, cl)] = TableCell(rl, cl, tuple(labels), split, res.certified)
             except (pimod.IsoInconclusive, pimod.DecomposeUndecided,
-                    pimod.ConsistencyError, DivisionUndefined) as exc:
-                cells[(rl, cl)] = TableCell(rl, cl, (), False, False, (), str(exc))
+                    pimod.ConsistencyError) as exc:
+                cells[(rl, cl)] = TableCell(rl, cl, (), False, False, str(exc))
     return cells
 
 

@@ -371,6 +371,39 @@ def test_certified_negative_commands(runner, tmp_path):
     assert run_json(runner, ["efiltered", str(path)]) == {"e_filtered": False, "witness": None}
 
 
+@pytest.fixture(scope="module")
+def non_module(runner, tmp_path_factory):
+    """b2:1/21/2 with the arrow a_1_2_1 set to the identity: a file that
+    parses, but whose matrices violate the mesh relations at both vertices."""
+    doc = run_json(runner, ["catalog", "export", "b2:1/21/2"])
+    doc["arrows"]["a_1_2_1"] = [["1", "0"], ["0", "1"]]
+    path = tmp_path_factory.mktemp("non_module") / "bad.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [["ext", "M", "M"], ["rigid", "M"], ["crystal", "M"],
+                                  ["efiltered", "M"], ["hom", "M", "M"], ["iso", "M", "M"],
+                                  ["pieces", "M", "1"], ["decompose", "M"], ["star", "M", "M"]],
+                         ids=lambda args: args[0])
+def test_module_commands_refuse_a_non_module(runner, non_module, args):
+    """Every command that loads a module checks the relations first: exit 2
+    with a message, not a traceback (`ext`, `rigid`) or a silent answer."""
+    result = runner.invoke(main, [non_module if a == "M" else a for a in args])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert ("%s: violates the defining relations: ['mesh@1', 'mesh@2']" % non_module
+            in result.output)
+
+
+def test_check_reports_a_non_module(runner, non_module):
+    """`check` reads the file without the loader's relation check and
+    reports what it violates."""
+    result = runner.invoke(main, ["check", non_module])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["violated"] == ["mesh@1", "mesh@2"]
+
+
 class TestMarkdownReports:
     def test_rank_nested_dims(self, runner, tmp_path):
         """Commands without their own renderer print nested key lists."""

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 
@@ -252,16 +253,26 @@ def test_hom_basis_commutes_and_ext_formula(name, seed, rank_m, rank_n):
 
 # -- the system builder against the dense builder it replaced ------------------
 
+def int_form_mat(field, form):
+    """The `Mat` of the int form (den, rows, cols), over `field`."""
+    den, rows, cols = form
+    return Mat(field, len(rows), cols,
+               [[field.coerce(Fraction(row.get(c, 0), den)) for c in range(cols)] for row in rows])
+
+
 def dense_linear_system(field, shapes, equations):
-    """The reference for `pimod._linear_system`: the system of `equations`
-    as one dense `Mat` of field elements, one nvars-wide row per entry of
-    each equation, zero rows kept."""
+    """The reference for `pimod._linear_system`: the system of `equations`,
+    their int-form factors turned back into `Mat`s, as one dense `Mat` of
+    field elements, one nvars-wide row per entry of each equation, zero rows
+    kept."""
     offsets, nvars = pimod._var_layout(shapes)
     z = field.zero
     rows = []
     for terms in equations:
         if not terms:
             continue
+        terms = [(coeff, k, int_form_mat(field, L), int_form_mat(field, R))
+                 for coeff, k, L, R in terms]
         _, _, L0, R0 = terms[0]
         block = [[z] * nvars for _ in range(L0.rows * R0.cols)]
         for coeff, k, L, R in terms:
@@ -339,6 +350,83 @@ def test_linear_system_matches_dense_reference(name, seed, rank_m, rank_n, modul
         assert rows == kernel_rows_of(ref)
         assert linalg.rows_rank(field, [dict(r) for r in rows], nvars) == linalg.rank(ref)
         assert linalg.rows_nullspace(field, rows, nvars) == linalg.nullspace(ref)
+
+
+# -- word products and the relation check against dense references ------------
+
+def eval_word(M, word, target):
+    """The reference for `pimod._word`: the dense matrix of a path word,
+    leftmost factor applied last (the identity at `target` when empty)."""
+    out = Mat.identity(M.field, M.dims[target])
+    for gen in word:
+        out = out * M.gen_mat(gen)
+    return out
+
+
+def dense_check_relations(M):
+    """The reference for `check_relations`: each relation summed as dense
+    matrices of field elements."""
+    bad = []
+    for rel in M.datum.relations():
+        total = Mat.zeros(M.field, M.dims[rel.target], M.dims[rel.source])
+        for coeff, word in rel.terms:
+            term = eval_word(M, word, rel.target)
+            total = total + (term if coeff == 1 else term.scale(coeff))
+        if not total.is_zero():
+            bad.append(rel.label)
+    return bad
+
+
+def _perturbed(M, gen, r, c, t):
+    """M with t added to entry (r, c) of the loop or arrow `gen`."""
+    A = M.gen_mat(gen).copy()
+    A.data[r][c] = A.data[r][c] + M.field.coerce(t)
+    eps = {i: A if gen == eps_key(i) else E for i, E in M.eps.items()}
+    arrows = {k: A if k == gen else B for k, B in M.arrows.items()}
+    return ModuleRep(M.datum, M.dims, eps, arrows, M.field)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16),
+       rank=st.integers(2, 4), modular=st.booleans())
+def test_words_and_relations_match_dense_references(name, seed, rank, modular):
+    """On towers conjugated to have denominators, over Q and GF(32003):
+    `_word` is the dense product of every relation word and of each of its
+    prefixes and suffixes (over GF(p) its rows are the residues), and
+    `check_relations` gives the dense reference's labels, on the tower and
+    on the tower with one entry of an arrow (or, with no nonzero arrow, of
+    a loop) changed.  Adding t != 0 on the diagonal of a loop gives it
+    trace t, so it is no longer nilpotent: that perturbation must violate
+    the relations."""
+    datum = _wider(name)
+    rng = random.Random(seed)
+    T = random_tower(datum, rank, rng)
+    M = _conjugate(T, {i: _random_invertible(rng, T.dims[i]) for i in datum.vertices})
+    if modular:
+        M = pimod.module_from_json(pimod.module_to_json(M), datum, linalg.GF(32003))
+    for rel in datum.relations():
+        for _, word in rel.terms:
+            for k in range(len(word) + 1):
+                suffix_target = gen_target(word[k]) if k < len(word) else rel.source
+                for part, target in ((word[:k], rel.target), (word[k:], suffix_target)):
+                    got, want = pimod._word(M, part, target), eval_word(M, part, target)
+                    assert int_form_mat(M.field, got) == want
+                    if modular:
+                        assert got == linalg.int_form(want)
+    assert check_relations(M) == dense_check_relations(M) == []
+
+    t = Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 3))
+    arrows = [k for k, A in M.arrows.items() if A.rows and A.cols]
+    gen = rng.choice(arrows or [eps_key(i) for i in datum.vertices if M.dims[i]])
+    A = M.gen_mat(gen)
+    bad = _perturbed(M, gen, rng.randrange(A.rows), rng.randrange(A.cols), t)
+    assert check_relations(bad) == dense_check_relations(bad)
+    i = rng.choice([i for i in datum.vertices if M.dims[i]])
+    r = rng.randrange(M.dims[i])
+    bad = _perturbed(M, eps_key(i), r, r, t)
+    labels = check_relations(bad)
+    assert labels == dense_check_relations(bad) and "nilpotency@%r" % (i,) in labels
 
 
 # -- submodule and quotient: one block-triangular split per vertex ------------
