@@ -247,7 +247,8 @@ def validate_datum(cartan, sym, orient, vertices=None):
     if vertices is None:
         vertices = tuple(range(1, n + 1))
     vertices = tuple(vertices)
-    if len(set(vertices)) != len(vertices):
+    # files and arrow names spell labels by str(), so 1 and "1" clash too
+    if len(set(vertices)) != len(vertices) or len(set(map(str, vertices))) != len(vertices):
         raise DatumError("shape", "duplicate vertex labels")
     _check_cartan_matrix(vertices, cartan)
     if len(sym) != n:

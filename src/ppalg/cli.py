@@ -153,6 +153,8 @@ def _parse_rank_vector(text, datum):
         raise click.UsageError("rank vectors are comma-separated integers")
     if len(parts) != datum.n():
         raise click.UsageError("rank vector needs %d entries" % datum.n())
+    if any(x < 0 for x in parts):
+        raise click.UsageError("rank vectors have no negative entries")
     return tuple(parts)
 
 

@@ -1,20 +1,21 @@
 """Exact linear algebra over Q or a prime field, with no floating point.
 
-The default scalars are `fractions.Fraction` values, optionally replaced by
-GF(p) elements for fast cross-checks.  Matrices are stored dense, but the
-systems solved are mostly sparse (the Hom and Der systems are under 1%
-nonzero), so every rank, kernel, solve and column space goes through one
-elimination kernel on kernel rows {col: int}: primitive integer rows over
-Q, residues over GF(p).  `rows_rank` and `rows_nullspace` take such rows
-from the system builder of `pimod`; the `Mat` entry points convert first.
-The builder's factors are int forms (den, rows, cols), a matrix as integer
-rows over one denominator; `int_product` multiplies them on their nonzeros.
+Scalars are `fractions.Fraction` values, or GF(p) elements for fast
+cross-checks.  A matrix (`Mat`) has one format, integer rows of its
+nonzeros over one denominator, so products, sums, stacks and every
+elimination touch nonzeros only: the systems solved are mostly sparse (the
+Hom and Der systems are under 1% nonzero).  Every rank, kernel, solve and
+column space goes through one elimination kernel on kernel rows {col: int}:
+primitive integer rows over Q, residues over GF(p).  `rows_rank` and
+`rows_nullspace` take such rows from the system builder of `pimod`; the
+`Mat` entry points make them from a matrix's rows with `kernel_row`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 
@@ -52,31 +53,6 @@ class FpElement:
     def __init__(self, v, p):
         self.v = v % p
         self.p = p
-
-    def _lift(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields")
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElement(self.v + w, self.p)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElement(self.v * w, self.p)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, FpElement):
@@ -177,82 +153,121 @@ def GF(p):
 
 
 class Mat:
-    """A dense rows x cols matrix with exact entries.
+    """A rows x cols matrix with exact entries, kept as A = nz / den: `nz[r]`
+    is {col: int} over the nonzeros of row r.  Over Q, den > 0 and
+    gcd(den, every entry) = 1, so `==` compares the forms; over GF(p), nz
+    holds residues and den = 1.  Matrices are immutable: every operation
+    works on the nonzeros and returns a new matrix.
 
-    `data` is a list of row lists and is owned by the matrix; callers must
-    not alias it.  Entries (Fraction or FpElement) support +, * and bool;
-    matrices support +, * and `scale`.
+    `Mat(field, rows, cols, data)` takes dense rows of anything
+    `field.coerce` reads; `data` gives them back as tuples of field
+    elements, a read-only view for I/O and tests.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "den", "nz")
 
     def __init__(self, field, rows, cols, data):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        nz = [{c: x for c, x in enumerate(map(field.coerce, row)) if x} for row in data]
+        self.field, self.rows, self.cols = field, rows, cols
+        if field.char:
+            self.den, self.nz = 1, [{c: x.v for c, x in row.items()} for row in nz]
+        else:   # over the lcm of the denominators the form is canonical
+            den = self.den = lcm(*[x.denominator for row in nz for x in row.values()])
+            self.nz = [{c: x.numerator * (den // x.denominator) for c, x in row.items()}
+                       for row in nz]
+
+    @classmethod
+    def from_form(cls, field, rows, cols, den, nz):
+        """The matrix nz / den, nz holding nonzero integers (residues over
+        GF(p)); over Q one gcd pass makes the form canonical, and nz is
+        copied only when that gcd is above 1."""
+        g = den
+        for row in nz:
+            if g == 1:
+                break
+            g = gcd(g, *row.values())
+        if g > 1:
+            den //= g
+            nz = [{c: x // g for c, x in row.items()} for row in nz]
+        A = object.__new__(cls)
+        A.field, A.rows, A.cols, A.den, A.nz = field, rows, cols, den, nz
+        return A
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls.from_form(field, rows, cols, 1, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.from_form(field, n, n, 1, [{r: 1} for r in range(n)])
 
     @classmethod
     def from_rows(cls, field, rows):
-        data = [[field.coerce(x) for x in row] for row in rows]
-        cols = len(data[0]) if data else 0
-        for row in data:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-        return cls(field, len(data), cols, data)
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("ragged rows")
+        return cls(field, len(rows), cols, rows)
 
     @classmethod
     def column(cls, field, entries):
-        return cls(field, len(entries), 1, [[field.coerce(x)] for x in entries])
+        return cls(field, len(entries), 1, [[x] for x in entries])
 
-    def copy(self):
-        return Mat(self.field, self.rows, self.cols, [row[:] for row in self.data])
+    @property
+    def data(self):
+        """The dense rows, each a tuple of field elements, made afresh."""
+        f, den = self.field, self.den
+        return [tuple(f.coerce(Fraction(row[c], den)) if c in row else f.zero
+                      for c in range(self.cols)) for row in self.nz]
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
+        return ((self.field.char, self.rows, self.cols, self.den, self.nz)
+                == (other.field.char, other.rows, other.cols, other.den, other.nz))
 
     def is_zero(self):
-        return all(not x for row in self.data for x in row)
+        return not any(self.nz)
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return Mat(self.field, self.rows, self.cols,
-                   [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        p = self.field.char
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = []
+        for ra, rb in zip(self.nz, other.nz):
+            acc = {c: x * sa for c, x in ra.items()}
+            for c, y in rb.items():
+                acc[c] = acc.get(c, 0) + y * sb
+            out.append({c: x % p for c, x in acc.items() if x % p} if p
+                       else {c: x for c, x in acc.items() if x})
+        return Mat.from_form(self.field, self.rows, self.cols, den, out)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        return Mat(self.field, self.rows, self.cols, [[c * a for a in row] for row in self.data])
+        p = self.field.char
+        n, d = (c.v, 1) if p else (c.numerator, c.denominator)
+        if not n:
+            return Mat.zeros(self.field, self.rows, self.cols)
+        return Mat.from_form(self.field, self.rows, self.cols, self.den * d,
+                             [{k: x * n % p if p else x * n for k, x in row.items()}
+                              for row in self.nz])
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         assert self.cols == other.rows, "shape mismatch %dx%d * %dx%d" % (
             self.rows, self.cols, other.rows, other.cols)
-        z = self.field.zero
-        out = [[z] * other.cols for _ in range(self.rows)]
-        bd = other.data
-        for i, arow in enumerate(self.data):
-            orow = out[i]
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = bd[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        orow[j] = orow[j] + a * b
-        return Mat(self.field, self.rows, other.cols, out)
+        p = self.field.char
+        brows = other.nz
+        out = []
+        for arow in self.nz:
+            acc = {}
+            for k, a in arow.items():
+                for c, b in brows[k].items():
+                    acc[c] = acc.get(c, 0) + a * b
+            out.append({c: x % p for c, x in acc.items() if x % p} if p
+                       else {c: x for c, x in acc.items() if x})
+        return Mat.from_form(self.field, self.rows, other.cols, self.den * other.den, out)
 
     def power(self, k):
         assert self.rows == self.cols and k >= 0
@@ -261,11 +276,29 @@ class Mat:
             out = out * self
         return out
 
+    def columns(self, js):
+        """The matrix of the columns js of self, in that order."""
+        return Mat.from_form(self.field, self.rows, len(js), self.den,
+                             [{k: row[j] for k, j in enumerate(js) if j in row}
+                              for row in self.nz])
+
     def col(self, j):
-        return Mat(self.field, self.rows, 1, [[row[j]] for row in self.data])
+        return self.columns([j])
 
     def __repr__(self):
         return "Mat(%dx%d, %r)" % (self.rows, self.cols, self.data)
+
+
+def _stack(mats, field, rows, cols, place):
+    """The rows x cols matrix holding each of `mats` at its (row, col)
+    offset from `place`, over the lcm of their denominators."""
+    den = lcm(*[m.den for m in mats])
+    nz = [{} for _ in range(rows)]
+    for m, (r0, c0) in zip(mats, place):
+        s = den // m.den
+        for r, row in enumerate(m.nz, r0):
+            nz[r].update((c0 + c, x * s) for c, x in row.items())
+    return Mat.from_form(field, rows, cols, den, nz)
 
 
 def hstack(mats, field=None, rows=None):
@@ -274,14 +307,10 @@ def hstack(mats, field=None, rows=None):
     if not mats:
         assert field is not None and rows is not None
         return Mat.zeros(field, rows, 0)
-    field = mats[0].field
     rows = mats[0].rows
     assert all(m.rows == rows for m in mats)
-    data = [[] for _ in range(rows)]
-    for m in mats:
-        for i in range(rows):
-            data[i].extend(m.data[i])
-    return Mat(field, rows, sum(m.cols for m in mats), data)
+    offsets = [0, *accumulate(m.cols for m in mats)]
+    return _stack(mats, mats[0].field, rows, offsets[-1], [(0, c) for c in offsets])
 
 
 def vstack(mats, field=None, cols=None):
@@ -289,26 +318,18 @@ def vstack(mats, field=None, cols=None):
     if not mats:
         assert field is not None and cols is not None
         return Mat.zeros(field, 0, cols)
-    field = mats[0].field
     cols = mats[0].cols
     assert all(m.cols == cols for m in mats)
-    data = []
-    for m in mats:
-        data.extend(row[:] for row in m.data)
-    return Mat(field, len(data), cols, data)
+    offsets = [0, *accumulate(m.rows for m in mats)]
+    return _stack(mats, mats[0].field, offsets[-1], cols, [(r, 0) for r in offsets])
 
 
 def block_diag(mats, field):
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = Mat.zeros(field, rows, cols)
-    r = c = 0
+    place, r, c = [], 0, 0
     for m in mats:
-        for i in range(m.rows):
-            out.data[r + i][c:c + m.cols] = m.data[i][:]
-        r += m.rows
-        c += m.cols
-    return out
+        place.append((r, c))
+        r, c = r + m.rows, c + m.cols
+    return _stack(mats, field, r, c, place)
 
 
 def kernel_row(row, p):
@@ -318,46 +339,6 @@ def kernel_row(row, p):
         return {c: x % p for c, x in row.items() if x % p}
     g = gcd(*row.values())
     return {c: x // g for c, x in row.items() if x}
-
-
-def int_form(A):
-    """(den, rows, cols) with A = rows / den, each row {col: int} of A's
-    nonzeros: over Q den is the lcm of A's denominators, over GF(p) the
-    rows hold residues and den = 1."""
-    if A.field.char:
-        return 1, [{c: x.v for c, x in enumerate(row) if x.v} for row in A.data], A.cols
-    den = lcm(*[x.denominator for row in A.data for x in row if x])
-    return den, [{c: x.numerator * (den // x.denominator) for c, x in enumerate(row) if x}
-                 for row in A.data], A.cols
-
-
-def int_product(A, B, p):
-    """The int form of the product of two int forms, from their nonzeros
-    only; over GF(p) (p > 0) the entries are reduced mod p."""
-    da, arows, _ = A
-    db, brows, cols = B
-    out = []
-    for arow in arows:
-        acc = {}
-        for k, a in arow.items():
-            for c, b in brows[k].items():
-                acc[c] = acc.get(c, 0) + a * b
-        out.append({c: x % p for c, x in acc.items() if x % p} if p
-                   else {c: x for c, x in acc.items() if x})
-    return da * db, out, cols
-
-
-def _sparse_rows(data, rows, p):
-    """The dense rows `data[:rows]` of field elements as kernel rows mod p
-    (over Q, p = 0, each row is first scaled by the lcm of its denominators)."""
-    if p:
-        return [{c: x.v for c, x in enumerate(row) if x.v} for row in data[:rows]]
-    out = []
-    for row in data[:rows]:
-        r = {c: x.as_integer_ratio() for c, x in enumerate(row) if x}
-        den = lcm(*[d for _, d in r.values()])
-        out.append(kernel_row({c: n * (den // d) for c, (n, d) in r.items()}, 0))
-    return out
 
 
 def _eliminate(r, c, P, p, col_rows=None, i=None, limit=0):
@@ -454,15 +435,12 @@ def rows_nullspace(field, rows, cols):
     p = field.char
     pivots, pivot_rows = _reduce(rows, p, cols)
     free = {f: k for k, f in enumerate(sorted(set(range(cols)).difference(pivots)))}
-    basis = Mat.zeros(field, cols, len(free))
-    for f, k in free.items():
-        basis.data[f][k] = field.one
+    den = lcm(*[rows[i][c] for c, i in zip(pivots, pivot_rows)])   # 1 over GF(p)
+    nz = [{free[f]: den} if f in free else None for f in range(cols)]
     for c, i in zip(pivots, pivot_rows):
-        d = rows[i][c]
-        for f, v in rows[i].items():
-            if f != c:
-                basis.data[c][free[f]] = FpElement(-v, p) if p else Fraction(-v, d)
-    return basis
+        s = den // rows[i][c]
+        nz[c] = {free[f]: -v * s % p if p else -v * s for f, v in rows[i].items() if f != c}
+    return Mat.from_form(field, cols, len(free), den, nz)
 
 
 def _rref(data, rows, cols, pivot_limit=None):
@@ -474,7 +452,7 @@ def _rref(data, rows, cols, pivot_limit=None):
     the rows are reduced as kernel rows (`_reduce`) and written back dense.
     """
     p = data[0][0].p if rows and cols and isinstance(data[0][0], FpElement) else 0
-    sparse = _sparse_rows(data, rows, p)
+    sparse = [kernel_row(r, p) for r in Mat(GF(p) if p else QQ, rows, cols, data[:rows]).nz]
     pivots, pivot_rows = _reduce(sparse, p, cols if pivot_limit is None else pivot_limit)
     if not pivots:
         return []
@@ -492,27 +470,27 @@ def _rref(data, rows, cols, pivot_limit=None):
 
 def rank(A):
     """The rank of A: forward elimination only, with no back-substitution."""
-    return rows_rank(A.field, _sparse_rows(A.data, A.rows, A.field.char), A.cols)
+    return rows_rank(A.field, [kernel_row(r, A.field.char) for r in A.nz], A.cols)
 
 
 def nullspace(A):
     """Basis of {x : A x = 0}, returned as the columns of a matrix."""
-    return rows_nullspace(A.field, _sparse_rows(A.data, A.rows, A.field.char), A.cols)
+    return rows_nullspace(A.field, [kernel_row(r, A.field.char) for r in A.nz], A.cols)
 
 
 def solve_matrix(A, B):
     """Some X with A X = B (column by column), or None if inconsistent."""
     assert A.rows == B.rows
-    data = [ra[:] + rb[:] for ra, rb in zip(A.data, B.data)] if A.rows else []
+    data = [ra + rb for ra, rb in zip(A.data, B.data)]
     pivots = _rref(data, A.rows, A.cols + B.cols, pivot_limit=A.cols)
     nr = len(pivots)
     for r in range(nr, A.rows):
         if any(data[r][A.cols + j] for j in range(B.cols)):
             return None
-    X = Mat.zeros(A.field, A.cols, B.cols)
+    X = [[A.field.zero] * B.cols for _ in range(A.cols)]
     for r, pc in enumerate(pivots):
-        X.data[pc] = data[r][A.cols:]
-    return X
+        X[pc] = data[r][A.cols:]
+    return Mat(A.field, A.cols, B.cols, X)
 
 
 def inverse(A):
@@ -532,8 +510,7 @@ def column_space(A):
     """An independent subset of A's columns spanning its column space: the
     pivot columns, from forward elimination only."""
     p = A.field.char
-    pivots = _forward(_sparse_rows(A.data, A.rows, p), p, A.cols)[0]
-    return hstack([A.col(j) for j in pivots], field=A.field, rows=A.rows)
+    return A.columns(_forward([kernel_row(r, p) for r in A.nz], p, A.cols)[0])
 
 
 def complete_basis(B):
@@ -543,15 +520,24 @@ def complete_basis(B):
     basis; with C = [e_j for j in extra], [L; P] = [B | C]^-1 is the I part
     of the RREF of [B | I]: L B = I and L C = 0 (coordinates in col(B)),
     P B = 0 and P C = I (the projection onto C's coordinates along col(B)).
+    The rows of [B | I] are reduced as kernel rows; each block is read off
+    the reduced pivot rows, divided by their pivots.
     Raises ValueError when B's columns are dependent.
     """
-    n, k = B.rows, B.cols
-    data = [row[:] for row in hstack([B, Mat.identity(B.field, n)]).data]
-    pivots = _rref(data, n, k + n)
+    n, k, p = B.rows, B.cols, B.field.char
+    rows = [kernel_row({**r, k + i: B.den}, p) for i, r in enumerate(B.nz)]
+    pivots, pivot_rows = _reduce(rows, p, k + n)
     if pivots[:k] != list(range(k)):
         raise ValueError("the columns are linearly dependent")
-    return ([c - k for c in pivots[k:]], Mat(B.field, k, n, [row[k:] for row in data[:k]]),
-            Mat(B.field, n - k, n, [row[k:] for row in data[k:n]]))
+
+    def block(ks):
+        pivot = [rows[pivot_rows[t]][pivots[t]] for t in ks]   # 1 over GF(p)
+        den = lcm(*pivot)
+        return Mat.from_form(B.field, len(ks), n, den,
+                             [{c - k: v * (den // d) for c, v in rows[pivot_rows[t]].items()
+                               if c >= k} for t, d in zip(ks, pivot)])
+
+    return [c - k for c in pivots[k:]], block(range(k)), block(range(k, n))
 
 
 # -- characteristic polynomials and coprime factor splitting ----------------
@@ -571,9 +557,8 @@ def charpoly(A):
     if A.field is not QQ:
         raise ValueError("polynomial factorization requires the rational field")
     assert A.rows == A.cols
-    n = A.rows
-    D = lcm(*[x.denominator for row in A.data for x in row]) if n else 1
-    B = [[x.numerator * (D // x.denominator) for x in row] for row in A.data]
+    n, D = A.rows, A.den
+    B = [[row.get(c, 0) for c in range(n)] for row in A.nz]
     # Berkowitz: with B[k:, k:] = [[a, R], [C, B1]], the polynomial of
     # B[k:, k:] is the lower triangular Toeplitz matrix with first column
     # t = [1, -a, -RC, -R B1 C, -R B1^2 C, ...] times that of B1.
@@ -631,9 +616,7 @@ def eval_poly(coeffs, A):
     for c in coeffs:
         out = out * A
         if c:
-            c = A.field.coerce(c)
-            for i, row in enumerate(out.data):
-                row[i] = row[i] + c
+            out = out + Mat.identity(A.field, A.rows).scale(c)
     return out
 
 
@@ -645,13 +628,24 @@ def mat_to_json(A):
 
 def mat_from_json(field, rows, cols, data):
     """A rows x cols matrix from its JSON form; raises ValueError on a wrong
-    shape or an entry that is not an exact number (a float, "1/0")."""
+    shape or an entry that is not an exact number (a float, a boolean, "1/0")."""
     if data in (None, []):
         return Mat.zeros(field, rows, cols)
     if (not isinstance(data, list) or len(data) != rows
             or any(not isinstance(row, list) or len(row) != cols for row in data)):
         raise ValueError("matrix shape mismatch: expected %dx%d" % (rows, cols))
+    parsed = {}   # a matrix repeats few strings, "0" above all: parse each once
+
+    def entry(x):
+        if isinstance(x, bool):
+            raise ValueError("bad matrix entry: %r is not a number" % (x,))
+        if not isinstance(x, str):
+            return x
+        if x not in parsed:
+            parsed[x] = field.coerce(x)
+        return parsed[x]
+
     try:
-        return Mat.from_rows(field, data)
+        return Mat(field, rows, cols, [[entry(x) for x in row] for row in data])
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError("bad matrix entry: %s" % exc) from None

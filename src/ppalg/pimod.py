@@ -7,13 +7,13 @@ four-term sequence Hom -> Hom_T -> Der -> Ext^1, the canonical pieces
 sub_i / fac_i / K_i / Q_i, the E-filtered and crystal tests, rigidity,
 randomized isomorphism testing and direct-sum decomposition.
 
-Every linear system (Hom, Hom_T, Der, the annihilator ideals of End) is
-written by one builder, `_linear_system`, as `linalg` kernel rows {col: int},
-never as a matrix; dimensions come from `rows_rank`, and only hom_basis,
-derivation_basis and the annihilator ideals solve it by `rows_nullspace`.
-The builder's factors, and the words of `check_relations`, are products of
-the generators' int forms (`linalg.int_form`, integer rows over one
-denominator) computed by `_word` on their nonzeros, never dense products.
+Every matrix is a `linalg.Mat`, integer rows of nonzeros over one
+denominator, so every product, word (`_word`) and relation check works on
+nonzeros only.  Every linear system (Hom, Hom_T, Der, the annihilator
+ideals of End) is written by one builder, `_linear_system`, as `linalg`
+kernel rows {col: int}, never as a matrix; dimensions come from
+`rows_rank`, and only hom_basis, derivation_basis and the annihilator
+ideals solve it by `rows_nullspace`.
 
 `submodule`, `quotient` and `canonical_pieces` share one block-triangular
 split per vertex, `_split`; it refuses (ValueError) spaces with dependent
@@ -38,11 +38,10 @@ read-only mapping) and handed out uncopied.  A run is a
 `memo_run()` block: each `selftest.run_criteria` pass and each CLI command
 is one, and a memoized function called outside any run opens one for its
 outermost call.  Every run starts empty, so results never depend on an
-earlier run.  A module object keeps two things in its `_cache`, each made on
-first use: its content key and its generators' int forms.  No result is
-kept on it: a loop over the same modules outside a run (match_label over a
-pool, repeated iso_test) recomputes each answer unless it is wrapped in
-`memo_run()`.
+earlier run.  A module object keeps only its content key in its `_cache`,
+made on first use.  No result is kept on it: a loop over the same modules
+outside a run (match_label over a pool, repeated iso_test) recomputes each
+answer unless it is wrapped in `memo_run()`.
 
 All randomized verdicts are reproducible from their seed, and "don't know"
 is a first-class outcome (IsoInconclusive, DecomposeUndecided) -- never a
@@ -55,6 +54,7 @@ import functools
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 from . import linalg
@@ -169,19 +169,21 @@ class _Content:
 
 
 def _content_key(M):
-    """The memo key of an argument: a module's datum, field, dims and the
-    nonzeros of every loop and arrow matrix; anything else is its own key."""
+    """The memo key of an argument: a module's datum, field, dims and every
+    loop and arrow matrix as the flat int tuple (den, r, c, x, ...) of its
+    nonzeros, columns in order; anything else is its own key."""
     if not isinstance(M, ModuleRep):
         return M
     key = M._cache.get("content")
     if key is None:
-        def nonzeros(A):
-            return tuple((r, c, x) for r, row in enumerate(A.data) for c, x in enumerate(row) if x)
+        def flat(A):
+            return (A.den, *[v for r, row in enumerate(A.nz)
+                             for c in sorted(row) for v in (r, c, row[c])])
 
         key = M._cache["content"] = _Content((
             M.datum, M.field, M.dim_vector(),
-            tuple(nonzeros(M.eps[i]) for i in M.datum.vertices),
-            tuple(nonzeros(M.arrows[k]) for k in M.datum.arrow_keys())))
+            tuple(flat(M.eps[i]) for i in M.datum.vertices),
+            tuple(flat(M.arrows[k]) for k in M.datum.arrow_keys())))
     return key
 
 
@@ -204,18 +206,13 @@ def _memoized(fn):
 
 
 def _word(M, word, target):
-    """The int form (see `linalg.int_form`) of the matrix of a path word,
-    leftmost factor applied last; the empty word is the identity at `target`.
-    The generators' int forms are cached on M, which is immutable."""
+    """The matrix of a path word, leftmost factor applied last; the empty
+    word is the identity at `target`."""
     if not word:
-        return 1, [{r: 1} for r in range(M.dims[target])], M.dims[target]
-    forms = M._cache.setdefault("int", {})
-    out = None
-    for gen in word:
-        form = forms.get(gen)
-        if form is None:
-            form = forms[gen] = linalg.int_form(M.gen_mat(gen))
-        out = form if out is None else linalg.int_product(out, form, M.field.char)
+        return Mat.identity(M.field, M.dims[target])
+    out = M.gen_mat(word[0])
+    for gen in word[1:]:
+        out = out * M.gen_mat(gen)
     return out
 
 
@@ -230,11 +227,11 @@ def check_relations(M):
         if not (M.dims[rel.target] and M.dims[rel.source]):
             continue
         words = [(coeff, _word(M, word, rel.target)) for coeff, word in rel.terms]
-        den = lcm(*[d for _, (d, _, _) in words])
+        den = lcm(*[W.den for _, W in words])
         total = [{} for _ in range(M.dims[rel.target])]
-        for coeff, (d, rows, _) in words:
-            s = coeff * (den // d)
-            for acc, row in zip(total, rows):
+        for coeff, W in words:
+            s = coeff * (den // W.den)
+            for acc, row in zip(total, W.nz):
                 for c, x in row.items():
                     acc[c] = acc.get(c, 0) + s * x
         if any(x % p if p else x for acc in total for x in acc.values()):
@@ -292,9 +289,8 @@ def generalized_simple(datum, i, field=QQ):
     if i not in datum.index:
         raise KeyError("unknown vertex %r" % (i,))
     c = datum.ci(i)
-    E = Mat.zeros(field, c, c)
-    for r in range(1, c):
-        E.data[r][r - 1] = field.one  # full nilpotent Jordan block
+    # one full nilpotent Jordan block: row r has its one at column r - 1
+    E = Mat.from_form(field, c, c, 1, [{r - 1: 1} if r else {} for r in range(c)])
     return ModuleRep(datum, {i: c}, {i: E}, {}, field)
 
 
@@ -314,12 +310,12 @@ def _linear_system(field, shapes, equations):
     """(rows, nvars): the kernel rows (see `linalg`) of `equations` in the
     unknown blocks X_k of `shapes`.
 
-    Each equation is a list of terms (coeff, k, L, R), with L and R int
-    forms (see `linalg.int_form`), and stands for sum coeff * L X_k R = 0;
+    Each equation is a list of terms (coeff, k, L, R), with L and R
+    matrices, and stands for sum coeff * L X_k R = 0;
     it contributes rows(L) x cols(R) rows, row-major and zero rows dropped,
     so all its terms must share that shape.  The unknowns are the blocks X_k,
     vec'd row by row in the layout of `_var_layout(shapes)`.  Each term is
-    scaled by m / (den L * den R), m the lcm of den L * den R over the
+    scaled by m / (L.den * R.den), m the lcm of L.den * R.den over the
     equation's terms, which scales the equation by m.
     """
     offsets, nvars = _var_layout(shapes)
@@ -328,19 +324,20 @@ def _linear_system(field, shapes, equations):
     for terms in equations:
         if not terms:
             continue
-        m = lcm(*[L[0] * R[0] for _, _, L, R in terms])
+        m = lcm(*[L.den * R.den for _, _, L, R in terms])
         _, _, L0, R0 = terms[0]
-        block = [{} for _ in range(len(L0[1]) * R0[2])]
-        for coeff, k, (dl, lrows, _), (dr, rrows, rcols) in terms:
+        rcols = R0.cols
+        block = [{} for _ in range(L0.rows * rcols)]
+        for coeff, k, L, R in terms:
             # (L X R)[u][v] = sum over r, c of L[u][r] X[r][c] R[c][v]: walk
             # the nonzeros of L's rows and R's columns only
-            s = coeff * (m // (dl * dr))
+            s = coeff * (m // (L.den * R.den))
             base, width = offsets[k], shapes[k][1]
             rnz = [[] for _ in range(rcols)]
-            for c, row in enumerate(rrows):
+            for c, row in enumerate(R.nz):
                 for v, y in row.items():
                     rnz[v].append((c, y))
-            for u, lrow in enumerate(lrows):
+            for u, lrow in enumerate(L.nz):
                 if not lrow:
                     continue
                 lu = [(base + r * width, s * x) for r, x in lrow.items()]
@@ -357,10 +354,14 @@ def _kernel_basis(field, system, shapes):
     """The solutions of system = (rows, nvars), as block dicts laid out by
     `shapes` (the inverse of the `_var_layout(shapes)` flattening)."""
     ns = linalg.rows_nullspace(field, *system)
-    offsets, _ = _var_layout(shapes)
-    return [{key: Mat(field, r, c, [[ns.data[offsets[key] + u * c + v][k] for v in range(c)]
-                                    for u in range(r)])
-             for key, (r, c) in shapes.items()} for k in range(ns.cols)]
+    cells = [(key, u, v) for key, (r, c) in shapes.items() for u in range(r) for v in range(c)]
+    blocks = [{key: [{} for _ in range(r)] for key, (r, _) in shapes.items()}
+              for _ in range(ns.cols)]
+    for (key, u, v), row in zip(cells, ns.nz):
+        for k, x in row.items():
+            blocks[k][key][u][v] = x
+    return [{key: Mat.from_form(field, r, c, ns.den, nz[key]) for key, (r, c) in shapes.items()}
+            for nz in blocks]
 
 
 def _nullity(field, system):
@@ -495,7 +496,7 @@ def _split(M, spaces):
     L_i empty), and where B_i is the identity it goes whole to the submodule
     (L_i = I, C_i and P_i empty).  These are the RREFs of [0 | I] and
     [I | I], so there the completion and the products by B_i, C_i, L_i and
-    P_i are skipped: the matrices are copies or column selections of A.
+    P_i are skipped: the matrices are A itself or a column selection of A.
     """
     field = M.field
     incl, extra, coords, proj = {}, {}, {}, {}
@@ -515,10 +516,10 @@ def _split(M, spaces):
         if incl[j].cols == 0:
             AB = Mat.zeros(field, A.rows, 0)
         elif coords[j] is None:   # B_j = I
-            AB = A.copy()
+            AB = A
         else:
             AB = A * incl[j]
-        AC = Mat(field, A.rows, len(extra[j]), [[row[c] for c in extra[j]] for row in A.data])
+        AC = A.columns(extra[j])
         if coords[i] is not None:
             if not (proj[i] * AB).is_zero():
                 raise ValueError("spaces are not closed under %r" % (g,))
@@ -627,7 +628,7 @@ def _rank_one_candidates(M, i):
         return []
     c = M.datum.ci(i)
     top = M.eps[i].power(c - 1) * U
-    viable = [k for k in range(U.cols) if any(top.data[r][k] for r in range(top.rows))]
+    viable = sorted(set().union(*top.nz))   # the columns k with top e_k != 0
     if not viable:
         return []
     cands = [U.col(viable[0])]
@@ -826,19 +827,16 @@ def _end_is_local(M, endb):
     kernel of the trace form (x, y) -> tr(xy).
     """
     h = len(endb)
-    gram = Mat.zeros(M.field, h, h)
+    gram = [[0] * h for _ in range(h)]
     for a in range(h):
         for b in range(a, h):
-            t = M.field.zero
+            t = 0
             for i in M.datum.vertices:
                 A, B = endb[a][i], endb[b][i]
-                for u in range(A.rows):
-                    for v in range(A.cols):
-                        if A.data[u][v] and B.data[v][u]:
-                            t = t + A.data[u][v] * B.data[v][u]
-            gram.data[a][b] = t
-            gram.data[b][a] = t
-    rad = h - linalg.rank(gram)
+                t += Fraction(sum(x * B.nz[v].get(u, 0) for u, row in enumerate(A.nz)
+                                  for v, x in row.items()), A.den * B.den)
+            gram[a][b] = gram[b][a] = t
+    rad = h - linalg.rank(Mat(M.field, h, h, gram))
     return h - rad == 1
 
 
@@ -926,7 +924,7 @@ def _endomorphism_sources(M, endb):
     for i in sorted(M.datum.vertices, key=lambda i: M.dims[i]):
         d = M.dims[i]
         for k in range(d):
-            e_k = 1, [{0: 1} if r == k else {} for r in range(d)], 1
+            e_k = Mat.identity(field, d).col(k)
             kills = [[(1, i, _word(M, (), i), e_k)]]   # f_i e_k = 0
             yield _kernel_basis(field, _linear_system(field, shapes, hom + kills), shapes)
 

@@ -96,11 +96,9 @@ def tilde_lift(pair, M):
     eps = {}
     for i in pair.big.vertices:
         d = M.dims[i]
-        E = Mat.zeros(fld, n * d, n * d)
-        for k in range(n - 1):
-            for u in range(d):
-                E.data[(k + 1) * d + u][k * d + u] = fld.one
-        eps[i] = E
+        # copy k to copy k + 1: row r >= d has its one at column r - d
+        eps[i] = Mat.from_form(fld, n * d, n * d, 1, [{r - d: 1} if r >= d else {}
+                                                        for r in range(n * d)])
     arrows = {key: linalg.block_diag([M.arrows[key]] * n, fld) for key in pair.big.arrow_keys()}
     return ModuleRep(pair.big, dims, eps, arrows, fld)
 

@@ -65,6 +65,14 @@ class TestValidate:
                 validate_datum(C, [1] * len(C), [])
             assert code_of(e) == "shape"
 
+    def test_labels_that_print_the_same(self):
+        # 1 and "1" are distinct values, but arrow names and files spell both
+        # "1"; True and 1 print apart but are equal
+        for labels in ([1, "1"], [True, 1]):
+            with pytest.raises(DatumError) as e:
+                validate_datum([[2, -1], [-1, 2]], [1, 1], [labels], vertices=labels)
+            assert code_of(e) == "shape" and "duplicate vertex labels" in str(e.value)
+
     def test_orientation_cycle(self):
         C = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
         with pytest.raises(DatumError) as e:

@@ -43,12 +43,14 @@ def files(tmp_path_factory):
     write("sum.json", pimod.module_to_json(pimod.direct_sum(E1, E1)))
     write("e1e2.json", pimod.module_to_json(pimod.direct_sum(E1, E2)))
 
-    for name, entry in (("div0.json", "1/0"), ("float.json", 1.5)):
+    for name, entry in (("div0.json", "1/0"), ("float.json", 1.5), ("bool.json", True)):
         doc = dict(pimod.module_to_json(E1))
         doc["epsilon"] = {"1": [["0", "0"], [entry, "0"]]}
         write(name, doc)
     write("labels.json", {"vertices": ["a", "b"], "cartan": [[2, -1], [-1, 2]],
                           "symmetrizer": [1, 1], "orientation": [["a", "b"]]})
+    write("labels_same_str.json", {"vertices": [1, "1"], "cartan": [[2, -1], [-1, 2]],
+                                   "symmetrizer": [1, 1], "orientation": [[1, "1"]]})
     write("cartan_x.json", {"cartan": "x"})
     write("cartan_empty.json", {"cartan": []})
     write("over_empty.json", {"algebra": {"cartan": []}, "dims": {}})
@@ -95,6 +97,11 @@ class TestValidation:
     def test_string_vertex_labels(self, runner, files):
         out = run_json(runner, ["validate", files["labels.json"]])
         assert out["relations"]["mesh@'a'"] == "aab_1*aba_1"
+
+    def test_labels_that_print_the_same_exit_2(self, runner, files):
+        result = runner.invoke(main, ["validate", files["labels_same_str.json"]])
+        assert result.exit_code == 2
+        assert "(shape)" in result.output and "duplicate vertex labels" in result.output
 
     def test_cartan_not_a_matrix_exit_2(self, runner, files):
         result = runner.invoke(main, ["validate", files["cartan_x.json"]])
@@ -190,7 +197,7 @@ class TestModuleCommands:
         assert run_json(runner, ["iso", e1, e1, "--seed", "3", "--trials", "2"])["trials"] == 2
 
     def test_malformed_entry_exit_2(self, runner, files):
-        for name in ("div0.json", "float.json"):
+        for name in ("div0.json", "float.json", "bool.json"):
             result = runner.invoke(main, ["check", files[name]])
             assert result.exit_code == 2, name
             assert name in result.output
@@ -231,6 +238,12 @@ class TestModuleCommands:
         out = run_json(runner, ["forms", files["a5.json"], "1,2,2,2,1", "1,2,2,2,1"])
         assert out["alpha"] == 14 and out["beta"] == 12
         assert out["dimRC"] == 12 and out["dimGL"] == 14
+
+    def test_forms_negative_rank_exit_2(self, runner, files):
+        for dvec, evec in ((" -1,2", "0,1"), ("1,2", "0,-1")):
+            result = runner.invoke(main, ["forms", files["b2.json"], dvec, evec])
+            assert result.exit_code == 2, result.output
+            assert "no negative entries" in result.output and "dimRC" not in result.output
 
     def test_pieces(self, runner, files):
         out = run_json(runner, ["pieces", files["e1.json"], "1"])

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -168,7 +169,7 @@ class TestPrimeField:
     def test_arithmetic(self):
         F = GF(32003)
         a = F.coerce(Fraction(3, 2))
-        assert a * 2 == 3
+        assert a.v == 16003 and 2 * a.v % 32003 == 3
 
     def test_rank_matches_rationals_for_small_entries(self):
         rng = random.Random(10)
@@ -354,10 +355,7 @@ def test_augmented_rref_matches_sympy(field, data):
 
 def completion(field, n, extra):
     """The n x len(extra) matrix of the standard basis vectors e_j, j in extra."""
-    C = Mat.zeros(field, n, len(extra))
-    for col, j in enumerate(extra):
-        C.data[j][col] = field.one
-    return C
+    return Mat(field, n, len(extra), [[int(j == r) for j in extra] for r in range(n)])
 
 
 def assert_split_inverse(B, C, L, P):
@@ -375,12 +373,12 @@ def independent_columns(field, n, k, rng):
         num = rng.choice([0, 0, rng.randint(-3, 3), rng.randint(-BIG, BIG)])
         return Fraction(num, rng.choice([1, rng.randint(1, BIG)])) if field is QQ else num
 
-    B = Mat(field, n, k, [[field.coerce(entry()) for _ in range(k)] for _ in range(n)])
+    data = [[field.coerce(entry()) for _ in range(k)] for _ in range(n)]
     for j, r in enumerate(rng.sample(range(n), k)):
-        B.data[r][j + 1:] = [field.zero] * (k - j - 1)
-        if not B.data[r][j]:
-            B.data[r][j] = field.one
-    return B
+        data[r][j + 1:] = [field.zero] * (k - j - 1)
+        if not data[r][j]:
+            data[r][j] = field.one
+    return Mat(field, n, k, data)
 
 
 @FIELDS
@@ -396,6 +394,153 @@ def test_complete_basis_projection(field, n, k, rng):
     extra, L, P = linalg.complete_basis(B)
     assert len(extra) == len(set(extra)) == n - k and set(extra) <= set(range(n))
     assert_split_inverse(B, completion(field, n, extra), L, P)
+
+
+# -- the sparse arithmetic against the dense loops it replaced -----------------
+#
+# The references below are the dense `Mat` loops of the earlier format, run
+# on exact entries (Fractions over Q, integers reduced mod p at the end over
+# GF(p)), so they share no code with the sparse operations they check.
+
+def exact(A):
+    """A's dense rows as exact numbers: Fractions over Q, residues over GF(p)."""
+    return [[x if A.field is QQ else x.v for x in row] for row in A.data]
+
+
+def dense_mul(a, b, cols):
+    out = [[0] * cols for _ in a]
+    for i, arow in enumerate(a):
+        orow = out[i]
+        for k, x in enumerate(arow):
+            if not x:
+                continue
+            for j, y in enumerate(b[k]):
+                if y:
+                    orow[j] = orow[j] + x * y
+    return out
+
+
+def dense_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_scale(a, c):
+    return [[c * x for x in row] for row in a]
+
+
+def dense_hstack(mats):
+    out = [[] for _ in range(mats[0].rows)]
+    for m in mats:
+        for row, part in zip(out, exact(m)):
+            row.extend(part)
+    return out
+
+
+def dense_vstack(mats):
+    return [row for m in mats for row in exact(m)]
+
+
+def dense_block_diag(mats):
+    cols = sum(m.cols for m in mats)
+    out, c = [], 0
+    for m in mats:
+        out.extend([0] * c + row + [0] * (cols - c - m.cols) for row in exact(m))
+        c += m.cols
+    return out
+
+
+def assert_matches(got, want):
+    """`got` has the dense entries `want`, and is `==` to the matrix built
+    from them (so its form is canonical: lowest terms, residues mod p)."""
+    field = got.field
+    want = [[x if field is QQ else x % P for x in row] for row in want]
+    assert exact(got) == want
+    assert got == Mat(field, got.rows, got.cols, want)
+
+
+def dense_kernel_rows(A):
+    """A's rows as kernel rows, from its dense entries."""
+    out = []
+    for row in exact(A):
+        if A.field is QQ:
+            den = lcm(*(x.denominator for x in row))
+            row = [int(x * den) for x in row]
+            g = gcd(*row)
+            row = [x // g for x in row] if g else row
+        out.append({c: x for c, x in enumerate(row) if x})
+    return out
+
+
+@FIELDS
+@KERNEL_EXAMPLES
+@given(data=st.data())
+def test_sparse_arithmetic_matches_dense_reference(field, data):
+    """Every sparse operation, `rows_nullspace` and `complete_basis` give
+    the dense reference's entries in canonical form; a product and
+    `from_rows` of its entries are `==` and give one memo key, a changed
+    entry changes the key, and `data` cannot be written."""
+    A = data.draw(sparse_mat(field))
+    B = data.draw(sparse_mat(field, rows=A.cols))
+    C = data.draw(sparse_mat(field, rows=A.rows, cols=A.cols))
+    S = data.draw(sparse_mat(field, rows=A.rows, cols=A.rows))
+    c = data.draw(st.sampled_from([0, 1, -3, BIG]))
+    c = Fraction(c, data.draw(st.sampled_from([1, 2, BIG + 1]))) if field is QQ else c
+    AB = A * B
+    assert_matches(AB, dense_mul(exact(A), exact(B), B.cols))
+    assert_matches(A + C, dense_add(exact(A), exact(C)))
+    assert_matches(A.scale(c), dense_scale(exact(A), c))
+    assert_matches(linalg.hstack([A, C, A]), dense_hstack([A, C, A]))
+    assert_matches(linalg.vstack([A, C]), dense_vstack([A, C]))
+    assert_matches(linalg.block_diag([A, B, S], field), dense_block_diag([A, B, S]))
+    js = data.draw(st.lists(st.sampled_from(range(A.cols)), max_size=4)) if A.cols else []
+    assert_matches(A.columns(js), [[row[j] for j in js] for row in exact(A)])
+    assert A.is_zero() == all(not x for row in exact(A) for x in row)
+    want = [[int(r == j) for j in range(S.rows)] for r in range(S.rows)]
+    for _ in range(3):
+        want = dense_mul(want, exact(S), S.cols)
+    assert_matches(S.power(3), want)
+    assert_matches(linalg.rows_nullspace(field, dense_kernel_rows(A), A.cols),
+                   exact(sympy_nullspace(A)))
+
+    # [L; P] = the I part of the RREF of [B | I], with B independent columns
+    n, k = A.rows, min(A.rows, A.cols)
+    Bi = independent_columns(field, n, k, data.draw(st.randoms(use_true_random=False)))
+    ref, pivots = sympy_rref(field, [list(row) + [field.coerce(int(r == j)) for j in range(n)]
+                                     for r, row in enumerate(Bi.data)], k + n)
+    extra, L, proj = linalg.complete_basis(Bi)
+    assert extra == [j - k for j in pivots[k:]]
+    assert_matches(L, [row[k:] for row in ref[:k]])
+    assert_matches(proj, [row[k:] for row in ref[k:n]])
+
+    a2 = catalog.a2_datum()
+    key = a2.arrow_keys()[0]
+
+    def content(X):
+        dims = {key[1]: X.rows, key[2]: X.cols}
+        return pimod._content_key(pimod.ModuleRep(a2, dims, {}, {key: X}, field))
+
+    respelled = Mat.from_rows(field, [list(row) for row in AB.data]) if AB.rows else AB
+    assert respelled == AB and content(respelled) == content(AB)
+    if AB.rows and AB.cols:
+        r, col = data.draw(st.tuples(st.integers(0, AB.rows - 1), st.integers(0, AB.cols - 1)))
+        bent = exact(AB)
+        bent[r][col] += 1
+        bent = Mat(field, AB.rows, AB.cols, bent)
+        assert bent != AB and content(bent) != content(AB)
+        with pytest.raises(TypeError):
+            AB.data[r][col] = field.zero
+
+
+def test_canonical_form():
+    """Products, sums and scalings in lowest terms, and residues mod p."""
+    half = mat([[Fraction(1, 2), Fraction(3, 2)]])
+    two = mat([[2], [0]])
+    assert (half * two).den == 1 and half * two == mat([[1]])
+    assert (half + half).den == 1 and half + half == mat([[1, 3]])
+    assert half.scale(2) == half + half and half.scale(0) == Mat.zeros(QQ, 1, 2)
+    F = GF(7)
+    A = Mat.from_rows(F, [[3, 5]])
+    assert (A + A.scale(6)).nz == [{}] and (A + A).nz == [{0: 6, 1: 3}]
 
 
 # -- characteristic polynomials against sympy's Matrix.charpoly --------------

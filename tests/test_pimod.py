@@ -125,8 +125,7 @@ class TestBasics:
 
     def test_not_locally_free_jordan_type(self, b2):
         # eps_1^2 = 0 on d = 4, but rank eps_1 = 1: blocks of sizes 2, 1, 1
-        E = Mat.zeros(QQ, 4, 4)
-        E.data[0][1] = QQ.one
+        E = Mat.from_rows(QQ, [[0, 1, 0, 0], [0] * 4, [0] * 4, [0] * 4])
         M = ModuleRep(b2, {1: 4}, {1: E}, {})
         assert is_locally_free(M) == (False, None)
 
@@ -253,32 +252,34 @@ def test_hom_basis_commutes_and_ext_formula(name, seed, rank_m, rank_n):
 
 # -- the system builder against the dense builder it replaced ------------------
 
-def int_form_mat(field, form):
-    """The `Mat` of the int form (den, rows, cols), over `field`."""
-    den, rows, cols = form
-    return Mat(field, len(rows), cols,
-               [[field.coerce(Fraction(row.get(c, 0), den)) for c in range(cols)] for row in rows])
+def form_mat(A):
+    """A rebuilt from its form, den and nz, as dense rows of Fractions."""
+    return Mat(A.field, A.rows, A.cols,
+               [[Fraction(row.get(c, 0), A.den) for c in range(A.cols)] for row in A.nz])
+
+
+def exact_rows(A):
+    """A's dense rows as exact numbers: Fractions over Q, residues over GF(p)."""
+    return [[x if A.field is QQ else x.v for x in row] for row in A.data]
 
 
 def dense_linear_system(field, shapes, equations):
-    """The reference for `pimod._linear_system`: the system of `equations`,
-    their int-form factors turned back into `Mat`s, as one dense `Mat` of
-    field elements, one nvars-wide row per entry of each equation, zero rows
-    kept."""
+    """The reference for `pimod._linear_system`: the system of `equations`
+    as one dense `Mat`, summed on the exact dense rows of their factors, one
+    nvars-wide row per entry of each equation, zero rows kept."""
     offsets, nvars = pimod._var_layout(shapes)
-    z = field.zero
     rows = []
     for terms in equations:
         if not terms:
             continue
-        terms = [(coeff, k, int_form_mat(field, L), int_form_mat(field, R))
-                 for coeff, k, L, R in terms]
         _, _, L0, R0 = terms[0]
-        block = [[z] * nvars for _ in range(L0.rows * R0.cols)]
+        block = [[0] * nvars for _ in range(L0.rows * R0.cols)]
         for coeff, k, L, R in terms:
             base, width = offsets[k], shapes[k][1]
-            lnz = [[(base + r * width, coeff * x) for r, x in enumerate(row) if x] for row in L.data]
-            rnz = [[(c, row[v]) for c, row in enumerate(R.data) if row[v]] for v in range(R.cols)]
+            lnz = [[(base + r * width, coeff * x) for r, x in enumerate(row) if x]
+                   for row in exact_rows(L)]
+            rnz = [[(c, row[v]) for c, row in enumerate(exact_rows(R)) if row[v]]
+                   for v in range(R.cols)]
             for u, lu in enumerate(lnz):
                 if not lu:
                     continue
@@ -286,7 +287,7 @@ def dense_linear_system(field, shapes, equations):
                     out = block[u * R.cols + v]
                     for off, x in lu:
                         for c, y in rv:
-                            out[off + c] = out[off + c] + x * y
+                            out[off + c] += x * y
         rows.extend(block)
     return Mat(field, len(rows), nvars, rows) if rows else Mat.zeros(field, 0, nvars)
 
@@ -379,8 +380,9 @@ def dense_check_relations(M):
 
 def _perturbed(M, gen, r, c, t):
     """M with t added to entry (r, c) of the loop or arrow `gen`."""
-    A = M.gen_mat(gen).copy()
-    A.data[r][c] = A.data[r][c] + M.field.coerce(t)
+    A = M.gen_mat(gen)
+    A = A + Mat(M.field, A.rows, A.cols, [[t if (u, v) == (r, c) else 0 for v in range(A.cols)]
+                                          for u in range(A.rows)])
     eps = {i: A if gen == eps_key(i) else E for i, E in M.eps.items()}
     arrows = {k: A if k == gen else B for k, B in M.arrows.items()}
     return ModuleRep(M.datum, M.dims, eps, arrows, M.field)
@@ -393,7 +395,7 @@ def _perturbed(M, gen, r, c, t):
 def test_words_and_relations_match_dense_references(name, seed, rank, modular):
     """On towers conjugated to have denominators, over Q and GF(32003):
     `_word` is the dense product of every relation word and of each of its
-    prefixes and suffixes (over GF(p) its rows are the residues), and
+    prefixes and suffixes (over GF(p) its rows hold residues), and
     `check_relations` gives the dense reference's labels, on the tower and
     on the tower with one entry of an arrow (or, with no nonzero arrow, of
     a loop) changed.  Adding t != 0 on the diagonal of a loop gives it
@@ -411,9 +413,10 @@ def test_words_and_relations_match_dense_references(name, seed, rank, modular):
                 suffix_target = gen_target(word[k]) if k < len(word) else rel.source
                 for part, target in ((word[:k], rel.target), (word[k:], suffix_target)):
                     got, want = pimod._word(M, part, target), eval_word(M, part, target)
-                    assert int_form_mat(M.field, got) == want
+                    assert form_mat(got) == got == want
                     if modular:
-                        assert got == linalg.int_form(want)
+                        assert got.den == 1 and all(0 < x < 32003 for row in got.nz
+                                                    for x in row.values())
     assert check_relations(M) == dense_check_relations(M) == []
 
     t = Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 3))
@@ -1146,11 +1149,12 @@ class TestRunMemo:
     def test_no_collisions(self, a2, b2_mods):
         E1, _, M3 = b2_mods
         # one entry changed
-        arrows = {k: A.copy() for k, A in M3.arrows.items()}
+        arrows = dict(M3.arrows)
         key = next(k for k, A in arrows.items() if not A.is_zero())
-        r, c = next((r, c) for r, row in enumerate(arrows[key].data)
-                    for c, x in enumerate(row) if x)
-        arrows[key].data[r][c] = arrows[key].data[r][c] * 2
+        rows = [list(row) for row in arrows[key].data]
+        r, c = next((r, c) for r, row in enumerate(rows) for c, x in enumerate(row) if x)
+        rows[r][c] = rows[r][c] * 2
+        arrows[key] = Mat.from_rows(QQ, rows)
         bent = ModuleRep(M3.datum, M3.dims, M3.eps, arrows)
         # the same (empty) matrices over another datum or another field
         a1t = _wider("A1~")
