@@ -180,7 +180,7 @@ _seed_option = click.option("--seed", type=int, default=0, show_default=True,
 
 def _randomized(fn):
     """--seed and --trials, for the commands whose searches draw samples."""
-    fn = click.option("--trials", type=int, default=8, show_default=True,
+    fn = click.option("--trials", type=click.IntRange(min=0), default=8, show_default=True,
                       help="Sample count for randomized searches.")(fn)
     return _seed_option(fn)
 

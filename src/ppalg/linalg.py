@@ -1,14 +1,17 @@
 """Exact linear algebra over Q or a prime field, with no floating point.
 
-Scalars are `fractions.Fraction` values, or GF(p) elements for fast
-cross-checks.  A matrix (`Mat`) has one format, integer rows of its
-nonzeros over one denominator, so products, sums, stacks and every
-elimination touch nonzeros only: the systems solved are mostly sparse (the
-Hom and Der systems are under 1% nonzero).  Every rank, kernel, solve and
-column space goes through one elimination kernel on kernel rows {col: int}:
-primitive integer rows over Q, residues over GF(p).  `rows_rank` and
-`rows_nullspace` take such rows from the system builder of `pimod`; the
-`Mat` entry points make them from a matrix's rows with `kernel_row`.
+One `Field` class covers both grounds: its scalars are `fractions.Fraction`
+values over Q (`QQ`) and int residues 0 <= v < p over GF(p) (`GF(p)`, a
+cross-check), so the routines that need the field take it, as `_rref` does,
+and never inspect a scalar's type.  A matrix (`Mat`) has one format,
+integer rows of its nonzeros over one denominator, so products, sums,
+stacks and every elimination touch nonzeros only: the systems solved are
+mostly sparse (the Hom and Der systems are under 1% nonzero).  Every rank,
+kernel, solve and column space goes through one elimination kernel on
+kernel rows {col: int}: primitive integer rows over Q, residues over GF(p).
+`rows_rank` and `rows_nullspace` take such rows from the system builder of
+`pimod`; the `Mat` entry points make them from a matrix's rows with
+`kernel_row`.
 """
 
 from __future__ import annotations
@@ -19,91 +22,37 @@ from itertools import accumulate
 from math import gcd, lcm
 
 
-class FieldQ:
-    """The field of rational numbers (arbitrary precision)."""
+class Field:
+    """Q (characteristic 0) or the prime field GF(p).
 
-    name = "Q"
-    char = 0
+    Elements are `Fraction`s over Q and int residues 0 <= v < p over GF(p);
+    both have `numerator` and `denominator`.  Use `QQ` and `GF(p)`.
+    """
 
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)  # accepts "p/q", "-3", "0"
-        raise TypeError("cannot coerce %r into Q" % (x,))
-
-    def to_str(self, x):
-        return str(x)  # Fraction prints "3/2", "-1"; integers omit "/1"
-
-    def __repr__(self):
-        return "QQ"
-
-
-class FpElement:
-    """An element of GF(p), normalized to 0 <= v < p."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p):
-        self.v = v % p
-        self.p = p
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __repr__(self):
-        return "%d" % self.v
-
-
-class FieldFp:
-    """The prime field GF(p); used only for speed cross-checks.
-
-    Eliminations over GF(p) share the sparse integer kernel with Q: kernel
-    rows hold the residues `FpElement.v`."""
-
-    def __init__(self, p):
-        if not _is_prime(p):
-            raise ValueError("modulus %d is not prime" % p)
-        self.p = p
+    def __init__(self, p=0):
         self.char = p
-        self.name = "F%d" % p
-        self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
+        self.name = "F%d" % p if p else "Q"
+        self.zero, self.one = (0, 1) if p else (Fraction(0), Fraction(1))
 
     def coerce(self, x):
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise ValueError("mixed prime fields")
+        """x (a Fraction, an int or a string "p/q") as an element of the field."""
+        p = self.char
+        if isinstance(x, Fraction) and not p:
             return x
         if isinstance(x, int):
-            return FpElement(x, self.p)
-        if isinstance(x, Fraction):
-            return FpElement(x.numerator * pow(x.denominator, -1, self.p), self.p)
+            return x % p if p else Fraction(x)
         if isinstance(x, str):
-            return self.coerce(Fraction(x))
-        raise TypeError("cannot coerce %r into %s" % (x, self.name))
-
-    def to_str(self, x):
-        return str(x.v)
+            x = Fraction(x)  # accepts "p/q", "-3", "0"
+        elif not isinstance(x, Fraction):
+            raise TypeError("cannot coerce %r into %s" % (x, self.name))
+        if not p:
+            return x
+        if not x.denominator % p:
+            raise ZeroDivisionError("%s has a denominator divisible by %d" % (x, p))
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     def __repr__(self):
-        return "GF(%d)" % self.p
+        return "GF(%d)" % self.char if self.char else "QQ"
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -141,14 +90,17 @@ def _is_prime(n):
     return True
 
 
-QQ = FieldQ()
+QQ = Field()
 
 _fp_cache = {}
 
 
 def GF(p):
+    """The prime field GF(p), one object per p; raises ValueError unless p is prime."""
     if p not in _fp_cache:
-        _fp_cache[p] = FieldFp(p)
+        if not _is_prime(p):
+            raise ValueError("modulus %d is not prime" % p)
+        _fp_cache[p] = Field(p)
     return _fp_cache[p]
 
 
@@ -161,7 +113,8 @@ class Mat:
 
     `Mat(field, rows, cols, data)` takes dense rows of anything
     `field.coerce` reads; `data` gives them back as tuples of field
-    elements, a read-only view for I/O and tests.
+    elements (Fractions over Q, int residues over GF(p)), a read-only view
+    for I/O and tests.
     """
 
     __slots__ = ("field", "rows", "cols", "den", "nz")
@@ -169,12 +122,10 @@ class Mat:
     def __init__(self, field, rows, cols, data):
         nz = [{c: x for c, x in enumerate(map(field.coerce, row)) if x} for row in data]
         self.field, self.rows, self.cols = field, rows, cols
-        if field.char:
-            self.den, self.nz = 1, [{c: x.v for c, x in row.items()} for row in nz]
-        else:   # over the lcm of the denominators the form is canonical
-            den = self.den = lcm(*[x.denominator for row in nz for x in row.values()])
-            self.nz = [{c: x.numerator * (den // x.denominator) for c, x in row.items()}
-                       for row in nz]
+        # over the lcm of the denominators (1 over GF(p)) the form is canonical
+        den = self.den = lcm(*[x.denominator for row in nz for x in row.values()])
+        self.nz = [{c: x.numerator * (den // x.denominator) for c, x in row.items()}
+                   for row in nz]
 
     @classmethod
     def from_form(cls, field, rows, cols, den, nz):
@@ -244,8 +195,7 @@ class Mat:
 
     def scale(self, c):
         c = self.field.coerce(c)
-        p = self.field.char
-        n, d = (c.v, 1) if p else (c.numerator, c.denominator)
+        p, n, d = self.field.char, c.numerator, c.denominator
         if not n:
             return Mat.zeros(self.field, self.rows, self.cols)
         return Mat.from_form(self.field, self.rows, self.cols, self.den * d,
@@ -443,27 +393,27 @@ def rows_nullspace(field, rows, cols):
     return Mat.from_form(field, cols, len(free), den, nz)
 
 
-def _rref(data, rows, cols, pivot_limit=None):
-    """In-place reduced row echelon form; returns the pivot column list.
+def _rref(data, rows, cols, pivot_limit=None, field=QQ):
+    """In-place reduced row echelon form over `field`; returns the pivot
+    column list.
 
     Pivots are only chosen among the first `pivot_limit` columns, which lets
     the same routine solve augmented systems.  On return `data[:rows]` holds
     dense rows of field elements, the pivot rows first and in pivot order:
     the rows are reduced as kernel rows (`_reduce`) and written back dense.
     """
-    p = data[0][0].p if rows and cols and isinstance(data[0][0], FpElement) else 0
-    sparse = [kernel_row(r, p) for r in Mat(GF(p) if p else QQ, rows, cols, data[:rows]).nz]
+    p = field.char
+    sparse = [kernel_row(r, p) for r in Mat(field, rows, cols, data[:rows]).nz]
     pivots, pivot_rows = _reduce(sparse, p, cols if pivot_limit is None else pivot_limit)
     if not pivots:
         return []
 
-    zero = FpElement(0, p) if p else QQ.zero
     is_pivot_row = set(pivot_rows)
     for k, i in enumerate(pivot_rows + [i for i in range(rows) if i not in is_pivot_row]):
-        dense = [zero] * cols
-        d = sparse[i][pivots[k]] if k < len(pivots) and not p else 1
+        dense = [field.zero] * cols
+        d = sparse[i][pivots[k]] if k < len(pivots) else 1   # 1 over GF(p)
         for c, v in sparse[i].items():
-            dense[c] = FpElement(v, p) if p else Fraction(v) if d == 1 else Fraction(v, d)
+            dense[c] = field.coerce(Fraction(v, d))
         data[k] = dense
     return pivots
 
@@ -482,7 +432,7 @@ def solve_matrix(A, B):
     """Some X with A X = B (column by column), or None if inconsistent."""
     assert A.rows == B.rows
     data = [ra + rb for ra, rb in zip(A.data, B.data)]
-    pivots = _rref(data, A.rows, A.cols + B.cols, pivot_limit=A.cols)
+    pivots = _rref(data, A.rows, A.cols + B.cols, pivot_limit=A.cols, field=A.field)
     nr = len(pivots)
     for r in range(nr, A.rows):
         if any(data[r][A.cols + j] for j in range(B.cols)):
@@ -623,7 +573,7 @@ def eval_poly(coeffs, A):
 # -- serialization -----------------------------------------------------------
 
 def mat_to_json(A):
-    return [[A.field.to_str(x) for x in row] for row in A.data]
+    return [[str(x) for x in row] for row in A.data]   # "3/2", "-1"; residues as ints
 
 
 def mat_from_json(field, rows, cols, data):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -195,6 +196,19 @@ class TestModuleCommands:
             assert flag in result.output, (args, flag)
         assert run_json(runner, ["decompose", e1, "--seed", "3"])["seed"] == 3
         assert run_json(runner, ["iso", e1, e1, "--seed", "3", "--trials", "2"])["trials"] == 2
+
+    def test_entry_not_defined_mod_p_exit_2(self, runner, files, tmp_path):
+        """An entry whose denominator p divides has no value in GF(p): a
+        malformed entry that names itself and p, under fp:p only."""
+        path = tmp_path / "denominator_p.json"
+        doc = dict(pimod.module_to_json(pimod.generalized_simple(catalog.b2_datum(), 1)))
+        doc["epsilon"] = {"1": [["0", "0"], ["1/32003", "0"]]}
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["check", str(path), "--field", "fp:32003"])
+        assert result.exit_code == 2
+        assert ("%s: bad matrix entry: 1/32003 has a denominator divisible by 32003" % path
+                in result.output)
+        assert run_json(runner, ["check", str(path), "--field", "fp:7"])["ok"]
 
     def test_malformed_entry_exit_2(self, runner, files):
         for name in ("div0.json", "float.json", "bool.json"):
@@ -454,6 +468,58 @@ def test_selftest_uncertified_catalog_exit_1(runner, trials):
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     out = json.loads(result.output)
     assert out["seed"] == 0 and "product not certified" in out["error"]
+
+
+@pytest.mark.parametrize("args", [["star", "E1", "E2"], ["iso", "E1", "E1"], ["table", "b2"],
+                                  ["selftest"], ["catalog", "list"]], ids=" ".join)
+def test_negative_trials_exit_2(runner, files, args):
+    """--trials is a count on every command that takes it."""
+    args = [files["e1.json"] if a == "E1" else files["e2.json"] if a == "E2" else a
+            for a in args]
+    result = runner.invoke(main, args + ["--trials", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "--trials" in result.output and ">=0" in result.output
+
+
+# The sha256 of a fixed set of reports, file paths reduced to basenames:
+# every catalog entry exported, the B2 table, Hom and Ext^1 over GF(32003)
+# on the 64 ordered pairs of B2 entries, the canonical pieces of each at
+# both vertices over GF(7), and their decompositions.  It pins the basis
+# choices behind the printed matrices, which the selftest report does not
+# show.  A change that deliberately changes basis choices updates it and
+# says so in CHANGES.md.
+REPORTS_SHA256 = "5e87456bf84e15eac5980ab2c4e55b719746319d8c8f328fd362931edd9973f9"
+
+
+def test_reports_digest(runner, tmp_path):
+    digest = hashlib.sha256()
+
+    def run(args):
+        result = runner.invoke(main, args)
+        shown = [os.path.basename(a) for a in args]
+        digest.update(("%r %d\n" % (shown, result.exit_code)).encode())
+        digest.update(result.output.replace(str(tmp_path) + os.sep, "").encode())
+        return result.output
+
+    labels = [e["label"] for e in run_json(runner, ["catalog", "list"])["entries"]]
+    assert len(labels) == 13
+    b2 = []
+    for label in labels:
+        path = tmp_path / (label.replace(":", "_").replace("/", "-") + ".json")
+        path.write_text(run(["catalog", "export", label]))
+        if label.startswith("b2:"):
+            b2.append(str(path))
+    assert len(b2) == 8
+    run(["table", "b2"])
+    for a in b2:
+        for b in b2:
+            run(["hom", a, b, "--field", "fp:32003"])
+            run(["ext", a, b, "--field", "fp:32003"])
+    for a in b2:
+        run(["pieces", a, "1", "--field", "fp:7"])
+        run(["pieces", a, "2", "--field", "fp:7"])
+        run(["decompose", a])
+    assert digest.hexdigest() == REPORTS_SHA256
 
 
 def test_byte_identical_reports(runner, files):

@@ -260,7 +260,7 @@ def form_mat(A):
 
 def exact_rows(A):
     """A's dense rows as exact numbers: Fractions over Q, residues over GF(p)."""
-    return [[x if A.field is QQ else x.v for x in row] for row in A.data]
+    return [list(row) for row in A.data]
 
 
 def dense_linear_system(field, shapes, equations):
@@ -303,7 +303,7 @@ def kernel_rows_of(A):
             g = gcd(*r.values())
             r = {c: v // g for c, v in r.items()}
         else:
-            r = {c: x.v for c, x in enumerate(row) if x}
+            r = {c: x for c, x in enumerate(row) if x}
         if r:
             out.append(r)
     return out
@@ -456,14 +456,14 @@ def _split_cases(M, rng):
     cases = [{i: linalg.nullspace(f[i]) for i in datum.vertices}]
     for i in datum.vertices:
         cases.append({i: pimod.sub_space(M, i)})
-        k_sp = {j: Mat.identity(QQ, M.dims[j]) for j in datum.vertices}
+        k_sp = {j: Mat.identity(M.field, M.dims[j]) for j in datum.vertices}
         k_sp[i] = pimod.k_space(M, i)
         cases.append(k_sp)
     random_span = {}
     for i in datum.vertices:
         cols = rng.randint(0, M.dims[i])
-        A = Mat.from_rows(QQ, [[rng.randint(-2, 2) for _ in range(cols)]
-                               for _ in range(M.dims[i])])
+        A = Mat.from_rows(M.field, [[rng.randint(-2, 2) for _ in range(cols)]
+                                    for _ in range(M.dims[i])])
         random_span[i] = linalg.column_space(A)
     return cases + [random_span]
 
@@ -545,8 +545,8 @@ def _assert_split_matches_reference(M, spaces, monkeypatch):
             return
         sub, incl, quot, proj = pimod._split(M, spaces)
     proper = [i for i in M.datum.vertices
-              if 0 < spaces.get(i, Mat.zeros(QQ, M.dims[i], 0)).cols
-              and spaces[i] != Mat.identity(QQ, M.dims[i])]
+              if 0 < spaces.get(i, Mat.zeros(M.field, M.dims[i], 0)).cols
+              and spaces[i] != Mat.identity(M.field, M.dims[i])]
     assert completed == [spaces[i] for i in proper]
     want_sub, want_incl, want_quot, want_proj = want
     assert incl == want_incl and proj == want_proj
@@ -558,8 +558,8 @@ def _assert_split_matches_reference(M, spaces, monkeypatch):
 def _part_of_sum(T, U):
     """The spaces of T inside T (+) U: [I; 0] per vertex, which is the
     identity where U is 0 and has no columns where T is 0."""
-    return {i: Mat(QQ, T.dims[i] + U.dims[i], T.dims[i],
-                   [[QQ.one if r == c else QQ.zero for c in range(T.dims[i])]
+    return {i: Mat(T.field, T.dims[i] + U.dims[i], T.dims[i],
+                   [[T.field.one if r == c else T.field.zero for c in range(T.dims[i])]
                     for r in range(T.dims[i] + U.dims[i])])
             for i in T.datum.vertices}
 
@@ -587,13 +587,17 @@ def test_split_trivial_vertices_match_reference(b2_mods, monkeypatch):
 @settings(max_examples=20, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16),
-       rank_t=st.integers(1, 3), rank_u=st.integers(1, 3))
-def test_split_matches_reference(name, seed, rank_t, rank_u):
-    """Sums T (+) U split along T, the spaces of `_split_cases` and spans
+       rank_t=st.integers(1, 3), rank_u=st.integers(1, 3),
+       field=st.sampled_from([QQ, linalg.GF(32003)]))
+def test_split_matches_reference(name, seed, rank_t, rank_u, field):
+    """On towers conjugated to have denominators, over Q and GF(32003):
+    sums T (+) U split along T, the spaces of `_split_cases` and spans
     mixing empty, identity and random spaces per vertex."""
     datum = _wider(name)
     rng = random.Random(seed)
-    T, U = random_tower(datum, rank_t, rng), random_tower(datum, rank_u, rng)
+    T, U = [_conjugate(X, {i: _random_invertible(rng, X.dims[i]) for i in datum.vertices})
+            for X in (random_tower(datum, rank_t, rng), random_tower(datum, rank_u, rng))]
+    T, U = [pimod.module_from_json(pimod.module_to_json(X), datum, field) for X in (T, U)]
     M = direct_sum(T, U)
     cases = [_part_of_sum(T, U)] + _split_cases(M, rng)
     for _ in range(3):
@@ -602,11 +606,11 @@ def test_split_matches_reference(name, seed, rank_t, rank_u):
             n = M.dims[i]
             kind = rng.choice(("empty", "identity", "random"))
             if kind == "identity":
-                mixed[i] = Mat.identity(QQ, n)
+                mixed[i] = Mat.identity(field, n)
             elif kind == "random":
                 cols = rng.randint(0, n)
-                A = Mat(QQ, n, cols, [[QQ.coerce(rng.randint(-2, 2)) for _ in range(cols)]
-                                      for _ in range(n)])
+                A = Mat(field, n, cols, [[rng.randint(-2, 2) for _ in range(cols)]
+                                         for _ in range(n)])
                 mixed[i] = linalg.column_space(A)
         cases.append(mixed)
     with pytest.MonkeyPatch.context() as monkeypatch:
