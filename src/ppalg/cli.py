@@ -537,6 +537,9 @@ def check_symmetrizer(mod_a, mod_b, ncopies, seed, trials, field, fmt, out):
     A, B = _load_pair(mod_a, mod_b, field)
     try:
         pair = symred.sym_pair(A.datum, ncopies)
+    except symred.SymmetrizerError as exc:
+        raise click.UsageError(str(exc))
+    try:
         report = symred.verify_symmetrizer_compat(pair, A, B, trials=trials, seed=seed)
     except symred.SymmetrizerError as exc:
         _fail(str(exc), seed, fmt, out)

@@ -16,6 +16,7 @@ kernel rows {col: int}: primitive integer rows over Q, residues over GF(p).
 
 from __future__ import annotations
 
+import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
@@ -493,8 +494,12 @@ def complete_basis(B):
 # -- characteristic polynomials and coprime factor splitting ----------------
 #
 # Polynomials are coefficient lists, highest degree first.  Characteristic
-# polynomials are computed exactly here; only the factoring over Q needs
-# sympy, which is imported on the first call of `coprime_factors`.
+# polynomials are computed exactly, and `coprime_factors` splits them over Q
+# with integer polynomials only: Yun's square-free decomposition (SYMSAC
+# 1976), then the rational roots of each part, found mod a 31-bit prime,
+# Newton-lifted and checked exactly (von zur Gathen and Gerhard, Modern
+# Computer Algebra, ch. 5, 14 and 15).  The `_`-helpers below work over Z
+# (p = 0) or mod a prime p.
 
 def charpoly(A):
     """The characteristic polynomial det(xI - A) of a square matrix over Q,
@@ -540,23 +545,156 @@ def charpoly_product(mats):
     return out
 
 
-def coprime_factors(coeffs):
-    """[(coeffs, multiplicity)] over the distinct irreducible factors over Q
-    of the polynomial with coefficient list `coeffs`.
+def _deriv(a):
+    return [c * (len(a) - 1 - i) for i, c in enumerate(a[:-1])]
 
-    Coefficient lists are monic, highest degree first, as Fractions.  The
-    factors come in the order of sympy's `factor_list`.
-    """
-    import sympy  # the only sympy use of the program: factoring over Q
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], x,
-                      domain="QQ")
-    _, factors = sympy.factor_list(poly)
-    out = []
-    for p, m in factors:
-        p = sympy.Poly(p, x, domain="QQ").monic()
-        out.append(([Fraction(int(c.p), int(c.q)) for c in p.all_coeffs()], int(m)))
+
+def _sub(a, b, p=0):
+    """a - b, over Z or mod p, with leading zeros stripped."""
+    n = max(len(a), len(b))
+    out = [x - y for x, y in zip([0] * (n - len(a)) + a, [0] * (n - len(b)) + b)]
+    if p:
+        out = [c % p for c in out]
+    while out and not out[0]:
+        out.pop(0)
     return out
+
+
+def _divmod(a, b, p=0):
+    """Quotient and remainder of a by b mod p, or over Z when b's leading
+    coefficient divides every quotient coefficient (as for an exact division
+    by a primitive divisor, or a pseudo-division)."""
+    a, q = list(a), []
+    inv = pow(b[0], -1, p) if p else None
+    for i in range(len(a) - len(b) + 1):
+        c = a[i] * inv % p if p else a[i] // b[0]
+        q.append(c)
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    return q, _sub(a[len(q):], [], p)
+
+
+def _gcd(a, b, p=0):
+    """The gcd of a and b: monic mod p, primitive with a positive leading
+    coefficient over Z (by pseudo-remainders made primitive)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if p:
+            a, b = b, _divmod(a, b, p)[1]
+        else:
+            r = _divmod([b[0] ** (len(a) - len(b) + 1) * c for c in a], b)[1]
+            g = gcd(*r)
+            a, b = b, [c // g for c in r]
+    if p:
+        return [c * pow(a[0], -1, p) % p for c in a]
+    g = gcd(*a) if a[0] > 0 else -gcd(*a)
+    return [c // g for c in a]
+
+
+def _mulmod(a, b, m, p):
+    """a * b mod (m, p)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _divmod(out, m, p)[1]
+
+
+def _powmod(a, e, m, p):
+    """a^e mod (m, p), by repeated squaring."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, m, p)
+        if bit == "1":
+            out = _mulmod(out, a, m, p)
+    return out
+
+
+def _roots_mod(g, p, rng):
+    """The roots of a monic product g of distinct linear factors mod an odd
+    prime p, by Cantor-Zassenhaus splitting."""
+    if len(g) <= 2:
+        return [-g[1] % p] if len(g) == 2 else []
+    while True:
+        h = _gcd(g, _sub(_powmod([1, rng.randrange(p)], (p - 1) // 2, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return _roots_mod(h, p, rng) + _roots_mod(_divmod(g, h, p)[0], p, rng)
+
+
+def _rational_roots(q, rng):
+    """The rational roots u/v of a square-free primitive integer polynomial q.
+
+    The roots mod a prime p (p not dividing the leading coefficient, q
+    square-free mod p) are Newton-lifted to a modulus N > 2 (U + 1) V and
+    rebuilt by rational reconstruction: a root u/v in lowest terms has
+    |u| <= U, q's lowest nonzero coefficient, and v <= V = lc(q).  Each
+    candidate is kept only if q(u/v) = 0 exactly."""
+    dq = _deriv(q)
+    p = 2 ** 31 - 1
+    while not (_is_prime(p) and q[0] % p and len(_gcd(_sub(q, [], p), _sub(dq, [], p), p)) == 1):
+        p -= 2
+    qp = _gcd(_sub(q, [], p), [], p)  # q made monic mod p
+    xp = _sub(_powmod([1, 0], p, qp, p), [1, 0], p)
+    U, V = abs(next(c for c in reversed(q) if c)), q[0]
+    roots = []
+    for r in _roots_mod(_gcd(qp, xp, p), p, rng):
+        N = p
+        while N <= 2 * (U + 1) * V:
+            N *= N
+            num = den = 0
+            for c in q:
+                num = (num * r + c) % N
+            for c in dq:
+                den = (den * r + c) % N
+            r = (r - num * pow(den, -1, N)) % N
+        # rational reconstruction (Thm 5.26): the first remainder r1 <= U
+        r0, t0, r1, t1 = N, 0, r, 1
+        while r1 > U:
+            k = r0 // r1
+            r0, t0, r1, t1 = r1, t1, r0 - k * r1, t0 - k * t1
+        root = Fraction(r1, t1)
+        if not sum(c * root.numerator ** (len(q) - 1 - i) * root.denominator ** i
+                   for i, c in enumerate(q)):
+            roots.append(root)
+    return roots
+
+
+def coprime_factors(coeffs):
+    """[(coeffs, multiplicity)] over pairwise coprime factors over Q of the
+    polynomial with coefficient list `coeffs` (monic, highest degree first,
+    as Fractions), whose product is that polynomial.
+
+    Each square-free part q^m of Yun's decomposition gives (x - u/v, m) for
+    each rational root u/v of q, and (r, m) for what is left, r monic.  The
+    order is that of sympy's `factor_list`: degree, then multiplicity, then
+    the primitive integer coefficients.  An r of degree at most 3 has no
+    rational root, so it is irreducible and the factors equal
+    `factor_list`'s; an r of degree 4 or more comes back whole, which is
+    still a coprime split, so `decompose` stays Las Vegas.
+    """
+    L = lcm(*(c.denominator for c in coeffs))
+    f = [c.numerator * (L // c.denominator) for c in coeffs]
+    g = gcd(*f)
+    f = [c // g for c in f]
+    rng = random.Random(0)
+    # Yun over Z: the divisions are exact, every divisor being primitive
+    a = _gcd(f, _deriv(f))
+    b, c = _divmod(f, a)[0], _divmod(_deriv(f), a)[0]
+    keyed, m = [], 1
+    while len(b) > 1:
+        d = _sub(c, _deriv(b))
+        q = _gcd(b, d)
+        b, c = _divmod(b, q)[0], _divmod(d, q)[0]
+        if len(q) > 1:
+            for root in _rational_roots(q, rng):
+                u, v = root.numerator, root.denominator
+                q = _divmod(q, [v, -u])[0]
+                keyed.append(((2, m, [v, -u]), [Fraction(1), -root]))
+            if len(q) > 1:
+                keyed.append(((len(q), m, q), [Fraction(x, q[0]) for x in q]))
+        m += 1
+    return [(poly, key[1]) for key, poly in sorted(keyed)]
 
 
 def eval_poly(coeffs, A):

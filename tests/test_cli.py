@@ -71,6 +71,8 @@ def files(tmp_path_factory):
     a2 = catalog.a2_datum()
     write("s1.json", pimod.module_to_json(pimod.generalized_simple(a2, 1)))
     write("s2.json", pimod.module_to_json(pimod.generalized_simple(a2, 2)))
+    write("s12.json", pimod.module_to_json(pimod.direct_sum(
+        pimod.generalized_simple(a2, 1), pimod.generalized_simple(a2, 2))))
     return paths
 
 
@@ -352,6 +354,23 @@ class TestSymmetrizerCommands:
     def test_lift_refuses_non_symmetric(self, runner, files):
         result = runner.invoke(main, ["lift", files["e1.json"], "--n", "2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("mods, n, message", [
+        (("e1.json", "e2.json"), "2", "must be symmetric"),
+        (("s1.json", "s2.json"), "0", "positive integer")])
+    def test_check_symmetrizer_usage_errors_exit_2(self, runner, files, mods, n, message):
+        """A pair the symmetrizer reduction does not apply to is a usage
+        error, as for `lift`; only an uncertified comparison exits 1."""
+        result = runner.invoke(main, ["check-symmetrizer", files[mods[0]], files[mods[1]],
+                                      "--n", n])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
+    def test_check_symmetrizer_uncertified_exits_1(self, runner, files):
+        result = runner.invoke(main, ["check-symmetrizer", files["s12.json"], files["s1.json"],
+                                      "--n", "2"])
+        assert result.exit_code == 1, result.output
+        assert "not certified" in json.loads(result.output)["error"]
 
 
 class TestCatalogCommands:

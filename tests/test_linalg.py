@@ -603,13 +603,9 @@ def test_charpoly_requires_rationals():
             linalg.charpoly(Mat.identity(GF(7), n))
 
 
-def sympy_factors(mats):
-    """The reference for `coprime_factors(charpoly_product(mats))`, all in
-    sympy: Matrix.charpoly per block, their Poly product, factor_list."""
-    poly = sympy.Poly(1, X, domain="QQ")
-    for A in mats:
-        if A.rows:
-            poly = poly * sympy.Poly(to_sympy(A).charpoly(X).as_expr(), X, domain="QQ")
+def sympy_factor_list(poly):
+    """sympy's `factor_list` of a Poly over QQ, in its order, each factor as
+    a monic coefficient list of Fractions."""
     out = []
     for p, m in sympy.factor_list(poly)[1]:
         p = sympy.Poly(p, X, domain="QQ")
@@ -619,6 +615,16 @@ def sympy_factors(mats):
         if len(coeffs) > 1:
             out.append((coeffs, int(m)))
     return out
+
+
+def sympy_factors(mats):
+    """The reference for `coprime_factors(charpoly_product(mats))`, all in
+    sympy: Matrix.charpoly per block, their Poly product, factor_list."""
+    poly = sympy.Poly(1, X, domain="QQ")
+    for A in mats:
+        if A.rows:
+            poly = poly * sympy.Poly(to_sympy(A).charpoly(X).as_expr(), X, domain="QQ")
+    return sympy_factor_list(poly)
 
 
 def test_coprime_factors_match_sympy_route_on_decompose_draws(monkeypatch):
@@ -645,6 +651,86 @@ def test_coprime_factors_match_sympy_route_on_decompose_draws(monkeypatch):
         assert linalg.coprime_factors(linalg.charpoly_product(mats)) == sympy_factors(mats)
 
 
+def poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def as_sympy(coeffs):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in coeffs], X,
+                      domain="QQ")
+
+
+# P31 is the first prime `coprime_factors` tries.  The roots 1/P31 and
+# 3/(2 P31) put it in the leading coefficient, and the pairs 0, P31 and 1,
+# P31 + 1 (which coincide mod P31) in the discriminant, so it is skipped.
+# Roots above 2^64 need two or three Newton lifts.
+P31 = 2 ** 31 - 1
+ROOTS = st.one_of(
+    st.fractions(min_value=-12, max_value=12, max_denominator=6),
+    st.integers(2 ** 64, 2 ** 90).map(Fraction) | st.integers(-2 ** 90, -2 ** 64).map(Fraction),
+    st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(2 ** 64, 2 ** 70)),
+    st.sampled_from([Fraction(0), Fraction(1, P31), Fraction(P31), Fraction(P31 + 1),
+                     Fraction(3, 2 * P31), Fraction(1)]))
+IRREDUCIBLE = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                       min_size=2, max_size=3).map(lambda cs: [Fraction(1)] + cs).filter(
+    lambda f: as_sympy(f).is_irreducible)
+
+
+@st.composite
+def factored_poly(draw):
+    """A monic product of (x - u/v)^m and of irreducible quadratics and
+    cubics with pairwise distinct multiplicities, so that each square-free
+    part holds at most one factor that is not linear."""
+    poly = [Fraction(1)]
+    for root in draw(st.lists(ROOTS, max_size=3)):
+        for _ in range(draw(st.integers(1, 2))):
+            poly = poly_mul(poly, [Fraction(1), -root])
+    nonlinear = draw(st.lists(IRREDUCIBLE, max_size=2, unique_by=tuple))
+    for f, m in zip(nonlinear, draw(st.permutations([1, 2]))):
+        for _ in range(m):
+            poly = poly_mul(poly, f)
+    return poly
+
+
+@settings(max_examples=80, deadline=None)
+@given(factored_poly())
+@example([Fraction(1), Fraction(-1, P31)])
+@example(poly_mul([Fraction(1), Fraction(0)], [Fraction(1), Fraction(-P31)]))
+@example(poly_mul(poly_mul([Fraction(1), Fraction(-1)], [Fraction(1), Fraction(-P31 - 1)]),
+                  [Fraction(1), Fraction(0), Fraction(-2)]))
+@example(poly_mul([Fraction(1), Fraction(-2 ** 70, 3)], [Fraction(1), Fraction(0), Fraction(1)]))
+@example([Fraction(1)])
+def test_coprime_factors_match_factor_list(poly):
+    """Rational roots (0, denominators, above 2^64, near the first prime)
+    times at most one irreducible quadratic or cubic per multiplicity: the
+    factors and their order are sympy's `factor_list`'s."""
+    assert linalg.coprime_factors(poly) == sympy_factor_list(as_sympy(poly))
+
+
+def test_coprime_factors_keep_a_reducible_quartic_whole():
+    """(x^2 - 2)(x^2 - 3) has no rational root, so it comes back whole: not
+    sympy's factors, but still pairwise coprime factors whose product is the
+    input, with sympy's linear factors."""
+    quartic = poly_mul([1, 0, -2], [1, 0, -3])
+    poly = poly_mul(quartic, poly_mul([Fraction(1), Fraction(-1, 2)], [Fraction(1), Fraction(3)]))
+    poly = poly_mul(poly, [Fraction(1), Fraction(3)])
+    got = linalg.coprime_factors(poly)
+    assert got == [([1, Fraction(-1, 2)], 1), ([1, 3], 2), (quartic, 1)]
+    product = sympy.Poly(1, X, domain="QQ")
+    for f, m in got:
+        product *= as_sympy(f) ** m
+    assert product == as_sympy(poly)
+    for i, (f, _) in enumerate(got):
+        for g, _ in got[:i]:
+            assert sympy.gcd(as_sympy(f), as_sympy(g)).degree() == 0
+    assert ([f for f in got if len(f[0]) == 2]
+            == [f for f in sympy_factor_list(as_sympy(poly)) if len(f[0]) == 2])
+
+
 @pytest.mark.parametrize("coeffs", [[Fraction(c) for c in (2, 3, 4)], [Fraction(1, 3)], []])
 def test_eval_poly_matches_power_sum(coeffs):
     """Horner on the diagonal equals sum c_k A^(d-k), entry for entry."""
@@ -655,29 +741,42 @@ def test_eval_poly_matches_power_sum(coeffs):
     assert linalg.eval_poly(coeffs, A) == want
 
 
-# -- sympy stays off the import path -----------------------------------------
+# -- sympy stays out of the runtime -------------------------------------------
 
-SYMPY_ON_DEMAND = """
-import random, sys
-import ppalg, ppalg.cli
-from ppalg import catalog, linalg, pimod
-from ppalg.selftest import random_tower
-b2 = catalog.b2_datum()
-M = random_tower(b2, 3, random.Random(0))
-pimod.ext1_dim(M, M), pimod.hom_dim(M, M), pimod.is_crystal(M)
-pimod.canonical_pieces(M, 1)
-Mp = random_tower(b2, 3, random.Random(0), field=linalg.GF(32003))
-pimod.ext1_dim(Mp, Mp), pimod.hom_dim(Mp, Mp)
-assert "sympy" not in sys.modules, "loaded without a factoring"
-pimod.decompose(pimod.direct_sum(M, pimod.generalized_simple(b2, 2)))
-assert "sympy" in sys.modules, "decompose factored without sympy"
+NO_SYMPY = """
+import json, os, sys, tempfile
+from click.testing import CliRunner
+from ppalg import catalog, pimod
+from ppalg.cli import main
+suite = catalog.b2_suite()
+modules = [e.module for e in suite.entries + suite.extras]
+for M, N in zip(modules, modules[1:]):
+    pimod.decompose(pimod.direct_sum(M, N))
+assert "sympy" not in sys.modules, "decompose"
+tmp = tempfile.mkdtemp()
+a, b = (os.path.join(tmp, name) for name in ("a.json", "b.json"))
+for path, M in ((a, modules[1]), (b, pimod.direct_sum(modules[0], modules[2]))):
+    with open(path, "w") as fh:
+        json.dump(pimod.module_to_json(M), fh)
+runner = CliRunner()
+commands = [["table", "b2"], ["star", a, a], ["iso", a, b], ["pieces", b, "1"],
+            ["decompose", b], ["selftest", "--seed", "0"]]
+commands += [[cmd, a, b, "--field", field] for cmd in ("hom", "ext") for field in ("q", "fp:32003")]
+for args in commands:
+    result = runner.invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.output)
+    assert "sympy" not in sys.modules, args
+assert "sympy" not in sys.modules
 """
 
 
-def test_sympy_loaded_only_to_factor():
+def test_no_command_loads_sympy():
+    """`decompose` on the B2 sums and every listed command, in one process,
+    never import sympy: it is only the tests' reference and the primality
+    check of moduli above 3.3 * 10^24."""
     src = os.path.dirname(os.path.dirname(linalg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    run = subprocess.run([sys.executable, "-c", SYMPY_ON_DEMAND], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-c", NO_SYMPY], env=env,
+                         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
