@@ -420,6 +420,8 @@ def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
     M, B = _load_pair(mod_m, mod_b, field)
     try:
         Q = starop.generic_cokernel(M, B, trials=trials, seed=seed)
+    except pimod.NotLocallyFree as exc:
+        raise click.UsageError(str(exc))
     except (DivisionUndefined, ValueError) as exc:
         _fail(str(exc), seed, fmt, out)
     _emit({"seed": seed, "trials": trials, "module": pimod.module_to_json(Q)}, fmt, out)
@@ -435,6 +437,8 @@ def divide_left(mod_a, mod_m, seed, trials, field, fmt, out):
     A, M = _load_pair(mod_a, mod_m, field)
     try:
         K = starop.generic_kernel(A, M, trials=trials, seed=seed)
+    except pimod.NotLocallyFree as exc:
+        raise click.UsageError(str(exc))
     except (DivisionUndefined, ValueError) as exc:
         _fail(str(exc), seed, fmt, out)
     _emit({"seed": seed, "trials": trials, "module": pimod.module_to_json(K)}, fmt, out)

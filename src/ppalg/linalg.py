@@ -16,10 +16,9 @@ kernel rows {col: int}: primitive integer rows over Q, residues over GF(p).
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import gcd, lcm
 
 
@@ -496,10 +495,11 @@ def complete_basis(B):
 # Polynomials are coefficient lists, highest degree first.  Characteristic
 # polynomials are computed exactly, and `coprime_factors` splits them over Q
 # with integer polynomials only: Yun's square-free decomposition (SYMSAC
-# 1976), then the rational roots of each part, found mod a 31-bit prime,
-# Newton-lifted and checked exactly (von zur Gathen and Gerhard, Modern
-# Computer Algebra, ch. 5, 14 and 15).  The `_`-helpers below work over Z
-# (p = 0) or mod a prime p.
+# 1976), then the rational roots of each part, found by trying every residue
+# mod a prime from 101 up, Newton-lifted, rebuilt by rational reconstruction
+# and checked exactly (von zur Gathen and Gerhard, Modern Computer Algebra,
+# ch. 5 and 15).  The `_`-helpers below work over Z; only `_horner` reduces
+# mod N.
 
 def charpoly(A):
     """The characteristic polynomial det(xI - A) of a square matrix over Q,
@@ -549,105 +549,73 @@ def _deriv(a):
     return [c * (len(a) - 1 - i) for i, c in enumerate(a[:-1])]
 
 
-def _sub(a, b, p=0):
-    """a - b, over Z or mod p, with leading zeros stripped."""
+def _sub(a, b):
+    """a - b, with leading zeros stripped."""
     n = max(len(a), len(b))
     out = [x - y for x, y in zip([0] * (n - len(a)) + a, [0] * (n - len(b)) + b)]
-    if p:
-        out = [c % p for c in out]
     while out and not out[0]:
         out.pop(0)
     return out
 
 
-def _divmod(a, b, p=0):
-    """Quotient and remainder of a by b mod p, or over Z when b's leading
-    coefficient divides every quotient coefficient (as for an exact division
-    by a primitive divisor, or a pseudo-division)."""
+def _divmod(a, b):
+    """Quotient and remainder of a by b, when b's leading coefficient divides
+    every quotient coefficient (as for an exact division by a primitive
+    divisor, or a pseudo-division)."""
     a, q = list(a), []
-    inv = pow(b[0], -1, p) if p else None
     for i in range(len(a) - len(b) + 1):
-        c = a[i] * inv % p if p else a[i] // b[0]
+        c = a[i] // b[0]
         q.append(c)
         for j, bj in enumerate(b):
             a[i + j] -= c * bj
-    return q, _sub(a[len(q):], [], p)
+    return q, _sub(a[len(q):], [])
 
 
-def _gcd(a, b, p=0):
-    """The gcd of a and b: monic mod p, primitive with a positive leading
-    coefficient over Z (by pseudo-remainders made primitive)."""
+def _gcd(a, b):
+    """The gcd of a and b, primitive with a positive leading coefficient (by
+    pseudo-remainders made primitive)."""
     if len(a) < len(b):
         a, b = b, a
     while b:
-        if p:
-            a, b = b, _divmod(a, b, p)[1]
-        else:
-            r = _divmod([b[0] ** (len(a) - len(b) + 1) * c for c in a], b)[1]
-            g = gcd(*r)
-            a, b = b, [c // g for c in r]
-    if p:
-        return [c * pow(a[0], -1, p) % p for c in a]
+        r = _divmod([b[0] ** (len(a) - len(b) + 1) * c for c in a], b)[1]
+        g = gcd(*r)
+        a, b = b, [c // g for c in r]
     g = gcd(*a) if a[0] > 0 else -gcd(*a)
     return [c // g for c in a]
 
 
-def _mulmod(a, b, m, p):
-    """a * b mod (m, p)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _divmod(out, m, p)[1]
-
-
-def _powmod(a, e, m, p):
-    """a^e mod (m, p), by repeated squaring."""
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = _mulmod(out, out, m, p)
-        if bit == "1":
-            out = _mulmod(out, a, m, p)
+def _horner(a, x, N):
+    """a(x) mod N."""
+    out = 0
+    for c in a:
+        out = (out * x + c) % N
     return out
 
 
-def _roots_mod(g, p, rng):
-    """The roots of a monic product g of distinct linear factors mod an odd
-    prime p, by Cantor-Zassenhaus splitting."""
-    if len(g) <= 2:
-        return [-g[1] % p] if len(g) == 2 else []
-    while True:
-        h = _gcd(g, _sub(_powmod([1, rng.randrange(p)], (p - 1) // 2, g, p), [1], p), p)
-        if 1 < len(h) < len(g):
-            return _roots_mod(h, p, rng) + _roots_mod(_divmod(g, h, p)[0], p, rng)
-
-
-def _rational_roots(q, rng):
+def _rational_roots(q):
     """The rational roots u/v of a square-free primitive integer polynomial q.
 
-    The roots mod a prime p (p not dividing the leading coefficient, q
-    square-free mod p) are Newton-lifted to a modulus N > 2 (U + 1) V and
+    The roots mod the first prime p >= 101 that does not divide the leading
+    coefficient and at which every root of q is simple are found by trying
+    every residue.  Each is Newton-lifted to a modulus N > 2 (U + 1) V and
     rebuilt by rational reconstruction: a root u/v in lowest terms has
-    |u| <= U, q's lowest nonzero coefficient, and v <= V = lc(q).  Each
-    candidate is kept only if q(u/v) = 0 exactly."""
+    |u| <= U, q's lowest nonzero coefficient, and v <= V = lc(q), so p does
+    not divide v and u/v reduces to one of the roots mod p, whose Hensel
+    lift is unique.  Each candidate is kept only if q(u/v) = 0 exactly.
+    Only the finitely many primes dividing lc(q) disc(q) are skipped."""
     dq = _deriv(q)
-    p = 2 ** 31 - 1
-    while not (_is_prime(p) and q[0] % p and len(_gcd(_sub(q, [], p), _sub(dq, [], p), p)) == 1):
-        p -= 2
-    qp = _gcd(_sub(q, [], p), [], p)  # q made monic mod p
-    xp = _sub(_powmod([1, 0], p, qp, p), [1, 0], p)
+    for p in count(101, 2):
+        if _is_prime(p) and q[0] % p:
+            residues = [r for r in range(p) if not _horner(q, r, p)]
+            if all(_horner(dq, r, p) for r in residues):
+                break
     U, V = abs(next(c for c in reversed(q) if c)), q[0]
     roots = []
-    for r in _roots_mod(_gcd(qp, xp, p), p, rng):
+    for r in residues:
         N = p
         while N <= 2 * (U + 1) * V:
             N *= N
-            num = den = 0
-            for c in q:
-                num = (num * r + c) % N
-            for c in dq:
-                den = (den * r + c) % N
-            r = (r - num * pow(den, -1, N)) % N
+            r = (r - _horner(q, r, N) * pow(_horner(dq, r, N), -1, N)) % N
         # rational reconstruction (Thm 5.26): the first remainder r1 <= U
         r0, t0, r1, t1 = N, 0, r, 1
         while r1 > U:
@@ -666,8 +634,9 @@ def coprime_factors(coeffs):
     as Fractions), whose product is that polynomial.
 
     Each square-free part q^m of Yun's decomposition gives (x - u/v, m) for
-    each rational root u/v of q, and (r, m) for what is left, r monic.  The
-    order is that of sympy's `factor_list`: degree, then multiplicity, then
+    each rational root u/v of q (`_rational_roots`, which draws nothing at
+    random), and (r, m) for what is left, r monic.  The order is that of
+    sympy's `factor_list`: degree, then multiplicity, then
     the primitive integer coefficients.  An r of degree at most 3 has no
     rational root, so it is irreducible and the factors equal
     `factor_list`'s; an r of degree 4 or more comes back whole, which is
@@ -677,7 +646,6 @@ def coprime_factors(coeffs):
     f = [c.numerator * (L // c.denominator) for c in coeffs]
     g = gcd(*f)
     f = [c // g for c in f]
-    rng = random.Random(0)
     # Yun over Z: the divisions are exact, every divisor being primitive
     a = _gcd(f, _deriv(f))
     b, c = _divmod(f, a)[0], _divmod(_deriv(f), a)[0]
@@ -687,7 +655,7 @@ def coprime_factors(coeffs):
         q = _gcd(b, d)
         b, c = _divmod(b, q)[0], _divmod(d, q)[0]
         if len(q) > 1:
-            for root in _rational_roots(q, rng):
+            for root in _rational_roots(q):
                 u, v = root.numerator, root.denominator
                 q = _divmod(q, [v, -u])[0]
                 keyed.append(((2, m, [v, -u]), [Fraction(1), -root]))

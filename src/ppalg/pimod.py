@@ -843,7 +843,9 @@ def _end_is_local(M, endb):
 def _split_spaces(M, f):
     """Split M along the coprime factors of the char polynomial of an
     endomorphism f; returns a list of per-vertex space dicts, or None if
-    the polynomial has a single irreducible factor.
+    `coprime_factors` gives a single factor.  That factor may be reducible
+    (a rest of degree 4 or more with no rational root), so None says only
+    that this f does not split M, and the caller draws again.
 
     Each space is the kernel of p(f)^m for one factor p^m; together they
     must fill every vertex space (raises ConsistencyError otherwise)."""

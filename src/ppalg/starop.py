@@ -168,9 +168,7 @@ def generic_cokernel(mid, sub, trials=8, seed=0):
     search).  The result is checked to be E-filtered (cokernels of
     monomorphisms between crystal modules are).
     """
-    rkM = pimod.rank_vector(mid)
-    rkS = pimod.rank_vector(sub)
-    if any(a < b for a, b in zip(rkM, rkS)):
+    if any(a < b for a, b in zip(pimod.rank_vector(mid), pimod.rank_vector(sub))):
         raise ValueError("rank vector of the sub exceeds the ambient module")
     return _generic_division(
         pimod.hom_basis(sub, mid), lambda f: pimod.hom_is_injective(f, sub),
@@ -181,6 +179,8 @@ def generic_cokernel(mid, sub, trials=8, seed=0):
 def generic_kernel(top, mid, trials=8, seed=0):
     """The generic kernel of surjections from `mid` onto `top` (dual of
     generic_cokernel); the result is checked to be E-filtered."""
+    if any(a < b for a, b in zip(pimod.rank_vector(mid), pimod.rank_vector(top))):
+        raise ValueError("rank vector of the top exceeds the ambient module")
     return _generic_division(
         pimod.hom_basis(mid, top), lambda f: pimod.hom_is_surjective(f, top),
         lambda f: pimod.submodule(mid, {i: linalg.nullspace(f[i]) for i in f})[0],

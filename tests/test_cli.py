@@ -43,6 +43,8 @@ def files(tmp_path_factory):
     write("bad.json", bad)
     write("sum.json", pimod.module_to_json(pimod.direct_sum(E1, E1)))
     write("e1e2.json", pimod.module_to_json(pimod.direct_sum(E1, E2)))
+    write("nlf.json", {"algebra": b2.to_json(), "dims": {"1": 1},
+                       "epsilon": {"1": [["0"]]}, "arrows": {}})   # c_1 = 2 does not divide 1
 
     for name, entry in (("div0.json", "1/0"), ("float.json", 1.5), ("bool.json", True)):
         doc = dict(pimod.module_to_json(E1))
@@ -319,6 +321,15 @@ class TestStarCommands:
         coker_path.write_text(json.dumps(cok))
         iso = run_json(runner, ["iso", str(coker_path), files["e1.json"]])
         assert iso["verdict"] == "isomorphic"
+
+    @pytest.mark.parametrize("command,order", [("divide-right", ("nlf.json", "e2.json")),
+                                               ("divide-left", ("e2.json", "nlf.json"))])
+    def test_division_of_a_module_not_locally_free_exit_2(self, runner, files, command, order):
+        """A division with a module that is not locally free is a usage error,
+        as for `ext`, `rigid` and `reduce`, not a failed division."""
+        result = runner.invoke(main, [command] + [files[name] for name in order])
+        assert result.exit_code == 2, result.output
+        assert "module is not locally free" in result.output
 
     def test_star_rejects_invalid_module(self, runner, files):
         result = runner.invoke(main, ["star", files["bad.json"], files["e2.json"]])

@@ -664,17 +664,20 @@ def as_sympy(coeffs):
                       domain="QQ")
 
 
-# P31 is the first prime `coprime_factors` tries.  The roots 1/P31 and
-# 3/(2 P31) put it in the leading coefficient, and the pairs 0, P31 and 1,
-# P31 + 1 (which coincide mod P31) in the discriminant, so it is skipped.
-# Roots above 2^64 need two or three Newton lifts.
+# `coprime_factors` tries the primes from 101 up and skips one that divides
+# the leading coefficient or at which two roots coincide.  The roots 1/101
+# and 3/202 put 101 in the leading coefficient, and 0 and 101 coincide mod
+# 101; with 103 as well, 103 is skipped too.  P31 = 2^31 - 1 plays the same
+# parts for a large prime, which is never skipped for it.  Roots above 2^64
+# need several Newton lifts.
 P31 = 2 ** 31 - 1
 ROOTS = st.one_of(
     st.fractions(min_value=-12, max_value=12, max_denominator=6),
     st.integers(2 ** 64, 2 ** 90).map(Fraction) | st.integers(-2 ** 90, -2 ** 64).map(Fraction),
     st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(2 ** 64, 2 ** 70)),
     st.sampled_from([Fraction(0), Fraction(1, P31), Fraction(P31), Fraction(P31 + 1),
-                     Fraction(3, 2 * P31), Fraction(1)]))
+                     Fraction(3, 2 * P31), Fraction(1), Fraction(1, 101), Fraction(3, 202),
+                     Fraction(101), Fraction(103)]))
 IRREDUCIBLE = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
                        min_size=2, max_size=3).map(lambda cs: [Fraction(1)] + cs).filter(
     lambda f: as_sympy(f).is_irreducible)
@@ -696,8 +699,21 @@ def factored_poly(draw):
     return poly
 
 
-@settings(max_examples=80, deadline=None)
+def linear(*roots):
+    """The monic product of x - r over the roots r."""
+    poly = [Fraction(1)]
+    for r in roots:
+        poly = poly_mul(poly, [Fraction(1), -Fraction(r)])
+    return poly
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(factored_poly())
+@example(linear(Fraction(1, 101)))
+@example(poly_mul(linear(Fraction(1, 101), Fraction(3, 202)),
+                  [Fraction(1), Fraction(0), Fraction(-2)]))
+@example(linear(0, 101))
+@example(poly_mul(linear(0, 101, 103), [Fraction(1), Fraction(1), Fraction(1)]))
 @example([Fraction(1), Fraction(-1, P31)])
 @example(poly_mul([Fraction(1), Fraction(0)], [Fraction(1), Fraction(-P31)]))
 @example(poly_mul(poly_mul([Fraction(1), Fraction(-1)], [Fraction(1), Fraction(-P31 - 1)]),
@@ -705,9 +721,9 @@ def factored_poly(draw):
 @example(poly_mul([Fraction(1), Fraction(-2 ** 70, 3)], [Fraction(1), Fraction(0), Fraction(1)]))
 @example([Fraction(1)])
 def test_coprime_factors_match_factor_list(poly):
-    """Rational roots (0, denominators, above 2^64, near the first prime)
-    times at most one irreducible quadratic or cubic per multiplicity: the
-    factors and their order are sympy's `factor_list`'s."""
+    """Rational roots (0, denominators, above 2^64, tied to the primes
+    tried) times at most one irreducible quadratic or cubic per
+    multiplicity: the factors and their order are sympy's `factor_list`'s."""
     assert linalg.coprime_factors(poly) == sympy_factor_list(as_sympy(poly))
 
 

@@ -158,6 +158,11 @@ class TestDivisions:
         with pytest.raises(ValueError):
             generic_cokernel(E1, E2, seed=0)
 
+    def test_rank_precondition_of_the_kernel(self, b2):
+        E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
+        with pytest.raises(ValueError, match="rank vector of the top"):
+            generic_kernel(E2, E1, seed=0)
+
     def test_leclerc_division_defined_but_not_inverse(self):
         # dividing the rigid middle of a self-extension recovers the member,
         # yet the product of two distinct members is the split module, which
