@@ -23,7 +23,7 @@ from .cartan import DatumError, arrow_name, default_orientation, dim_formulas, \
 from .linalg import GF, QQ
 from .pimod import DecomposeUndecided, IsoInconclusive
 from .selftest import run_selftest
-from .starop import DivisionUndefined
+from .starop import DivisionUndefined, NoTrials
 
 
 def _parse_field(ctx, param, flag):
@@ -406,7 +406,10 @@ def star(mod_a, mod_b, seed, trials, field, fmt, out):
     for name, M in (("A", A), ("B", B)):
         if not pimod.is_crystal(M):
             raise click.UsageError("%s is not a crystal module" % name)
-    res = starop.generic_extension(A, B, trials=trials, seed=seed)
+    try:
+        res = starop.generic_extension(A, B, trials=trials, seed=seed)
+    except NoTrials as exc:
+        raise click.UsageError(str(exc))
     _emit(_star_payload(res), fmt, out)
 
 
@@ -420,7 +423,7 @@ def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
     M, B = _load_pair(mod_m, mod_b, field)
     try:
         Q = starop.generic_cokernel(M, B, trials=trials, seed=seed)
-    except pimod.NotLocallyFree as exc:
+    except (pimod.NotLocallyFree, NoTrials) as exc:
         raise click.UsageError(str(exc))
     except (DivisionUndefined, ValueError) as exc:
         _fail(str(exc), seed, fmt, out)
@@ -437,7 +440,7 @@ def divide_left(mod_a, mod_m, seed, trials, field, fmt, out):
     A, M = _load_pair(mod_a, mod_m, field)
     try:
         K = starop.generic_kernel(A, M, trials=trials, seed=seed)
-    except pimod.NotLocallyFree as exc:
+    except (pimod.NotLocallyFree, NoTrials) as exc:
         raise click.UsageError(str(exc))
     except (DivisionUndefined, ValueError) as exc:
         _fail(str(exc), seed, fmt, out)
@@ -482,6 +485,8 @@ def table(suite, seed, trials, fmt, out):
             extras = [(label, catalog.certified_product(label, top.module, sub.module,
                                                         trials=trials, seed=seed))
                       for label, top, sub in (("1/2", s.s1, s.s2), ("2/1", s.s2, s.s1))]
+    except NoTrials as exc:
+        raise click.UsageError(str(exc))
     except catalog.CatalogError as exc:
         _fail(str(exc), seed, fmt, out)
     cells = starop.star_table(entries, extra_pool=extras, trials=trials, seed=seed)
@@ -545,6 +550,8 @@ def check_symmetrizer(mod_a, mod_b, ncopies, seed, trials, field, fmt, out):
         raise click.UsageError(str(exc))
     try:
         report = symred.verify_symmetrizer_compat(pair, A, B, trials=trials, seed=seed)
+    except NoTrials as exc:
+        raise click.UsageError(str(exc))
     except symred.SymmetrizerError as exc:
         _fail(str(exc), seed, fmt, out)
     report.update({"seed": seed, "trials": trials})
@@ -565,6 +572,8 @@ def catalog_list(seed, trials, fmt, out):
     """List all catalog entries with their certified flags."""
     try:
         entries = catalog.all_entries(trials=trials, seed=seed)
+    except NoTrials as exc:
+        raise click.UsageError(str(exc))
     except catalog.CatalogError as exc:
         _fail(str(exc), seed, fmt, out)
     payload = {"entries": [{"label": label, **entry.flags()} for label, entry in entries]}
@@ -579,6 +588,8 @@ def catalog_export(label, seed, trials, fmt, out):
     """Export one catalog entry as a module file."""
     try:
         entries = catalog.all_entries(trials=trials, seed=seed)
+    except NoTrials as exc:
+        raise click.UsageError(str(exc))
     except catalog.CatalogError as exc:
         _fail(str(exc), seed, fmt, out)
     for name, entry in entries:
@@ -604,7 +615,7 @@ def selftest(seed, trials, fmt, out):
     """Run the full acceptance suite and report one line per criterion."""
     try:
         report = run_selftest(seed=seed, trials=trials)
-    except catalog.CatalogError as exc:
+    except (catalog.CatalogError, NoTrials) as exc:
         _fail(str(exc), seed, fmt, out)
     if fmt != "md":
         for c in report["criteria"]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, count
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 class Field:
@@ -57,27 +57,75 @@ class Field:
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster, Math. Comp. 2017); the bound itself is a strong
-# pseudoprime to all 13 bases.
+# pseudoprime to all 13 bases.  At or above it `_is_prime` runs BPSW, the
+# test sympy's `isprime` runs there.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
+def _jacobi(a, n):
+    """The Jacobi symbol (a / n) for odd n > 0."""
+    a, out = a % n, 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas(n):
+    """Whether the odd n, free of small prime factors, passes the strong
+    Lucas probable-prime test with Selfridge's parameters: D the first of
+    5, -7, 9, -11, ... with (D / n) = -1, P = 1 and Q = (1 - D) / 4
+    (Baillie and Wagstaff, Math. Comp. 1980)."""
+    if isqrt(n) ** 2 == n:   # no D would have (D / n) = -1
+        return False
+    D = 5
+    while _jacobi(D, n) != -1:
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+
+    def half(x):
+        return (x + n if x & 1 else x) // 2 % n
+
+    # U_k, V_k and Q^k mod n, k running over the binary prefixes of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def _is_prime(n):
     """Whether the integer n is prime: a deterministic Miller-Rabin test
-    below `_MR_BOUND`, sympy's `isprime` at or above it."""
+    below `_MR_BOUND`; at or above it, BPSW, a strong base-2 Miller-Rabin
+    test and then a strong Lucas test, to which no composite is known."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= _MR_BOUND:
-        import sympy
-        return bool(sympy.isprime(n))
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES if n < _MR_BOUND else (2,):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -87,7 +135,7 @@ def _is_prime(n):
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas(n)
 
 
 QQ = Field()
@@ -456,11 +504,17 @@ def is_invertible(A):
     return A.rows == A.cols and rank(A) == A.rows
 
 
+def pivot_columns(A):
+    """The pivot columns of A, from forward elimination only: the first
+    columns, left to right, that are independent of the ones before them."""
+    p = A.field.char
+    return _forward([kernel_row(r, p) for r in A.nz], p, A.cols)[0]
+
+
 def column_space(A):
     """An independent subset of A's columns spanning its column space: the
-    pivot columns, from forward elimination only."""
-    p = A.field.char
-    return A.columns(_forward([kernel_row(r, p) for r in A.nz], p, A.cols)[0])
+    pivot columns."""
+    return A.columns(pivot_columns(A))
 
 
 def complete_basis(B):

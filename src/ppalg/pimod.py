@@ -13,7 +13,10 @@ nonzeros only.  Every linear system (Hom, Hom_T, Der, the annihilator
 ideals of End) is written by one builder, `_linear_system`, as `linalg`
 kernel rows {col: int}, never as a matrix; dimensions come from
 `rows_rank`, and only hom_basis, derivation_basis and the annihilator
-ideals solve it by `rows_nullspace`.
+ideals solve it by `rows_nullspace`.  `hom_dim` into a locally free module
+solves the arrow equations alone, over free generators of the target
+(`_free_hom_system`); hom_basis, hom_t_dim and the Der system of ext1_dim
+keep the full systems.
 
 `submodule`, `quotient` and `canonical_pieces` share one block-triangular
 split per vertex, `_split`; it refuses (ValueError) spaces with dependent
@@ -387,6 +390,38 @@ def _hom_system(M, N, arrows):
     return _linear_system(M.field, shapes, _hom_equations(M, N, arrows)), shapes
 
 
+def _free_hom_system(M, N, ranks):
+    """(system, shapes) of Hom(M, N) for N locally free with rank vector
+    `ranks`, in one block Z_i of shape s_i x M_i per vertex (see `hom_dim`):
+    the arrow equations of `_hom_equations` with f_i = sum over k < c_i of
+    eps_N^k G_i Z_i eps_M^(c_i - 1 - k), and Z_i eps_M^c_i = 0 where M's
+    loop is not c_i-nilpotent."""
+    if M.datum != N.datum:
+        raise ValueError("modules over different data")
+    datum, field = M.datum, M.field
+
+    def powers(E, n):   # E^0, ..., E^(n - 1), with no product by the identity
+        out = [Mat.identity(field, E.rows), E][:n]
+        while len(out) < n:
+            out.append(out[-1] * E)
+        return out
+
+    shapes, maps, equations = {}, {}, []
+    for i, s in zip(datum.vertices, ranks):
+        c = datum.ci(i)
+        shapes[i] = (s, M.dims[i])
+        left, right = powers(N.eps[i], c), powers(M.eps[i], c + 1)
+        G = linalg.pivot_columns(left[-1])
+        maps[i] = [(left[k].columns(G), right[c - 1 - k]) for k in range(c)]
+        if not right[c].is_zero():
+            equations.append([(1, i, Mat.identity(field, s), right[c])])
+    for g in datum.arrow_keys():
+        t, u = gen_target(g), gen_source(g)
+        equations.append([(1, t, L, R * M.arrows[g]) for L, R in maps[t]]
+                         + [(-1, u, N.arrows[g] * L, R) for L, R in maps[u]])
+    return _linear_system(field, shapes, equations), shapes
+
+
 def _der_system(M, N):
     """(system, shapes) of Der(M, N): one block N_{t(a)} x M_{s(a)} per
     arrow a, and per relation its word derivative,
@@ -416,6 +451,23 @@ def hom_basis(M, N):
 
 @_memoized
 def hom_dim(M, N):
+    """dim Hom(M, N).
+
+    When N is locally free, N_i = H^s_i with H = K[x]/x^c_i, and the
+    standard basis vectors G_i at the pivot columns of eps_N^(c_i - 1) are
+    free generators: the eps_N^k G_i, k < c_i, are a basis of N_i.  Writing
+    f_i = sum_k eps_N^k G_i Y_k in it, f_i eps_M = eps_N f_i says exactly
+    Y_(k-1) = Y_k eps_M and Y_0 eps_M = 0, so f_i commutes with the loops iff
+    Y_k = Z_i eps_M^(c_i - 1 - k) with Z_i = Y_(c_i - 1) and Z_i eps_M^c_i = 0
+    (Frobenius duality, Hom_H(M_i, H) = Hom_K(M_i, K); Geiss, Leclerc and
+    Schroer, Invent. Math. 2017).  So only the arrow equations are solved,
+    in the s_i x M_i blocks Z_i (`_free_hom_system`): no loop rows, and c_i
+    times fewer unknowns at each vertex.  Otherwise the loop and arrow
+    equations of `_hom_system` are solved.
+    """
+    free, ranks = is_locally_free(N)
+    if free:
+        return _nullity(M.field, _free_hom_system(M, N, ranks)[0])
     return _nullity(M.field, _hom_system(M, N, M.datum.arrow_keys())[0])
 
 

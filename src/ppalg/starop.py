@@ -30,6 +30,11 @@ class DivisionUndefined(RuntimeError):
     """No generic embedding/surjection was found; the division is undefined."""
 
 
+class NoTrials(ValueError):
+    """A product or division search was given fewer than one trial, so it
+    draws nothing and has nothing to return."""
+
+
 def extension_module(top, sub, delta):
     """The middle term of the extension of `top` (quotient) by `sub` with
     derivation `delta` (arrow key -> sub_dims[target] x top_dims[source]
@@ -108,7 +113,7 @@ def _least_self_ext(basis, build, trials, seed, keep=None):
     draws failing `keep` are skipped, and None is returned if all are."""
     rng = random.Random(seed)
     best = None
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         x = pimod.random_combination(basis, rng)
         if keep is not None and not keep(x):
             continue
@@ -127,8 +132,11 @@ def generic_extension(top, sub, trials=8, seed=0):
     Samples `trials` derivation classes, builds each middle term, and keeps
     the sample minimizing dim Ext^1 with itself (ties: first occurrence).
     With rigid inputs and a rigid middle term the result is exact by the
-    short-exact-sequence lemma; otherwise it is flagged.
+    short-exact-sequence lemma; otherwise it is flagged.  Raises NoTrials
+    (a ValueError) when `trials` is below 1: with no draw there is no product.
     """
+    if trials < 1:
+        raise NoTrials("product not certified: %d trials draw no derivation class" % trials)
     ext_self, delta, mid = _least_self_ext(
         pimod.derivation_basis(top, sub), lambda d: extension_module(top, sub, d), trials, seed)
     top_rigid, _ = pimod.is_rigid(top)
@@ -150,7 +158,10 @@ def star(top, sub, trials=8, seed=0):
 
 def _generic_division(hb, keep, piece, trials, seed, map_name, piece_name):
     """The least-Ext^1 `piece(f)` over nonzero draws f from `hb` passing
-    `keep`; raises unless one passes and the piece is E-filtered."""
+    `keep`; raises unless one passes and the piece is E-filtered, and
+    NoTrials (a ValueError) when `trials` is below 1."""
+    if trials < 1:
+        raise NoTrials("division undefined: %d trials draw no %s" % (trials, map_name))
     best = _least_self_ext(hb, piece, trials, seed, keep=lambda f: f and keep(f))
     if best is None:
         raise DivisionUndefined("division undefined (no generic %s found)" % map_name)

@@ -161,6 +161,22 @@ class TestModuleCommands:
                                "--field", "fp:32003"])
         assert fp["dim_hom"] == out["dim_hom"] and fp["field"] == "F32003"
 
+    @pytest.mark.parametrize("field", ["q", "fp:32003"])
+    def test_hom_with_a_module_not_locally_free(self, runner, files, tmp_path, field):
+        """Both orders against an exported B2 entry: into nlf.json the full
+        loop-and-arrow system runs, out of it the free-generator one; both
+        equal the full system's nullity."""
+        entry = tmp_path / "entry.json"
+        entry.write_text(json.dumps(run_json(runner, ["catalog", "export", "b2:1/21/12/1"])))
+        nlf = files["nlf.json"]
+        dims = {}
+        for a, b in ((str(entry), nlf), (nlf, str(entry))):
+            dims[a, b] = run_json(runner, ["hom", a, b, "--field", field])["dim_hom"]
+            M, N = (cli._load_module(x, cli._parse_field(None, None, field)) for x in (a, b))
+            assert dims[a, b] == pimod._nullity(
+                M.field, pimod._hom_system(M, N, M.datum.arrow_keys())[0])
+        assert list(dims.values()) == [1, 1]
+
     def test_bad_field_exit_2(self, runner, files):
         for flag in ("fp:abc", "fp:4", "fp:", "fp:1022117", "r"):
             result = runner.invoke(main, ["hom", files["e1.json"], files["e1.json"],
@@ -509,6 +525,22 @@ def test_negative_trials_exit_2(runner, files, args):
     result = runner.invoke(main, args + ["--trials", "-1"])
     assert result.exit_code == 2, result.output
     assert "--trials" in result.output and ">=0" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["star", "E1", "E2"], ["divide-right", "E1E1", "E1"], ["divide-left", "E1", "E1E1"],
+    ["table", "b2"], ["table", "a2"], ["catalog", "list"], ["catalog", "export", "b2:2"],
+    ["check-symmetrizer", "S1", "S2", "--n", "2"]], ids=" ".join)
+def test_zero_trials_exit_2(runner, files, args):
+    """--trials 0 draws no product, cokernel or kernel: a usage error with a
+    message, not a result of one draw reported as "trials": 0."""
+    names = {"E1": "e1.json", "E2": "e2.json", "E1E1": "sum.json", "S1": "s1.json",
+             "S2": "s2.json"}
+    args = [files[names[a]] if a in names else a for a in args]
+    result = runner.invoke(main, args + ["--trials", "0"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "0 trials draw no" in result.output
 
 
 # The sha256 of a fixed set of reports, file paths reduced to basenames:

@@ -204,22 +204,33 @@ class TestIsPrime:
         assert linalg._is_prime(2 ** 61 - 1) and linalg._is_prime(2 ** 89 - 1)
         assert not linalg._is_prime(2 ** 67 - 1)  # 193707721 * 761838257287
 
-    def test_sympy_only_at_or_above_the_bound(self, monkeypatch):
-        """Below the bound the bases decide; from it on sympy does, which
-        rejects the bound itself though all 13 bases pass it."""
-        asked = []
+    def test_bpsw_at_or_above_the_bound(self, monkeypatch):
+        """From the bound on, BPSW decides, with no sympy: it rejects the
+        bound itself though all 13 bases pass it."""
+        monkeypatch.setitem(sys.modules, "sympy", None)   # importing it fails
+        assert linalg._is_prime(2 ** 89 - 1) and linalg._is_prime(MR_BOUND + 142)
+        assert not linalg._is_prime(MR_BOUND) and not linalg._is_prime(MR_BOUND - 2)
 
-        class Stub:
-            @staticmethod
-            def isprime(n):
-                asked.append(n)
-                return sympy.isprime(n)
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(MR_BOUND, 2 ** 200))
+    @example(n=MR_BOUND)
+    def test_matches_sympy_at_or_above_the_bound(self, n):
+        assert linalg._is_prime(n) == sympy.isprime(n)
 
-        monkeypatch.setitem(sys.modules, "sympy", Stub)
-        assert linalg._is_prime(2 ** 61 - 1) and not linalg._is_prime(MR_BOUND - 2)
-        assert asked == []
-        assert linalg._is_prime(2 ** 89 - 1) and not linalg._is_prime(MR_BOUND)
-        assert asked == [2 ** 89 - 1, MR_BOUND]
+    @pytest.mark.parametrize("n", [
+        # primes, from the first one above the bound
+        MR_BOUND + 142, MR_BOUND + 196, 2 ** 89 - 1, 2 ** 127 - 1,
+        9671406556917033397649483, 2 ** 107 - 1,
+        # products of two large primes
+        10000000000037 * 10000001000029, (2 ** 61 - 1) * (2 ** 89 - 1),
+        18446744073709551629 * 9671406556917033397649483,
+        # strong pseudoprimes to base 2: the bound, and Carmichael numbers
+        # (6k + 1)(12k + 1)(18k + 1) above it
+        MR_BOUND, 3332857419635169667705129, 3336405480513679791339289,
+        3342894859371087037873369, 3342997236717657354620809])
+    def test_matches_sympy_on_hard_cases(self, n):
+        assert n >= MR_BOUND
+        assert linalg._is_prime(n) == sympy.isprime(n)
 
 
 # -- the elimination kernel against sympy's DomainMatrix.rref ------------------
@@ -777,7 +788,8 @@ for path, M in ((a, modules[1]), (b, pimod.direct_sum(modules[0], modules[2]))):
 runner = CliRunner()
 commands = [["table", "b2"], ["star", a, a], ["iso", a, b], ["pieces", b, "1"],
             ["decompose", b], ["selftest", "--seed", "0"]]
-commands += [[cmd, a, b, "--field", field] for cmd in ("hom", "ext") for field in ("q", "fp:32003")]
+commands += [[cmd, a, b, "--field", field] for cmd in ("hom", "ext")
+             for field in ("q", "fp:32003", "fp:3317044064679887385962123")]
 for args in commands:
     result = runner.invoke(main, args)
     assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.output)
@@ -788,8 +800,8 @@ assert "sympy" not in sys.modules
 
 def test_no_command_loads_sympy():
     """`decompose` on the B2 sums and every listed command, in one process,
-    never import sympy: it is only the tests' reference and the primality
-    check of moduli above 3.3 * 10^24."""
+    never import sympy, also over a prime field whose modulus is above the
+    Miller-Rabin bound: sympy is only the tests' reference."""
     src = os.path.dirname(os.path.dirname(linalg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -112,6 +112,39 @@ class TestGenericExtension:
         assert iso_test(star(S1, S2, seed=0), star(S2, S1, seed=0)) is False
 
 
+class TestTrialCounts:
+    @pytest.mark.parametrize("search", ["extension", "cokernel", "kernel"])
+    def test_zero_trials_draw_nothing(self, b2, search, monkeypatch):
+        """Zero trials draw no sample: the searches raise ValueError, and
+        never return a result of one draw under a count of 0."""
+        E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
+        M3 = star(E1, E2, seed=0)
+        run = {"extension": lambda: generic_extension(E1, E2, trials=0),
+               "cokernel": lambda: generic_cokernel(M3, E2, trials=0),
+               "kernel": lambda: generic_kernel(E1, M3, trials=0)}[search]
+        monkeypatch.setattr(pimod, "random_combination", None)   # any draw fails
+        with pytest.raises(starop.NoTrials, match="0 trials draw no") as info:
+            run()
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("trials", [1, 2, 5])
+    def test_draws_exactly_trials(self, trials, monkeypatch):
+        """Over non-rigid inputs whose middles are never rigid, the product
+        search draws `trials` classes, no more and no fewer."""
+        A, B = catalog.leclerc_module(1, 0), catalog.leclerc_module(0, 1)
+        draws = []
+        draw = pimod.random_combination
+
+        def counted(basis, rng):
+            draws.append(1)
+            return draw(basis, rng)
+
+        monkeypatch.setattr(pimod, "random_combination", counted)
+        res = generic_extension(A, B, trials=trials, seed=0)
+        assert res.ext_self > 0 and res.trials == trials
+        assert len(draws) == trials
+
+
 class TestDivisions:
     def test_cokernel_catalog_example(self, b2):
         E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
