@@ -615,7 +615,9 @@ def selftest(seed, trials, fmt, out):
     """Run the full acceptance suite and report one line per criterion."""
     try:
         report = run_selftest(seed=seed, trials=trials)
-    except (catalog.CatalogError, NoTrials) as exc:
+    except NoTrials as exc:
+        raise click.UsageError(str(exc))
+    except catalog.CatalogError as exc:
         _fail(str(exc), seed, fmt, out)
     if fmt != "md":
         for c in report["criteria"]:

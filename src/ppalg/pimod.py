@@ -21,11 +21,15 @@ keep the full systems.
 `submodule`, `quotient` and `canonical_pieces` share one block-triangular
 split per vertex, `_split`; it refuses (ValueError) spaces with dependent
 columns or not closed under the action, and it completes a basis only where
-the space is neither empty nor the identity.
+the space is neither empty nor the identity.  It builds only the sides its
+caller asks for: `submodule` makes no quotient matrices and `quotient` no
+submodule matrices, and only `canonical_pieces` asks for both.
 
 `is_crystal` runs no E-filtered search: it certifies E-filtered by peeling
 off a nonzero sub_i (see `is_crystal`), so its False verdicts are exact.
-The backtracking search lives on in `is_E_filtered` alone.
+It builds no sub_i or fac_i: their local freeness is read off two ranks at
+vertex i, and only the Q_i and K_i it recurses into are built.  The
+backtracking search lives on in `is_E_filtered` alone.
 
 `decompose` has one split step: split M into the generalized eigenspaces
 of a random endomorphism, drawn from End(M) and then from the annihilator
@@ -535,34 +539,42 @@ def verify_ext_theorems(M, N):
 
 # -- submodules, quotients, canonical pieces ---------------------------------
 
-def _split(M, spaces):
-    """(sub, incl, quot, proj) for the submodule spanned by `spaces`.
+def _split(M, spaces, sub=True, quot=True):
+    """(sub, incl, quot, proj) for the submodule spanned by `spaces`; a side
+    not asked for (`sub=False` or `quot=False`) is not built and is None,
+    and so is `proj` without the quotient.
 
     `complete_basis` completes each B_i = spaces[i] (zero where missing) by
     standard basis vectors C_i, with [B_i | C_i]^-1 = [L_i; P_i].  In these
     bases every loop and arrow A: j -> i is block upper triangular: L_i A B_j
     is the submodule's matrix (the X with B_i X = A B_j), P_i A C_j the
-    quotient's, and P_i A B_j = 0 is the closure check (else ValueError).
+    quotient's, and P_i A B_j = 0 is the closure check (else ValueError),
+    which runs whichever side is built.
 
     Where B_i is empty the vertex goes whole to the quotient (C_i = P_i = I,
     L_i empty), and where B_i is the identity it goes whole to the submodule
     (L_i = I, C_i and P_i empty).  These are the RREFs of [0 | I] and
     [I | I], so there the completion and the products by B_i, C_i, L_i and
     P_i are skipped: the matrices are A itself or a column selection of A.
+    B_i = I is recognized on its nonzeros, with no identity built.
     """
-    field = M.field
+    field, vertices = M.field, M.datum.vertices
     incl, extra, coords, proj = {}, {}, {}, {}
-    for i in M.datum.vertices:
+    for i in vertices:
         n = M.dims[i]
         B = incl[i] = spaces.get(i, Mat.zeros(field, n, 0))
-        if B.cols == 0:
-            extra[i], coords[i], proj[i] = list(range(n)), None, Mat.identity(field, n)
-        elif B.cols == n and B == Mat.identity(field, n):
-            extra[i], coords[i], proj[i] = [], None, Mat.zeros(field, 0, n)
+        if B.cols == 0:           # whole to the quotient: C_i = P_i = I
+            extra[i] = coords[i] = None
+            if quot:
+                proj[i] = Mat.identity(field, n)
+        elif B.cols == n and B.den == 1 and all(row == {r: 1} for r, row in enumerate(B.nz)):
+            extra[i], coords[i] = [], None   # whole to the submodule: L_i = I
+            if quot:
+                proj[i] = Mat.zeros(field, 0, n)
         else:
             extra[i], coords[i], proj[i] = linalg.complete_basis(B)
     sub_mats, quot_mats = {}, {}
-    for g in [eps_key(i) for i in M.datum.vertices] + list(M.datum.arrow_keys()):
+    for g in [eps_key(i) for i in vertices] + list(M.datum.arrow_keys()):
         i, j = gen_target(g), gen_source(g)
         A = M.gen_mat(g)
         if incl[j].cols == 0:
@@ -571,24 +583,30 @@ def _split(M, spaces):
             AB = A
         else:
             AB = A * incl[j]
-        AC = A.columns(extra[j])
         if coords[i] is not None:
             if not (proj[i] * AB).is_zero():
                 raise ValueError("spaces are not closed under %r" % (g,))
-            sub_mats[g], quot_mats[g] = coords[i] * AB, proj[i] * AC
-        elif incl[i].cols == 0:   # whole to the quotient
-            if not AB.is_zero():
-                raise ValueError("spaces are not closed under %r" % (g,))
-            sub_mats[g], quot_mats[g] = Mat.zeros(field, 0, AB.cols), AC
-        else:                     # whole to the submodule
-            sub_mats[g], quot_mats[g] = AB, Mat.zeros(field, 0, AC.cols)
+        elif incl[i].cols == 0 and not AB.is_zero():
+            raise ValueError("spaces are not closed under %r" % (g,))
+        if sub:
+            if coords[i] is not None:
+                sub_mats[g] = coords[i] * AB
+            else:
+                sub_mats[g] = AB if incl[i].cols else Mat.zeros(field, 0, AB.cols)
+        if quot:
+            AC = A if extra[j] is None else A.columns(extra[j])
+            if coords[i] is not None:
+                quot_mats[g] = proj[i] * AC
+            else:
+                quot_mats[g] = AC if incl[i].cols == 0 else Mat.zeros(field, 0, AC.cols)
 
     def module(mats):
-        dims = {i: mats[eps_key(i)].rows for i in M.datum.vertices}
-        return ModuleRep(M.datum, dims, {i: mats[eps_key(i)] for i in M.datum.vertices},
+        dims = {i: mats[eps_key(i)].rows for i in vertices}
+        return ModuleRep(M.datum, dims, {i: mats[eps_key(i)] for i in vertices},
                          {k: mats[k] for k in M.datum.arrow_keys()}, M.field)
 
-    return module(sub_mats), incl, module(quot_mats), proj
+    return (module(sub_mats) if sub else None, incl,
+            module(quot_mats) if quot else None, proj if quot else None)
 
 
 def submodule(M, spaces):
@@ -596,9 +614,9 @@ def submodule(M, spaces):
 
     `spaces[i]` must have independent columns and the spans must be closed
     under all loop and arrow actions (both checked).  Returns (module,
-    inclusion maps per vertex).
+    inclusion maps per vertex).  No quotient matrix is built.
     """
-    sub, incl, _, _ = _split(M, spaces)
+    sub, incl, _, _ = _split(M, spaces, quot=False)
     return sub, incl
 
 
@@ -607,9 +625,10 @@ def quotient(M, spaces):
 
     Returns (module, projection maps per vertex).  The projection uses the
     coordinates of a completed basis, so the section is the chosen
-    complement; different completions give isomorphic quotients.
+    complement; different completions give isomorphic quotients.  No
+    submodule matrix is built.
     """
-    _, _, quot, proj = _split(M, spaces)
+    _, _, quot, proj = _split(M, spaces, sub=False)
     return quot, proj
 
 
@@ -662,12 +681,25 @@ def canonical_pieces(M, i):
     The two short exact sequences 0 -> K_i -> M -> fac_i -> 0 and
     0 -> sub_i -> M -> Q_i -> 0 are exact by construction.
     """
-    k_sp = {j: Mat.identity(M.field, M.dims[j]) for j in M.datum.vertices}
-    k_sp[i] = k_space(M, i)
-    return CanonicalPieces(*_split(M, {i: sub_space(M, i)}), *_split(M, k_sp))
+    return CanonicalPieces(*_split(M, {i: sub_space(M, i)}),
+                           *_split(M, _ker_spaces(M, i, k_space(M, i))))
+
+
+def _ker_spaces(M, i, K):
+    """The spaces of K_i(M): col(K) at i, all of M_j at every other j."""
+    spaces = {j: Mat.identity(M.field, M.dims[j]) for j in M.datum.vertices}
+    spaces[i] = K
+    return spaces
 
 
 # -- E-filtered and crystal tests ---------------------------------------------
+
+def _sub_top(M, i, U):
+    """eps_i^(c_i - 1) U for a basis U inside M_i: column k is nonzero exactly
+    when U e_k generates a loop-submodule isomorphic to E_i, and its rank is
+    the number of E_i summands of a free span(U)."""
+    return M.eps[i].power(M.datum.ci(i) - 1) * U
+
 
 def _rank_one_candidates(M, i):
     """Generators of free rank-one loop-submodules inside sub_i(M).
@@ -678,8 +710,7 @@ def _rank_one_candidates(M, i):
     U = sub_space(M, i)
     if U.cols == 0:
         return []
-    c = M.datum.ci(i)
-    top = M.eps[i].power(c - 1) * U
+    top = _sub_top(M, i, U)
     viable = sorted(set().union(*top.nz))   # the columns k with top e_k != 0
     if not viable:
         return []
@@ -767,6 +798,20 @@ def is_crystal(M):
     recursion entirely.  The shortcut pays: without it, criterion c3 (whose
     leclerc A5 modules take it) ran 0.75 s per pass, not 0.12 s (2 cores).
 
+    sub_i and fac_i are not built: both live at vertex i alone, and their
+    local freeness is read off one rank each (`_sub_is_free`,
+    `_fac_is_free`).  M is locally free, so eps = eps_i has eps^c = 0
+    (c = c_i), and a space V with eps^c V = 0 is free over K[x]/(x^c) iff
+    dim V = r c and eps^(c-1) has rank r on V.
+      - sub_i: U = `sub_space(M, i)` has independent eps-invariant
+        columns, so eps^(c-1) on sub_i has the rank of eps^(c-1) U
+        (`_sub_top`).
+      - fac_i = M_i / col(K), K = `k_space(M, i)`, has dimension
+        f = dim M_i - rank K, and eps^(c-1) on it has the rank of its image
+        mod col(K), rank [K | eps^(c-1)] - rank K.
+    At c = 1 every space is free.  Q_i = `quotient(M, {i: U})` is built only
+    when U is nonzero, and K_i = `submodule(M, ...)` only when f is nonzero.
+
     E-filtered is certified by peeling, with no search (`is_E_filtered` is
     not called): a nonzero M passing the per-vertex tests is E-filtered iff
     some sub_i(M) is nonzero, because
@@ -784,18 +829,38 @@ def is_crystal(M):
         return _is_nilpotent_rep(M)
     peeled = False
     for i in M.datum.vertices:
-        pieces = canonical_pieces(M, i)
-        if not is_locally_free(pieces.sub)[0]:
+        U = sub_space(M, i)
+        if not _sub_is_free(M, i, U):
             return False
-        if not is_locally_free(pieces.fac)[0]:
+        K = k_space(M, i)
+        if not _fac_is_free(M, i, K):
             return False
-        if pieces.sub.dim_total():
-            if not is_crystal(pieces.quot):
+        if U.cols:
+            if not is_crystal(quotient(M, {i: U})[0]):
                 return False
             peeled = True
-        if pieces.fac.dim_total() and not is_crystal(pieces.ker):
+        if K.cols < M.dims[i] and not is_crystal(submodule(M, _ker_spaces(M, i, K))[0]):
             return False
     return peeled
+
+
+def _sub_is_free(M, i, U):
+    """Whether sub_i(M), with basis U = `sub_space(M, i)`, is locally free,
+    for a locally free M; read off one rank, see `is_crystal`."""
+    c = M.datum.ci(i)
+    if c == 1 or U.cols == 0:
+        return True
+    return U.cols % c == 0 and linalg.rank(_sub_top(M, i, U)) == U.cols // c
+
+
+def _fac_is_free(M, i, K):
+    """Whether fac_i(M) = M_i / col(K), K = `k_space(M, i)`, is locally free,
+    for a locally free M; read off one rank, see `is_crystal`."""
+    c, f = M.datum.ci(i), M.dims[i] - K.cols
+    if c == 1 or f == 0:
+        return True
+    return (f % c == 0 and linalg.rank(linalg.hstack([K, M.eps[i].power(c - 1)])) - K.cols
+            == f // c)
 
 
 def is_rigid(M):

@@ -4,7 +4,7 @@ from itertools import islice
 from math import gcd, lcm
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ppalg import catalog, linalg, pimod, selftest, starop, symred
 from ppalg.cartan import (alpha_form, default_orientation, eps_key, gen_source, gen_target,
@@ -596,7 +596,9 @@ def split_reference(M, spaces):
 
 def _assert_split_matches_reference(M, spaces, monkeypatch):
     """Equal matrices, or refusal on both sides; `complete_basis` runs only
-    at the vertices whose space is proper and nonzero."""
+    at the vertices whose space is proper and nonzero.  The one-sided
+    `submodule` and `quotient` give the two-sided split's matrices, and
+    refuse where it does."""
     try:
         want = split_reference(M, spaces)
     except ValueError:
@@ -606,8 +608,9 @@ def _assert_split_matches_reference(M, spaces, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(linalg, "complete_basis", lambda B: completed.append(B) or complete_basis(B))
         if want is None:
-            with pytest.raises(ValueError):
-                pimod._split(M, spaces)
+            for split in (pimod._split, pimod.submodule, pimod.quotient):
+                with pytest.raises(ValueError):
+                    split(M, spaces)
             return
         sub, incl, quot, proj = pimod._split(M, spaces)
     proper = [i for i in M.datum.vertices
@@ -616,9 +619,12 @@ def _assert_split_matches_reference(M, spaces, monkeypatch):
     assert completed == [spaces[i] for i in proper]
     want_sub, want_incl, want_quot, want_proj = want
     assert incl == want_incl and proj == want_proj
+    (sub_only, sub_incl), (quot_only, quot_proj) = (pimod.submodule(M, spaces),
+                                                    pimod.quotient(M, spaces))
+    assert sub_incl == incl and quot_proj == proj
     for g, X in want_sub.items():
-        assert sub.gen_mat(g) == X
-        assert quot.gen_mat(g) == want_quot[g]
+        assert sub.gen_mat(g) == X == sub_only.gen_mat(g)
+        assert quot.gen_mat(g) == want_quot[g] == quot_only.gen_mat(g)
 
 
 def _part_of_sum(T, U):
@@ -828,6 +834,93 @@ def test_crystal_needs_a_nonzero_sub():
         assert p.sub.dim_total() == p.fac.dim_total() == 0
     assert not is_crystal(lift)
     assert is_E_filtered(lift) == (False, None) and not crystal_reference(lift)
+
+
+def _crystal_family(name, seed):
+    """A tower, its four canonical pieces at every vertex, and the kernel
+    and coimage of a random endomorphism of it."""
+    datum = _wider(name)
+    rng = random.Random(seed)
+    M = random_tower(datum, rng.randint(1, 5), rng)
+    family = [M]
+    for i in datum.vertices:
+        p = canonical_pieces(M, i)
+        family += [p.sub, p.quot, p.ker, p.fac]
+    f = pimod.random_combination(hom_basis(M, M), rng)
+    ker, _, coim, _ = pimod._split(M, {i: linalg.nullspace(f[i]) for i in datum.vertices})
+    return family + [ker, coim]
+
+
+def _freeness_by_rank_and_by_piece(X):
+    """Per vertex of a locally free X: ((sub_i free by rank, as built),
+    (fac_i free by rank, as built))."""
+    out = []
+    for i in X.datum.vertices:
+        p = canonical_pieces(X, i)
+        out.append(((pimod._sub_is_free(X, i, pimod.sub_space(X, i)),
+                     is_locally_free(p.sub)[0]),
+                    (pimod._fac_is_free(X, i, pimod.k_space(X, i)),
+                     is_locally_free(p.fac)[0])))
+    return out
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["C3", "G2"]), seed=st.integers(0, 2 ** 16))
+@example(name="G2", seed=34)
+@example(name="C3", seed=34)
+@example(name="C3", seed=27)
+def test_freeness_of_sub_and_fac_by_rank(name, seed):
+    """`is_crystal` reads the local freeness of sub_i and fac_i off two
+    ranks; on every locally free module of the family that agrees with
+    `is_locally_free` of the built piece."""
+    for X in _crystal_family(name, seed):
+        if is_locally_free(X)[0]:
+            for sub, fac in _freeness_by_rank_and_by_piece(X):
+                assert sub[0] == sub[1] and fac[0] == fac[1]
+
+
+@pytest.mark.parametrize("name, seed, piece", [
+    ("G2", 34, "sub"), ("G2", 34, "fac"), ("C3", 34, "sub"), ("C3", 27, "fac"),
+])
+def test_family_reaches_pieces_that_are_not_free(name, seed, piece):
+    """The examples of `test_freeness_of_sub_and_fac_by_rank` reach a
+    locally free module whose sub_i or fac_i is not free."""
+    k = ("sub", "fac").index(piece)
+    assert any(not pair[k][1]
+               for X in _crystal_family(name, seed) if is_locally_free(X)[0]
+               for pair in _freeness_by_rank_and_by_piece(X))
+
+
+def test_freeness_by_rank_where_the_dimension_divides(b2):
+    """Over B2, a sum of two copies of a module with a one-dimensional
+    sub_1 (or fac_1) has a sub_1 (fac_1) of dimension c_1 = 2 that is not
+    free: only the rank tells it apart, and it refuses the sum."""
+    loop = {1: Mat.from_rows(QQ, [[0, 1], [0, 0]])}
+    low = ModuleRep(b2, {1: 2, 2: 1}, loop, {("arr", 2, 1, 1): Mat.from_rows(QQ, [[0, 1]])})
+    high = ModuleRep(b2, {1: 2, 2: 1}, loop, {("arr", 1, 2, 1): Mat.from_rows(QQ, [[1], [0]])})
+    for X, k in ((low, 0), (high, 1)):
+        XX = direct_sum(X, X)
+        assert check_relations(XX) == [] and is_locally_free(XX)[0]
+        pieces = canonical_pieces(XX, 1)
+        assert (pieces.sub, pieces.fac)[k].dims[1] == 2
+        reading = _freeness_by_rank_and_by_piece(XX)[0]
+        assert reading[k] == (False, False) and reading[1 - k] == (True, True)
+        assert not is_crystal(XX)
+
+
+def test_crystal_builds_no_piece_where_sub_and_fac_are_zero(monkeypatch):
+    """On the A1~ lift of `test_crystal_needs_a_nonzero_sub`, sub_i = fac_i
+    = 0 at both vertices, so `is_crystal` builds no module at all."""
+    datum = _wider("A1~")
+    one = Mat.from_rows(QQ, [[1]])
+    M = ModuleRep(datum, {1: 1, 2: 1}, {}, {("arr", 2, 1, 1): one, ("arr", 1, 2, 2): one})
+    lift = symred.tilde_lift(symred.sym_pair(datum, 2), M)
+    calls = []
+    split = pimod._split
+    monkeypatch.setattr(pimod, "_split", lambda *a, **k: calls.append(a) or split(*a, **k))
+    assert not is_crystal(lift)
+    assert calls == []
 
 
 def test_certified_negative_on_minimal_symmetrizer():
