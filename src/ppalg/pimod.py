@@ -9,14 +9,13 @@ randomized isomorphism testing and direct-sum decomposition.
 
 Every matrix is a `linalg.Mat`, integer rows of nonzeros over one
 denominator, so every product, word (`_word`) and relation check works on
-nonzeros only.  Every linear system (Hom, Hom_T, Der, the annihilator
-ideals of End) is written by one builder, `_linear_system`, as `linalg`
-kernel rows {col: int}, never as a matrix; dimensions come from
-`rows_rank`, and only hom_basis, derivation_basis and the annihilator
-ideals solve it by `rows_nullspace`.  `hom_dim` into a locally free module
-solves the arrow equations alone, over free generators of the target
-(`_free_hom_system`); hom_basis, hom_t_dim and the Der system of ext1_dim
-keep the full systems.
+nonzeros only.  Every linear system (Hom, Hom_T, Der) is written by one
+builder, `_linear_system`, as `linalg` kernel rows {col: int}, never as a
+matrix; dimensions come from `rows_rank`, and only hom_basis and
+derivation_basis solve it by `rows_nullspace`.  `hom_dim` into a locally
+free module solves the arrow equations alone, over free generators of the
+target (`_free_hom_system`); hom_basis, hom_t_dim and the Der system of
+ext1_dim keep the full systems.
 
 `submodule`, `quotient` and `canonical_pieces` share one block-triangular
 split per vertex, `_split`; it refuses (ValueError) spaces with dependent
@@ -33,7 +32,8 @@ backtracking search lives on in `is_E_filtered` alone.
 
 `decompose` has one split step: split M into the generalized eigenspaces
 of a random endomorphism, drawn from End(M) and then from the annihilator
-ideals Ann(e_k), and recurse (see `decompose`).
+ideals Ann(e_k), read off the End(M) basis with no system built, and
+recurse (see `decompose`).
 
 The per-run memo `_memoized` shares all of a run's work: ext1_dim, hom_dim,
 is_locally_free, is_E_filtered, is_crystal, iso_fingerprint and
@@ -375,29 +375,25 @@ def _nullity(field, system):
     return system[1] - linalg.rows_rank(field, *system)
 
 
-def _hom_equations(M, N, arrows):
-    """The equations f_i M_g - N_g f_j = 0 on blocks f_i of shape N_i x M_i,
-    one for every loop and for every arrow g: j -> i in `arrows`."""
+def _hom_system(M, N, arrows):
+    """(system, shapes) of the maps M -> N commuting with the loops and
+    `arrows`: the equations f_i M_g - N_g f_j = 0 on blocks f_i of shape
+    N_i x M_i, one for every loop and for every arrow g: j -> i in `arrows`."""
+    if M.datum != N.datum:
+        raise ValueError("modules over different data")
+    shapes = {i: (N.dims[i], M.dims[i]) for i in M.datum.vertices}
     equations = []
     for g in [eps_key(i) for i in M.datum.vertices] + list(arrows):
         t, s = gen_target(g), gen_source(g)
         equations.append([(1, t, _word(N, (), t), _word(M, (g,), t)),
                           (-1, s, _word(N, (g,), t), _word(M, (), s))])
-    return equations
-
-
-def _hom_system(M, N, arrows):
-    """(system, shapes) of the maps M -> N commuting with the loops and `arrows`."""
-    if M.datum != N.datum:
-        raise ValueError("modules over different data")
-    shapes = {i: (N.dims[i], M.dims[i]) for i in M.datum.vertices}
-    return _linear_system(M.field, shapes, _hom_equations(M, N, arrows)), shapes
+    return _linear_system(M.field, shapes, equations), shapes
 
 
 def _free_hom_system(M, N, ranks):
     """(system, shapes) of Hom(M, N) for N locally free with rank vector
     `ranks`, in one block Z_i of shape s_i x M_i per vertex (see `hom_dim`):
-    the arrow equations of `_hom_equations` with f_i = sum over k < c_i of
+    the arrow equations of `_hom_system` with f_i = sum over k < c_i of
     eps_N^k G_i Z_i eps_M^(c_i - 1 - k), and Z_i eps_M^c_i = 0 where M's
     loop is not c_i-nilpotent."""
     if M.datum != N.datum:
@@ -877,20 +873,23 @@ def is_rigid(M):
 COEFF_BOUND = 10  # random coefficients are integers in [-10, 10]
 
 
-def random_combination(basis, rng):
-    """A random integer combination of hom/der basis elements (dict-shaped)."""
+def _combination(basis, coeffs):
+    """sum_b coeffs[b] basis[b] of dict-shaped hom/der elements ({} if none)."""
     if not basis:
         return {}
-    keys = basis[0].keys()
     out = {}
-    coeffs = [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in basis]
-    for key in keys:
+    for key in basis[0]:
         acc = basis[0][key].scale(coeffs[0])
         for c, elem in zip(coeffs[1:], basis[1:]):
             if c:
                 acc = acc + elem[key].scale(c)
         out[key] = acc
     return out
+
+
+def random_combination(basis, rng):
+    """A random integer combination of hom/der basis elements (dict-shaped)."""
+    return _combination(basis, [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in basis])
 
 
 def hom_is_injective(f, M):
@@ -1004,8 +1003,9 @@ def _split_complement(M, spaces):
         flat({i: Mat.identity(field, d) for i, d in sub.dims.items()}))
     if sol is None:
         return None
-    psi = {i: sum((h[i].scale(x) for (x,), h in zip(sol.data, hb)),
-                  Mat.zeros(field, sub.dims[i], M.dims[i])) for i in incl}
+    # hb is empty only where sub = 0, and then psi is the map onto 0
+    psi = (_combination(hb, [x for (x,) in sol.data])
+           or {i: Mat.zeros(field, 0, d) for i, d in M.dims.items()})
     comp, _ = submodule(M, {i: linalg.nullspace(psi[i]) for i in incl})
     assert comp.dim_total() + sub.dim_total() == M.dim_total()
     return sub, comp
@@ -1034,18 +1034,15 @@ def decompose(M, seed=0):
 
 
 def _endomorphism_sources(M, endb):
-    """End(M) (the basis `endb`), then a basis of each Ann(e_k), over the
-    vertices in order of increasing dimension."""
+    """End(M) (its nonempty basis `endb`, the h_b), then a basis of each
+    Ann(e_k), over the vertices i in order of increasing dimension:
+    sum_b x_b h_b kills e_k iff sum_b x_b (h_b)_i e_k = 0, so each nullspace
+    vector x of the columns (h_b)_i e_k gives one element ([] if none)."""
     yield endb
-    field = M.field
-    shapes = {i: (M.dims[i], M.dims[i]) for i in M.datum.vertices}
-    hom = _hom_equations(M, M, M.datum.arrow_keys())
     for i in sorted(M.datum.vertices, key=lambda i: M.dims[i]):
-        d = M.dims[i]
-        for k in range(d):
-            e_k = Mat.identity(field, d).col(k)
-            kills = [[(1, i, _word(M, (), i), e_k)]]   # f_i e_k = 0
-            yield _kernel_basis(field, _linear_system(field, shapes, hom + kills), shapes)
+        for k in range(M.dims[i]):
+            X = linalg.nullspace(linalg.hstack([h[i].col(k) for h in endb]))
+            yield [_combination(endb, x) for x in zip(*X.data)]
 
 
 def _decompose(M, rng):
@@ -1113,10 +1110,17 @@ def _json_object(doc, key):
 
 
 def _dim_value(v):
-    """A dimension from JSON: an integer, or a string that int() reads."""
+    """A dimension from JSON: a nonnegative integer, or a string that int()
+    reads as one."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ValueError("dimension %r is not an integer" % (v,))
-    return int(v)
+    try:
+        d = int(v)
+    except ValueError:
+        raise ValueError("dimension %r is not an integer" % (v,)) from None
+    if d < 0:
+        raise ValueError("dimension %d is negative" % d)
+    return d
 
 
 def module_from_json(doc, datum, field=QQ):
@@ -1129,7 +1133,7 @@ def module_from_json(doc, datum, field=QQ):
     arrows = {}
     for k, m in _json_object(doc, "arrows").items():
         parts = k.split("_")
-        if len(parts) != 4 or parts[0] != "a":
+        if len(parts) != 4 or parts[0] != "a" or not parts[3].isdecimal():
             raise ValueError("bad arrow key %r (expected a_<target>_<source>_<g>)" % (k,))
         i = parse_vertex(datum, parts[1])
         j = parse_vertex(datum, parts[2])

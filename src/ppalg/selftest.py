@@ -151,11 +151,11 @@ def criterion_ext_theorems(seed=0):
     }
 
 
-def criterion_efiltered_closure(seed=0):
+def criterion_efiltered_closure(seed=0, trials=8):
     """Cokernels of injections / kernels of surjections between crystal
-    modules stay E-filtered, over the suite built with trials=8."""
+    modules stay E-filtered, over the pass's suite (the one c1 builds)."""
     datum = catalog.b2_datum()
-    suite = catalog.b2_suite(trials=8, seed=seed)
+    suite = catalog.b2_suite(trials=trials, seed=seed)
     pool = [e.module for e in suite.entries]
     rng = _seeded(seed, 5)
     inj_done = surj_done = 0
@@ -360,8 +360,8 @@ def run_criteria(seed=0, trials=8):
 
     Each pass is one run of `pimod.memo_run`: it starts from an empty memo,
     so the two passes of `run_selftest` are independent computations.  The
-    memo also builds each distinct `catalog.b2_suite` once per pass for c1,
-    c5, c6 and c7 (c5 always takes the suite built with trials=8)."""
+    memo also builds the pass's `catalog.b2_suite` once, for c1, c5, c6 and
+    c7 to share."""
     with pimod.memo_run():
         return [fn(seed=seed, trials=trials) if "trials" in inspect.signature(fn).parameters
                 else fn(seed=seed) for fn in _CRITERIA]

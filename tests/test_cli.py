@@ -258,6 +258,26 @@ class TestModuleCommands:
         out = run_json(runner, ["check", files["dims_string.json"]])
         assert out["dims"] == {"1": 0, "2": 1}
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("dims", {"1": -2}, "dimension -2 is negative"),
+        ("dims", {"1": "-2"}, "dimension -2 is negative"),
+        ("dims", {"1": "abc"}, "dimension 'abc' is not an integer"),
+        ("arrows", {"a_1_2_x": [["1"], ["0"]]},
+         "bad arrow key 'a_1_2_x' (expected a_<target>_<source>_<g>)"),
+    ], ids=["negative", "negative-string", "not-a-number", "arrow-index"])
+    def test_module_file_names_the_bad_value(self, runner, tmp_path, key, value, message):
+        """A bad dimension or arrow key in a module file is a usage error
+        naming the value, not a traceback or a later shape mismatch."""
+        doc = dict(pimod.module_to_json(pimod.generalized_simple(catalog.b2_datum(), 1)))
+        doc[key] = value
+        path = tmp_path / "bad_value.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["check", str(path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "%s: %s" % (path, message) in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("command", [["hom"], ["ext"], ["iso"], ["star"],
                                          ["check-symmetrizer", "--n", "2"],
                                          ["divide-right"], ["divide-left"]])

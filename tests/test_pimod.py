@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 
 import pytest
@@ -397,8 +396,8 @@ def systems_built_by(*calls):
        rank_m=st.integers(1, 3), rank_n=st.integers(1, 3), modular=st.booleans())
 def test_linear_system_matches_dense_reference(name, seed, rank_m, rank_n, modular):
     """On towers conjugated to have denominators, over Q and GF(32003): the
-    Hom, Hom_T, Der and Ann(e_k) systems come out as the reference's nonzero
-    rows in kernel form, with the reference's rank and nullspace."""
+    Hom, Hom_T and Der systems come out as the reference's nonzero rows in
+    kernel form, with the reference's rank and nullspace."""
     datum = _wider(name)
     rng = random.Random(seed)
     M, N = [_conjugate(T, {i: _random_invertible(rng, T.dims[i]) for i in datum.vertices})
@@ -407,9 +406,8 @@ def test_linear_system_matches_dense_reference(name, seed, rank_m, rank_n, modul
         M, N = [pimod.module_from_json(pimod.module_to_json(T), datum, linalg.GF(32003))
                 for T in (M, N)]
     systems = systems_built_by(lambda: hom_basis(M, N), lambda: pimod.hom_t_dim(M, N),
-                               lambda: derivation_basis(M, N),
-                               lambda: next(islice(pimod._endomorphism_sources(M, []), 1, None)))
-    assert len(systems) == 4
+                               lambda: derivation_basis(M, N))
+    assert len(systems) == 3
     for field, shapes, equations in systems:
         ref = dense_linear_system(field, shapes, equations)
         rows, nvars = pimod._linear_system(field, shapes, equations)
@@ -1128,12 +1126,21 @@ class TestIsoAndDecompose:
         assert check_relations(conj) == []
         assert iso_test(M3, conj)
 
-    def test_decompose_isotypic_pair(self, b2):
+    def test_decompose_isotypic_pair(self, b2, monkeypatch):
         E1 = generalized_simple(b2, 1)
         parts = decompose(direct_sum(E1, E1), seed=0)
         assert len(parts) == 2 and all(iso_test(p, E1) for p in parts)
         # X (+) X in a random basis: random endomorphisms rarely split it,
         # a draw from an annihilator ideal Ann(e_k) does
+        ann_drawn = []
+        sources = pimod._endomorphism_sources
+
+        def counted(M, endb):
+            for n, basis in enumerate(sources(M, endb)):
+                ann_drawn.append(n > 0)
+                yield basis
+
+        monkeypatch.setattr(pimod, "_endomorphism_sources", counted)
         X = next(e.module for e in catalog.b2_suite().entries if e.label == "2/12/1")
         for seed in range(4):
             rng = random.Random(seed)
@@ -1141,6 +1148,7 @@ class TestIsoAndDecompose:
             assert check_relations(conj) == []
             parts = decompose(conj, seed=seed)
             assert len(parts) == 2 and all(iso_test(p, X, trials=16) for p in parts)
+        assert any(ann_drawn)
 
     def test_split_spaces_checks_dimensions(self, b2, monkeypatch):
         E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
@@ -1171,6 +1179,45 @@ class TestIsoAndDecompose:
         M = generalized_simple(b2, 2, field=GF(32003))
         with pytest.raises(ValueError):
             decompose(M)
+
+
+def annihilator_reference(M):
+    """The reference for the Ann(e_k) bases of `pimod._endomorphism_sources`:
+    each solved as the whole End(M) system, every loop and arrow equation,
+    plus the row f_i e_k = 0, through `_linear_system`, over the vertices i
+    in order of increasing dimension."""
+    field, datum = M.field, M.datum
+    shapes = {i: (M.dims[i], M.dims[i]) for i in datum.vertices}
+    hom = [[(1, gen_target(g), Mat.identity(field, M.dims[gen_target(g)]), M.gen_mat(g)),
+            (-1, gen_source(g), M.gen_mat(g), Mat.identity(field, M.dims[gen_source(g)]))]
+           for g in [eps_key(i) for i in datum.vertices] + list(datum.arrow_keys())]
+    out = []
+    for i in sorted(datum.vertices, key=lambda i: M.dims[i]):
+        d = M.dims[i]
+        for k in range(d):
+            kills = [[(1, i, Mat.identity(field, d), Mat.identity(field, d).col(k))]]
+            out.append(pimod._kernel_basis(field, pimod._linear_system(field, shapes, hom + kills),
+                                           shapes))
+    return out
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["B2"] + sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16),
+       rank_x=st.integers(1, 3), rank_y=st.integers(1, 3), isotypic=st.booleans())
+def test_annihilator_bases_match_full_system_reference(name, seed, rank_x, rank_y, isotypic):
+    """On X (+) X and X (+) Y of towers, conjugated by random invertibles:
+    after End(M) itself, every Ann(e_k) basis read off the End(M) basis
+    equals the reference's, element for element."""
+    datum = catalog.b2_datum() if name == "B2" else _wider(name)
+    rng = random.Random(seed)
+    X = random_tower(datum, rank_x, rng)
+    M = direct_sum(X, X if isotypic else random_tower(datum, rank_y, rng))
+    M = _conjugate(M, {i: _random_invertible(rng, M.dims[i]) for i in datum.vertices})
+    endb = hom_basis(M, M)
+    sources = list(pimod._endomorphism_sources(M, endb))
+    assert sources[0] is endb
+    assert sources[1:] == annihilator_reference(M)
 
 
 def test_split_complement_on_b2_sums_and_products():
