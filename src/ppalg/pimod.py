@@ -18,7 +18,8 @@ target (`_free_hom_system`); hom_basis, hom_t_dim and the Der system of
 ext1_dim keep the full systems.
 
 `submodule`, `quotient` and `canonical_pieces` share one block-triangular
-split per vertex, `_split`; it refuses (ValueError) spaces with dependent
+split per vertex, `_split`, and return modules only, with no inclusion or
+projection maps.  `_split` refuses (ValueError) spaces with dependent
 columns or not closed under the action, and it completes a basis only where
 the space is neither empty nor the identity.  It builds only the sides its
 caller asks for: `submodule` makes no quotient matrices and `quotient` no
@@ -536,96 +537,84 @@ def verify_ext_theorems(M, N):
 # -- submodules, quotients, canonical pieces ---------------------------------
 
 def _split(M, spaces, sub=True, quot=True):
-    """(sub, incl, quot, proj) for the submodule spanned by `spaces`; a side
-    not asked for (`sub=False` or `quot=False`) is not built and is None,
-    and so is `proj` without the quotient.
+    """(sub, quot) for the submodule spanned by `spaces`; a side not asked
+    for (`sub=False` or `quot=False`) is not built and is None.
 
-    `complete_basis` completes each B_i = spaces[i] (zero where missing) by
-    standard basis vectors C_i, with [B_i | C_i]^-1 = [L_i; P_i].  In these
-    bases every loop and arrow A: j -> i is block upper triangular: L_i A B_j
-    is the submodule's matrix (the X with B_i X = A B_j), P_i A C_j the
-    quotient's, and P_i A B_j = 0 is the closure check (else ValueError),
-    which runs whichever side is built.
+    `complete_basis` completes each B_i = spaces[i] by standard basis
+    vectors C_i, with [B_i | C_i]^-1 = [L_i; P_i].  In these bases every
+    loop and arrow A: j -> i is block upper triangular: L_i A B_j is the
+    submodule's matrix (the X with B_i X = A B_j), P_i A C_j the quotient's,
+    and P_i A B_j = 0 is the closure check (else ValueError), which runs
+    whichever side is built.
 
-    Where B_i is empty the vertex goes whole to the quotient (C_i = P_i = I,
-    L_i empty), and where B_i is the identity it goes whole to the submodule
-    (L_i = I, C_i and P_i empty).  These are the RREFs of [0 | I] and
-    [I | I], so there the completion and the products by B_i, C_i, L_i and
-    P_i are skipped: the matrices are A itself or a column selection of A.
-    B_i = I is recognized on its nonzeros, with no identity built.
+    Where B_i is empty (or missing) the vertex goes whole to the quotient
+    (C_i = P_i = I, L_i empty), and where B_i is the identity it goes whole
+    to the submodule (L_i = I, C_i and P_i empty).  These are the RREFs of
+    [0 | I] and [I | I], so there the completion and the products by B_i,
+    C_i, L_i and P_i are skipped: the matrices are A itself, a column
+    selection of A or empty.  B_i = I is recognized on its nonzeros, with
+    no identity built.
     """
     field, vertices = M.field, M.datum.vertices
-    incl, extra, coords, proj = {}, {}, {}, {}
+    basis, extra, coords, proj = {}, {}, {}, {}
     for i in vertices:
-        n = M.dims[i]
-        B = incl[i] = spaces.get(i, Mat.zeros(field, n, 0))
-        if B.cols == 0:           # whole to the quotient: C_i = P_i = I
-            extra[i] = coords[i] = None
-            if quot:
-                proj[i] = Mat.identity(field, n)
-        elif B.cols == n and B.den == 1 and all(row == {r: 1} for r, row in enumerate(B.nz)):
-            extra[i], coords[i] = [], None   # whole to the submodule: L_i = I
-            if quot:
-                proj[i] = Mat.zeros(field, 0, n)
+        B = spaces.get(i)
+        if B is None or B.cols == 0:     # whole to the quotient
+            continue
+        basis[i] = B
+        if B.cols == M.dims[i] and B.den == 1 and all(row == {r: 1} for r, row in enumerate(B.nz)):
+            extra[i] = []                # whole to the submodule
         else:
             extra[i], coords[i], proj[i] = linalg.complete_basis(B)
     sub_mats, quot_mats = {}, {}
     for g in [eps_key(i) for i in vertices] + list(M.datum.arrow_keys()):
         i, j = gen_target(g), gen_source(g)
         A = M.gen_mat(g)
-        if incl[j].cols == 0:
-            AB = Mat.zeros(field, A.rows, 0)
-        elif coords[j] is None:   # B_j = I
-            AB = A
-        else:
-            AB = A * incl[j]
-        if coords[i] is not None:
-            if not (proj[i] * AB).is_zero():
+        if j in basis:
+            AB = A * basis[j] if j in coords else A
+            closed = (proj[i] * AB).is_zero() if i in proj else (i in basis or AB.is_zero())
+            if not closed:
                 raise ValueError("spaces are not closed under %r" % (g,))
-        elif incl[i].cols == 0 and not AB.is_zero():
-            raise ValueError("spaces are not closed under %r" % (g,))
         if sub:
-            if coords[i] is not None:
+            if j not in basis:
+                sub_mats[g] = Mat.zeros(field, basis[i].cols if i in basis else 0, 0)
+            elif i in coords:
                 sub_mats[g] = coords[i] * AB
             else:
-                sub_mats[g] = AB if incl[i].cols else Mat.zeros(field, 0, AB.cols)
+                sub_mats[g] = AB if i in basis else Mat.zeros(field, 0, AB.cols)
         if quot:
-            AC = A if extra[j] is None else A.columns(extra[j])
-            if coords[i] is not None:
+            AC = A.columns(extra[j]) if j in extra else A
+            if i in proj:
                 quot_mats[g] = proj[i] * AC
             else:
-                quot_mats[g] = AC if incl[i].cols == 0 else Mat.zeros(field, 0, AC.cols)
+                quot_mats[g] = Mat.zeros(field, 0, AC.cols) if i in basis else AC
 
     def module(mats):
         dims = {i: mats[eps_key(i)].rows for i in vertices}
         return ModuleRep(M.datum, dims, {i: mats[eps_key(i)] for i in vertices},
                          {k: mats[k] for k in M.datum.arrow_keys()}, M.field)
 
-    return (module(sub_mats) if sub else None, incl,
-            module(quot_mats) if quot else None, proj if quot else None)
+    return module(sub_mats) if sub else None, module(quot_mats) if quot else None
 
 
 def submodule(M, spaces):
     """The submodule spanned by the given per-vertex column bases.
 
     `spaces[i]` must have independent columns and the spans must be closed
-    under all loop and arrow actions (both checked).  Returns (module,
-    inclusion maps per vertex).  No quotient matrix is built.
+    under all loop and arrow actions (both checked); a vertex missing from
+    `spaces` contributes nothing.  No quotient matrix is built.
     """
-    sub, incl, _, _ = _split(M, spaces, quot=False)
-    return sub, incl
+    return _split(M, spaces, quot=False)[0]
 
 
 def quotient(M, spaces):
     """The quotient of M by the submodule spanned by the given bases.
 
-    Returns (module, projection maps per vertex).  The projection uses the
-    coordinates of a completed basis, so the section is the chosen
-    complement; different completions give isomorphic quotients.  No
-    submodule matrix is built.
+    The quotient is read in the coordinates of a completed basis, so the
+    section is the chosen complement; different completions give isomorphic
+    quotients.  No submodule matrix is built.
     """
-    _, _, quot, proj = _split(M, spaces, sub=False)
-    return quot, proj
+    return _split(M, spaces, sub=False)[1]
 
 
 def _loop_powers(first, d, step):
@@ -662,17 +651,13 @@ def k_space(M, i):
 @dataclass
 class CanonicalPieces:
     sub: ModuleRep          # largest submodule supported at i
-    sub_incl: dict
     quot: ModuleRep         # Q_i = M / sub_i
-    quot_proj: dict
     ker: ModuleRep          # K_i: smallest submodule with fac_i = M / K_i
-    ker_incl: dict
     fac: ModuleRep          # largest factor module supported at i
-    fac_proj: dict
 
 
 def canonical_pieces(M, i):
-    """sub_i, fac_i, K_i, Q_i with their embeddings/projections.
+    """sub_i, fac_i, K_i, Q_i.
 
     The two short exact sequences 0 -> K_i -> M -> fac_i -> 0 and
     0 -> sub_i -> M -> Q_i -> 0 are exact by construction.
@@ -778,8 +763,7 @@ def _efiltered_search(M):
             cols = [v]
             for _ in range(c - 1):
                 cols.append(M.eps[i] * cols[-1])
-            Q, _ = quotient(M, {i: linalg.hstack(cols)})
-            ok, wit = _efiltered_search(Q)
+            ok, wit = _efiltered_search(quotient(M, {i: linalg.hstack(cols)}))
             if ok:
                 return True, (i,) + wit
     return False, None
@@ -832,10 +816,10 @@ def is_crystal(M):
         if not _fac_is_free(M, i, K):
             return False
         if U.cols:
-            if not is_crystal(quotient(M, {i: U})[0]):
+            if not is_crystal(quotient(M, {i: U})):
                 return False
             peeled = True
-        if K.cols < M.dims[i] and not is_crystal(submodule(M, _ker_spaces(M, i, K))[0]):
+        if K.cols < M.dims[i] and not is_crystal(submodule(M, _ker_spaces(M, i, K))):
             return False
     return peeled
 
@@ -991,7 +975,8 @@ def _split_complement(M, spaces):
     a direct complement, and (sub, complement) is returned as two submodules.
     """
     field = M.field
-    sub, incl = submodule(M, spaces)
+    incl = {i: spaces.get(i, Mat.zeros(field, M.dims[i], 0)) for i in M.datum.vertices}
+    sub = submodule(M, spaces)
     hb = hom_basis(M, sub)
 
     def flat(f):
@@ -1006,7 +991,7 @@ def _split_complement(M, spaces):
     # hb is empty only where sub = 0, and then psi is the map onto 0
     psi = (_combination(hb, [x for (x,) in sol.data])
            or {i: Mat.zeros(field, 0, d) for i, d in M.dims.items()})
-    comp, _ = submodule(M, {i: linalg.nullspace(psi[i]) for i in incl})
+    comp = submodule(M, {i: linalg.nullspace(psi[i]) for i in incl})
     assert comp.dim_total() + sub.dim_total() == M.dim_total()
     return sub, comp
 
@@ -1061,8 +1046,7 @@ def _decompose(M, rng):
                 continue
             out = []
             for spaces in blocks:
-                piece, _ = submodule(M, spaces)
-                out.extend(_decompose(piece, rng))
+                out.extend(_decompose(submodule(M, spaces), rng))
             return out
     raise DecomposeUndecided("could not split a module with non-local End "
                              "(dims %r)" % (M.dims,))
@@ -1141,5 +1125,7 @@ def module_from_json(doc, datum, field=QQ):
         key = arrow_key(i, j, g)
         if key not in set(datum.arrow_keys()):
             raise ValueError("arrow %r does not exist in the double quiver" % (k,))
+        if k != arrow_name(key):    # one spelling per arrow: a_2_1_01 is not a_2_1_1
+            raise ValueError("bad arrow key %r (expected %r)" % (k, arrow_name(key)))
         arrows[key] = linalg.mat_from_json(field, dims.get(i, 0), dims.get(j, 0), m)
     return ModuleRep(datum, dims, eps, arrows, field)

@@ -174,7 +174,7 @@ def criterion_efiltered_closure(seed=0, trials=8):
             for _ in range(4):
                 f = pimod.random_combination(hb, rng)
                 if f and pimod.hom_is_injective(f, sub):
-                    coker, _ = pimod.quotient(mid, {i: f[i] for i in datum.vertices})
+                    coker = pimod.quotient(mid, {i: f[i] for i in datum.vertices})
                     if not pimod.is_E_filtered(coker)[0]:
                         failures.append({"kind": "cokernel", "attempt": attempts})
                     inj_done += 1
@@ -185,7 +185,7 @@ def criterion_efiltered_closure(seed=0, trials=8):
                 f = pimod.random_combination(hb, rng)
                 if f and pimod.hom_is_surjective(f, top):
                     spaces = {i: linalg.nullspace(f[i]) for i in datum.vertices}
-                    ker, _ = pimod.submodule(mid, spaces)
+                    ker = pimod.submodule(mid, spaces)
                     if not pimod.is_E_filtered(ker)[0]:
                         failures.append({"kind": "kernel", "attempt": attempts})
                     surj_done += 1

@@ -183,7 +183,7 @@ def generic_cokernel(mid, sub, trials=8, seed=0):
         raise ValueError("rank vector of the sub exceeds the ambient module")
     return _generic_division(
         pimod.hom_basis(sub, mid), lambda f: pimod.hom_is_injective(f, sub),
-        lambda f: pimod.quotient(mid, f)[0],   # injective => independent columns
+        lambda f: pimod.quotient(mid, f),   # injective => independent columns
         trials, seed, "embedding", "cokernel of a monomorphism")
 
 
@@ -194,7 +194,7 @@ def generic_kernel(top, mid, trials=8, seed=0):
         raise ValueError("rank vector of the top exceeds the ambient module")
     return _generic_division(
         pimod.hom_basis(mid, top), lambda f: pimod.hom_is_surjective(f, top),
-        lambda f: pimod.submodule(mid, {i: linalg.nullspace(f[i]) for i in f})[0],
+        lambda f: pimod.submodule(mid, {i: linalg.nullspace(f[i]) for i in f}),
         trials, seed, "surjection", "kernel of an epimorphism")
 
 

@@ -71,7 +71,7 @@ def reduce_module(pair, M):
     if not ok:
         raise pimod.NotLocallyFree("reduction requires a locally free module")
     spaces = {i: linalg.column_space(M.eps[i]) for i in pair.big.vertices}
-    quot, _ = pimod.quotient(M, spaces)
+    quot = pimod.quotient(M, spaces)
     for i in pair.big.vertices:
         assert quot.eps[i].is_zero()  # losing the loop action is the point
     return ModuleRep(pair.base, quot.dims, {}, quot.arrows, M.field)

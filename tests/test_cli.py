@@ -1,11 +1,12 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 from click.testing import CliRunner
 
-from ppalg import catalog, cli, pimod
+from ppalg import catalog, cli, linalg, pimod, selftest
 from ppalg.cli import main
 
 
@@ -264,10 +265,17 @@ class TestModuleCommands:
         ("dims", {"1": "abc"}, "dimension 'abc' is not an integer"),
         ("arrows", {"a_1_2_x": [["1"], ["0"]]},
          "bad arrow key 'a_1_2_x' (expected a_<target>_<source>_<g>)"),
-    ], ids=["negative", "negative-string", "not-a-number", "arrow-index"])
+        ("arrows", {"a_2_1_1": [], "a_2_1_01": []},
+         "bad arrow key 'a_2_1_01' (expected 'a_2_1_1')"),
+        ("arrows", {"a_2_1_1": [], "a_2_1_\u0661": []},
+         "bad arrow key 'a_2_1_\u0661' (expected 'a_2_1_1')"),
+    ], ids=["negative", "negative-string", "not-a-number", "arrow-index",
+            "arrow-index-zero-padded", "arrow-index-non-ascii-digit"])
     def test_module_file_names_the_bad_value(self, runner, tmp_path, key, value, message):
         """A bad dimension or arrow key in a module file is a usage error
-        naming the value, not a traceback or a later shape mismatch."""
+        naming the value, not a traceback or a later shape mismatch.  An
+        arrow index int() reads but spelled other than the arrow's name is
+        refused, so no arrow is given twice with the later entry winning."""
         doc = dict(pimod.module_to_json(pimod.generalized_simple(catalog.b2_datum(), 1)))
         doc[key] = value
         path = tmp_path / "bad_value.json"
@@ -602,6 +610,73 @@ def test_reports_digest(runner, tmp_path):
         run(["pieces", a, "2", "--field", "fp:7"])
         run(["decompose", a])
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+# The sha256 of reports that go through nontrivial submodules and quotients
+# over Q: the canonical pieces of the eight B2 entries at both vertices; the
+# product A * B of every ordered pair of the six non-projective entries,
+# divided back on either side and decomposed; decompositions of conjugated
+# sums X (+) Y at seeds 0 and 1; and an A3 module lifted to (C, 3D), then
+# reduced and cut into its pieces.  Like REPORTS_SHA256 it pins the basis
+# choices behind the printed matrices.
+SPLIT_REPORTS_SHA256 = "6331a8cc0d09ae812ff9bcb5c1a06c0c382ead1033a7b5c151e7500583749d90"
+
+
+def _conjugated(M, shift):
+    """M in the basis changed at each vertex by g = I + shift * N, N the
+    upper shift matrix, so that the summands of a direct sum are no longer
+    coordinate blocks; g^-1 is the sum of the (-shift * N)^k."""
+    def mat(n, entry):
+        return linalg.Mat.from_rows(linalg.QQ, [[entry(c - r) for c in range(n)]
+                                                for r in range(n)])
+
+    g = {i: mat(n, lambda k: {0: 1, 1: shift}.get(k, 0)) for i, n in M.dims.items()}
+    h = {i: mat(n, lambda k: (-shift) ** k if k >= 0 else 0) for i, n in M.dims.items()}
+    return pimod.ModuleRep(M.datum, M.dims, {i: g[i] * E * h[i] for i, E in M.eps.items()},
+                           {k: g[k[1]] * A * h[k[2]] for k, A in M.arrows.items()})
+
+
+def test_split_reports_digest(runner, tmp_path):
+    digest = hashlib.sha256()
+
+    def run(args):
+        result = runner.invoke(main, args)
+        shown = [os.path.basename(a) for a in args]
+        digest.update(("%r %d\n" % (shown, result.exit_code)).encode())
+        digest.update(result.output.replace(str(tmp_path) + os.sep, "").encode())
+        return result.output
+
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    suite = catalog.b2_suite()
+    entries = [e.module for e in suite.entries + suite.extras]
+    b2 = [write("b2_%d.json" % k, pimod.module_to_json(M)) for k, M in enumerate(entries)]
+    assert len(b2) == 8
+    for path in b2:
+        run(["pieces", path, "1"])
+        run(["pieces", path, "2"])
+    for a in b2[:6]:
+        for b in b2[:6]:
+            product = json.loads(run(["star", a, b]))["module"]
+            m = write("product.json", product)
+            run(["divide-right", m, b])
+            run(["divide-left", a, m])
+            run(["decompose", m])
+    for k, (x, y) in enumerate([(0, 0), (2, 4), (3, 5), (4, 1), (2, 2), (5, 0)]):
+        S = _conjugated(pimod.direct_sum(entries[x], entries[y]), k + 1)
+        path = write("sum.json", pimod.module_to_json(S))
+        run(["decompose", path, "--seed", "0"])
+        run(["decompose", path, "--seed", "1"])
+    a3 = selftest.random_tower(catalog.a_type_datum(3), 4, random.Random(3))
+    lifted = json.loads(run(["lift", write("a3.json", pimod.module_to_json(a3)), "--n", "3"]))
+    big = write("a3_lift.json", lifted["module"])
+    run(["reduce", big])
+    for i in ("1", "2", "3"):
+        run(["pieces", big, i])
+    assert digest.hexdigest() == SPLIT_REPORTS_SHA256
 
 
 def test_byte_identical_reports(runner, files):

@@ -554,20 +554,19 @@ def test_split_matches_solve_and_projection(name, seed, rank):
             with pytest.raises(ValueError):
                 pimod._split(M, spaces)
             continue
-        sub, incl, quot, proj = pimod._split(M, spaces)
-        completion = {}
+        sub, quot = pimod._split(M, spaces)
+        completion, proj = {}, {}
         for i in datum.vertices:
-            extra, _, P = linalg.complete_basis(B[i])
+            extra, _, proj[i] = linalg.complete_basis(B[i])
             completion[i] = Mat(QQ, M.dims[i], len(extra),
                                 [[QQ.one if j == r else QQ.zero for j in extra]
                                  for r in range(M.dims[i])])
             assert sub.dims[i] + quot.dims[i] == M.dims[i]
-            assert incl[i] == B[i] and proj[i] == P
         for g in gens:
             i, j, A = gen_target(g), gen_source(g), M.gen_mat(g)
             assert sub.gen_mat(g) == want_sub[g]
             assert quot.gen_mat(g) == proj[i] * (A * completion[j])
-            assert A * incl[j] == incl[i] * sub.gen_mat(g)
+            assert A * B[j] == B[i] * sub.gen_mat(g)
             assert proj[i] * A == quot.gen_mat(g) * proj[j]
         assert check_relations(sub) == [] and check_relations(quot) == []
 
@@ -594,9 +593,11 @@ def split_reference(M, spaces):
 
 def _assert_split_matches_reference(M, spaces, monkeypatch):
     """Equal matrices, or refusal on both sides; `complete_basis` runs only
-    at the vertices whose space is proper and nonzero.  The one-sided
-    `submodule` and `quotient` give the two-sided split's matrices, and
-    refuse where it does."""
+    at the vertices whose space is proper and nonzero, and where it does not
+    run it would give the projection I (empty space) or an empty one (the
+    identity).  The one-sided `submodule` and `quotient` give the two-sided
+    split's matrices, and refuse where it does.  The spaces and the
+    reference's projections intertwine M with the pieces."""
     try:
         want = split_reference(M, spaces)
     except ValueError:
@@ -610,19 +611,23 @@ def _assert_split_matches_reference(M, spaces, monkeypatch):
                 with pytest.raises(ValueError):
                     split(M, spaces)
             return
-        sub, incl, quot, proj = pimod._split(M, spaces)
+        sub, quot = pimod._split(M, spaces)
+    want_sub, incl, want_quot, proj = want
     proper = [i for i in M.datum.vertices
-              if 0 < spaces.get(i, Mat.zeros(M.field, M.dims[i], 0)).cols
-              and spaces[i] != Mat.identity(M.field, M.dims[i])]
+              if 0 < incl[i].cols and incl[i] != Mat.identity(M.field, M.dims[i])]
     assert completed == [spaces[i] for i in proper]
-    want_sub, want_incl, want_quot, want_proj = want
-    assert incl == want_incl and proj == want_proj
-    (sub_only, sub_incl), (quot_only, quot_proj) = (pimod.submodule(M, spaces),
-                                                    pimod.quotient(M, spaces))
-    assert sub_incl == incl and quot_proj == proj
+    for i in M.datum.vertices:
+        if i not in proper:
+            n = M.dims[i]
+            assert proj[i] == (Mat.identity(M.field, n) if incl[i].cols == 0
+                               else Mat.zeros(M.field, 0, n))
+    sub_only, quot_only = pimod.submodule(M, spaces), pimod.quotient(M, spaces)
     for g, X in want_sub.items():
+        i, j, A = gen_target(g), gen_source(g), M.gen_mat(g)
         assert sub.gen_mat(g) == X == sub_only.gen_mat(g)
         assert quot.gen_mat(g) == want_quot[g] == quot_only.gen_mat(g)
+        assert A * incl[j] == incl[i] * X
+        assert proj[i] * A == want_quot[g] * proj[j]
 
 
 def _part_of_sum(T, U):
@@ -718,12 +723,19 @@ class TestCanonicalPieces:
                 assert p.ker.dim_total() + p.fac.dim_total() == M.dim_total()
 
     def test_inclusions_are_intertwiners(self, b2_mods):
+        """The spaces of sub_2 and K_2 embed the pieces, and the projections
+        P of `complete_basis` map M3 onto Q_2 and fac_2."""
         _, _, M3 = b2_mods
         p = canonical_pieces(M3, 2)
-        for key in M3.datum.arrow_keys():
-            _, i, j, _ = key
-            assert M3.arrows[key] * p.ker_incl[j] == p.ker_incl[i] * p.ker.arrows[key]
-            assert p.fac_proj[i] * M3.arrows[key] == p.fac.arrows[key] * p.fac_proj[j]
+        zero = {i: Mat.zeros(QQ, M3.dims[i], 0) for i in M3.datum.vertices}
+        for spaces, sub, quot in (
+                ({**zero, 2: pimod.sub_space(M3, 2)}, p.sub, p.quot),
+                (pimod._ker_spaces(M3, 2, pimod.k_space(M3, 2)), p.ker, p.fac)):
+            proj = {i: linalg.complete_basis(B)[2] for i, B in spaces.items()}
+            for key in M3.datum.arrow_keys():
+                _, i, j, _ = key
+                assert M3.arrows[key] * spaces[j] == spaces[i] * sub.arrows[key]
+                assert proj[i] * M3.arrows[key] == quot.arrows[key] * proj[j]
 
 
 class TestFiltrationAndCrystal:
@@ -811,7 +823,7 @@ def test_crystal_matches_efiltered_search_reference(name, seed, rank):
         p = canonical_pieces(M, i)
         pieces += [p.sub, p.quot, p.ker, p.fac]
     f = pimod.random_combination(hom_basis(M, M), rng)
-    ker, _, coim, _ = pimod._split(M, {i: linalg.nullspace(f[i]) for i in datum.vertices})
+    ker, coim = pimod._split(M, {i: linalg.nullspace(f[i]) for i in datum.vertices})
     with pimod.memo_run():
         for X in [M] + pieces + [direct_sum(M, P) for P in pieces] + [ker, coim]:
             assert is_crystal(X) == crystal_reference(X)
@@ -845,7 +857,7 @@ def _crystal_family(name, seed):
         p = canonical_pieces(M, i)
         family += [p.sub, p.quot, p.ker, p.fac]
     f = pimod.random_combination(hom_basis(M, M), rng)
-    ker, _, coim, _ = pimod._split(M, {i: linalg.nullspace(f[i]) for i in datum.vertices})
+    ker, coim = pimod._split(M, {i: linalg.nullspace(f[i]) for i in datum.vertices})
     return family + [ker, coim]
 
 
@@ -1254,7 +1266,7 @@ class TestClosureProperties:
         for _ in range(10):
             f = pimod.random_combination(hb, rng)
             if f and pimod.hom_is_injective(f, E2):
-                coker, _ = pimod.quotient(M3, {i: f[i] for i in M3.datum.vertices})
+                coker = pimod.quotient(M3, {i: f[i] for i in M3.datum.vertices})
                 assert is_E_filtered(coker)[0]
                 found += 1
         assert found
@@ -1268,7 +1280,7 @@ class TestClosureProperties:
             f = pimod.random_combination(hb, rng)
             if f and pimod.hom_is_surjective(f, E1):
                 spaces = {i: linalg.nullspace(f[i]) for i in M3.datum.vertices}
-                ker, _ = pimod.submodule(M3, spaces)
+                ker = pimod.submodule(M3, spaces)
                 assert is_E_filtered(ker)[0]
                 found += 1
         assert found
