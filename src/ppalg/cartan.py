@@ -182,6 +182,25 @@ class CartanDatum:
             self.vertices, self.cartan, self.sym, self.orient)
 
 
+def _is_int(x):
+    """An integer, and not a bool: JSON's true and false are no numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _vertex_labels(vertices, n):
+    """The n vertex labels as a tuple: 1, ..., n when `vertices` is None,
+    else a list of distinct labels."""
+    if vertices is None:
+        return tuple(range(1, n + 1))
+    if not isinstance(vertices, (list, tuple)):
+        raise DatumError("shape", "vertices must be a list of labels")
+    vertices = tuple(vertices)
+    # files and arrow names spell labels by str(), so 1 and "1" clash too
+    if len(set(vertices)) != len(vertices) or len(set(map(str, vertices))) != len(vertices):
+        raise DatumError("shape", "duplicate vertex labels")
+    return vertices
+
+
 def _check_cartan_matrix(vertices, cartan):
     n = len(vertices)
     if n == 0:
@@ -189,7 +208,7 @@ def _check_cartan_matrix(vertices, cartan):
     if (not isinstance(cartan, (list, tuple)) or len(cartan) != n
             or any(not isinstance(row, (list, tuple)) or len(row) != n for row in cartan)):
         raise DatumError("shape", "Cartan matrix must be a %dx%d list of lists" % (n, n))
-    if not all(isinstance(x, int) for row in cartan for x in row):
+    if not all(_is_int(x) for row in cartan for x in row):
         raise DatumError("shape", "Cartan matrix entries must be integers")
     for a in range(n):
         if cartan[a][a] != 2:
@@ -244,17 +263,12 @@ def validate_datum(cartan, sym, orient, vertices=None):
     dc_not_symmetric, orientation_pair, orientation_cycle.
     """
     n = len(cartan)
-    if vertices is None:
-        vertices = tuple(range(1, n + 1))
-    vertices = tuple(vertices)
-    # files and arrow names spell labels by str(), so 1 and "1" clash too
-    if len(set(vertices)) != len(vertices) or len(set(map(str, vertices))) != len(vertices):
-        raise DatumError("shape", "duplicate vertex labels")
+    vertices = _vertex_labels(vertices, n)
     _check_cartan_matrix(vertices, cartan)
     if len(sym) != n:
         raise DatumError("shape", "symmetrizer must have one entry per vertex")
     for a in range(n):
-        if not isinstance(sym[a], int) or sym[a] < 1:
+        if not _is_int(sym[a]) or sym[a] < 1:
             raise DatumError("symmetrizer_positive",
                              "symmetrizer entries must be positive integers (vertex %r)" % (vertices[a],))
     for a in range(n):
@@ -304,16 +318,17 @@ def default_orientation(cartan, vertices=None):
     return out
 
 
-def minimal_symmetrizer(cartan):
+def minimal_symmetrizer(cartan, vertices=None):
     """The entrywise-minimal symmetrizer of C (per connected component).
 
     Solves the ratio constraints c_i * c_ij = c_j * c_ji along a spanning
     tree of each component, checks consistency on the remaining edges, and
     clears denominators.  Raises DatumError("not_symmetrizable") when the
-    constraints are inconsistent around a cycle.
+    constraints are inconsistent around a cycle.  C is checked first, and
+    errors name the vertices as `validate_datum` does.
     """
     n = len(cartan)
-    vertices = tuple(range(n))
+    vertices = _vertex_labels(vertices, n)
     _check_cartan_matrix(vertices, cartan)
     values = [None] * n
     for root in range(n):
@@ -335,7 +350,8 @@ def minimal_symmetrizer(cartan):
                     comp.append(b)
                 elif values[b] != want:
                     raise DatumError("not_symmetrizable",
-                                     "no symmetrizer exists (cycle through %d,%d)" % (a, b))
+                                     "no symmetrizer exists (cycle through %r,%r)"
+                                     % (vertices[a], vertices[b]))
         scale = lcm(*[values[v].denominator for v in comp])
         ints = [values[v] * scale for v in comp]
         shrink = gcd(*[int(x) for x in ints])

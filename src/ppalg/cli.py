@@ -56,7 +56,7 @@ def _datum_from_doc(doc, path):
         cartan = doc["cartan"]
         sym = doc.get("symmetrizer", "minimal")
         if sym == "minimal":
-            sym = minimal_symmetrizer(cartan)
+            sym = minimal_symmetrizer(cartan, vertices)
         orient = doc.get("orientation")
         if orient is None:
             orient = default_orientation(cartan, vertices)

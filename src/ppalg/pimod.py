@@ -12,10 +12,11 @@ denominator, so every product, word (`_word`) and relation check works on
 nonzeros only.  Every linear system (Hom, Hom_T, Der) is written by one
 builder, `_linear_system`, as `linalg` kernel rows {col: int}, never as a
 matrix; dimensions come from `rows_rank`, and only hom_basis and
-derivation_basis solve it by `rows_nullspace`.  `hom_dim` into a locally
-free module solves the arrow equations alone, over free generators of the
-target (`_free_hom_system`); hom_basis, hom_t_dim and the Der system of
-ext1_dim keep the full systems.
+derivation_basis solve it by `rows_nullspace`.  One builder,
+`_hom_system`, writes every Hom and Hom_T system.  Given the target's rank
+vector, as `hom_dim` into a locally free module does, it writes the arrow
+equations alone, over free generators of the target; hom_basis and
+hom_t_dim get the full loop-and-arrow systems.
 
 `submodule`, `quotient` and `canonical_pieces` share one block-triangular
 split per vertex, `_split`, and return modules only, with no inclusion or
@@ -376,27 +377,17 @@ def _nullity(field, system):
     return system[1] - linalg.rows_rank(field, *system)
 
 
-def _hom_system(M, N, arrows):
-    """(system, shapes) of the maps M -> N commuting with the loops and
-    `arrows`: the equations f_i M_g - N_g f_j = 0 on blocks f_i of shape
-    N_i x M_i, one for every loop and for every arrow g: j -> i in `arrows`."""
-    if M.datum != N.datum:
-        raise ValueError("modules over different data")
-    shapes = {i: (N.dims[i], M.dims[i]) for i in M.datum.vertices}
-    equations = []
-    for g in [eps_key(i) for i in M.datum.vertices] + list(arrows):
-        t, s = gen_target(g), gen_source(g)
-        equations.append([(1, t, _word(N, (), t), _word(M, (g,), t)),
-                          (-1, s, _word(N, (g,), t), _word(M, (), s))])
-    return _linear_system(M.field, shapes, equations), shapes
+def _hom_system(M, N, arrows, ranks=None):
+    """(system, shapes) of the maps f: M -> N commuting with the loops and
+    `arrows`, in one unknown block X_i per vertex, f_i = sum L X_i R over
+    the pairs (L, R) of vertex i.
 
-
-def _free_hom_system(M, N, ranks):
-    """(system, shapes) of Hom(M, N) for N locally free with rank vector
-    `ranks`, in one block Z_i of shape s_i x M_i per vertex (see `hom_dim`):
-    the arrow equations of `_hom_system` with f_i = sum over k < c_i of
-    eps_N^k G_i Z_i eps_M^(c_i - 1 - k), and Z_i eps_M^c_i = 0 where M's
-    loop is not c_i-nilpotent."""
+    Without `ranks`, X_i = f_i, of shape N_i x M_i, with the loop equation
+    f_i eps_M = eps_N f_i.  With `ranks`, the rank vector of a locally free
+    N, X_i = Z_i, of shape s_i x M_i, and f_i = sum over k < c_i of
+    eps_N^k G_i Z_i eps_M^(c_i - 1 - k) (see `hom_dim`), with the equation
+    Z_i eps_M^c_i = 0 where that power is nonzero.  Then each arrow
+    g: s -> t in `arrows` gives f_t M_g - N_g f_s = 0."""
     if M.datum != N.datum:
         raise ValueError("modules over different data")
     datum, field = M.datum, M.field
@@ -408,18 +399,23 @@ def _free_hom_system(M, N, ranks):
         return out
 
     shapes, maps, equations = {}, {}, []
-    for i, s in zip(datum.vertices, ranks):
+    for a, i in enumerate(datum.vertices):
+        if ranks is None:
+            I, J = Mat.identity(field, N.dims[i]), Mat.identity(field, M.dims[i])
+            shapes[i], maps[i] = (N.dims[i], M.dims[i]), [(I, J)]
+            equations.append([(1, i, I, M.eps[i]), (-1, i, N.eps[i], J)])
+            continue
         c = datum.ci(i)
-        shapes[i] = (s, M.dims[i])
+        shapes[i] = (ranks[a], M.dims[i])
         left, right = powers(N.eps[i], c), powers(M.eps[i], c + 1)
         G = linalg.pivot_columns(left[-1])
         maps[i] = [(left[k].columns(G), right[c - 1 - k]) for k in range(c)]
         if not right[c].is_zero():
-            equations.append([(1, i, Mat.identity(field, s), right[c])])
-    for g in datum.arrow_keys():
-        t, u = gen_target(g), gen_source(g)
+            equations.append([(1, i, Mat.identity(field, ranks[a]), right[c])])
+    for g in arrows:
+        t, s = gen_target(g), gen_source(g)
         equations.append([(1, t, L, R * M.arrows[g]) for L, R in maps[t]]
-                         + [(-1, u, N.arrows[g] * L, R) for L, R in maps[u]])
+                         + [(-1, s, N.arrows[g] * L, R) for L, R in maps[s]])
     return _linear_system(field, shapes, equations), shapes
 
 
@@ -462,14 +458,11 @@ def hom_dim(M, N):
     Y_k = Z_i eps_M^(c_i - 1 - k) with Z_i = Y_(c_i - 1) and Z_i eps_M^c_i = 0
     (Frobenius duality, Hom_H(M_i, H) = Hom_K(M_i, K); Geiss, Leclerc and
     Schroer, Invent. Math. 2017).  So only the arrow equations are solved,
-    in the s_i x M_i blocks Z_i (`_free_hom_system`): no loop rows, and c_i
-    times fewer unknowns at each vertex.  Otherwise the loop and arrow
-    equations of `_hom_system` are solved.
+    in the s_i x M_i blocks Z_i: no loop rows, and c_i times fewer unknowns
+    at each vertex.  Otherwise the loop and arrow equations in the blocks
+    f_i are solved.  `_hom_system` writes both.
     """
-    free, ranks = is_locally_free(N)
-    if free:
-        return _nullity(M.field, _free_hom_system(M, N, ranks)[0])
-    return _nullity(M.field, _hom_system(M, N, M.datum.arrow_keys())[0])
+    return _nullity(M.field, _hom_system(M, N, M.datum.arrow_keys(), is_locally_free(N)[1])[0])
 
 
 def hom_t_dim(M, N):
@@ -1087,7 +1080,11 @@ def parse_vertex(datum, s):
 
 
 def _json_object(doc, key):
-    value = doc.get(key) or {}
+    """The section `key` of a module file; only a missing key or null is an
+    empty one."""
+    value = doc.get(key)
+    if value is None:
+        return {}
     if not isinstance(value, dict):
         raise ValueError("%r must be a JSON object" % key)
     return value

@@ -61,9 +61,11 @@ def files(tmp_path_factory):
     write("list_algebra.json", [1])
     write("list_module.json", [])
     for key in ("dims", "epsilon", "arrows"):
-        doc = dict(pimod.module_to_json(E1))
-        doc[key] = [1, 1]
-        write("list_%s.json" % key, doc)
+        for name, value in (("list", [1, 1]), ("empty_list", []), ("false", False),
+                            ("zero", 0), ("null", None)):
+            doc = dict(pimod.module_to_json(E1))
+            doc[key] = value
+            write("%s_%s.json" % (name, key), doc)
 
     for name, value in (("list", [1]), ("null", None), ("float", 1.5), ("bool", True),
                         ("string", "1")):
@@ -124,6 +126,43 @@ class TestValidation:
             result = runner.invoke(main, args)
             assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
             assert "at least one vertex" in result.output
+
+    @pytest.mark.parametrize("doc, code", [
+        ({"cartan": [[2, False], [False, 2]]}, "shape"),
+        ({"cartan": [[2, False], [False, 2]], "symmetrizer": [1, 1]}, "shape"),
+        ({"cartan": [[2, -1], [-1, 2]], "symmetrizer": [1, True]}, "symmetrizer_positive"),
+        ({"cartan": [[2, -1], [-1, 2]], "vertices": "ab"}, "shape"),
+        ({"cartan": [[2, -1], [-1, 2]], "vertices": "ab", "symmetrizer": [1, 1]}, "shape"),
+    ], ids=["bool-cartan", "bool-cartan-with-symmetrizer", "bool-symmetrizer",
+            "string-vertices", "string-vertices-with-symmetrizer"])
+    def test_booleans_and_string_vertices_exit_2(self, runner, tmp_path, doc, code):
+        """JSON's true and false are not integers, and a string is not a
+        list of vertex labels."""
+        path = tmp_path / "bad_algebra.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "%s: invalid algebra (%s)" % (path, code) in result.output
+
+    @pytest.mark.parametrize("cartan, sym, message", [
+        ([[2, 1], [-1, 2]], "minimal",
+         "(offdiag_positive): c_ij must be <= 0 for i != j (at 'x','y')"),
+        ([[2, 1], [-1, 2]], [1, 1],
+         "(offdiag_positive): c_ij must be <= 0 for i != j (at 'x','y')"),
+        ([[2, -1], [0, 2]], "minimal", "(zero_pattern): c_ij = 0 must imply c_ji = 0 (at 'x','y')"),
+        ([[2, -1, -2], [-2, 2, -1], [-1, -2, 2]], "minimal",
+         "(not_symmetrizable): no symmetrizer exists (cycle through 'z','y')"),
+    ], ids=["offdiag-positive", "offdiag-positive-with-symmetrizer", "zero-pattern",
+            "not-symmetrizable"])
+    def test_errors_name_the_file_vertex_labels(self, runner, tmp_path, cartan, sym, message):
+        """With the symmetrizer derived, C is checked under the file's own
+        labels, as it is with one given."""
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"cartan": cartan, "vertices": ["x", "y", "z"][:len(cartan)],
+                                    "symmetrizer": sym}))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "%s: invalid algebra %s" % (path, message) in result.output
 
     def test_algebra_not_an_object_exit_2(self, runner, files):
         result = runner.invoke(main, ["validate", files["list_algebra.json"]])
@@ -243,11 +282,16 @@ class TestModuleCommands:
         assert "list_module.json" in result.output
 
     def test_module_field_not_an_object_exit_2(self, runner, files):
+        """A section that is not an object is refused, a falsy one too: only
+        a missing key or null is an empty section."""
         for key in ("dims", "epsilon", "arrows"):
-            name = "list_%s.json" % key
-            result = runner.invoke(main, ["check", files[name]])
-            assert result.exit_code == 2, name
-            assert name in result.output and key in result.output
+            for value in ("list", "empty_list", "false", "zero"):
+                name = "%s_%s.json" % (value, key)
+                result = runner.invoke(main, ["check", files[name]])
+                assert result.exit_code == 2, name
+                assert "%s: %r must be a JSON object" % (files[name], key) in result.output
+        out = run_json(runner, ["check", files["null_arrows.json"]])
+        assert out["ok"] and out["dims"] == {"1": 2, "2": 0}
 
     @pytest.mark.parametrize("name", ["list", "null", "float", "bool"])
     def test_module_dims_not_an_integer_exit_2(self, runner, files, name):
@@ -269,8 +313,12 @@ class TestModuleCommands:
          "bad arrow key 'a_2_1_01' (expected 'a_2_1_1')"),
         ("arrows", {"a_2_1_1": [], "a_2_1_\u0661": []},
          "bad arrow key 'a_2_1_\u0661' (expected 'a_2_1_1')"),
+        ("arrows", False, "'arrows' must be a JSON object"),
+        ("epsilon", 0, "'epsilon' must be a JSON object"),
+        ("dims", [], "'dims' must be a JSON object"),
     ], ids=["negative", "negative-string", "not-a-number", "arrow-index",
-            "arrow-index-zero-padded", "arrow-index-non-ascii-digit"])
+            "arrow-index-zero-padded", "arrow-index-non-ascii-digit", "arrows-false",
+            "epsilon-zero", "dims-empty-list"])
     def test_module_file_names_the_bad_value(self, runner, tmp_path, key, value, message):
         """A bad dimension or arrow key in a module file is a usage error
         naming the value, not a traceback or a later shape mismatch.  An

@@ -285,14 +285,16 @@ def test_hom_dim_matches_full_system(name, seed, rank_m, rank_n, field, free):
     assert is_locally_free(M)[0] == (free != "source only")
     assert is_locally_free(N)[0] == (free != "target only")
     free_systems = []
-    build = pimod._free_hom_system
+    build = pimod._hom_system
 
-    def spy(*args):
-        free_systems.append(build(*args))
-        return free_systems[-1]
+    def spy(M, N, arrows, ranks=None):
+        system = build(M, N, arrows, ranks)
+        if ranks is not None:
+            free_systems.append(system)
+        return system
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pimod, "_free_hom_system", spy)
+        mp.setattr(pimod, "_hom_system", spy)
         got = hom_dim.__wrapped__(M, N)
     assert got == pimod._nullity(field, pimod._hom_system(M, N, datum.arrow_keys())[0])
     assert len(free_systems) == (free != "target only")
@@ -396,8 +398,9 @@ def systems_built_by(*calls):
        rank_m=st.integers(1, 3), rank_n=st.integers(1, 3), modular=st.booleans())
 def test_linear_system_matches_dense_reference(name, seed, rank_m, rank_n, modular):
     """On towers conjugated to have denominators, over Q and GF(32003): the
-    Hom, Hom_T and Der systems come out as the reference's nonzero rows in
-    kernel form, with the reference's rank and nullspace."""
+    Hom systems, full and over free generators, and the Hom_T and Der
+    systems come out as the reference's nonzero rows in kernel form, with
+    the reference's rank and nullspace."""
     datum = _wider(name)
     rng = random.Random(seed)
     M, N = [_conjugate(T, {i: _random_invertible(rng, T.dims[i]) for i in datum.vertices})
@@ -405,9 +408,9 @@ def test_linear_system_matches_dense_reference(name, seed, rank_m, rank_n, modul
     if modular:
         M, N = [pimod.module_from_json(pimod.module_to_json(T), datum, linalg.GF(32003))
                 for T in (M, N)]
-    systems = systems_built_by(lambda: hom_basis(M, N), lambda: pimod.hom_t_dim(M, N),
-                               lambda: derivation_basis(M, N))
-    assert len(systems) == 3
+    systems = systems_built_by(lambda: hom_basis(M, N), lambda: hom_dim.__wrapped__(M, N),
+                               lambda: pimod.hom_t_dim(M, N), lambda: derivation_basis(M, N))
+    assert len(systems) == 4
     for field, shapes, equations in systems:
         ref = dense_linear_system(field, shapes, equations)
         rows, nvars = pimod._linear_system(field, shapes, equations)
