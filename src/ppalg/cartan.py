@@ -4,7 +4,8 @@ A Cartan datum is a triple (C, D, Omega): a symmetrizable generalized
 Cartan matrix C, a symmetrizer D = diag(c_i), and an acyclic orientation
 Omega of the underlying graph.  From it we derive the double quiver (one
 loop eps_i per vertex, g_ij arrows each way per edge; `arrow_keys()` is the
-tuple of its arrows) and the defining relations of the preprojective
+tuple of its arrows, and `generators()` the loops in vertex order, then the
+arrows) and the defining relations of the preprojective
 algebra (`relations()`, a tuple of `Relation`s): nilpotency eps_i^{c_i} = 0,
 commutativity eps_i^{f_ji} a_ij = a_ij eps_j^{f_ij}, and the mesh relation
 at every vertex.
@@ -84,6 +85,7 @@ class CartanDatum:
         self.sym = tuple(sym)
         self.orient = tuple(tuple(p) for p in orient)
         self._arrows = None
+        self._generators = None
         self._relations = None
 
     # raw accessors by vertex label
@@ -118,6 +120,13 @@ class CartanDatum:
             self._build()
         return self._arrows
 
+    def generators(self):
+        """The loops ("eps", i) in vertex order, then `arrow_keys()`: every
+        generator of the double quiver, built once."""
+        if self._generators is None:
+            self._build()
+        return self._generators
+
     def is_symmetric(self):
         return all(self.c(i, j) == self.c(j, i) for i in self.vertices for j in self.vertices)
 
@@ -130,6 +139,7 @@ class CartanDatum:
     def _build(self):
         self._arrows = tuple(arrow_key(i, j, g) for (i, j) in self.double_orient()
                              for g in range(1, self.gij(i, j) + 1))
+        self._generators = tuple(eps_key(i) for i in self.vertices) + self._arrows
 
         rels = []
         for i in self.vertices:
@@ -187,26 +197,40 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_label(x):
+    """A vertex label: a string or an integer (JSON's, so no bool)."""
+    return isinstance(x, str) or _is_int(x)
+
+
 def _vertex_labels(vertices, n):
     """The n vertex labels as a tuple: 1, ..., n when `vertices` is None,
-    else a list of distinct labels."""
+    else a list of n distinct labels."""
     if vertices is None:
         return tuple(range(1, n + 1))
-    if not isinstance(vertices, (list, tuple)):
-        raise DatumError("shape", "vertices must be a list of labels")
+    labels = "vertices must be a list of %d string or integer labels" % n
+    # bools pass this first test, so that True and 1 are refused as equal
+    if (not isinstance(vertices, (list, tuple)) or len(vertices) != n
+            or not all(isinstance(v, (str, int)) for v in vertices)):
+        raise DatumError("shape", labels)
     vertices = tuple(vertices)
     # files and arrow names spell labels by str(), so 1 and "1" clash too
     if len(set(vertices)) != len(vertices) or len(set(map(str, vertices))) != len(vertices):
         raise DatumError("shape", "duplicate vertex labels")
+    if not all(map(_is_label, vertices)):
+        raise DatumError("shape", labels)
     return vertices
 
 
-def _check_cartan_matrix(vertices, cartan):
+def _check_cartan_matrix(cartan, vertices):
+    """The labels of C's vertices (see `_vertex_labels`), once C is checked
+    to be a generalized Cartan matrix."""
+    if not isinstance(cartan, (list, tuple)):
+        raise DatumError("shape", "the Cartan matrix ('cartan') is missing or not a list of rows")
+    vertices = _vertex_labels(vertices, len(cartan))
     n = len(vertices)
     if n == 0:
         raise DatumError("shape", "Cartan matrix must have at least one vertex")
-    if (not isinstance(cartan, (list, tuple)) or len(cartan) != n
-            or any(not isinstance(row, (list, tuple)) or len(row) != n for row in cartan)):
+    if any(not isinstance(row, (list, tuple)) or len(row) != n for row in cartan):
         raise DatumError("shape", "Cartan matrix must be a %dx%d list of lists" % (n, n))
     if not all(_is_int(x) for row in cartan for x in row):
         raise DatumError("shape", "Cartan matrix entries must be integers")
@@ -222,6 +246,7 @@ def _check_cartan_matrix(vertices, cartan):
             if (cartan[a][b] == 0) != (cartan[b][a] == 0):
                 raise DatumError("zero_pattern",
                                  "c_ij = 0 must imply c_ji = 0 (at %r,%r)" % (vertices[a], vertices[b]))
+    return vertices
 
 
 def _find_cycle(vertices, arcs):
@@ -262,11 +287,10 @@ def validate_datum(cartan, sym, orient, vertices=None):
     shape, diagonal, offdiag_positive, zero_pattern, symmetrizer_positive,
     dc_not_symmetric, orientation_pair, orientation_cycle.
     """
-    n = len(cartan)
-    vertices = _vertex_labels(vertices, n)
-    _check_cartan_matrix(vertices, cartan)
-    if len(sym) != n:
-        raise DatumError("shape", "symmetrizer must have one entry per vertex")
+    vertices = _check_cartan_matrix(cartan, vertices)
+    n = len(vertices)
+    if not isinstance(sym, (list, tuple)) or len(sym) != n:
+        raise DatumError("shape", "symmetrizer must be a list with one entry per vertex")
     for a in range(n):
         if not _is_int(sym[a]) or sym[a] < 1:
             raise DatumError("symmetrizer_positive",
@@ -276,20 +300,22 @@ def validate_datum(cartan, sym, orient, vertices=None):
             if sym[a] * cartan[a][b] != sym[b] * cartan[b][a]:
                 raise DatumError("dc_not_symmetric",
                                  "DC is not symmetric at (%r,%r)" % (vertices[a], vertices[b]))
+    if not isinstance(orient, (list, tuple)):
+        raise DatumError("orientation_pair", "orientation must be a list of pairs")
+    idx = {v: k for k, v in enumerate(vertices)}
     pairs = set()
     for p in orient:
-        if len(p) != 2:
+        if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise DatumError("orientation_pair", "orientation entries must be pairs")
-        pairs.add((p[0], p[1]))
-    if len(pairs) != len(list(orient)):
-        raise DatumError("orientation_pair", "duplicate pair in orientation")
-    idx = {v: k for k, v in enumerate(vertices)}
-    for (i, j) in pairs:
-        if i not in idx or j not in idx or i == j:
+        i, j = p
+        if not (_is_label(i) and _is_label(j)) or i not in idx or j not in idx or i == j:
             raise DatumError("orientation_pair", "orientation pair (%r,%r) is not an edge" % (i, j))
         if cartan[idx[i]][idx[j]] >= 0:
             raise DatumError("orientation_pair",
                              "orientation pair (%r,%r) has c_ij = 0" % (i, j))
+        pairs.add((i, j))
+    if len(pairs) != len(orient):
+        raise DatumError("orientation_pair", "duplicate pair in orientation")
     for a, i in enumerate(vertices):
         for j in vertices[a + 1:]:
             if cartan[idx[i]][idx[j]] < 0:
@@ -307,9 +333,8 @@ def validate_datum(cartan, sym, orient, vertices=None):
 
 def default_orientation(cartan, vertices=None):
     """Every edge oriented from the smaller to the larger vertex label."""
-    n = len(cartan)
-    if vertices is None:
-        vertices = tuple(range(1, n + 1))
+    vertices = _check_cartan_matrix(cartan, vertices)
+    n = len(vertices)
     out = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -327,9 +352,8 @@ def minimal_symmetrizer(cartan, vertices=None):
     constraints are inconsistent around a cycle.  C is checked first, and
     errors name the vertices as `validate_datum` does.
     """
-    n = len(cartan)
-    vertices = _vertex_labels(vertices, n)
-    _check_cartan_matrix(vertices, cartan)
+    vertices = _check_cartan_matrix(cartan, vertices)
+    n = len(vertices)
     values = [None] * n
     for root in range(n):
         if values[root] is not None:

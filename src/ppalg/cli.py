@@ -52,16 +52,13 @@ def _datum_from_doc(doc, path):
     if not isinstance(doc, dict):
         raise click.UsageError("%s: an algebra config must be a JSON object" % path)
     try:
-        vertices = doc.get("vertices")
-        cartan = doc["cartan"]
-        sym = doc.get("symmetrizer", "minimal")
-        if sym == "minimal":
+        vertices, cartan = doc.get("vertices"), doc.get("cartan")
+        sym = doc.get("symmetrizer")
+        if sym is None or sym == "minimal":
             sym = minimal_symmetrizer(cartan, vertices)
         orient = doc.get("orientation")
         if orient is None:
             orient = default_orientation(cartan, vertices)
-        else:
-            orient = [tuple(p) for p in orient]
         return validate_datum(cartan, sym, orient, vertices)
     except DatumError as exc:
         raise click.UsageError("%s: invalid algebra (%s): %s" % (path, exc.code, exc))

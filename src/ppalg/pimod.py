@@ -1,11 +1,15 @@
 """Modules over the preprojective algebra and their invariants.
 
-A module is given by one exact matrix per loop and per arrow of the double
-quiver.  On top of that this file implements: relation checking, local
-freeness and rank vectors, Hom and derivation spaces, Ext^1 through the
-four-term sequence Hom -> Hom_T -> Der -> Ext^1, the canonical pieces
-sub_i / fac_i / K_i / Q_i, the E-filtered and crystal tests, rigidity,
-randomized isomorphism testing and direct-sum decomposition.
+A module is given by one exact matrix per generator of the double quiver,
+the loops and arrows of `CartanDatum.generators()`.  `ModuleRep` checks
+them in one walk over that list, and `ModuleRep.from_generators` builds a
+module from a map generator -> matrix, as `direct_sum`, `_split` and
+`starop.extension_module` do.  On top of that this file implements:
+relation checking, local freeness and rank vectors, Hom and derivation
+spaces, Ext^1 through the four-term sequence Hom -> Hom_T -> Der -> Ext^1,
+the canonical pieces sub_i / fac_i / K_i / Q_i, the E-filtered and crystal
+tests, rigidity, randomized isomorphism testing and direct-sum
+decomposition.
 
 Every matrix is a `linalg.Mat`, integer rows of nonzeros over one
 denominator, so every product, word (`_word`) and relation check works on
@@ -26,10 +30,14 @@ the space is neither empty nor the identity.  It builds only the sides its
 caller asks for: `submodule` makes no quotient matrices and `quotient` no
 submodule matrices, and only `canonical_pieces` asks for both.
 
+One rule decides freeness over H_i = K[x]/(x^c_i) from a rank:
+`_free_rank(M, i, B, K)`, the H_i-rank of col(B) / col(K) when that is
+free.  `is_locally_free` and `is_crystal` both call it.
+
 `is_crystal` runs no E-filtered search: it certifies E-filtered by peeling
 off a nonzero sub_i (see `is_crystal`), so its False verdicts are exact.
-It builds no sub_i or fac_i: their local freeness is read off two ranks at
-vertex i, and only the Q_i and K_i it recurses into are built.  The
+It builds no sub_i or fac_i: their local freeness is one `_free_rank`
+each, and only the Q_i and K_i it recurses into are built.  The
 backtracking search lives on in `is_E_filtered` alone.
 
 `decompose` has one split step: split M into the generalized eigenspaces
@@ -105,30 +113,33 @@ class ModuleRep:
         self.dims = {i: int(dims.get(i, 0)) for i in datum.vertices}
         if any(d < 0 for d in self.dims.values()):
             raise ValueError("negative dimension")
-        self.eps = {}
-        eps = eps or {}
-        for i in datum.vertices:
-            d = self.dims[i]
-            E = eps.get(i)
-            if E is None:
-                E = Mat.zeros(field, d, d)
-            if (E.rows, E.cols) != (d, d):
-                raise ValueError("loop at %r must be %dx%d" % (i, d, d))
-            self.eps[i] = E
-        self.arrows = {}
-        arrows = arrows or {}
-        for key in datum.arrow_keys():
-            _, i, j, _ = key
-            A = arrows.get(key)
+        eps, arrows = eps or {}, arrows or {}
+        self.eps, self.arrows = {}, {}
+        for g in datum.generators():
+            i, j = gen_target(g), gen_source(g)
+            loop = g[0] == "eps"
+            A = eps.get(i) if loop else arrows.get(g)
             if A is None:
                 A = Mat.zeros(field, self.dims[i], self.dims[j])
             if (A.rows, A.cols) != (self.dims[i], self.dims[j]):
-                raise ValueError("arrow %r must be %dx%d" % (key, self.dims[i], self.dims[j]))
-            self.arrows[key] = A
-        unknown = set(arrows) - set(datum.arrow_keys())
+                name = "loop at %r" % (i,) if loop else "arrow %r" % (g,)
+                raise ValueError("%s must be %dx%d" % (name, self.dims[i], self.dims[j]))
+            if loop:
+                self.eps[i] = A
+            else:
+                self.arrows[g] = A
+        unknown = set(arrows) - set(self.arrows)
         if unknown:
             raise ValueError("unknown arrow keys: %r" % (sorted(unknown),))
         self._cache = {}
+
+    @classmethod
+    def from_generators(cls, datum, mats, field=QQ):
+        """The module with matrix mats[g] for every generator g of
+        `datum.generators()`; the loops give the dimensions."""
+        loops = {i: mats[eps_key(i)] for i in datum.vertices}
+        return cls(datum, {i: E.rows for i, E in loops.items()}, loops,
+                   {k: mats[k] for k in datum.arrow_keys()}, field)
 
     def gen_mat(self, gen):
         if gen[0] == "eps":
@@ -178,9 +189,9 @@ class _Content:
 
 
 def _content_key(M):
-    """The memo key of an argument: a module's datum, field, dims and every
-    loop and arrow matrix as the flat int tuple (den, r, c, x, ...) of its
-    nonzeros, columns in order; anything else is its own key."""
+    """The memo key of an argument: a module's datum, field, dims and the
+    matrix of every generator as the flat int tuple (den, r, c, x, ...) of
+    its nonzeros, columns in order; anything else is its own key."""
     if not isinstance(M, ModuleRep):
         return M
     key = M._cache.get("content")
@@ -191,8 +202,7 @@ def _content_key(M):
 
         key = M._cache["content"] = _Content((
             M.datum, M.field, M.dim_vector(),
-            tuple(flat(M.eps[i]) for i in M.datum.vertices),
-            tuple(flat(M.arrows[k]) for k in M.datum.arrow_keys())))
+            tuple(flat(M.gen_mat(g)) for g in M.datum.generators())))
     return key
 
 
@@ -253,23 +263,44 @@ def is_locally_free(M):
     """(True, rank vector) iff each vertex space is free over K[x]/(x^c_i),
     else (False, None); the rank vector is a tuple in vertex order.
 
-    Freeness is decided from ranks of powers of the loop: all Jordan blocks
-    of eps_i must have size exactly c_i.
+    M_i is a module over K[x]/(x^c_i) iff eps_i^c_i = 0, and then it is
+    free iff `_free_rank` says so.
     """
     ranks = []
     for i in M.datum.vertices:
-        c = M.datum.ci(i)
-        d = M.dims[i]
-        if d % c:
+        r = _free_rank(M, i) if M.eps[i].power(M.datum.ci(i)).is_zero() else None
+        if r is None:
             return False, None
-        E = M.eps[i]
-        P = E.power(c - 1)
-        if not (P * E).is_zero():
-            return False, None
-        if linalg.rank(P) != d // c:
-            return False, None
-        ranks.append(d // c)
+        ranks.append(r)
     return True, tuple(ranks)
+
+
+def _free_rank(M, i, B=None, K=None):
+    """The rank over H = K[x]/(x^c), c = c_i, of V = col(B) / col(K) when V
+    is free over H, else None.  B (all of M_i when None) and K (zero when
+    None) have independent columns, col(K) is inside col(B), and both are
+    invariant under eps = eps_i with eps^c = 0 on col(B).
+
+    V is free iff dim V = r c and eps^(c-1) has rank r on V: V is a sum of
+    Jordan blocks of sizes at most c, and eps^(c-1) has rank one on each
+    block of size c and zero on the others.  That rank is the dimension of
+    eps^(c-1) col(B) mod col(K), rank [K | eps^(c-1) B] - rank K.  At c = 1
+    every space is free, and so is the zero space.  `is_crystal` reads the
+    freeness of sub_i (B = `sub_space(M, i)`) and of fac_i
+    (K = `k_space(M, i)`) here, without building either piece.
+    """
+    c, k = M.datum.ci(i), 0 if K is None else K.cols
+    f = (M.dims[i] if B is None else B.cols) - k
+    if c == 1 or f == 0:
+        return f
+    if f % c:
+        return None
+    top = M.eps[i].power(c - 1)
+    if B is not None:
+        top = top * B
+    if k:
+        top = linalg.hstack([K, top])
+    return f // c if linalg.rank(top) - k == f // c else None
 
 
 def rank_vector(M):
@@ -282,11 +313,9 @@ def rank_vector(M):
 def direct_sum(M, N):
     if M.datum != N.datum:
         raise ValueError("direct sum of modules over different data")
-    dims = {i: M.dims[i] + N.dims[i] for i in M.datum.vertices}
-    eps = {i: linalg.block_diag([M.eps[i], N.eps[i]], M.field) for i in M.datum.vertices}
-    arrows = {k: linalg.block_diag([M.arrows[k], N.arrows[k]], M.field)
-              for k in M.datum.arrow_keys()}
-    return ModuleRep(M.datum, dims, eps, arrows, M.field)
+    return ModuleRep.from_generators(
+        M.datum, {g: linalg.block_diag([M.gen_mat(g), N.gen_mat(g)], M.field)
+                  for g in M.datum.generators()}, M.field)
 
 
 def zero_module(datum, field=QQ):
@@ -560,7 +589,7 @@ def _split(M, spaces, sub=True, quot=True):
         else:
             extra[i], coords[i], proj[i] = linalg.complete_basis(B)
     sub_mats, quot_mats = {}, {}
-    for g in [eps_key(i) for i in vertices] + list(M.datum.arrow_keys()):
+    for g in M.datum.generators():
         i, j = gen_target(g), gen_source(g)
         A = M.gen_mat(g)
         if j in basis:
@@ -581,13 +610,8 @@ def _split(M, spaces, sub=True, quot=True):
                 quot_mats[g] = proj[i] * AC
             else:
                 quot_mats[g] = Mat.zeros(field, 0, AC.cols) if i in basis else AC
-
-    def module(mats):
-        dims = {i: mats[eps_key(i)].rows for i in vertices}
-        return ModuleRep(M.datum, dims, {i: mats[eps_key(i)] for i in vertices},
-                         {k: mats[k] for k in M.datum.arrow_keys()}, M.field)
-
-    return module(sub_mats) if sub else None, module(quot_mats) if quot else None
+    return (ModuleRep.from_generators(M.datum, sub_mats, field) if sub else None,
+            ModuleRep.from_generators(M.datum, quot_mats, field) if quot else None)
 
 
 def submodule(M, spaces):
@@ -668,13 +692,6 @@ def _ker_spaces(M, i, K):
 
 # -- E-filtered and crystal tests ---------------------------------------------
 
-def _sub_top(M, i, U):
-    """eps_i^(c_i - 1) U for a basis U inside M_i: column k is nonzero exactly
-    when U e_k generates a loop-submodule isomorphic to E_i, and its rank is
-    the number of E_i summands of a free span(U)."""
-    return M.eps[i].power(M.datum.ci(i) - 1) * U
-
-
 def _rank_one_candidates(M, i):
     """Generators of free rank-one loop-submodules inside sub_i(M).
 
@@ -684,7 +701,7 @@ def _rank_one_candidates(M, i):
     U = sub_space(M, i)
     if U.cols == 0:
         return []
-    top = _sub_top(M, i, U)
+    top = M.eps[i].power(M.datum.ci(i) - 1) * U
     viable = sorted(set().union(*top.nz))   # the columns k with top e_k != 0
     if not viable:
         return []
@@ -704,13 +721,10 @@ def _is_nilpotent_rep(M):
     spaces = {i: Mat.identity(M.field, M.dims[i]) for i in M.datum.vertices}
     total = M.dim_total()
     while total:
-        new = {}
-        for i in M.datum.vertices:
-            imgs = [M.eps[i] * spaces[i]]
-            for key in M.datum.arrow_keys():
-                if key[1] == i:
-                    imgs.append(M.arrows[key] * spaces[gen_source(key)])
-            new[i] = linalg.column_space(linalg.hstack(imgs, field=M.field, rows=M.dims[i]))
+        imgs = {i: [] for i in M.datum.vertices}
+        for g in M.datum.generators():
+            imgs[gen_target(g)].append(M.gen_mat(g) * spaces[gen_source(g)])
+        new = {i: linalg.column_space(linalg.hstack(imgs[i])) for i in M.datum.vertices}
         new_total = sum(b.cols for b in new.values())
         if new_total == total:
             return False
@@ -751,11 +765,8 @@ def _efiltered_search(M):
     if M.dim_total() == 0:
         return True, ()
     for i in M.datum.vertices:
-        c = M.datum.ci(i)
         for v in _rank_one_candidates(M, i):
-            cols = [v]
-            for _ in range(c - 1):
-                cols.append(M.eps[i] * cols[-1])
+            cols = _loop_powers(v, M.datum.ci(i), lambda X: M.eps[i] * X)
             ok, wit = _efiltered_search(quotient(M, {i: linalg.hstack(cols)}))
             if ok:
                 return True, (i,) + wit
@@ -772,18 +783,10 @@ def is_crystal(M):
     leclerc A5 modules take it) ran 0.75 s per pass, not 0.12 s (2 cores).
 
     sub_i and fac_i are not built: both live at vertex i alone, and their
-    local freeness is read off one rank each (`_sub_is_free`,
-    `_fac_is_free`).  M is locally free, so eps = eps_i has eps^c = 0
-    (c = c_i), and a space V with eps^c V = 0 is free over K[x]/(x^c) iff
-    dim V = r c and eps^(c-1) has rank r on V.
-      - sub_i: U = `sub_space(M, i)` has independent eps-invariant
-        columns, so eps^(c-1) on sub_i has the rank of eps^(c-1) U
-        (`_sub_top`).
-      - fac_i = M_i / col(K), K = `k_space(M, i)`, has dimension
-        f = dim M_i - rank K, and eps^(c-1) on it has the rank of its image
-        mod col(K), rank [K | eps^(c-1)] - rank K.
-    At c = 1 every space is free.  Q_i = `quotient(M, {i: U})` is built only
-    when U is nonzero, and K_i = `submodule(M, ...)` only when f is nonzero.
+    local freeness is one `_free_rank` each, of col(U) with
+    U = `sub_space(M, i)` and of M_i / col(K) with K = `k_space(M, i)`.
+    Q_i = `quotient(M, {i: U})` is built only when U is nonzero, and
+    K_i = `submodule(M, ...)` only when col(K) is not all of M_i.
 
     E-filtered is certified by peeling, with no search (`is_E_filtered` is
     not called): a nonzero M passing the per-vertex tests is E-filtered iff
@@ -803,10 +806,10 @@ def is_crystal(M):
     peeled = False
     for i in M.datum.vertices:
         U = sub_space(M, i)
-        if not _sub_is_free(M, i, U):
+        if _free_rank(M, i, B=U) is None:
             return False
         K = k_space(M, i)
-        if not _fac_is_free(M, i, K):
+        if _free_rank(M, i, K=K) is None:
             return False
         if U.cols:
             if not is_crystal(quotient(M, {i: U})):
@@ -815,25 +818,6 @@ def is_crystal(M):
         if K.cols < M.dims[i] and not is_crystal(submodule(M, _ker_spaces(M, i, K))):
             return False
     return peeled
-
-
-def _sub_is_free(M, i, U):
-    """Whether sub_i(M), with basis U = `sub_space(M, i)`, is locally free,
-    for a locally free M; read off one rank, see `is_crystal`."""
-    c = M.datum.ci(i)
-    if c == 1 or U.cols == 0:
-        return True
-    return U.cols % c == 0 and linalg.rank(_sub_top(M, i, U)) == U.cols // c
-
-
-def _fac_is_free(M, i, K):
-    """Whether fac_i(M) = M_i / col(K), K = `k_space(M, i)`, is locally free,
-    for a locally free M; read off one rank, see `is_crystal`."""
-    c, f = M.datum.ci(i), M.dims[i] - K.cols
-    if c == 1 or f == 0:
-        return True
-    return (f % c == 0 and linalg.rank(linalg.hstack([K, M.eps[i].power(c - 1)])) - K.cols
-            == f // c)
 
 
 def is_rigid(M):

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg, pimod
+from .cartan import gen_source, gen_target
 from .linalg import Mat
 from .pimod import ModuleRep
 
@@ -38,31 +39,32 @@ class NoTrials(ValueError):
 def extension_module(top, sub, delta):
     """The middle term of the extension of `top` (quotient) by `sub` with
     derivation `delta` (arrow key -> sub_dims[target] x top_dims[source]
-    matrix; a missing key is zero).
+    matrix; a missing key is zero, and a key that is not an arrow raises
+    ValueError).
 
-    Lives on the vertex-wise direct sum sub_i (+) top_i; arrows act by
-    [[sub_a, delta_a], [0, top_a]], loops act diagonally (derivations have
-    no loop component).  The relations of the result are re-checked and
-    InvalidDerivation is raised on a nonzero residual.
+    Lives on the vertex-wise direct sum sub_i (+) top_i; each generator g
+    acts by [[sub_g, delta_g], [0, top_g]], with delta_g = 0 on the loops
+    (derivations have no loop component).  The relations of the result are
+    re-checked and InvalidDerivation is raised on a nonzero residual.
     """
     if top.datum != sub.datum:
         raise ValueError("extension of modules over different data")
-    datum = top.datum
-    fld = top.field
-    dims = {i: sub.dims[i] + top.dims[i] for i in datum.vertices}
-    eps = {i: linalg.block_diag([sub.eps[i], top.eps[i]], fld) for i in datum.vertices}
-    arrows = {}
-    for key in datum.arrow_keys():
-        _, i, j, _ = key
-        d = delta.get(key)
+    datum, fld = top.datum, top.field
+    unknown = set(delta) - set(datum.arrow_keys())
+    if unknown:
+        raise ValueError("derivation keys that are not arrows: %r" % (sorted(unknown, key=repr),))
+    mats = {}
+    for g in datum.generators():
+        i, j = gen_target(g), gen_source(g)
+        d = delta.get(g)
         if d is None:
             d = Mat.zeros(fld, sub.dims[i], top.dims[j])
         if (d.rows, d.cols) != (sub.dims[i], top.dims[j]):
-            raise ValueError("derivation block %r must be %dx%d" % (key, sub.dims[i], top.dims[j]))
-        arrows[key] = linalg.vstack([
-            linalg.hstack([sub.arrows[key], d]),
-            linalg.hstack([Mat.zeros(fld, top.dims[i], sub.dims[j]), top.arrows[key]])])
-    mid = ModuleRep(datum, dims, eps, arrows, fld)
+            raise ValueError("derivation block %r must be %dx%d" % (g, sub.dims[i], top.dims[j]))
+        mats[g] = linalg.vstack([
+            linalg.hstack([sub.gen_mat(g), d]),
+            linalg.hstack([Mat.zeros(fld, top.dims[i], sub.dims[j]), top.gen_mat(g)])])
+    mid = ModuleRep.from_generators(datum, mats, fld)
     bad = pimod.check_relations(mid)
     if bad:
         raise InvalidDerivation("not a derivation; violated relations: %r" % (bad,))

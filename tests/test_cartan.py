@@ -147,6 +147,12 @@ class TestRelations:
         assert plus == (1, (("eps", 1), ("arr", 1, 2, 1)))
         assert minus == (-1, (("arr", 1, 2, 1), ("eps", 2), ("eps", 2)))
 
+    def test_generators_are_loops_then_arrows(self):
+        datum = validate_datum([[2, -2], [-2, 2]], [1, 1], [(1, 2)])
+        assert datum.generators() == (("eps", 1), ("eps", 2)) + datum.arrow_keys()
+        assert datum.arrow_keys() == (("arr", 1, 2, 1), ("arr", 1, 2, 2),
+                                      ("arr", 2, 1, 1), ("arr", 2, 1, 2))
+
     def test_multiple_arrows_for_gcd_two(self):
         datum = validate_datum([[2, -2], [-2, 2]], [1, 1], [(1, 2)])
         rels = datum.relations()

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from ppalg import catalog, cli, linalg, pimod, selftest
+from ppalg.cartan import default_orientation, validate_datum
 from ppalg.cli import main
 
 
@@ -72,6 +73,19 @@ def files(tmp_path_factory):
         doc = dict(pimod.module_to_json(E2))
         doc["dims"] = {"2": value}
         write("dims_%s.json" % name, doc)
+
+    # locally free and E-filtered, but not crystal (Q_1 is not; see
+    # test_crystal_refuses_a_piece_at_vertex_1 in test_pimod.py)
+    C = [[2, -2], [-1, 2]]
+    rng = random.Random(145)
+    tower = selftest.random_tower(validate_datum(C, [1, 2], default_orientation(C)),
+                                  rng.randint(2, 5), rng)
+    write("not_crystal.json", pimod.module_to_json(tower))
+    disconnected = validate_datum([[2, 0], [0, 2]], [2, 2], [])
+    write("disconnected.json", pimod.module_to_json(pimod.generalized_simple(disconnected, 1)))
+    write("no_algebra.json", {"dims": {}})
+    (root / "not_json.json").write_text("{not json")
+    paths["not_json.json"] = str(root / "not_json.json")
 
     a2 = catalog.a2_datum()
     write("s1.json", pimod.module_to_json(pimod.generalized_simple(a2, 1)))
@@ -160,6 +174,52 @@ class TestValidation:
         path = tmp_path / "labels.json"
         path.write_text(json.dumps({"cartan": cartan, "vertices": ["x", "y", "z"][:len(cartan)],
                                     "symmetrizer": sym}))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "%s: invalid algebra %s" % (path, message) in result.output
+
+    @pytest.mark.parametrize("doc, code, field", [
+        ({"cartan": [[2, -1], [-2, 2]], "symmetrizer": 3}, "shape", "symmetrizer"),
+        ({"cartan": [[2, -1], [-2, 2]], "vertices": [[1], [2]]}, "shape", "vertices"),
+        ({"cartan": [[2, -1], [-2, 2]], "vertices": [1.5, 2]}, "shape", "vertices"),
+        ({"cartan": [[2, -1], [-2, 2]], "vertices": [None, 2]}, "shape", "vertices"),
+        ({"cartan": [[2, -1], [-2, 2]], "orientation": 5}, "orientation_pair", "orientation"),
+        ({"cartan": [[2, -1], [-2, 2]], "orientation": [[1, [2]]]}, "orientation_pair",
+         "orientation"),
+        ({"vertices": [1, 2]}, "shape", "'cartan'"),
+    ], ids=["symmetrizer-int", "vertices-lists", "vertices-float", "vertices-null",
+            "orientation-int", "orientation-nested-list", "no-cartan"])
+    def test_malformed_field_is_named(self, runner, tmp_path, doc, code, field):
+        """A malformed field is a DatumError naming it, not the text of a
+        Python exception; vertex labels are JSON strings or integers."""
+        path = tmp_path / "bad_algebra.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2, result.output
+        head = "%s: invalid algebra (%s): " % (path, code)
+        assert head in result.output and field in result.output.split(head)[1]
+
+    def test_null_symmetrizer_is_minimal(self, runner, tmp_path):
+        path = tmp_path / "null_symmetrizer.json"
+        path.write_text(json.dumps({"cartan": [[2, -1], [-2, 2]], "symmetrizer": None}))
+        assert run_json(runner, ["validate", str(path)])["symmetrizer"] == [2, 1]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"cartan": [[2, -1], [-2, 2]], "symmetrizer": [2, 1, 1]},
+         "(shape): symmetrizer must be a list with one entry per vertex"),
+        ({"cartan": [[2, -1], [-2, 2]], "orientation": [[1, 2, 1]]},
+         "(orientation_pair): orientation entries must be pairs"),
+        ({"cartan": [[2, -1], [-2, 2]], "orientation": [[1, 2], [1, 2]]},
+         "(orientation_pair): duplicate pair in orientation"),
+        ({"cartan": [[2, -1], [-2, 2]], "orientation": [[1, 3]]},
+         "(orientation_pair): orientation pair (1,3) is not an edge"),
+        ({"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "orientation": [[1, 2], [2, 3], [1, 3]]},
+         "(orientation_pair): orientation pair (1,3) has c_ij = 0"),
+    ], ids=["symmetrizer-length", "orientation-triple", "orientation-duplicate",
+            "orientation-not-an-edge", "orientation-c-zero"])
+    def test_invalid_datum_exit_2(self, runner, tmp_path, doc, message):
+        path = tmp_path / "bad_algebra.json"
+        path.write_text(json.dumps(doc))
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code == 2, result.output
         assert "%s: invalid algebra %s" % (path, message) in result.output
@@ -415,7 +475,9 @@ class TestStarCommands:
         assert iso["verdict"] == "isomorphic"
 
     @pytest.mark.parametrize("command,order", [("divide-right", ("nlf.json", "e2.json")),
-                                               ("divide-left", ("e2.json", "nlf.json"))])
+                                               ("divide-left", ("e2.json", "nlf.json")),
+                                               ("ext", ("nlf.json", "e2.json")),
+                                               ("rigid", ("nlf.json",))])
     def test_division_of_a_module_not_locally_free_exit_2(self, runner, files, command, order):
         """A division with a module that is not locally free is a usage error,
         as for `ext`, `rigid` and `reduce`, not a failed division."""
@@ -732,3 +794,41 @@ def test_byte_identical_reports(runner, files):
     b = runner.invoke(main, ["forms", files["a5.json"], "1,2,2,2,1", "0,1,1,1,0"])
     assert a.exit_code == b.exit_code == 0
     assert a.output == b.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["decompose", "e1.json", "--field", "fp:32003"], "decompose requires the rational field"),
+    (["star", "not_crystal.json", "not_crystal.json"], "A is not a crystal module"),
+    (["pieces", "e1.json", "3"], "unknown vertex '3'"),
+    (["forms", "b2.json", "1,x", "1,0"], "rank vectors are comma-separated integers"),
+    (["forms", "b2.json", "1", "1,0"], "rank vector needs 2 entries"),
+    (["forms", "e1.json", "1,0", "1,0"], "invalid algebra (shape): the Cartan matrix ('cartan')"),
+    (["validate", "not_json.json"], "cannot read"),
+    (["check", "no_algebra.json"], "module file needs an 'algebra' entry"),
+    (["reduce", "e1.json"], "symmetrizer is not a multiple of the identity"),
+    (["reduce", "disconnected.json"], "the Cartan matrix must be connected"),
+], ids=["decompose-mod-p", "star-not-crystal", "pieces-unknown-vertex", "forms-not-integer",
+        "forms-short-vector", "forms-on-a-module-file", "not-json", "module-without-algebra",
+        "reduce-nonscalar-symmetrizer", "reduce-disconnected"])
+def test_usage_errors_exit_2(runner, files, args, message):
+    """Each refused input exits 2 with its message; file names stand for
+    the files of the `files` fixture."""
+    result = runner.invoke(main, [files.get(a, a) for a in args])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+
+
+def test_file_format_examples_in_readme(runner, tmp_path):
+    """The algebra config and module file of README's "File formats" load,
+    satisfy the relations and have rank vector (1, 1)."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        section = fh.read().split("## File formats")[1].split("\n## ")[0]
+    algebra, module = [block.split("```")[0] for block in section.split("```json\n")[1:]]
+    assert json.loads(module)["algebra"] == "b2.json"
+    (tmp_path / "b2.json").write_text(algebra)
+    (tmp_path / "module.json").write_text(module)
+    assert run_json(runner, ["validate", str(tmp_path / "b2.json")])["valid"]
+    check = run_json(runner, ["check", str(tmp_path / "module.json")])
+    assert check["ok"] and check["violated"] == []
+    rank = run_json(runner, ["rank", str(tmp_path / "module.json")])
+    assert rank["locally_free"] and rank["rank_vector"] == [1, 1]

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -137,6 +138,15 @@ class TestBasics:
     def test_direct_sum_datum_mismatch(self, a2, b2):
         with pytest.raises(ValueError):
             direct_sum(generalized_simple(a2, 1), generalized_simple(b2, 1))
+
+    @pytest.mark.parametrize("eps, arrows, message", [
+        ({1: Mat.zeros(QQ, 1, 1)}, {}, "loop at 1 must be 2x2"),
+        ({}, {("arr", 2, 1, 1): Mat.zeros(QQ, 2, 1)}, "arrow ('arr', 2, 1, 1) must be 1x2"),
+        ({}, {("arr", 2, 1, 2): Mat.zeros(QQ, 1, 2)}, "unknown arrow keys: [('arr', 2, 1, 2)]"),
+    ], ids=["loop-shape", "arrow-shape", "unknown-arrow"])
+    def test_module_refuses_bad_generator_matrices(self, b2, eps, arrows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModuleRep(b2, {1: 2, 2: 1}, eps, arrows)
 
 
 class TestHomAndExt:
@@ -313,7 +323,7 @@ def test_hom_dim_matches_full_system(name, seed, rank_m, rank_n, field, free):
             f[i] = Mat.zeros(field, N.dims[i], M.dims[i])
             for k in range(c):
                 f[i] = f[i] + N.eps[i].power(k).columns(G) * Z[i] * M.eps[i].power(c - 1 - k)
-        for g in [eps_key(i) for i in datum.vertices] + list(datum.arrow_keys()):
+        for g in datum.generators():
             assert f[gen_target(g)] * M.gen_mat(g) == N.gen_mat(g) * f[gen_source(g)]
 
 
@@ -548,7 +558,7 @@ def test_split_matches_solve_and_projection(name, seed, rank):
     datum = validate_datum(C, D, default_orientation(C))
     rng = random.Random(seed)
     M = random_tower(datum, rank, rng)
-    gens = [eps_key(i) for i in datum.vertices] + list(datum.arrow_keys())
+    gens = datum.generators()
     for spaces in _split_cases(M, rng):
         B = {i: spaces.get(i, Mat.zeros(QQ, M.dims[i], 0)) for i in datum.vertices}
         want_sub = {g: linalg.solve_matrix(B[gen_target(g)], M.gen_mat(g) * B[gen_source(g)])
@@ -582,7 +592,7 @@ def split_reference(M, spaces):
         incl[i] = spaces.get(i, Mat.zeros(M.field, M.dims[i], 0))
         extra[i], coords[i], proj[i] = linalg.complete_basis(incl[i])
     sub_mats, quot_mats = {}, {}
-    for g in [eps_key(i) for i in M.datum.vertices] + list(M.datum.arrow_keys()):
+    for g in M.datum.generators():
         i, j = gen_target(g), gen_source(g)
         A = M.gen_mat(g)
         AB = A * incl[j]
@@ -865,15 +875,13 @@ def _crystal_family(name, seed):
 
 
 def _freeness_by_rank_and_by_piece(X):
-    """Per vertex of a locally free X: ((sub_i free by rank, as built),
-    (fac_i free by rank, as built))."""
+    """Per vertex of a locally free X: ((`_free_rank` of sub_i,
+    `is_locally_free` of the built sub_i), (the same for fac_i))."""
     out = []
     for i in X.datum.vertices:
         p = canonical_pieces(X, i)
-        out.append(((pimod._sub_is_free(X, i, pimod.sub_space(X, i)),
-                     is_locally_free(p.sub)[0]),
-                    (pimod._fac_is_free(X, i, pimod.k_space(X, i)),
-                     is_locally_free(p.fac)[0])))
+        out.append(((pimod._free_rank(X, i, B=pimod.sub_space(X, i)), is_locally_free(p.sub)),
+                    (pimod._free_rank(X, i, K=pimod.k_space(X, i)), is_locally_free(p.fac))))
     return out
 
 
@@ -885,12 +893,15 @@ def _freeness_by_rank_and_by_piece(X):
 @example(name="C3", seed=27)
 def test_freeness_of_sub_and_fac_by_rank(name, seed):
     """`is_crystal` reads the local freeness of sub_i and fac_i off two
-    ranks; on every locally free module of the family that agrees with
-    `is_locally_free` of the built piece."""
+    ranks (`_free_rank`); on every locally free module of the family that
+    agrees with `is_locally_free` of the built piece, and a free piece's
+    rank is its rank vector's entry at i (for fac_i, the crystal's eps_i)."""
     for X in _crystal_family(name, seed):
         if is_locally_free(X)[0]:
-            for sub, fac in _freeness_by_rank_and_by_piece(X):
-                assert sub[0] == sub[1] and fac[0] == fac[1]
+            for a, pair in enumerate(_freeness_by_rank_and_by_piece(X)):
+                for rank, (free, ranks) in pair:
+                    assert (rank is not None) == free
+                    assert rank is None or rank == ranks[a]
 
 
 @pytest.mark.parametrize("name, seed, piece", [
@@ -900,7 +911,7 @@ def test_family_reaches_pieces_that_are_not_free(name, seed, piece):
     """The examples of `test_freeness_of_sub_and_fac_by_rank` reach a
     locally free module whose sub_i or fac_i is not free."""
     k = ("sub", "fac").index(piece)
-    assert any(not pair[k][1]
+    assert any(not pair[k][1][0]
                for X in _crystal_family(name, seed) if is_locally_free(X)[0]
                for pair in _freeness_by_rank_and_by_piece(X))
 
@@ -918,7 +929,9 @@ def test_freeness_by_rank_where_the_dimension_divides(b2):
         pieces = canonical_pieces(XX, 1)
         assert (pieces.sub, pieces.fac)[k].dims[1] == 2
         reading = _freeness_by_rank_and_by_piece(XX)[0]
-        assert reading[k] == (False, False) and reading[1 - k] == (True, True)
+        assert reading[k] == (None, (False, None))
+        rank, (free, ranks) = reading[1 - k]
+        assert free and rank == ranks[0]
         assert not is_crystal(XX)
 
 
@@ -1205,7 +1218,7 @@ def annihilator_reference(M):
     shapes = {i: (M.dims[i], M.dims[i]) for i in datum.vertices}
     hom = [[(1, gen_target(g), Mat.identity(field, M.dims[gen_target(g)]), M.gen_mat(g)),
             (-1, gen_source(g), M.gen_mat(g), Mat.identity(field, M.dims[gen_source(g)]))]
-           for g in [eps_key(i) for i in datum.vertices] + list(datum.arrow_keys())]
+           for g in datum.generators()]
     out = []
     for i in sorted(datum.vertices, key=lambda i: M.dims[i]):
         d = M.dims[i]

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -79,6 +80,18 @@ class TestExtensionModule:
         from ppalg.linalg import Mat, QQ
         with pytest.raises(ValueError):
             extension_module(E1, E2, {("arr", 2, 1, 1): Mat.zeros(QQ, 5, 5)})
+
+    @pytest.mark.parametrize("key", [("arr", 2, 1, 7), ("eps", 2), "a_2_1_1"],
+                             ids=["no-such-arrow-index", "loop", "arrow-name"])
+    def test_keys_that_are_not_arrows_rejected(self, b2, key):
+        """A nonsplit derivation block under a key that is not an arrow
+        raises ValueError naming the key; dropping it would give the split
+        extension."""
+        E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
+        block = pimod.derivation_basis(E1, E2)[0][("arr", 2, 1, 1)]
+        assert not block.is_zero()
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            extension_module(E1, E2, {key: block})
 
 
 class TestGenericExtension:
