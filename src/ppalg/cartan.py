@@ -13,6 +13,7 @@ at every vertex.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -221,6 +222,11 @@ def _vertex_labels(vertices, n):
     return vertices
 
 
+def _js(*values):
+    """The values spelled as JSON (true, "x", [2]), a tuple for %-formatting."""
+    return tuple(json.dumps(v, default=repr) for v in values)
+
+
 def _check_cartan_matrix(cartan, vertices):
     """The labels of C's vertices (see `_vertex_labels`), once C is checked
     to be a generalized Cartan matrix."""
@@ -236,16 +242,16 @@ def _check_cartan_matrix(cartan, vertices):
         raise DatumError("shape", "Cartan matrix entries must be integers")
     for a in range(n):
         if cartan[a][a] != 2:
-            raise DatumError("diagonal", "c_ii must equal 2 at vertex %r" % (vertices[a],))
+            raise DatumError("diagonal", "c_ii must equal 2 at vertex %s" % _js(vertices[a]))
         for b in range(n):
             if a == b:
                 continue
             if cartan[a][b] > 0:
                 raise DatumError("offdiag_positive",
-                                 "c_ij must be <= 0 for i != j (at %r,%r)" % (vertices[a], vertices[b]))
+                                 "c_ij must be <= 0 for i != j (at %s,%s)" % _js(vertices[a], vertices[b]))
             if (cartan[a][b] == 0) != (cartan[b][a] == 0):
                 raise DatumError("zero_pattern",
-                                 "c_ij = 0 must imply c_ji = 0 (at %r,%r)" % (vertices[a], vertices[b]))
+                                 "c_ij = 0 must imply c_ji = 0 (at %s,%s)" % _js(vertices[a], vertices[b]))
     return vertices
 
 
@@ -294,12 +300,12 @@ def validate_datum(cartan, sym, orient, vertices=None):
     for a in range(n):
         if not _is_int(sym[a]) or sym[a] < 1:
             raise DatumError("symmetrizer_positive",
-                             "symmetrizer entries must be positive integers (vertex %r)" % (vertices[a],))
+                             "symmetrizer entries must be positive integers (vertex %s)" % _js(vertices[a]))
     for a in range(n):
         for b in range(n):
             if sym[a] * cartan[a][b] != sym[b] * cartan[b][a]:
                 raise DatumError("dc_not_symmetric",
-                                 "DC is not symmetric at (%r,%r)" % (vertices[a], vertices[b]))
+                                 "DC is not symmetric at (%s,%s)" % _js(vertices[a], vertices[b]))
     if not isinstance(orient, (list, tuple)):
         raise DatumError("orientation_pair", "orientation must be a list of pairs")
     idx = {v: k for k, v in enumerate(vertices)}
@@ -309,10 +315,10 @@ def validate_datum(cartan, sym, orient, vertices=None):
             raise DatumError("orientation_pair", "orientation entries must be pairs")
         i, j = p
         if not (_is_label(i) and _is_label(j)) or i not in idx or j not in idx or i == j:
-            raise DatumError("orientation_pair", "orientation pair (%r,%r) is not an edge" % (i, j))
+            raise DatumError("orientation_pair", "orientation pair (%s,%s) is not an edge" % _js(i, j))
         if cartan[idx[i]][idx[j]] >= 0:
             raise DatumError("orientation_pair",
-                             "orientation pair (%r,%r) has c_ij = 0" % (i, j))
+                             "orientation pair (%s,%s) has c_ij = 0" % _js(i, j))
         pairs.add((i, j))
     if len(pairs) != len(orient):
         raise DatumError("orientation_pair", "duplicate pair in orientation")
@@ -321,13 +327,13 @@ def validate_datum(cartan, sym, orient, vertices=None):
             if cartan[idx[i]][idx[j]] < 0:
                 hit = ((i, j) in pairs) + ((j, i) in pairs)
                 if hit == 0:
-                    raise DatumError("orientation_pair", "edge {%r,%r} is not oriented" % (i, j))
+                    raise DatumError("orientation_pair", "edge {%s,%s} is not oriented" % _js(i, j))
                 if hit == 2:
                     raise DatumError("orientation_pair",
-                                     "edge {%r,%r} is oriented in both directions" % (i, j))
+                                     "edge {%s,%s} is oriented in both directions" % _js(i, j))
     cyc = _find_cycle(vertices, pairs)
     if cyc:
-        raise DatumError("orientation_cycle", "orientation contains the cycle %r" % (cyc,))
+        raise DatumError("orientation_cycle", "orientation contains the cycle %s" % _js(cyc))
     return CartanDatum(vertices, cartan, sym, sorted(pairs, key=lambda p: (idx[p[0]], idx[p[1]])))
 
 
@@ -374,8 +380,8 @@ def minimal_symmetrizer(cartan, vertices=None):
                     comp.append(b)
                 elif values[b] != want:
                     raise DatumError("not_symmetrizable",
-                                     "no symmetrizer exists (cycle through %r,%r)"
-                                     % (vertices[a], vertices[b]))
+                                     "no symmetrizer exists (cycle through %s,%s)"
+                                     % _js(vertices[a], vertices[b]))
         scale = lcm(*[values[v].denominator for v in comp])
         ints = [values[v] * scale for v in comp]
         shrink = gcd(*[int(x) for x in ints])

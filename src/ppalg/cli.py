@@ -417,14 +417,7 @@ def star(mod_a, mod_b, seed, trials, field, fmt, out):
 @_randomized
 def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
     """The generic cokernel M / B (B embedded generically into M)."""
-    M, B = _load_pair(mod_m, mod_b, field)
-    try:
-        Q = starop.generic_cokernel(M, B, trials=trials, seed=seed)
-    except (pimod.NotLocallyFree, NoTrials) as exc:
-        raise click.UsageError(str(exc))
-    except (DivisionUndefined, ValueError) as exc:
-        _fail(str(exc), seed, fmt, out)
-    _emit({"seed": seed, "trials": trials, "module": pimod.module_to_json(Q)}, fmt, out)
+    _divide(starop.generic_cokernel, mod_m, mod_b, seed, trials, field, fmt, out)
 
 
 @main.command(name="divide-left")
@@ -434,14 +427,19 @@ def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
 @_randomized
 def divide_left(mod_a, mod_m, seed, trials, field, fmt, out):
     """The generic kernel A \\ M (M mapped generically onto A)."""
-    A, M = _load_pair(mod_a, mod_m, field)
+    _divide(starop.generic_kernel, mod_a, mod_m, seed, trials, field, fmt, out)
+
+
+def _divide(division, path_a, path_b, seed, trials, field, fmt, out):
+    """Run `division` on the two module files and emit its module."""
+    A, B = _load_pair(path_a, path_b, field)
     try:
-        K = starop.generic_kernel(A, M, trials=trials, seed=seed)
+        D = division(A, B, trials=trials, seed=seed)
     except (pimod.NotLocallyFree, NoTrials) as exc:
         raise click.UsageError(str(exc))
     except (DivisionUndefined, ValueError) as exc:
         _fail(str(exc), seed, fmt, out)
-    _emit({"seed": seed, "trials": trials, "module": pimod.module_to_json(K)}, fmt, out)
+    _emit({"seed": seed, "trials": trials, "module": pimod.module_to_json(D)}, fmt, out)
 
 
 def _md_table(payload):

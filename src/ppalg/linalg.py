@@ -269,10 +269,17 @@ class Mat:
 
     def power(self, k):
         assert self.rows == self.cols and k >= 0
-        out = Mat.identity(self.field, self.rows)
-        for _ in range(k):
+        out = self if k else Mat.identity(self.field, self.rows)
+        for _ in range(k - 1):
             out = out * self
         return out
+
+    def transpose(self):
+        nz = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self.nz):
+            for c, x in row.items():
+                nz[c][r] = x
+        return Mat.from_form(self.field, self.cols, self.rows, self.den, nz)
 
     def columns(self, js):
         """The matrix of the columns js of self, in that order."""

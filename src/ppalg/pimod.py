@@ -5,11 +5,11 @@ the loops and arrows of `CartanDatum.generators()`.  `ModuleRep` checks
 them in one walk over that list, and `ModuleRep.from_generators` builds a
 module from a map generator -> matrix, as `direct_sum`, `_split` and
 `starop.extension_module` do.  On top of that this file implements:
-relation checking, local freeness and rank vectors, Hom and derivation
-spaces, Ext^1 through the four-term sequence Hom -> Hom_T -> Der -> Ext^1,
-the canonical pieces sub_i / fac_i / K_i / Q_i, the E-filtered and crystal
-tests, rigidity, randomized isomorphism testing and direct-sum
-decomposition.
+relation checking, local freeness and rank vectors, duals, Hom and
+derivation spaces, Ext^1 through the four-term sequence Hom -> Hom_T ->
+Der -> Ext^1, the canonical pieces sub_i / fac_i / K_i / Q_i, the
+E-filtered and crystal tests, rigidity, randomized isomorphism testing and
+direct-sum decomposition.
 
 Every matrix is a `linalg.Mat`, integer rows of nonzeros over one
 denominator, so every product, word (`_word`) and relation check works on
@@ -315,6 +315,15 @@ def direct_sum(M, N):
         raise ValueError("direct sum of modules over different data")
     return ModuleRep.from_generators(
         M.datum, {g: linalg.block_diag([M.gen_mat(g), N.gen_mat(g)], M.field)
+                  for g in M.datum.generators()}, M.field)
+
+
+def dual(M):
+    """M^v: M^v_i = Hom_K(M_i, K), the loop at i acting by eps_i^T and the
+    arrow (i, j, g) by M's arrow (j, i, g) transposed, with no sign.  It
+    turns 0 -> Y -> Z -> X -> 0 into 0 -> X^v -> Z^v -> Y^v -> 0."""
+    return ModuleRep.from_generators(
+        M.datum, {g: M.gen_mat(g if g[0] == "eps" else arrow_key(g[2], g[1], g[3])).transpose()
                   for g in M.datum.generators()}, M.field)
 
 
@@ -857,16 +866,14 @@ def hom_is_injective(f, M):
     return all(linalg.rank(f[i]) == M.dims[i] for i in M.datum.vertices)
 
 
-def hom_is_surjective(f, N):
-    return all(linalg.rank(f[i]) == N.dims[i] for i in N.datum.vertices)
-
-
 @_memoized
 def iso_fingerprint(M):
-    """A cheap isomorphism invariant: dimensions, End, and Hom against all E_i."""
-    simples = [generalized_simple(M.datum, i, M.field) for i in M.datum.vertices]
+    """A cheap isomorphism invariant: dimensions, End, and Hom against all
+    E_i, with no system: hom(E_i, M) = dim sub_i(M) and, H_i = K[x]/(x^c_i)
+    being Frobenius, hom(M, E_i) = dim M_i - dim K_i(M), for every module."""
     return (M.dim_vector(), hom_dim(M, M),
-            tuple((hom_dim(E, M), hom_dim(M, E)) for E in simples))
+            tuple((sub_space(M, i).cols, M.dims[i] - k_space(M, i).cols)
+                  for i in M.datum.vertices))
 
 
 def iso_test(M, N, trials=8, seed=0):

@@ -1,4 +1,5 @@
-"""The generic-extension operation * and its kernel/cokernel divisions.
+"""The generic-extension operation * and its divisions: one cokernel search,
+whose image under module duality (`pimod.dual`) is the kernel.
 
 For rigid crystal inputs the product is certified through the short exact
 sequence lemma: any exact sequence 0 -> M2 -> M -> M1 -> 0 of rigid crystal
@@ -158,46 +159,36 @@ def star(top, sub, trials=8, seed=0):
     return generic_extension(top, sub, trials=trials, seed=seed).module
 
 
-def _generic_division(hb, keep, piece, trials, seed, map_name, piece_name):
-    """The least-Ext^1 `piece(f)` over nonzero draws f from `hb` passing
-    `keep`; raises unless one passes and the piece is E-filtered, and
-    NoTrials (a ValueError) when `trials` is below 1."""
-    if trials < 1:
-        raise NoTrials("division undefined: %d trials draw no %s" % (trials, map_name))
-    best = _least_self_ext(hb, piece, trials, seed, keep=lambda f: f and keep(f))
-    if best is None:
-        raise DivisionUndefined("division undefined (no generic %s found)" % map_name)
-    if not pimod.is_E_filtered(best[2])[0]:
-        raise pimod.ConsistencyError("%s between crystal modules failed the E-filtered test"
-                                     % piece_name)
-    return best[2]
-
-
 def generic_cokernel(mid, sub, trials=8, seed=0):
     """The generic cokernel of embeddings of `sub` into `mid`.
 
     Samples hom space elements, keeps the injective ones, and returns the
     first cokernel minimizing dim Ext^1 with itself (a rigid one ends the
     search).  The result is checked to be E-filtered (cokernels of
-    monomorphisms between crystal modules are).
+    monomorphisms between crystal modules are).  Raises NoTrials (a
+    ValueError) when `trials` is below 1.
     """
     if any(a < b for a, b in zip(pimod.rank_vector(mid), pimod.rank_vector(sub))):
         raise ValueError("rank vector of the sub exceeds the ambient module")
-    return _generic_division(
-        pimod.hom_basis(sub, mid), lambda f: pimod.hom_is_injective(f, sub),
-        lambda f: pimod.quotient(mid, f),   # injective => independent columns
-        trials, seed, "embedding", "cokernel of a monomorphism")
+    if trials < 1:
+        raise NoTrials("division undefined: %d trials draw no embedding" % trials)
+    best = _least_self_ext(pimod.hom_basis(sub, mid),
+                           lambda f: pimod.quotient(mid, f),   # injective => independent columns
+                           trials, seed, keep=lambda f: f and pimod.hom_is_injective(f, sub))
+    if best is None:
+        raise DivisionUndefined("division undefined (no generic embedding found)")
+    if not pimod.is_E_filtered(best[2])[0]:
+        raise pimod.ConsistencyError(
+            "cokernel of a monomorphism between crystal modules failed the E-filtered test")
+    return best[2]
 
 
 def generic_kernel(top, mid, trials=8, seed=0):
-    """The generic kernel of surjections from `mid` onto `top` (dual of
-    generic_cokernel); the result is checked to be E-filtered."""
+    """The generic kernel of surjections from `mid` onto `top`: the dual of
+    the generic cokernel of embeddings top^v -> mid^v (see `pimod.dual`)."""
     if any(a < b for a, b in zip(pimod.rank_vector(mid), pimod.rank_vector(top))):
         raise ValueError("rank vector of the top exceeds the ambient module")
-    return _generic_division(
-        pimod.hom_basis(mid, top), lambda f: pimod.hom_is_surjective(f, top),
-        lambda f: pimod.submodule(mid, {i: linalg.nullspace(f[i]) for i in f}),
-        trials, seed, "surjection", "kernel of an epimorphism")
+    return pimod.dual(generic_cokernel(pimod.dual(mid), pimod.dual(top), trials, seed))
 
 
 @dataclass

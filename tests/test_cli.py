@@ -160,12 +160,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("cartan, sym, message", [
         ([[2, 1], [-1, 2]], "minimal",
-         "(offdiag_positive): c_ij must be <= 0 for i != j (at 'x','y')"),
+         '(offdiag_positive): c_ij must be <= 0 for i != j (at "x","y")'),
         ([[2, 1], [-1, 2]], [1, 1],
-         "(offdiag_positive): c_ij must be <= 0 for i != j (at 'x','y')"),
-        ([[2, -1], [0, 2]], "minimal", "(zero_pattern): c_ij = 0 must imply c_ji = 0 (at 'x','y')"),
+         '(offdiag_positive): c_ij must be <= 0 for i != j (at "x","y")'),
+        ([[2, -1], [0, 2]], "minimal", '(zero_pattern): c_ij = 0 must imply c_ji = 0 (at "x","y")'),
         ([[2, -1, -2], [-2, 2, -1], [-1, -2, 2]], "minimal",
-         "(not_symmetrizable): no symmetrizer exists (cycle through 'z','y')"),
+         '(not_symmetrizable): no symmetrizer exists (cycle through "z","y")'),
     ], ids=["offdiag-positive", "offdiag-positive-with-symmetrizer", "zero-pattern",
             "not-symmetrizable"])
     def test_errors_name_the_file_vertex_labels(self, runner, tmp_path, cartan, sym, message):
@@ -215,8 +215,13 @@ class TestValidation:
          "(orientation_pair): orientation pair (1,3) is not an edge"),
         ({"cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], "orientation": [[1, 2], [2, 3], [1, 3]]},
          "(orientation_pair): orientation pair (1,3) has c_ij = 0"),
+        ({"cartan": [[2, -1], [-2, 2]], "orientation": [[True, 2]]},
+         "(orientation_pair): orientation pair (true,2) is not an edge"),
+        ({"cartan": [[2, -1], [-2, 2]], "orientation": [["x", 2]]},
+         '(orientation_pair): orientation pair ("x",2) is not an edge'),
     ], ids=["symmetrizer-length", "orientation-triple", "orientation-duplicate",
-            "orientation-not-an-edge", "orientation-c-zero"])
+            "orientation-not-an-edge", "orientation-c-zero", "orientation-boolean-label",
+            "orientation-string-label"])
     def test_invalid_datum_exit_2(self, runner, tmp_path, doc, message):
         path = tmp_path / "bad_algebra.json"
         path.write_text(json.dumps(doc))
@@ -729,7 +734,7 @@ def test_reports_digest(runner, tmp_path):
 # sums X (+) Y at seeds 0 and 1; and an A3 module lifted to (C, 3D), then
 # reduced and cut into its pieces.  Like REPORTS_SHA256 it pins the basis
 # choices behind the printed matrices.
-SPLIT_REPORTS_SHA256 = "6331a8cc0d09ae812ff9bcb5c1a06c0c382ead1033a7b5c151e7500583749d90"
+SPLIT_REPORTS_SHA256 = "ed9179a0386354f9240abb4f05814972021319df71b8672e2c3ff1377a4d6aec"
 
 
 def _conjugated(M, shift):

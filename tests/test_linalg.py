@@ -483,9 +483,9 @@ def dense_kernel_rows(A):
 @given(data=st.data())
 def test_sparse_arithmetic_matches_dense_reference(field, data):
     """Every sparse operation, `rows_nullspace` and `complete_basis` give
-    the dense reference's entries in canonical form; a product and
-    `from_rows` of its entries are `==` and give one memo key, a changed
-    entry changes the key, and `data` cannot be written."""
+    the dense reference's entries in canonical form, and (AB)^T = B^T A^T;
+    a product and `from_rows` of its entries are `==` and give one memo
+    key, a changed entry changes the key, and `data` cannot be written."""
     A = data.draw(sparse_mat(field))
     B = data.draw(sparse_mat(field, rows=A.cols))
     C = data.draw(sparse_mat(field, rows=A.rows, cols=A.cols))
@@ -503,9 +503,11 @@ def test_sparse_arithmetic_matches_dense_reference(field, data):
     assert_matches(A.columns(js), [[row[j] for j in js] for row in exact(A)])
     assert A.is_zero() == all(not x for row in exact(A) for x in row)
     want = [[int(r == j) for j in range(S.rows)] for r in range(S.rows)]
-    for _ in range(3):
+    for k in range(5):   # the identity at k = 0, then repeated products
+        assert_matches(S.power(k), want)
         want = dense_mul(want, exact(S), S.cols)
-    assert_matches(S.power(3), want)
+    assert_matches(A.transpose(), [[row[c] for row in exact(A)] for c in range(A.cols)])
+    assert A.transpose().transpose() == A and (A * B).transpose() == B.transpose() * A.transpose()
     assert_matches(linalg.rows_nullspace(field, dense_kernel_rows(A), A.cols),
                    exact(sympy_nullspace(A)))
 

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from ppalg import catalog, pimod, starop
+from ppalg import catalog, linalg, pimod, starop
 from ppalg.pimod import direct_sum, generalized_simple, iso_test, rank_vector
 from ppalg.starop import (DivisionUndefined, InvalidDerivation, extension_module,
                           generic_cokernel, generic_extension, generic_kernel, star,
@@ -45,7 +45,6 @@ class TestExtensionModule:
     def test_sequence_is_exact(self, b2):
         E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
         res = generic_extension(E1, E2, seed=0)
-        from ppalg import linalg
         for i in b2.vertices:
             assert linalg.rank(res.inject[i]) == E2.dims[i]
             assert linalg.rank(res.project[i]) == E1.dims[i]
@@ -259,3 +258,45 @@ class TestTableAndCancellation:
         assert report["ok"] and report["comparisons"] == 4
         # both sides read one table of the four ordered products
         assert len(products) == 4
+
+
+# -- the kernel by duality against the surjection search it replaced ------------
+
+def kernel_by_surjections(top, mid, trials=8, seed=0):
+    """Reference: (ext_self, kernel) of the least-Ext^1 kernel over draws of
+    surjections mid -> top from Hom(mid, top), each kernel the `submodule`
+    of the nullspaces, as `generic_kernel` searched before it went through
+    duality."""
+    def onto(f):
+        return f and all(linalg.rank(f[i]) == top.dims[i] for i in top.datum.vertices)
+
+    ext_self, _, ker = starop._least_self_ext(
+        pimod.hom_basis(mid, top),
+        lambda f: pimod.submodule(mid, {i: linalg.nullspace(f[i]) for i in f}),
+        trials, seed, keep=onto)
+    return ext_self, ker
+
+
+@pytest.fixture(scope="module")
+def b2_products():
+    """(X, Y, X * Y) over the 36 ordered pairs of the B2 table."""
+    mods = [e.module for e in catalog.b2_suite().entries]
+    return [(X, Y, star(X, Y, seed=0)) for X in mods for Y in mods]
+
+
+def test_kernel_by_duality_matches_surjection_search(b2_products):
+    """On every B2 product, the dual route's kernel is isomorphic to the
+    surjection search's, with the same Ext^1 with itself."""
+    assert len(b2_products) == 36
+    for X, Y, P in b2_products:
+        ext_self, ref = kernel_by_surjections(X, P)
+        ker = generic_kernel(X, P, seed=0)
+        assert pimod.ext1_dim(ker, ker) == ext_self
+        assert iso_test(ker, ref, trials=16)
+
+
+def test_dual_of_product_is_product_of_duals(b2_products):
+    """(X * Y)^v = Y^v * X^v on every cell of the B2 table."""
+    dual = pimod.dual
+    for X, Y, P in b2_products:
+        assert iso_test(dual(P), star(dual(Y), dual(X), seed=0), trials=16)
