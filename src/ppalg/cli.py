@@ -400,9 +400,7 @@ def _star_payload(res):
 def star(mod_a, mod_b, seed, trials, field, fmt, out):
     """The generic extension A * B (A on top, B as sub)."""
     A, B = _load_pair(mod_a, mod_b, field)
-    for name, M in (("A", A), ("B", B)):
-        if not pimod.is_crystal(M):
-            raise click.UsageError("%s is not a crystal module" % name)
+    _require_crystal(("A", "B"), (A, B))
     try:
         res = starop.generic_extension(A, B, trials=trials, seed=seed)
     except NoTrials as exc:
@@ -417,7 +415,7 @@ def star(mod_a, mod_b, seed, trials, field, fmt, out):
 @_randomized
 def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
     """The generic cokernel M / B (B embedded generically into M)."""
-    _divide(starop.generic_cokernel, mod_m, mod_b, seed, trials, field, fmt, out)
+    _divide(starop.generic_cokernel, ("M", "B"), mod_m, mod_b, seed, trials, field, fmt, out)
 
 
 @main.command(name="divide-left")
@@ -427,12 +425,24 @@ def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
 @_randomized
 def divide_left(mod_a, mod_m, seed, trials, field, fmt, out):
     """The generic kernel A \\ M (M mapped generically onto A)."""
-    _divide(starop.generic_kernel, mod_a, mod_m, seed, trials, field, fmt, out)
+    _divide(starop.generic_kernel, ("A", "M"), mod_a, mod_m, seed, trials, field, fmt, out)
 
 
-def _divide(division, path_a, path_b, seed, trials, field, fmt, out):
-    """Run `division` on the two module files and emit its module."""
+def _require_crystal(names, modules):
+    """Refuse (exit 2) an input that is not locally free, or that is locally
+    free but not crystal, naming it by its entry in `names`."""
+    for name, M in zip(names, modules):
+        if not pimod.is_locally_free(M)[0]:
+            raise click.UsageError("%s: module is not locally free" % name)
+        if not pimod.is_crystal(M):
+            raise click.UsageError("%s is not a crystal module" % name)
+
+
+def _divide(division, names, path_a, path_b, seed, trials, field, fmt, out):
+    """Run `division` on the two module files, `names` in the messages, and
+    emit its module."""
     A, B = _load_pair(path_a, path_b, field)
+    _require_crystal(names, (A, B))
     try:
         D = division(A, B, trials=trials, seed=seed)
     except (pimod.NotLocallyFree, NoTrials) as exc:

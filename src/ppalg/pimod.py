@@ -22,6 +22,9 @@ vector, as `hom_dim` into a locally free module does, it writes the arrow
 equations alone, over free generators of the target; hom_basis and
 hom_t_dim get the full loop-and-arrow systems.
 
+hom_basis and derivation_basis return a `KernelBasis`, which
+`random_combination` draws from without unflattening the whole basis.
+
 `submodule`, `quotient` and `canonical_pieces` share one block-triangular
 split per vertex, `_split`, and return modules only, with no inclusion or
 projection maps.  `_split` refuses (ValueError) spaces with dependent
@@ -397,18 +400,62 @@ def _linear_system(field, shapes, equations):
     return rows, nvars
 
 
-def _kernel_basis(field, system, shapes):
-    """The solutions of system = (rows, nvars), as block dicts laid out by
-    `shapes` (the inverse of the `_var_layout(shapes)` flattening)."""
-    ns = linalg.rows_nullspace(field, *system)
+def _unflatten(field, shapes, den, rows, n):
+    """The n vectors with coordinates rows / den (row v of the unknowns,
+    {vector: int}), as block dicts laid out by `shapes`: the inverse of the
+    `_var_layout(shapes)` flattening."""
     cells = [(key, u, v) for key, (r, c) in shapes.items() for u in range(r) for v in range(c)]
-    blocks = [{key: [{} for _ in range(r)] for key, (r, _) in shapes.items()}
-              for _ in range(ns.cols)]
-    for (key, u, v), row in zip(cells, ns.nz):
+    blocks = [{key: [{} for _ in range(r)] for key, (r, _) in shapes.items()} for _ in range(n)]
+    for (key, u, v), row in zip(cells, rows):
         for k, x in row.items():
             blocks[k][key][u][v] = x
-    return [{key: Mat.from_form(field, r, c, ns.den, nz[key]) for key, (r, c) in shapes.items()}
+    return [{key: Mat.from_form(field, r, c, den, nz[key]) for key, (r, c) in shapes.items()}
             for nz in blocks]
+
+
+class KernelBasis:
+    """The solutions of a linear system as a read-only sequence of block
+    dicts laid out by `shapes`, held as the system's `rows_nullspace`
+    matrix, one column per solution, and unflattened on first index.
+    `combination` builds sum_b c_b x_b as one combination of the matrix's
+    rows, unflattening that one element only (every `Mat` has one
+    canonical form)."""
+
+    __slots__ = ("field", "kernel", "shapes", "_elements")
+
+    def __init__(self, field, kernel, shapes):
+        self.field, self.kernel, self.shapes, self._elements = field, kernel, shapes, None
+
+    def __len__(self):
+        return self.kernel.cols
+
+    def __getitem__(self, k):
+        if self._elements is None:
+            K = self.kernel
+            self._elements = _unflatten(self.field, self.shapes, K.den, K.nz, K.cols)
+        return self._elements[k]
+
+    def combination(self, coeffs):
+        field, K = self.field, self.kernel
+        if not K.cols:
+            return {}
+        p = field.char
+        cs = [field.coerce(c) for c in coeffs]   # Fractions over Q, residues over GF(p)
+        d = lcm(*[c.denominator for c in cs])
+        ns = [c.numerator * (d // c.denominator) for c in cs]
+        rows = []
+        for row in K.nz:
+            x = sum(ns[k] * v for k, v in row.items())
+            if p:
+                x %= p
+            rows.append({0: x} if x else {})
+        return _unflatten(field, self.shapes, K.den * d, rows, 1)[0]
+
+
+def _kernel_basis(field, system, shapes):
+    """The solutions of system = (rows, nvars), as a `KernelBasis` of block
+    dicts laid out by `shapes`."""
+    return KernelBasis(field, linalg.rows_nullspace(field, *system), shapes)
 
 
 def _nullity(field, system):
@@ -476,7 +523,7 @@ def _der_system(M, N):
 
 
 def hom_basis(M, N):
-    """Basis of the intertwiner space Hom(M, N).
+    """Basis of the intertwiner space Hom(M, N), as a `KernelBasis`.
 
     Elements are dicts {vertex: matrix N_i x M_i} commuting with every loop
     and arrow action.
@@ -509,7 +556,7 @@ def hom_t_dim(M, N):
 
 
 def derivation_basis(M, N):
-    """Basis of the derivation space Der(M, N).
+    """Basis of the derivation space Der(M, N), as a `KernelBasis`.
 
     Elements assign a matrix N_{t(a)} x M_{s(a)} to every arrow (loops get
     nothing); the defining condition is that the block-triangular module on
@@ -844,7 +891,10 @@ COEFF_BOUND = 10  # random coefficients are integers in [-10, 10]
 
 
 def _combination(basis, coeffs):
-    """sum_b coeffs[b] basis[b] of dict-shaped hom/der elements ({} if none)."""
+    """sum_b coeffs[b] basis[b] of dict-shaped hom/der elements ({} if none);
+    a `KernelBasis` forms it from its kernel matrix."""
+    if isinstance(basis, KernelBasis):
+        return basis.combination(coeffs)
     if not basis:
         return {}
     out = {}
@@ -859,7 +909,8 @@ def _combination(basis, coeffs):
 
 def random_combination(basis, rng):
     """A random integer combination of hom/der basis elements (dict-shaped)."""
-    return _combination(basis, [rng.randint(-COEFF_BOUND, COEFF_BOUND) for _ in basis])
+    return _combination(basis, [rng.randint(-COEFF_BOUND, COEFF_BOUND)
+                                for _ in range(len(basis))])
 
 
 def hom_is_injective(f, M):

@@ -10,6 +10,8 @@ so results carry an explicit "heuristic" flag; genericity is approximated
 by minimizing dim Ext^1 of the candidate with itself (semicontinuity).
 Each sampled class goes straight to `extension_module(top, sub, delta)`,
 which builds its middle term from the two modules and the derivation.
+Every search draws straight from the kernel matrix of its
+`pimod.KernelBasis`, so a draw builds one derivation or map, not the basis.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ def extension_module(top, sub, delta):
 
     Lives on the vertex-wise direct sum sub_i (+) top_i; each generator g
     acts by [[sub_g, delta_g], [0, top_g]], with delta_g = 0 on the loops
-    (derivations have no loop component).  The relations of the result are
-    re-checked and InvalidDerivation is raised on a nonzero residual.
+    (derivations have no loop component), written by one `linalg._stack`
+    of its nonzero blocks.  The relations of the result are re-checked and
+    InvalidDerivation is raised on a nonzero residual.
     """
     if top.datum != sub.datum:
         raise ValueError("extension of modules over different data")
@@ -57,14 +60,16 @@ def extension_module(top, sub, delta):
     mats = {}
     for g in datum.generators():
         i, j = gen_target(g), gen_source(g)
+        blocks, place = [sub.gen_mat(g), top.gen_mat(g)], [(0, 0), (sub.dims[i], sub.dims[j])]
         d = delta.get(g)
-        if d is None:
-            d = Mat.zeros(fld, sub.dims[i], top.dims[j])
-        if (d.rows, d.cols) != (sub.dims[i], top.dims[j]):
-            raise ValueError("derivation block %r must be %dx%d" % (g, sub.dims[i], top.dims[j]))
-        mats[g] = linalg.vstack([
-            linalg.hstack([sub.gen_mat(g), d]),
-            linalg.hstack([Mat.zeros(fld, top.dims[i], sub.dims[j]), top.gen_mat(g)])])
+        if d is not None:
+            if (d.rows, d.cols) != (sub.dims[i], top.dims[j]):
+                raise ValueError("derivation block %r must be %dx%d"
+                                 % (g, sub.dims[i], top.dims[j]))
+            blocks.append(d)
+            place.append((0, sub.dims[j]))
+        mats[g] = linalg._stack(blocks, fld, sub.dims[i] + top.dims[i],
+                                sub.dims[j] + top.dims[j], place)
     mid = ModuleRep.from_generators(datum, mats, fld)
     bad = pimod.check_relations(mid)
     if bad:

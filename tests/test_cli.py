@@ -587,6 +587,28 @@ def test_certified_negative_commands(runner, tmp_path):
     assert run_json(runner, ["efiltered", str(path)]) == {"e_filtered": False, "witness": None}
 
 
+@pytest.mark.parametrize("command", ["divide-right", "divide-left"])
+def test_divisions_refuse_a_locally_free_non_crystal_input(runner, tmp_path, command):
+    """Over A1~ with the minimal symmetrizer, N = M (+) E_1, M the cycle
+    module above, is locally free but not crystal: dividing it by E_1 on
+    either side exits 2 and names it, with no traceback."""
+    datum = validate_datum([[2, -2], [-2, 2]], [1, 1], [[1, 2]])
+    M = pimod.module_from_json({"dims": {"1": 1, "2": 1},
+                                "arrows": {"a_2_1_1": [["1"]], "a_1_2_2": [["1"]]}}, datum)
+    E1 = pimod.generalized_simple(datum, 1)
+    N = pimod.direct_sum(M, E1)
+    assert pimod.is_locally_free(N)[0] and not pimod.is_crystal(N) and pimod.is_crystal(E1)
+    paths = {}
+    for name, X in (("N", N), ("E1", E1)):
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(pimod.module_to_json(X)))
+    order = ("N", "E1") if command == "divide-right" else ("E1", "N")
+    result = runner.invoke(main, [command] + [str(paths[name]) for name in order])
+    assert result.exit_code == 2, result.output
+    assert "M is not a crystal module" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.fixture(scope="module")
 def non_module(runner, tmp_path_factory):
     """b2:1/21/2 with the arrow a_1_2_1 set to the identity: a file that
@@ -804,6 +826,8 @@ def test_byte_identical_reports(runner, files):
 @pytest.mark.parametrize("args, message", [
     (["decompose", "e1.json", "--field", "fp:32003"], "decompose requires the rational field"),
     (["star", "not_crystal.json", "not_crystal.json"], "A is not a crystal module"),
+    (["divide-right", "not_crystal.json", "not_crystal.json"], "M is not a crystal module"),
+    (["divide-left", "not_crystal.json", "not_crystal.json"], "A is not a crystal module"),
     (["pieces", "e1.json", "3"], "unknown vertex '3'"),
     (["forms", "b2.json", "1,x", "1,0"], "rank vectors are comma-separated integers"),
     (["forms", "b2.json", "1", "1,0"], "rank vector needs 2 entries"),
@@ -812,7 +836,8 @@ def test_byte_identical_reports(runner, files):
     (["check", "no_algebra.json"], "module file needs an 'algebra' entry"),
     (["reduce", "e1.json"], "symmetrizer is not a multiple of the identity"),
     (["reduce", "disconnected.json"], "the Cartan matrix must be connected"),
-], ids=["decompose-mod-p", "star-not-crystal", "pieces-unknown-vertex", "forms-not-integer",
+], ids=["decompose-mod-p", "star-not-crystal", "divide-right-not-crystal",
+        "divide-left-not-crystal", "pieces-unknown-vertex", "forms-not-integer",
         "forms-short-vector", "forms-on-a-module-file", "not-json", "module-without-algebra",
         "reduce-nonscalar-symmetrizer", "reduce-disconnected"])
 def test_usage_errors_exit_2(runner, files, args, message):

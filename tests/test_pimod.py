@@ -1208,7 +1208,7 @@ def annihilator_reference(M):
     """The reference for the Ann(e_k) bases of `pimod._endomorphism_sources`:
     each solved as the whole End(M) system, every loop and arrow equation,
     plus the row f_i e_k = 0, through `_linear_system`, over the vertices i
-    in order of increasing dimension."""
+    in order of increasing dimension; each basis as the list of its elements."""
     field, datum = M.field, M.datum
     shapes = {i: (M.dims[i], M.dims[i]) for i in datum.vertices}
     hom = [[(1, gen_target(g), Mat.identity(field, M.dims[gen_target(g)]), M.gen_mat(g)),
@@ -1219,8 +1219,8 @@ def annihilator_reference(M):
         d = M.dims[i]
         for k in range(d):
             kills = [[(1, i, Mat.identity(field, d), Mat.identity(field, d).col(k))]]
-            out.append(pimod._kernel_basis(field, pimod._linear_system(field, shapes, hom + kills),
-                                           shapes))
+            out.append(list(pimod._kernel_basis(
+                field, pimod._linear_system(field, shapes, hom + kills), shapes)))
     return out
 
 
@@ -1501,3 +1501,45 @@ class TestRunMemo:
         assert reports[0] == reports[1] and reports[0][0]["passed"]
         assert counts[0] == counts[1] > 0
         assert pimod._memo is None
+
+
+# -- draws straight from the kernel matrix of a basis
+
+def _draw_modules(name, seed, rank_m, rank_n, modular):
+    """Two towers over `_DUAL_DATA[name]`, conjugated so that the loops are
+    not in Jordan form and the entries have denominators, over Q or
+    GF(32003)."""
+    datum = _dual_datum(name)
+    rng = random.Random(seed)
+    M, N = [_conjugate(T, {i: _random_invertible(rng, T.dims[i]) for i in datum.vertices})
+            for T in (random_tower(datum, rank_m, rng), random_tower(datum, rank_n, rng))]
+    if modular:
+        M, N = [pimod.module_from_json(pimod.module_to_json(T), datum, linalg.GF(32003))
+                for T in (M, N)]
+    return M, N
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_DUAL_DATA)), seed=st.integers(0, 2 ** 16),
+       rank_m=st.integers(1, 3), rank_n=st.integers(1, 3), modular=st.booleans())
+def test_draw_from_kernel_basis_matches_combination_of_elements(name, seed, rank_m, rank_n,
+                                                                modular):
+    """A draw from a `KernelBasis`, formed from its kernel rows, equals
+    `_combination` over its materialized elements for the same integer and
+    fractional coefficients; the basis reads as the list of those elements."""
+    M, N = _draw_modules(name, seed, rank_m, rank_n, modular)
+    rng = random.Random(seed)
+    for basis in (hom_basis(M, N), hom_basis(N, N), derivation_basis(M, N)):
+        assert isinstance(basis, pimod.KernelBasis)
+        draw = pimod.random_combination(basis, random.Random(seed))
+        assert basis._elements is None       # the draw unflattened no element
+        elements = list(basis)
+        assert len(elements) == len(basis) and bool(basis) == bool(elements)
+        assert [basis[k] for k in range(len(basis))] == elements == basis[:]
+        assert basis[0] is elements[0] if elements else basis[1:] == []
+        same = random.Random(seed)
+        coeffs = [same.randint(-pimod.COEFF_BOUND, pimod.COEFF_BOUND) for _ in elements]
+        assert draw == pimod._combination(elements, coeffs)
+        fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in elements]
+        assert basis.combination(fractions) == pimod._combination(elements, fractions)

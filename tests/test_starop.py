@@ -2,8 +2,11 @@ import random
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ppalg import catalog, linalg, pimod, starop
+from ppalg import catalog, linalg, pimod, selftest, starop
+from ppalg.cartan import default_orientation, gen_source, gen_target, validate_datum
+from ppalg.linalg import QQ, Mat
 from ppalg.pimod import direct_sum, generalized_simple, iso_test, rank_vector
 from ppalg.starop import (DivisionUndefined, InvalidDerivation, extension_module,
                           generic_cokernel, generic_extension, generic_kernel, star,
@@ -300,3 +303,60 @@ def test_dual_of_product_is_product_of_duals(b2_products):
     dual = pimod.dual
     for X, Y, P in b2_products:
         assert iso_test(dual(P), star(dual(Y), dual(X), seed=0), trials=16)
+
+
+# -- extension blocks in one stack, against the stacks they replace ---------------
+
+def extension_by_stacks(top, sub, delta):
+    """Reference: each generator's [[sub_g, delta_g], [0, top_g]] as two
+    hstacks and a vstack, with the zero block and a zero delta_g built."""
+    fld, mats = top.field, {}
+    for g in top.datum.generators():
+        i, j = gen_target(g), gen_source(g)
+        d = delta.get(g, Mat.zeros(fld, sub.dims[i], top.dims[j]))
+        mats[g] = linalg.vstack([linalg.hstack([sub.gen_mat(g), d]),
+                                 linalg.hstack([Mat.zeros(fld, top.dims[i], sub.dims[j]),
+                                                top.gen_mat(g)])])
+    return mats
+
+
+_EXTENSION_DATA = {
+    "B2": ([[2, -1], [-2, 2]], [2, 1]),
+    "C3": ([[2, -1, 0], [-2, 2, -1], [0, -2, 2]], [4, 2, 1]),
+    "G2": ([[2, -3], [-1, 2]], [1, 3]),
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [1, 1, 1]),
+}
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_EXTENSION_DATA)), seed=st.integers(0, 2 ** 16),
+       rank_top=st.integers(1, 3), rank_sub=st.integers(1, 3), modular=st.booleans())
+def test_extension_module_matches_stacked_blocks(name, seed, rank_top, rank_sub, modular):
+    """Over Q and GF(32003): the middle term of a drawn derivation, given
+    whole or with its zero blocks left out, has the reference's matrices;
+    random blocks raise InvalidDerivation exactly when the reference
+    violates a relation, and a block of the wrong shape raises ValueError."""
+    C, D = _EXTENSION_DATA[name]
+    field = linalg.GF(32003) if modular else QQ
+    datum = validate_datum(C, D, default_orientation(C))
+    rng = random.Random(seed)
+    top, sub = [selftest.random_tower(datum, r, rng, field) for r in (rank_top, rank_sub)]
+    delta = pimod.random_combination(pimod.derivation_basis(top, sub), rng)
+    for d in (delta, {k: x for k, x in delta.items() if not x.is_zero()}):
+        mid = extension_module(top, sub, d)
+        assert {g: mid.gen_mat(g) for g in datum.generators()} == extension_by_stacks(top, sub, d)
+    noise = {k: Mat(field, sub.dims[k[1]], top.dims[k[2]],
+                    [[rng.randint(-2, 2) for _ in range(top.dims[k[2]])]
+                     for _ in range(sub.dims[k[1]])])
+             for k in datum.arrow_keys()}
+    ref = pimod.ModuleRep.from_generators(datum, extension_by_stacks(top, sub, noise), field)
+    if pimod.check_relations(ref):
+        with pytest.raises(InvalidDerivation):
+            extension_module(top, sub, noise)
+    else:
+        assert extension_module(top, sub, noise).arrows == ref.arrows
+    key = rng.choice(datum.arrow_keys())
+    wrong = Mat.zeros(field, sub.dims[key[1]] + 1, top.dims[key[2]])
+    with pytest.raises(ValueError, match="derivation block .* must be"):
+        extension_module(top, sub, {key: wrong})
