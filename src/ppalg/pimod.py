@@ -41,7 +41,10 @@ free.  `is_locally_free` and `is_crystal` both call it.
 off a nonzero sub_i (see `is_crystal`), so its False verdicts are exact.
 It builds no sub_i or fac_i: their local freeness is one `_free_rank`
 each, and only the Q_i and K_i it recurses into are built.  The
-backtracking search lives on in `is_E_filtered` alone.
+backtracking search lives on in `is_E_filtered` alone.  Both tests stop at
+a module whose arrows all act by zero (`_arrows_vanish`): it is crystal and
+E-filtered exactly when it is locally free, a sum of the E_i
+(Geiss-Leclerc-Schroer, Invent. Math. 2017).
 
 `decompose` has one split step: split M into the generalized eigenspaces
 of a random endomorphism, drawn from End(M) and then from the annihilator
@@ -806,8 +809,12 @@ def is_E_filtered(M):
     representation, which prunes the search up front.
 
     True comes with its witness and is certified; a False from the search
-    is not (only a few generators are tried per vertex).  `is_crystal` does
-    not call this test: it certifies E-filtered by peeling instead.
+    is not (only a few generators are tried per vertex), except where the
+    arrows of M all act by zero: such a module is a sum of E_i's exactly
+    when it is locally free, so there the search stops with an exact answer
+    and the witness (i,) * r_i in vertex order, the one peeling reaches.
+    `is_crystal` does not call this test: it certifies E-filtered by
+    peeling instead.
     """
     ok, _ = is_locally_free(M)
     if not ok:
@@ -817,9 +824,19 @@ def is_E_filtered(M):
     return _efiltered_search(M)
 
 
+def _arrows_vanish(M, away=None):
+    """Whether every arrow of M acts by zero; with `away=i`, every arrow
+    that neither starts nor ends at i."""
+    return not any(any(A.nz) for g, A in M.arrows.items() if away not in g[1:3])
+
+
 def _efiltered_search(M):
     if M.dim_total() == 0:
         return True, ()
+    if _arrows_vanish(M):
+        ok, ranks = is_locally_free(M)
+        return (True, tuple(i for i, r in zip(M.datum.vertices, ranks) for _ in range(r))) \
+            if ok else (False, None)
     for i in M.datum.vertices:
         for v in _rank_one_candidates(M, i):
             cols = _loop_powers(v, M.datum.ci(i), lambda X: M.eps[i] * X)
@@ -851,12 +868,20 @@ def is_crystal(M):
       - Q_i is crystal, hence E-filtered, and E-filtered modules are closed
         under extensions, so M is E-filtered;
       - conversely, the bottom step E_j of a filtration lies in sub_j(M).
-    So every False rests on exact rank tests alone."""
+    So every False rests on exact rank tests alone.
+
+    A locally free M whose arrows all act by zero is a sum of E_i's, so it
+    is crystal with no piece built, and a False there is exact.  Where the
+    arrows away from i vanish, a Q_i with sub_i = M_i and a K_i with
+    K_i(M) zero at i are M away from i, crystal by the same rule, and are
+    not built."""
     if M.dim_total() == 0:
         return True
     ok, _ = is_locally_free(M)
     if not ok:
         return False
+    if _arrows_vanish(M):
+        return True
     if _minimal_symmetric(M.datum):
         return _is_nilpotent_rep(M)
     peeled = False
@@ -867,11 +892,13 @@ def is_crystal(M):
         K = k_space(M, i)
         if _free_rank(M, i, K=K) is None:
             return False
+        rest = _arrows_vanish(M, away=i)
         if U.cols:
-            if not is_crystal(quotient(M, {i: U})):
+            if not (rest and U.cols == M.dims[i]) and not is_crystal(quotient(M, {i: U})):
                 return False
             peeled = True
-        if K.cols < M.dims[i] and not is_crystal(submodule(M, _ker_spaces(M, i, K))):
+        if K.cols < M.dims[i] and not (rest and K.cols == 0) \
+                and not is_crystal(submodule(M, _ker_spaces(M, i, K))):
             return False
     return peeled
 
