@@ -307,11 +307,14 @@ def _stack(mats, field, rows, cols, place):
 
 
 def hstack(mats, field=None, rows=None):
-    """Concatenate matrices left to right (all with the same row count)."""
+    """Concatenate matrices left to right (all with the same row count);
+    one matrix comes back as itself, since a `Mat` is never written into."""
     mats = list(mats)
     if not mats:
         assert field is not None and rows is not None
         return Mat.zeros(field, rows, 0)
+    if len(mats) == 1:
+        return mats[0]
     rows = mats[0].rows
     assert all(m.rows == rows for m in mats)
     offsets = [0, *accumulate(m.cols for m in mats)]
@@ -319,10 +322,13 @@ def hstack(mats, field=None, rows=None):
 
 
 def vstack(mats, field=None, cols=None):
+    """Concatenate matrices top to bottom; one comes back as itself."""
     mats = list(mats)
     if not mats:
         assert field is not None and cols is not None
         return Mat.zeros(field, 0, cols)
+    if len(mats) == 1:
+        return mats[0]
     cols = mats[0].cols
     assert all(m.cols == cols for m in mats)
     offsets = [0, *accumulate(m.rows for m in mats)]

@@ -35,7 +35,9 @@ submodule matrices, and only `canonical_pieces` asks for both.
 
 One rule decides freeness over H_i = K[x]/(x^c_i) from a rank:
 `_free_rank(M, i, B, K)`, the H_i-rank of col(B) / col(K) when that is
-free.  `is_locally_free` and `is_crystal` both call it.
+free.  `is_locally_free` and `is_crystal` both call it.  It and
+`sub_space` pass block rows to `rows_rank` / `rows_nullspace` and build no
+stacked matrix; `k_space` keeps its stack, whose columns its basis selects.
 
 `is_crystal` runs no E-filtered search: it certifies E-filtered by peeling
 off a nonzero sub_i (see `is_crystal`), so its False verdicts are exact.
@@ -293,7 +295,9 @@ def _free_rank(M, i, B=None, K=None):
     eps^(c-1) col(B) mod col(K), rank [K | eps^(c-1) B] - rank K.  At c = 1
     every space is free, and so is the zero space.  `is_crystal` reads the
     freeness of sub_i (B = `sub_space(M, i)`) and of fac_i
-    (K = `k_space(M, i)`) here, without building either piece.
+    (K = `k_space(M, i)`) here, without building either piece.  The rows
+    of [K | eps^(c-1) B] keep each block's denominator: column scaling
+    keeps the rank.
     """
     c, k = M.datum.ci(i), 0 if K is None else K.cols
     f = (M.dims[i] if B is None else B.cols) - k
@@ -304,9 +308,11 @@ def _free_rank(M, i, B=None, K=None):
     top = M.eps[i].power(c - 1)
     if B is not None:
         top = top * B
-    if k:
-        top = linalg.hstack([K, top])
-    return f // c if linalg.rank(top) - k == f // c else None
+    rows = top.nz if not k else [{**a, **{k + j: x for j, x in b.items()}}
+                                 for a, b in zip(K.nz, top.nz)]
+    p = M.field.char
+    rank = linalg.rows_rank(M.field, [linalg.kernel_row(r, p) for r in rows], k + top.cols)
+    return f // c if rank - k == f // c else None
 
 
 def rank_vector(M):
@@ -706,11 +712,14 @@ def _loop_powers(first, d, step):
 def sub_space(M, i):
     """Basis of sub_i(M): the largest loop-invariant subspace of the common
     kernel of the arrows out of i.  With A the stacked outgoing arrows, that
-    is the kernel of [A; A eps_i; A eps_i^2; ...], from one `nullspace`."""
-    E = M.eps[i]
+    is the kernel of [A; A eps_i; A eps_i^2; ...], from one `rows_nullspace`
+    on the blocks' rows, each a kernel row (row scale leaves the kernel)."""
+    E, p = M.eps[i], M.field.char
     A = linalg.vstack([M.arrows[k] for k in M.datum.arrow_keys() if gen_source(k) == i],
                       field=M.field, cols=M.dims[i])
-    return linalg.nullspace(linalg.vstack(_loop_powers(A, M.dims[i], lambda X: X * E)))
+    rows = [linalg.kernel_row(r, p)
+            for X in _loop_powers(A, M.dims[i], lambda X: X * E) for r in X.nz]
+    return linalg.rows_nullspace(M.field, rows, M.dims[i])
 
 
 def k_space(M, i):
@@ -754,24 +763,24 @@ def _ker_spaces(M, i, K):
 def _rank_one_candidates(M, i):
     """Generators of free rank-one loop-submodules inside sub_i(M).
 
-    Returns column vectors v with eps_i^{c_i - 1} v != 0; v then spans,
-    together with its loop images, a submodule isomorphic to E_i.
+    Yields, lazily, column vectors v with eps_i^{c_i - 1} v != 0; v then
+    spans, with its loop images, a submodule isomorphic to E_i.  They are
+    the first and last viable columns of sub_space(M, i) and their sum over
+    all viable columns, unless eps_i^{c_i - 1} kills the sum.
     """
     U = sub_space(M, i)
     if U.cols == 0:
-        return []
+        return
     top = M.eps[i].power(M.datum.ci(i) - 1) * U
     viable = sorted(set().union(*top.nz))   # the columns k with top e_k != 0
     if not viable:
-        return []
-    cands = [U.col(viable[0])]
+        return
+    yield U.col(viable[0])
     if len(viable) > 1:
-        cands.append(U.col(viable[-1]))
-        s = U.col(viable[0])
-        for k in viable[1:]:
-            s = s + U.col(k)
-        cands.append(s)
-    return cands
+        yield U.col(viable[-1])
+        ones = Mat.from_form(M.field, len(viable), 1, 1, [{0: 1} for _ in viable])
+        if not (top.columns(viable) * ones).is_zero():
+            yield U.columns(viable) * ones
 
 
 def _is_nilpotent_rep(M):

@@ -540,6 +540,18 @@ def test_sparse_arithmetic_matches_dense_reference(field, data):
             AB.data[r][col] = field.zero
 
 
+@FIELDS
+def test_one_block_stacks_return_the_block(field):
+    """A `Mat` is never written into, so a stack of one block is that block,
+    from a list or from an iterator; two blocks still make a new matrix."""
+    for A in (Mat(field, 2, 3, [[1, 0, Fraction(1, 2)], [0, 0, 0]]), Mat.zeros(field, 2, 0),
+              Mat.zeros(field, 0, 3)):
+        assert linalg.hstack([A]) is A and linalg.vstack([A]) is A
+        assert linalg.hstack(iter([A])) is A and linalg.vstack(iter([A])) is A
+        assert_matches(linalg.hstack([A, A]), dense_hstack([A, A]))
+        assert_matches(linalg.vstack([A, A]), dense_vstack([A, A]))
+
+
 def test_canonical_form():
     """Products, sums and scalings in lowest terms, and residues mod p."""
     half = mat([[Fraction(1, 2), Fraction(3, 2)]])

@@ -1,7 +1,9 @@
+import json
 import random
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -1528,6 +1530,240 @@ def test_fingerprint_reads_hom_against_simples_off_sub_and_k():
             assert entry == (hom_dim(E, M), hom_dim(M, E))
             checked += 1
     assert not all(free) and checked >= 60
+
+
+# -- sub_i, K_i and the freeness rank against the stacked-matrix forms ---------------
+
+def stacked_rows(mats, field, cols):
+    """[m_1; m_2; ...] built as one matrix by `linalg._stack`, one block too."""
+    place, r = [], 0
+    for m in mats:
+        place.append((r, 0))
+        r += m.rows
+    return linalg._stack(mats, field, r, cols, place)
+
+
+def stacked_cols(mats, field, rows):
+    """[m_1 | m_2 | ...] built as one matrix by `linalg._stack`, one block too."""
+    place, c = [], 0
+    for m in mats:
+        place.append((0, c))
+        c += m.cols
+    return linalg._stack(mats, field, rows, c, place)
+
+
+def stacked_sub_space(M, i):
+    """Reference: sub_i(M) as the `nullspace` of the stacked matrix
+    [A; A eps_i; A eps_i^2; ...]."""
+    E, d = M.eps[i], M.dims[i]
+    A = stacked_rows([M.arrows[k] for k in M.datum.arrow_keys() if gen_source(k) == i],
+                     M.field, d)
+    return linalg.nullspace(stacked_rows(pimod._loop_powers(A, d, lambda X: X * E), M.field, d))
+
+
+def stacked_k_space(M, i):
+    """Reference: K_i(M) at i as the `column_space` of the stacked matrix
+    [S | eps_i S | eps_i^2 S | ...]."""
+    E, d = M.eps[i], M.dims[i]
+    S = stacked_cols([M.arrows[k] for k in M.datum.arrow_keys() if gen_target(k) == i],
+                     M.field, d)
+    return linalg.column_space(stacked_cols(pimod._loop_powers(S, d, lambda X: E * X),
+                                            M.field, d))
+
+
+def stacked_free_rank(M, i, B=None, K=None):
+    """Reference: `_free_rank` from the rank of the stacked matrix
+    [K | eps_i^(c_i-1) B] over one denominator."""
+    c, k = M.datum.ci(i), 0 if K is None else K.cols
+    f = (M.dims[i] if B is None else B.cols) - k
+    if c == 1 or f == 0:
+        return f
+    if f % c:
+        return None
+    top = M.eps[i].power(c - 1)
+    if B is not None:
+        top = top * B
+    if k:
+        top = stacked_cols([K, top], M.field, M.dims[i])
+    return f // c if linalg.rank(top) - k == f // c else None
+
+
+def eager_rank_one_candidates(M, i):
+    """Reference: the candidates built in full before the search tries one,
+    the sum by repeated additions and with no test of its top."""
+    U = stacked_sub_space(M, i)
+    if U.cols == 0:
+        return []
+    top = M.eps[i].power(M.datum.ci(i) - 1) * U
+    viable = sorted(set().union(*top.nz))
+    if not viable:
+        return []
+    cands = [U.col(viable[0])]
+    if len(viable) > 1:
+        cands.append(U.col(viable[-1]))
+        s = U.col(viable[0])
+        for k in viable[1:]:
+            s = s + U.col(k)
+        cands.append(s)
+    return cands
+
+
+def assert_candidates_meet_docstring(M, i, cands):
+    """Each candidate is a vector of sub_i(M) that eps_i^(c_i-1) does not kill."""
+    U = pimod.sub_space(M, i)
+    top = M.eps[i].power(M.datum.ci(i) - 1)
+    for v in cands:
+        assert v.cols == 1 and not (top * v).is_zero()
+        assert linalg.rank(linalg.hstack([U, v])) == U.cols
+
+
+def checked_candidates(M, i):
+    """The lazy candidates at i, asserted to be the eager list less any sum
+    that eps_i^(c_i-1) kills, and to meet their docstring."""
+    top = M.eps[i].power(M.datum.ci(i) - 1)
+    lazy = list(pimod._rank_one_candidates(M, i))
+    assert lazy == [v for v in eager_rank_one_candidates(M, i) if not (top * v).is_zero()]
+    assert_candidates_meet_docstring(M, i, lazy)
+    return lazy
+
+
+def assert_stack_free_forms_match(M):
+    """`sub_space`, `k_space`, `_free_rank` (whole M_i, B = sub_i and K = K_i)
+    and the lazy candidates equal their stacked-matrix references at every
+    vertex; the candidates are the eager list less any sum the loop kills."""
+    for i in M.datum.vertices:
+        U, K = pimod.sub_space(M, i), pimod.k_space(M, i)
+        assert U == stacked_sub_space(M, i)
+        assert K == stacked_k_space(M, i)
+        for kw in ({}, {"B": U}, {"K": K}):
+            assert pimod._free_rank(M, i, **kw) == stacked_free_rank(M, i, **kw)
+        checked_candidates(M, i)
+
+
+MODULAR = linalg.GF(32003)
+
+
+def _over(M, field):
+    return M if field is QQ else pimod.module_from_json(pimod.module_to_json(M), M.datum, field)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_DUAL_DATA)), seed=st.integers(0, 2 ** 16),
+       rank=st.integers(1, 4), modular=st.booleans())
+@example(name="B2", seed=3, rank=4, modular=False)
+@example(name="C3", seed=5, rank=4, modular=True)
+@example(name="G2", seed=7, rank=4, modular=False)
+@example(name="A3", seed=11, rank=4, modular=True)
+def test_stack_free_spaces_match_stacked_references(name, seed, rank, modular):
+    """On towers over B2, C3 (c = (4,2,1)), G2 (c = (1,3)) and A3, over Q or
+    GF(32003), and on their canonical pieces (some not locally free), the
+    spaces, ranks and candidates read from block rows are the stacked ones."""
+    field = MODULAR if modular else QQ
+    rng = random.Random(seed)
+    M = random_tower(_dual_datum(name), rank, rng, field)
+    mods = [M]
+    for i in M.datum.vertices:
+        p = canonical_pieces(M, i)
+        mods += [p.sub, p.quot, p.ker, p.fac]
+    for X in mods:
+        assert_stack_free_forms_match(X)
+
+
+def _not_locally_free():
+    """A B2 module with one nonzero arrow and zero loops; one whose M_1 has
+    Jordan type (2, 2, 1) with K_1 the block of size one, so that fac_1 is
+    free of rank 2 and the rank of [K | eps_1] reads both blocks; C3 short
+    Jordan blocks beside each E_j; and B2 modules whose loop at 2 is not
+    nilpotent."""
+    b2 = catalog.b2_datum()
+    yield ModuleRep(b2, {1: 1, 2: 1}, {}, {("arr", 2, 1, 1): Mat.from_rows(QQ, [[1]])})
+    jordan = Mat.from_rows(QQ, [[int((r, c) in ((1, 0), (3, 2))) for c in range(5)]
+                                for r in range(5)])
+    yield ModuleRep(b2, {1: 5, 2: 1}, {1: jordan},
+                    {("arr", 1, 2, 1): Mat.from_rows(QQ, [[0], [0], [0], [0], [1]])})
+    yield from _short_jordan_blocks(_dual_datum("C3"))
+    datum = catalog.b2_relabeled_datum()
+    arrows = {("arr", 1, 2, 1): Mat.from_rows(QQ, [[1, 0]]),
+              ("arr", 2, 1, 1): Mat.from_rows(QQ, [[1], [1]])}
+    for eps2 in ([[1, 0], [0, 2]], [[0, 1], [1, 0]]):
+        yield ModuleRep(datum, {1: 1, 2: 2}, {2: Mat.from_rows(QQ, eps2)}, arrows)
+
+
+@pytest.mark.parametrize("field", [QQ, MODULAR], ids=["Q", "GF32003"])
+def test_stack_free_spaces_on_many_blocks_and_not_locally_free(field):
+    """The A5 `leclerc_suite` members (vertices 2, 3 and 4 have two arrows
+    out and two in, so the stacks there have many blocks) and modules that
+    are not locally free give the stacked references' spaces and ranks."""
+    _, entries = catalog.leclerc_suite()
+    mods = [e.module for e in entries] + list(_not_locally_free())
+    assert not all(is_locally_free(X)[0] for X in mods)
+    for X in mods:
+        assert_stack_free_forms_match(_over(X, field))
+
+
+def _cancelling_sum_module():
+    """B2 with M_1 = K^4, eps_1 two blocks [[1, -1], [1, -1]] and no arrows:
+    every column of eps_1 is nonzero, but eps_1 kills their sum."""
+    eps = Mat.from_rows(QQ, [[1, -1, 0, 0], [1, -1, 0, 0], [0, 0, 1, -1], [0, 0, 1, -1]])
+    return ModuleRep(catalog.b2_datum(), {1: 4}, {1: eps})
+
+
+def test_rank_one_candidates_skip_a_sum_the_loop_kills(monkeypatch):
+    """The eager list's third candidate (1, 1, 1, 1) is killed by eps_1, so
+    its loop powers are dependent and `quotient` refuses them; the lazy
+    candidates leave it out, and the full search still peels E_1 twice."""
+    M = _cancelling_sum_module()
+    assert check_relations(M) == [] and is_locally_free(M) == (True, (2, 0))
+    eager = eager_rank_one_candidates(M, 1)
+    assert len(eager) == 3 and (M.eps[1] * eager[2]).is_zero()
+    with pytest.raises(ValueError, match="linearly dependent"):
+        pimod.quotient(M, {1: linalg.hstack([eager[2], M.eps[1] * eager[2]])})
+    assert checked_candidates(M, 1) == eager[:2]
+    monkeypatch.setattr(pimod, "_arrows_vanish", lambda M, away=None: False)
+    with pimod.memo_run():
+        assert is_E_filtered(M) == (True, (1, 1))
+
+
+def _stored_towers():
+    """Every stored benchmark tower (B2, C3 and G2, total ranks 2 to 12)."""
+    doc = json.loads((Path(__file__).resolve().parent.parent
+                      / "perfbench" / "data" / "towers.json").read_text())
+    for name, spec in doc["data"].items():
+        datum = validate_datum(spec["cartan"], spec["symmetrizer"],
+                               [tuple(p) for p in spec["orientation"]])
+        for docs in doc["towers"][name].values():
+            for tower in docs:
+                yield pimod.module_from_json(tower, datum)
+
+
+def test_rank_one_candidates_meet_their_docstring_on_stored_towers():
+    """On every stored tower, each vertex's candidates are vectors of sub_i
+    that eps_i^(c_i-1) does not kill, the eager list less any killed sum."""
+    assert sum(len(checked_candidates(M, i)) for M in _stored_towers() for i in M.datum.vertices)
+
+
+def _fresh_content_key(M):
+    M._cache.pop("content", None)
+    return pimod._content_key(M)
+
+
+def test_crystal_and_efiltered_tests_leave_their_inputs_unchanged():
+    """One-block stacks hand back the block itself, so a caller that wrote
+    into a stack would write into its module: `is_crystal`, `is_E_filtered`
+    and `canonical_pieces` leave each input's content key as it was."""
+    _, entries = catalog.leclerc_suite()
+    rng = random.Random(29)
+    mods = ([e.module for e in entries] + [_cancelling_sum_module()]
+            + [random_tower(_dual_datum(name), 4, rng) for name in sorted(_DUAL_DATA)])
+    for M in mods:
+        before = _fresh_content_key(M)
+        with pimod.memo_run():
+            is_crystal(M)
+            is_E_filtered(M)
+            for i in M.datum.vertices:
+                canonical_pieces(M, i)
+        assert _fresh_content_key(M) == before
 
 
 # -- the per-run memo -----------------------------------------------------------
