@@ -352,33 +352,37 @@ def kernel_row(row, p):
     return {c: x // g for c, x in row.items() if x}
 
 
-def _eliminate(r, c, P, p, col_rows=None, i=None, limit=0):
-    """r := a*r - b*P, which clears r[c]; then r is made primitive (p = 0,
-    over Q) or reduced mod p.  Columns below `limit` that r gains are
-    recorded in col_rows under row index i."""
-    pc, rc = P[c], r[c]
-    g = gcd(pc, rc)
-    a, b = pc // g, rc // g
-    if a != 1:
-        for k in r:
-            r[k] *= a
-    for k, v in P.items():
-        w = r.get(k)
-        if w is None:
-            r[k] = -b * v % p if p else -b * v
-            if col_rows is not None and k < limit:
-                col_rows[k].add(i)
-        else:
-            w = (w - b * v) % p if p else w - b * v
-            if w:
-                r[k] = w
-            else:
-                del r[k]
-    if not p and r:
-        g = gcd(*r.values())
-        if g > 1:
+def _eliminate(P, c, targets, p, col_rows=None, limit=0):
+    """Clear column c of each row r of `targets`, (index, row) pairs, with
+    the pivot row P: r := a*r - b*P, then r is made primitive (p = 0, over
+    Q) or reduced mod p.  Columns below `limit` that r gains are recorded
+    in col_rows under its index.  P's other entries are listed once."""
+    pc = P[c]
+    rest = [(k, v) for k, v in P.items() if k != c]
+    for i, r in targets:
+        rc = r.pop(c)
+        g = gcd(pc, rc)
+        a, b = pc // g, rc // g
+        if a != 1:
             for k in r:
-                r[k] //= g
+                r[k] *= a
+        for k, v in rest:
+            w = r.get(k)
+            if w is None:
+                r[k] = -b * v % p if p else -b * v
+                if k < limit:
+                    col_rows[k].add(i)
+            else:
+                w = (w - b * v) % p if p else w - b * v
+                if w:
+                    r[k] = w
+                else:
+                    del r[k]
+        if not p and r:
+            g = gcd(*r.values())
+            if g > 1:
+                for k in r:
+                    r[k] //= g
 
 
 def _forward(sparse, p, limit):
@@ -387,9 +391,12 @@ def _forward(sparse, p, limit):
 
     Returns (pivots, pivot_rows): the pivot columns, all below `limit`, with
     the index of each one's row.  Each column is cleared with the shortest
-    row that is nonzero there, by r := a*r - b*pivot on the rows nonzero in
-    that column only; a pivot row keeps its entries in later pivot columns,
-    and over GF(p) it is scaled to 1 at its pivot.
+    row nonzero there (ties: the smallest |entry|), made 1 over GF(p) and
+    positive over Q at its pivot, by r := a*r - b*pivot on the rows nonzero
+    in that column only; a pivot row keeps its entries in later pivot
+    columns.  That choice changes no output: the pivot columns and reduced
+    pivot rows are the unique RREF's, up to a factor every reader divides
+    out.
     """
     col_rows = defaultdict(set)  # column < limit -> rows that may be nonzero there
     for i, r in enumerate(sparse):
@@ -404,16 +411,18 @@ def _forward(sparse, p, limit):
         cand = [i for i in col_rows.pop(c, ()) if not done[i] and c in sparse[i]]
         if not cand:
             continue
-        piv = min(cand, key=lambda i: len(sparse[i]))
+        piv = min(cand, key=lambda i: (len(sparse[i]), abs(sparse[i][c])))
         done[piv] = True
         P = sparse[piv]
         if p and P[c] != 1:
             inv = pow(P[c], -1, p)
             for k in P:
                 P[k] = P[k] * inv % p
-        for i in cand:
-            if i != piv:
-                _eliminate(sparse[i], c, P, p, col_rows, i, limit)
+        elif P[c] < 0:
+            for k in P:
+                P[k] = -P[k]
+        if len(cand) > 1:
+            _eliminate(P, c, [(i, sparse[i]) for i in cand if i != piv], p, col_rows, limit)
         pivots.append(c)
         pivot_rows.append(piv)
         if len(pivots) == len(sparse):
@@ -427,9 +436,9 @@ def _reduce(sparse, p, limit):
     pivots, pivot_rows = _forward(sparse, p, limit)
     for k in range(len(pivots) - 1, 0, -1):
         c, P = pivots[k], sparse[pivot_rows[k]]
-        for j in pivot_rows[:k]:
-            if c in sparse[j]:
-                _eliminate(sparse[j], c, P, p)
+        above = [(j, sparse[j]) for j in pivot_rows[:k] if c in sparse[j]]
+        if above:
+            _eliminate(P, c, above, p)
     return pivots, pivot_rows
 
 

@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import defaultdict
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -401,6 +403,152 @@ def test_complete_basis_projection(field, n, k, rng):
     extra, L, P = linalg.complete_basis(B)
     assert len(extra) == len(set(extra)) == n - k and set(extra) <= set(range(n))
     assert_split_inverse(B, completion(field, n, extra), L, P)
+
+
+# -- the elimination loop against the one before its pivot tie-break ----------
+#
+# `previous_eliminate`, `previous_forward` and `previous_reduce` are the loop
+# as it was before ties among the shortest rows went to the smallest |pivot|,
+# pivot rows were made positive at the pivot over Q and the pivot row's
+# items were built once per pivot: verbatim, but for their names.  Both
+# loops must give the same pivots, ranks, kernels and completions, since
+# those are read off the unique RREF.
+
+def previous_eliminate(r, c, P, p, col_rows=None, i=None, limit=0):
+    pc, rc = P[c], r[c]
+    g = gcd(pc, rc)
+    a, b = pc // g, rc // g
+    if a != 1:
+        for k in r:
+            r[k] *= a
+    for k, v in P.items():
+        w = r.get(k)
+        if w is None:
+            r[k] = -b * v % p if p else -b * v
+            if col_rows is not None and k < limit:
+                col_rows[k].add(i)
+        else:
+            w = (w - b * v) % p if p else w - b * v
+            if w:
+                r[k] = w
+            else:
+                del r[k]
+    if not p and r:
+        g = gcd(*r.values())
+        if g > 1:
+            for k in r:
+                r[k] //= g
+
+
+def previous_forward(sparse, p, limit):
+    col_rows = defaultdict(set)  # column < limit -> rows that may be nonzero there
+    for i, r in enumerate(sparse):
+        for c in r:
+            if c < limit:
+                col_rows[c].add(i)
+    done = [False] * len(sparse)
+    pivots, pivot_rows = [], []
+    for c in range(limit):
+        if not col_rows:
+            break
+        cand = [i for i in col_rows.pop(c, ()) if not done[i] and c in sparse[i]]
+        if not cand:
+            continue
+        piv = min(cand, key=lambda i: len(sparse[i]))
+        done[piv] = True
+        P = sparse[piv]
+        if p and P[c] != 1:
+            inv = pow(P[c], -1, p)
+            for k in P:
+                P[k] = P[k] * inv % p
+        for i in cand:
+            if i != piv:
+                previous_eliminate(sparse[i], c, P, p, col_rows, i, limit)
+        pivots.append(c)
+        pivot_rows.append(piv)
+        if len(pivots) == len(sparse):
+            break
+    return pivots, pivot_rows
+
+
+def previous_reduce(sparse, p, limit):
+    pivots, pivot_rows = previous_forward(sparse, p, limit)
+    for k in range(len(pivots) - 1, 0, -1):
+        c, P = pivots[k], sparse[pivot_rows[k]]
+        for j in pivot_rows[:k]:
+            if c in sparse[j]:
+                previous_eliminate(sparse[j], c, P, p)
+    return pivots, pivot_rows
+
+
+@contextmanager
+def previous_loop():
+    """`linalg` with the previous loop in place of `_forward` and `_reduce`,
+    which every rank, kernel, pivot and completion goes through."""
+    saved = linalg._forward, linalg._reduce
+    linalg._forward, linalg._reduce = previous_forward, previous_reduce
+    try:
+        yield
+    finally:
+        linalg._forward, linalg._reduce = saved
+
+
+LOOP_COLS = 7
+loop_row = st.dictionaries(st.integers(0, LOOP_COLS - 1),
+                           st.one_of(st.integers(-4, 4), st.integers(-BIG, BIG)).filter(bool),
+                           max_size=4)
+# (kind, i, j, coeff): a copy of base row i, coeff times it, or row i plus
+# coeff times row j (indices taken mod the number of base rows)
+loop_derived = st.lists(st.tuples(st.sampled_from(["duplicate", "scaled", "combined"]),
+                                  st.integers(0, 7), st.integers(0, 7),
+                                  st.integers(-3, 3).filter(bool)), max_size=6)
+
+
+def loop_system(field, base, derived):
+    rows = [dict(r) for r in base]
+    for kind, i, j, coeff in derived if base else ():
+        r, q = base[i % len(base)], base[j % len(base)]
+        if kind == "duplicate":
+            rows.append(dict(r))
+        elif kind == "scaled":
+            rows.append({c: coeff * x for c, x in r.items()})
+        else:
+            rows.append({c: r.get(c, 0) + coeff * q.get(c, 0) for c in set(r) | set(q)})
+    return Mat(field, len(rows), LOOP_COLS,
+               [[r.get(c, 0) for c in range(LOOP_COLS)] for r in rows])
+
+
+def loop_outputs(A):
+    p = A.field.char
+    return (linalg._forward([linalg.kernel_row(r, p) for r in A.nz], p, A.cols)[0],
+            linalg.rank(A), linalg.pivot_columns(A), linalg.nullspace(A),
+            linalg.rows_nullspace(A.field, [linalg.kernel_row(r, p) for r in A.nz], A.cols),
+            linalg.complete_basis(linalg.column_space(A)),
+            linalg.complete_basis(linalg.column_space(A.transpose())))
+
+
+@FIELDS
+@KERNEL_EXAMPLES
+@given(base=st.lists(loop_row, max_size=7), derived=loop_derived)
+@example(base=[{0: 2, 1: 1}, {0: 1, 2: 3}, {0: -3, 3: 5}, {1: 4, 2: 1}, {1: -1, 3: 2}],
+         derived=[])                                                        # ties in length
+@example(base=[{0: 2, 3: 1}, {1: 1, 3: -1}, {0: 5, 1: BIG}],
+         derived=[("duplicate", 0, 0, 1), ("duplicate", 2, 0, 1)])         # duplicate rows
+@example(base=[{0: 1, 1: 2, 4: 1}, {0: 3, 2: 1}, {1: 1, 5: 7}],
+         derived=[("combined", 0, 1, 2), ("scaled", 1, 0, -3),
+                  ("combined", 2, 0, -1)])                                  # dependent rows
+def test_forward_tie_break_matches_previous_loop(field, base, derived):
+    """Integer systems with ties in row length at a pivot column, duplicate
+    and dependent rows: `_forward`'s pivots, `rank`, `pivot_columns`,
+    `nullspace`, `rows_nullspace` and `complete_basis` are the same as with
+    the previous loop, over Q and GF(p), and the input is left as it was."""
+    A = loop_system(field, base, derived)
+    before = [dict(r) for r in A.nz]
+    got = loop_outputs(A)
+    with previous_loop():
+        want = loop_outputs(A)
+    assert got == want
+    assert A.nz == before
 
 
 # -- the sparse arithmetic against the dense loops it replaced -----------------

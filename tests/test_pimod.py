@@ -43,13 +43,14 @@ def b2_mods(b2):
 
 def hom_t_basis(M, N):
     """Per-vertex loop-commuting maps, as dicts of matrices."""
+    field = M.field
     out = []
     for i in M.datum.vertices:
         dM, dN = M.dims[i], N.dims[i]
         rows = []
         for u in range(dN):
             for v in range(dM):
-                row = [QQ.zero] * (dN * dM)
+                row = [field.zero] * (dN * dM)
                 for r in range(dM):
                     a = M.eps[i].data[r][v]
                     if a:
@@ -59,19 +60,19 @@ def hom_t_basis(M, N):
                     if b:
                         row[r * dM + v] -= b
                 rows.append(row)
-        A = Mat(QQ, len(rows), dN * dM, rows) if rows else Mat.zeros(QQ, 0, dN * dM)
+        A = Mat(field, len(rows), dN * dM, rows) if rows else Mat.zeros(field, 0, dN * dM)
         for k in range(linalg.nullspace(A).cols):
             ns = linalg.nullspace(A)
             vec = [ns.data[r][k] for r in range(dN * dM)]
-            f = {j: Mat.zeros(QQ, N.dims[j], M.dims[j]) for j in M.datum.vertices}
-            f[i] = Mat(QQ, dN, dM, [vec[u * dM:(u + 1) * dM] for u in range(dN)])
+            f = {j: Mat.zeros(field, N.dims[j], M.dims[j]) for j in M.datum.vertices}
+            f[i] = Mat(field, dN, dM, [vec[u * dM:(u + 1) * dM] for u in range(dN)])
             out.append(f)
     return out
 
 
 def ext1_dim_oracle(M, N):
     """dim Ext^1 as dim Der - rank(connecting map), avoiding the alpha
-    formula entirely."""
+    formula entirely, over the modules' field."""
     derb = derivation_basis(M, N)
     homt = hom_t_basis(M, N)
     arrows = M.datum.arrow_keys()
@@ -89,7 +90,7 @@ def ext1_dim_oracle(M, N):
             _, i, j, _ = a
             delta[a] = N.arrows[a] * f[j] + (f[i] * M.arrows[a]).scale(-1)
         images.append(flatten(delta))
-    A = Mat(QQ, len(images), len(flatten(derb[0])) if derb else
+    A = Mat(M.field, len(images), len(flatten(derb[0])) if derb else
             sum(N.dims[a[1]] * M.dims[a[2]] for a in arrows), images) \
         if images else None
     rank = linalg.rank(A) if A is not None else 0
@@ -1789,15 +1790,18 @@ def test_memo_matches_unmemoized(name, seed, rank_m, rank_n):
             assert (ext1_dim(M, N), hom_dim(M, N), is_crystal(M), is_E_filtered(N)) == want
 
 
-def _count_der_systems(monkeypatch):
+def _count_free_hom_systems(monkeypatch):
+    """Record the Hom systems built over free generators (`_hom_system`
+    given `ranks`), the systems `ext1_dim` and `hom_dim` solve."""
     calls = []
-    der_system = pimod._der_system
+    hom_system = pimod._hom_system
 
-    def counted(M, N):
-        calls.append((M, N))
-        return der_system(M, N)
+    def counted(M, N, arrows, ranks=None):
+        if ranks is not None:
+            calls.append((M, N))
+        return hom_system(M, N, arrows, ranks)
 
-    monkeypatch.setattr(pimod, "_der_system", counted)
+    monkeypatch.setattr(pimod, "_hom_system", counted)
     return calls
 
 
@@ -1806,7 +1810,7 @@ class TestRunMemo:
         _, _, M3 = b2_mods
         twin = pimod.module_from_json(pimod.module_to_json(M3), M3.datum)
         assert twin is not M3
-        calls = _count_der_systems(monkeypatch)
+        calls = _count_free_hom_systems(monkeypatch)
         with pimod.memo_run():
             ext = ext1_dim(M3, M3)
             entries = len(pimod._memo)
@@ -1866,7 +1870,7 @@ class TestRunMemo:
     def test_each_criteria_pass_computes(self, monkeypatch):
         from ppalg import selftest
         monkeypatch.setattr(selftest, "_CRITERIA", (selftest.criterion_leclerc,))
-        calls = _count_der_systems(monkeypatch)
+        calls = _count_free_hom_systems(monkeypatch)
         counts, reports = [], []
         for _ in range(2):
             calls.clear()
@@ -1917,3 +1921,51 @@ def test_draw_from_kernel_basis_matches_combination_of_elements(name, seed, rank
         assert draw == pimod._combination(elements, coeffs)
         fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in elements]
         assert basis.combination(fractions) == pimod._combination(elements, fractions)
+
+
+# -- Ext^1 from two Hom dimensions against the Der route ---------------------------
+
+# Cartan matrix and symmetrizer of every datum the Ext routes are compared
+# over: C3 with its minimal symmetrizer and with c = (4,2,1), and A1~ with
+# two arrows each way
+_EXT_DATA = {
+    "B2": _DUAL_DATA["B2"],
+    "C3": _WIDER_DATA["C3"],
+    "C3 (4,2,1)": _DUAL_DATA["C3"],
+    "G2": _DUAL_DATA["G2"],
+    "A3": _DUAL_DATA["A3"],
+    "A1~": _WIDER_DATA["A1~"],
+}
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_EXT_DATA)), seed=st.integers(0, 2 ** 16),
+       rank_m=st.integers(0, 4), rank_n=st.integers(0, 4), modular=st.booleans())
+@example(name="B2", seed=1, rank_m=4, rank_n=2, modular=False)
+@example(name="C3", seed=2, rank_m=3, rank_n=3, modular=True)
+@example(name="C3 (4,2,1)", seed=3, rank_m=2, rank_n=3, modular=False)
+@example(name="G2", seed=4, rank_m=3, rank_n=3, modular=True)
+@example(name="A3", seed=5, rank_m=0, rank_n=3, modular=False)
+@example(name="A1~", seed=6, rank_m=3, rank_n=0, modular=True)
+def test_ext_from_two_homs_matches_der_route(name, seed, rank_m, rank_n, modular):
+    """On towers (rank 0: the zero module) over Q or GF(32003), `ext1_dim`
+    equals the Der route `ext1_dim_der` both ways and the connecting-map
+    oracle, and a summand that is not locally free raises NotLocallyFree."""
+    C, D = _EXT_DATA[name]
+    datum = validate_datum(C, D, default_orientation(C))
+    field = MODULAR if modular else QQ
+    rng = random.Random(seed)
+    M, N = [random_tower(datum, r, rng, field) if r else pimod.zero_module(datum, field)
+            for r in (rank_m, rank_n)]
+    ext = ext1_dim(M, N)
+    assert ext == pimod.ext1_dim_der(M, N) == pimod.ext1_dim_der(N, M) == ext1_dim(N, M)
+    assert ext == ext1_dim_oracle(M, N)
+    if not (rank_m and rank_n):
+        assert ext == 0
+    X = direct_sum(M, _defect(datum, rng.choice(datum.vertices), rng, field))
+    for pair in ((X, N), (N, X)):
+        with pytest.raises(NotLocallyFree):
+            ext1_dim(*pair)
+        with pytest.raises(NotLocallyFree):
+            pimod.ext1_dim_der(*pair)
