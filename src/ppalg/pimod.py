@@ -4,7 +4,8 @@ A module is given by one exact matrix per generator of the double quiver,
 the loops and arrows of `CartanDatum.generators()`.  `ModuleRep` checks
 them in one walk over that list, and `ModuleRep.from_generators` builds a
 module from a map generator -> matrix, as `direct_sum`, `_split` and
-`starop.extension_module` do.  On top of that this file implements:
+`starop.extension_module` do.  `check_pair` refuses two modules over
+different data or fields.  On top of that this file implements:
 relation checking, local freeness and rank vectors, duals, Hom and
 derivation spaces, Ext^1 from two Hom dimensions (checked through Der),
 the canonical pieces sub_i / fac_i / K_i / Q_i, the
@@ -22,8 +23,9 @@ vector, as `hom_dim` into a locally free module does, it writes the arrow
 equations alone, over free generators of the target; hom_basis and
 hom_t_dim get the full loop-and-arrow systems.
 
-hom_basis and derivation_basis return a `KernelBasis`, which
-`random_combination` draws from without unflattening the whole basis.
+Every basis is a `KernelBasis` (hom_basis, derivation_basis and the
+Ann(e_k) of `decompose`), which `random_combination` draws from without
+unflattening the whole basis.
 
 `submodule`, `quotient` and `canonical_pieces` share one block-triangular
 split per vertex, `_split`, and return modules only, with no inclusion or
@@ -50,8 +52,8 @@ E-filtered exactly when it is locally free, a sum of the E_i
 
 `decompose` has one split step: split M into the generalized eigenspaces
 of a random endomorphism, drawn from End(M) and then from the annihilator
-ideals Ann(e_k), read off the End(M) basis with no system built, and
-recurse (see `decompose`).
+ideals Ann(e_k), read off End(M)'s kernel matrix with no system built, and
+recurse (see `decompose`).  End(M) is unflattened only by a draw.
 
 The per-run memo `_memoized` shares all of a run's work: ext1_dim, hom_dim,
 is_locally_free, is_E_filtered, is_crystal, iso_fingerprint and
@@ -79,7 +81,6 @@ import functools
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from . import linalg
@@ -322,9 +323,16 @@ def rank_vector(M):
     return ranks
 
 
-def direct_sum(M, N):
+def check_pair(M, N):
+    """Raise ValueError unless M and N share one datum and one field."""
     if M.datum != N.datum:
-        raise ValueError("direct sum of modules over different data")
+        raise ValueError("modules over different data")
+    if M.field.char != N.field.char:
+        raise ValueError("modules over different fields: %r and %r" % (M.field, N.field))
+
+
+def direct_sum(M, N):
+    check_pair(M, N)
     return ModuleRep.from_generators(
         M.datum, {g: linalg.block_diag([M.gen_mat(g), N.gen_mat(g)], M.field)
                   for g in M.datum.generators()}, M.field)
@@ -447,6 +455,8 @@ class KernelBasis:
 
     def combination(self, coeffs):
         field, K = self.field, self.kernel
+        if len(coeffs) != K.cols:
+            raise ValueError("%d coefficients for a basis of %d elements" % (len(coeffs), K.cols))
         if not K.cols:
             return {}
         p = field.char
@@ -483,8 +493,7 @@ def _hom_system(M, N, arrows, ranks=None):
     eps_N^k G_i Z_i eps_M^(c_i - 1 - k) (see `hom_dim`), with the equation
     Z_i eps_M^c_i = 0 where that power is nonzero.  Then each arrow
     g: s -> t in `arrows` gives f_t M_g - N_g f_s = 0."""
-    if M.datum != N.datum:
-        raise ValueError("modules over different data")
+    check_pair(M, N)
     datum, field = M.datum, M.field
 
     def powers(E, n):   # E^0, ..., E^(n - 1), with no product by the identity
@@ -518,8 +527,7 @@ def _der_system(M, N):
     """(system, shapes) of Der(M, N): one block N_{t(a)} x M_{s(a)} per
     arrow a, and per relation its word derivative,
     sum coeff * N(prefix) delta_a M(suffix) = 0 over the arrow positions."""
-    if M.datum != N.datum:
-        raise ValueError("modules over different data")
+    check_pair(M, N)
     datum = M.datum
     shapes = {k: (N.dims[k[1]], M.dims[gen_source(k)]) for k in datum.arrow_keys()}
     equations = []
@@ -940,27 +948,11 @@ def is_rigid(M):
 COEFF_BOUND = 10  # random coefficients are integers in [-10, 10]
 
 
-def _combination(basis, coeffs):
-    """sum_b coeffs[b] basis[b] of dict-shaped hom/der elements ({} if none);
-    a `KernelBasis` forms it from its kernel matrix."""
-    if isinstance(basis, KernelBasis):
-        return basis.combination(coeffs)
-    if not basis:
-        return {}
-    out = {}
-    for key in basis[0]:
-        acc = basis[0][key].scale(coeffs[0])
-        for c, elem in zip(coeffs[1:], basis[1:]):
-            if c:
-                acc = acc + elem[key].scale(c)
-        out[key] = acc
-    return out
-
-
 def random_combination(basis, rng):
-    """A random integer combination of hom/der basis elements (dict-shaped)."""
-    return _combination(basis, [rng.randint(-COEFF_BOUND, COEFF_BOUND)
-                                for _ in range(len(basis))])
+    """A random integer combination of a `KernelBasis`'s elements, formed
+    from its kernel matrix ({} for an empty basis)."""
+    return basis.combination([rng.randint(-COEFF_BOUND, COEFF_BOUND)
+                              for _ in range(len(basis))])
 
 
 def hom_is_injective(f, M):
@@ -985,8 +977,7 @@ def iso_test(M, N, trials=8, seed=0):
     agree but no invertible combination shows up within `trials` samples,
     IsoInconclusive is raised (never a silent False).
     """
-    if M.datum != N.datum:
-        raise ValueError("modules over different data")
+    check_pair(M, N)
     if M.dim_vector() != N.dim_vector():
         return False
     if M.dim_total() == 0:
@@ -1009,20 +1000,15 @@ def _end_is_local(M, endb):
     """Certify that End(M) is local: dim End - dim rad End = 1.
 
     In characteristic zero the radical of a matrix-realized algebra is the
-    kernel of the trace form (x, y) -> tr(xy).
+    kernel of the trace form (x, y) -> tr(xy).  With h_b = K[:, b] / den, K
+    the kernel matrix of `endb`, tr(h_a h_b) den^2 is row a of K^T times
+    column b of K with its rows (i, u, v) read at (i, v, u): the Gram
+    matrix is one product, of rank 1 iff End(M) is local.
     """
-    h = len(endb)
-    gram = [[0] * h for _ in range(h)]
-    for a in range(h):
-        for b in range(a, h):
-            t = 0
-            for i in M.datum.vertices:
-                A, B = endb[a][i], endb[b][i]
-                t += Fraction(sum(x * B.nz[v].get(u, 0) for u, row in enumerate(A.nz)
-                                  for v, x in row.items()), A.den * B.den)
-            gram[a][b] = gram[b][a] = t
-    rad = h - linalg.rank(Mat(M.field, h, h, gram))
-    return h - rad == 1
+    K, (offsets, _) = endb.kernel, _var_layout(endb.shapes)
+    flipped = [K.nz[offsets[i] + v * d + u] for i, (d, _) in endb.shapes.items()
+               for u in range(d) for v in range(d)]
+    return linalg.rank(K.transpose() * Mat.from_form(M.field, K.rows, K.cols, K.den, flipped)) == 1
 
 
 def _split_spaces(M, f):
@@ -1074,7 +1060,7 @@ def _split_complement(M, spaces):
     if sol is None:
         return None
     # hb is empty only where sub = 0, and then psi is the map onto 0
-    psi = (_combination(hb, [x for (x,) in sol.data])
+    psi = (hb.combination([x for (x,) in sol.data])
            or {i: Mat.zeros(field, 0, d) for i, d in M.dims.items()})
     comp = submodule(M, {i: linalg.nullspace(psi[i]) for i in incl})
     assert comp.dim_total() + sub.dim_total() == M.dim_total()
@@ -1104,15 +1090,19 @@ def decompose(M, seed=0):
 
 
 def _endomorphism_sources(M, endb):
-    """End(M) (its nonempty basis `endb`, the h_b), then a basis of each
-    Ann(e_k), over the vertices i in order of increasing dimension:
-    sum_b x_b h_b kills e_k iff sum_b x_b (h_b)_i e_k = 0, so each nullspace
-    vector x of the columns (h_b)_i e_k gives one element ([] if none)."""
+    """End(M) (its nonempty basis `endb`, the h_b = K[:, b] / den of its
+    kernel matrix K), then a basis of each Ann(e_k), over the vertices i in
+    order of increasing dimension, each a `KernelBasis` over endb's shapes:
+    sum_b x_b h_b kills e_k iff x solves the rows of K at the entries (u, k)
+    of block i, so with X their `rows_nullspace` the basis is K X (no
+    columns where Ann(e_k) = 0)."""
     yield endb
+    K, (offsets, _), p = endb.kernel, _var_layout(endb.shapes), M.field.char
     for i in sorted(M.datum.vertices, key=lambda i: M.dims[i]):
-        for k in range(M.dims[i]):
-            X = linalg.nullspace(linalg.hstack([h[i].col(k) for h in endb]))
-            yield [_combination(endb, x) for x in zip(*X.data)]
+        d = M.dims[i]
+        for k in range(d):
+            rows = [linalg.kernel_row(K.nz[offsets[i] + u * d + k], p) for u in range(d)]
+            yield KernelBasis(M.field, K * linalg.rows_nullspace(M.field, rows, K.cols), endb.shapes)
 
 
 def _decompose(M, rng):

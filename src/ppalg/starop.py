@@ -51,8 +51,7 @@ def extension_module(top, sub, delta):
     of its nonzero blocks.  The relations of the result are re-checked and
     InvalidDerivation is raised on a nonzero residual.
     """
-    if top.datum != sub.datum:
-        raise ValueError("extension of modules over different data")
+    pimod.check_pair(top, sub)
     datum, fld = top.datum, top.field
     unknown = set(delta) - set(datum.arrow_keys())
     if unknown:
