@@ -543,27 +543,42 @@ def complete_basis(B):
     """(extra, L, P) for an n x k matrix B with independent columns.
 
     The standard basis vectors e_j, j in `extra`, complete B's columns to a
-    basis; with C = [e_j for j in extra], [L; P] = [B | C]^-1 is the I part
-    of the RREF of [B | I]: L B = I and L C = 0 (coordinates in col(B)),
-    P B = 0 and P C = I (the projection onto C's coordinates along col(B)).
-    The rows of [B | I] are reduced as kernel rows; each block is read off
-    the reduced pivot rows, divided by their pivots.
+    basis: each e_j, j = 0, 1, ..., is taken when it is independent of B's
+    columns and the e's taken before, as the RREF of [B | I] takes them.
+    With C = [e_j for j in extra], [L; P] = [B | C]^-1: L B = I and L C = 0
+    (coordinates in col(B)), P B = 0 and P C = I (the projection onto C's
+    coordinates along col(B)).
+
+    All three come from one elimination of the k rows of [B^T | I_k], with
+    B^T's columns read right to left.  Its pivots are the last k rows Q of
+    B with B_Q invertible, so `extra` is the complement of Q, and its pivot
+    rows, divided by their pivots, are [R | W] with W = (B_Q^T)^-1 and
+    R = W B^T.  So L is W^T on the columns Q and zero on `extra`, and P is
+    I on `extra` and -R[:, extra]^T on Q.  A basis from `rows_nullspace`,
+    each column ending in 1 at its free row, is already reduced that way.
     Raises ValueError when B's columns are dependent.
     """
     n, k, p = B.rows, B.cols, B.field.char
-    rows = [kernel_row({**r, k + i: B.den}, p) for i, r in enumerate(B.nz)]
-    pivots, pivot_rows = _reduce(rows, p, k + n)
-    if pivots[:k] != list(range(k)):
+    rows = [{n + t: B.den} for t in range(k)]   # row t of [B^T | I_k], times B.den
+    for j, r in enumerate(B.nz):
+        for t, x in r.items():
+            rows[t][n - 1 - j] = x
+    rows = [kernel_row(r, p) for r in rows]
+    pivots, pivot_rows = _reduce(rows, p, n)
+    if len(pivots) < k:
         raise ValueError("the columns are linearly dependent")
-
-    def block(ks):
-        pivot = [rows[pivot_rows[t]][pivots[t]] for t in ks]   # 1 over GF(p)
-        den = lcm(*pivot)
-        return Mat.from_form(B.field, len(ks), n, den,
-                             [{c - k: v * (den // d) for c, v in rows[pivot_rows[t]].items()
-                               if c >= k} for t, d in zip(ks, pivot)])
-
-    return [c - k for c in pivots[k:]], block(range(k)), block(range(k, n))
+    extra = sorted(set(range(n)).difference(n - 1 - c for c in pivots))
+    at = {n - 1 - e: t for t, e in enumerate(extra)}   # reversed column -> row of P
+    den = lcm(*[rows[i][c] for c, i in zip(pivots, pivot_rows)])   # 1 over GF(p)
+    L, P = [{} for _ in range(k)], [{e: den} for e in extra]
+    for c, i in zip(pivots, pivot_rows):
+        q, s = n - 1 - c, den // rows[i][c]
+        for col, v in rows[i].items():
+            if col >= n:
+                L[col - n][q] = v * s
+            elif col != c:
+                P[at[col]][q] = -v * s % p if p else -v * s
+    return extra, Mat.from_form(B.field, k, n, den, L), Mat.from_form(B.field, n - k, n, den, P)
 
 
 # -- characteristic polynomials and coprime factor splitting ----------------

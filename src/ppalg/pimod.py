@@ -37,18 +37,20 @@ submodule matrices, and only `canonical_pieces` asks for both.
 
 One rule decides freeness over H_i = K[x]/(x^c_i) from a rank:
 `_free_rank(M, i, B, K)`, the H_i-rank of col(B) / col(K) when that is
-free.  `is_locally_free` and `is_crystal` both call it.  It and
+free.  `is_locally_free`, `is_E_filtered` and `is_crystal` call it.  It and
 `sub_space` pass block rows to `rows_rank` / `rows_nullspace` and build no
 stacked matrix; `k_space` keeps its stack, whose columns its basis selects.
 
 `is_crystal` runs no E-filtered search: it certifies E-filtered by peeling
 off a nonzero sub_i (see `is_crystal`), so its False verdicts are exact.
 It builds no sub_i or fac_i: their local freeness is one `_free_rank`
-each, and only the Q_i and K_i it recurses into are built.  The
-backtracking search lives on in `is_E_filtered` alone.  Both tests stop at
-a module whose arrows all act by zero (`_arrows_vanish`): it is crystal and
-E-filtered exactly when it is locally free, a sum of the E_i
-(Geiss-Leclerc-Schroer, Invent. Math. 2017).
+each, and only the Q_i and K_i it recurses into are built.
+`is_E_filtered` certifies True the same way, peeling a whole free sub_i
+at a time, and runs the backtracking search `_efiltered_search` only on a
+module where that peel gets stuck, which no crystal module is.  Both
+tests stop at a module whose arrows all act by zero (`_arrows_vanish`): it
+is crystal and E-filtered exactly when it is locally free, a sum of the
+E_i (Geiss-Leclerc-Schroer, Invent. Math. 2017).
 
 `decompose` has one split step: split M into the generalized eigenspaces
 of a random endomorphism, drawn from End(M) and then from the annihilator
@@ -112,8 +114,10 @@ class ModuleRep:
     `dims` maps each vertex to the dimension of its vector space, `eps`
     maps a vertex to the loop action (a dims[i] x dims[i] matrix) and
     `arrows` maps ("arr", i, j, g) to the dims[i] x dims[j] matrix of the
-    arrow with source j and target i.  Missing matrices default to zero.
-    Instances are treated as immutable.
+    arrow with source j and target i.  Missing matrices default to zero;
+    a given one of the wrong shape, or over another field than `field`,
+    raises ValueError naming its generator.  Instances are treated as
+    immutable.
     """
 
     def __init__(self, datum, dims, eps=None, arrows=None, field=QQ):
@@ -130,9 +134,11 @@ class ModuleRep:
             A = eps.get(i) if loop else arrows.get(g)
             if A is None:
                 A = Mat.zeros(field, self.dims[i], self.dims[j])
-            if (A.rows, A.cols) != (self.dims[i], self.dims[j]):
+            if (A.rows, A.cols, A.field.char) != (self.dims[i], self.dims[j], field.char):
                 name = "loop at %r" % (i,) if loop else "arrow %r" % (g,)
-                raise ValueError("%s must be %dx%d" % (name, self.dims[i], self.dims[j]))
+                if (A.rows, A.cols) != (self.dims[i], self.dims[j]):
+                    raise ValueError("%s must be %dx%d" % (name, self.dims[i], self.dims[j]))
+                raise ValueError("%s is over %r, the module over %r" % (name, A.field, field))
             if loop:
                 self.eps[i] = A
             else:
@@ -831,27 +837,45 @@ def is_E_filtered(M):
     """(flag, witness) where the witness is the tuple of peeled vertices,
     bottom-up (None when the flag is False).
 
-    Decides whether M admits a filtration with subquotients among the E_i
-    by backtracking: pick a vertex i and a free rank-one loop-submodule of
-    sub_i(M), pass to the quotient, recurse over all vertex choices (and a
-    small set of generator choices per vertex).  With a minimal symmetrizer
-    and symmetric C the property reduces to nilpotency of the
-    representation, which prunes the search up front.
+    Decides whether M admits a filtration with subquotients among the E_i.
+    A locally free M is first peeled by whole free socles, with no search:
+    at the first vertex i, in vertex order, where sub_i(M) is nonzero and
+    free over K[x]/(x^c_i) (`_free_rank`), sub_i(M) is E_i^r, so the
+    witness gains (i,) * r and the peel goes on with M / sub_i(M).  The
+    quotient is again locally free, and E-filtered modules are closed under
+    extensions, so a peel that reaches zero certifies True.  A module
+    whose arrows all act by zero is a sum of E_i's, and ends the peel with
+    (i,) * r_i in vertex order.  On crystal modules the peel never gets
+    stuck (see `is_crystal`); where no vertex qualifies, M itself goes to
+    the backtracking search `_efiltered_search`: pick a vertex i and a free
+    rank-one loop-submodule of sub_i(M), pass to the quotient, recurse over
+    all vertex choices (and a small set of generator choices per vertex).
+    With a minimal symmetrizer and symmetric C the property reduces to
+    nilpotency of the representation, which prunes the search up front.
 
     True comes with its witness and is certified; a False from the search
     is not (only a few generators are tried per vertex), except where the
     arrows of M all act by zero: such a module is a sum of E_i's exactly
-    when it is locally free, so there the search stops with an exact answer
-    and the witness (i,) * r_i in vertex order, the one peeling reaches.
-    `is_crystal` does not call this test: it certifies E-filtered by
-    peeling instead.
+    when it is locally free.  `is_crystal` does not call this test: it
+    certifies E-filtered by peeling a nonzero sub_i, as the peel here does.
     """
     ok, _ = is_locally_free(M)
     if not ok:
         return False, None
     if _minimal_symmetric(M.datum) and not _is_nilpotent_rep(M):
         return False, None
-    return _efiltered_search(M)
+    witness, X = (), M
+    while not _arrows_vanish(X):
+        for i in X.datum.vertices:
+            U = sub_space(X, i)
+            r = _free_rank(X, i, B=U) if U.cols else None
+            if r:
+                break
+        else:
+            return _efiltered_search(M)
+        witness += (i,) * r
+        X = quotient(X, {i: U})
+    return True, witness + _zero_arrow_witness(X)
 
 
 def _arrows_vanish(M, away=None):
@@ -860,13 +884,17 @@ def _arrows_vanish(M, away=None):
     return not any(any(A.nz) for g, A in M.arrows.items() if away not in g[1:3])
 
 
+def _zero_arrow_witness(M):
+    """(i,) * r_i in vertex order, r the rank vector of a locally free M
+    whose arrows all act by zero, a sum of E_i's."""
+    return tuple(i for i in M.datum.vertices for _ in range(M.dims[i] // M.datum.ci(i)))
+
+
 def _efiltered_search(M):
     if M.dim_total() == 0:
         return True, ()
     if _arrows_vanish(M):
-        ok, ranks = is_locally_free(M)
-        return (True, tuple(i for i, r in zip(M.datum.vertices, ranks) for _ in range(r))) \
-            if ok else (False, None)
+        return (True, _zero_arrow_witness(M)) if is_locally_free(M)[0] else (False, None)
     for i in M.datum.vertices:
         for v in _rank_one_candidates(M, i):
             cols = _loop_powers(v, M.datum.ci(i), lambda X: M.eps[i] * X)
@@ -898,7 +926,10 @@ def is_crystal(M):
       - Q_i is crystal, hence E-filtered, and E-filtered modules are closed
         under extensions, so M is E-filtered;
       - conversely, the bottom step E_j of a filtration lies in sub_j(M).
-    So every False rests on exact rank tests alone.
+    So every False rests on exact rank tests alone.  The same argument
+    keeps the peel of `is_E_filtered` from getting stuck on a crystal M:
+    its first nonzero sub_i is free and its Q_i is crystal again, so that
+    test runs no search on crystal modules either.
 
     A locally free M whose arrows all act by zero is a sum of E_i's, so it
     is crystal with no piece built, and a False there is exact.  Where the

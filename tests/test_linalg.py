@@ -405,6 +405,66 @@ def test_complete_basis_projection(field, n, k, rng):
     assert_split_inverse(B, completion(field, n, extra), L, P)
 
 
+def bi_elimination_complete_basis(B):
+    """`complete_basis` as one elimination of the n rows of [B | I_n], the
+    (extra, L, P) read off its RREF: the reference, verbatim but for its
+    name and the `linalg.` prefixes."""
+    n, k, p = B.rows, B.cols, B.field.char
+    rows = [linalg.kernel_row({**r, k + i: B.den}, p) for i, r in enumerate(B.nz)]
+    pivots, pivot_rows = linalg._reduce(rows, p, k + n)
+    if pivots[:k] != list(range(k)):
+        raise ValueError("the columns are linearly dependent")
+
+    def block(ks):
+        pivot = [rows[pivot_rows[t]][pivots[t]] for t in ks]   # 1 over GF(p)
+        den = lcm(*pivot)
+        return Mat.from_form(B.field, len(ks), n, den,
+                             [{c - k: v * (den // d) for c, v in rows[pivot_rows[t]].items()
+                               if c >= k} for t, d in zip(ks, pivot)])
+
+    return [c - k for c in pivots[k:]], block(range(k)), block(range(k, n))
+
+
+def complete_basis_or_refusal(complete, B):
+    try:
+        return complete(B)
+    except ValueError as exc:
+        return str(exc)
+
+
+@FIELDS
+@KERNEL_EXAMPLES
+@given(kind=st.sampled_from(["any", "independent", "kernel", "k = 0", "k = n", "dependent"]),
+       n=st.integers(0, 8), data=st.data())
+@example(kind="kernel", n=6, data=None)
+@example(kind="k = 0", n=5, data=None)
+@example(kind="k = n", n=5, data=None)
+@example(kind="dependent", n=3, data=None)
+def test_complete_basis_matches_bi_elimination_reference(field, kind, n, data):
+    """(extra, L, P) from the k rows of [B^T | I_k] equal the reference's
+    from the n rows of [B | I_n]: on any sparse B, on independent columns,
+    on kernel bases from `nullspace` (already reduced right to left), and
+    at k = 0 and k = n.  Dependent columns, among them a B beside itself,
+    are refused by both, with one message."""
+    rng = random.Random(n) if data is None else data.draw(st.randoms(use_true_random=False))
+    if kind == "any":
+        B = data.draw(sparse_mat(field, rows=n))
+    elif kind == "kernel":
+        A = random_mat(rng, rng.randint(0, n), n, field=field) if data is None \
+            else data.draw(sparse_mat(field, cols=n))
+        B = linalg.nullspace(A)
+    elif kind == "dependent":
+        X = independent_columns(field, n + 1, rng.randint(1, n + 1), rng)
+        B = linalg.hstack([X, X])
+    else:
+        k = {"k = 0": 0, "k = n": n}.get(kind, rng.randint(0, n))
+        B = independent_columns(field, n, k, rng)
+    got = complete_basis_or_refusal(linalg.complete_basis, B)
+    assert got == complete_basis_or_refusal(bi_elimination_complete_basis, B)
+    if kind == "dependent" or isinstance(got, str):
+        assert got == "the columns are linearly dependent"
+
+
 # -- the elimination loop against the one before its pivot tie-break ----------
 #
 # `previous_eliminate`, `previous_forward` and `previous_reduce` are the loop

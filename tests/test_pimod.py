@@ -1727,16 +1727,32 @@ def test_rank_one_candidates_skip_a_sum_the_loop_kills(monkeypatch):
         assert is_E_filtered(M) == (True, (1, 1))
 
 
-def _stored_towers():
-    """Every stored benchmark tower (B2, C3 and G2, total ranks 2 to 12)."""
-    doc = json.loads((Path(__file__).resolve().parent.parent
-                      / "perfbench" / "data" / "towers.json").read_text())
+def _towers_doc():
+    return json.loads((Path(__file__).resolve().parent.parent
+                       / "perfbench" / "data" / "towers.json").read_text())
+
+
+def _stored_datum(spec):
+    return validate_datum(spec["cartan"], spec["symmetrizer"],
+                          [tuple(p) for p in spec["orientation"]])
+
+
+def _stored_towers(max_rank=12):
+    """Every stored benchmark tower (B2, C3 and G2, total ranks 2 to 12),
+    or those of total rank at most `max_rank`."""
+    doc = _towers_doc()
     for name, spec in doc["data"].items():
-        datum = validate_datum(spec["cartan"], spec["symmetrizer"],
-                               [tuple(p) for p in spec["orientation"]])
-        for docs in doc["towers"][name].values():
-            for tower in docs:
-                yield pimod.module_from_json(tower, datum)
+        datum = _stored_datum(spec)
+        for rank, docs in doc["towers"][name].items():
+            if int(rank) <= max_rank:
+                for tower in docs:
+                    yield pimod.module_from_json(tower, datum)
+
+
+def _stored_tower(name, rank, index):
+    doc = _towers_doc()
+    return pimod.module_from_json(doc["towers"][name][str(rank)][index],
+                                  _stored_datum(doc["data"][name]))
 
 
 def test_rank_one_candidates_meet_their_docstring_on_stored_towers():
@@ -1766,6 +1782,89 @@ def test_crystal_and_efiltered_tests_leave_their_inputs_unchanged():
             for i in M.datum.vertices:
                 canonical_pieces(M, i)
         assert _fresh_content_key(M) == before
+
+
+# -- is_E_filtered: whole free socles peeled, the search as fallback -------------
+
+def _count_searches(monkeypatch):
+    """Record the modules `_efiltered_search` is called on, recursion included."""
+    calls = []
+    search = pimod._efiltered_search
+    monkeypatch.setattr(pimod, "_efiltered_search", lambda M: calls.append(M) or search(M))
+    return calls
+
+
+def socle_blocks(M):
+    """The peel's witness, rebuilt from canonical pieces with no zero-arrow
+    rule: at the first vertex i with sub_i nonzero and locally free, the
+    block (i,) * rank sub_i, then the same on Q_i; None where it is stuck."""
+    witness = ()
+    while M.dim_total():
+        for k, i in enumerate(M.datum.vertices):
+            p = canonical_pieces(M, i)
+            ok, ranks = is_locally_free(p.sub)
+            if ok and p.sub.dim_total():
+                break
+        else:
+            return None
+        witness += (i,) * ranks[k]
+        M = p.quot
+    return witness
+
+
+def test_efiltered_peels_crystal_towers_with_no_search(monkeypatch):
+    """On the stored towers of total rank up to 7 (B2, C3, G2), all crystal
+    but B2 rank 5 #1 and C3 rank 7 #2, the peel of a crystal tower never
+    gets stuck, and its witness is the block sequence."""
+    mods = list(_stored_towers(max_rank=7))
+    with pimod.memo_run():
+        crystal = [M for M in mods if is_crystal(M)]
+        want = [socle_blocks(M) for M in crystal]
+    assert len(crystal) == len(mods) - 2 and None not in want
+    assert {M.datum.cartan for M in crystal} == {M.datum.cartan for M in mods}
+    calls = _count_searches(monkeypatch)
+    with pimod.memo_run():
+        assert [is_E_filtered(M) for M in crystal] == [(True, w) for w in want]
+    assert calls == []
+
+
+def test_efiltered_peel_gets_stuck_and_the_search_runs(monkeypatch):
+    """The stored B2 rank-5 tower #1 is E-filtered but not crystal: no
+    vertex of some quotient in the peel has a nonzero free sub_i, so the
+    search runs on the tower itself and finds the filtration."""
+    M = _stored_tower("B2", 5, 1)
+    calls = _count_searches(monkeypatch)
+    with pimod.memo_run():
+        assert is_E_filtered(M) == (True, (1, 1, 1, 2, 1))
+        assert is_crystal(M) is False
+    assert calls and calls[0] is M
+
+
+def _not_efiltered():
+    """The modules the tests above find not E-filtered that satisfy the
+    relations (the search's domain): not locally free, or locally free with
+    arrows in a cycle (over symmetrizers (1, 1) and (2, 2))."""
+    one = Mat.from_rows(QQ, [[1]])
+    cycle = ModuleRep(_wider("A1~"), {1: 1, 2: 1}, {},
+                      {("arr", 2, 1, 1): one, ("arr", 1, 2, 2): one})
+    mods = [cycle, symred.tilde_lift(symred.sym_pair(cycle.datum, 2), cycle),
+            ModuleRep(catalog.b2_datum(), {1: 1}, {}, {}), *_not_locally_free(),
+            *_short_jordan_blocks(catalog.b2_datum())]
+    return [X for X in mods if check_relations(X) == []]
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16))
+def test_efiltered_flag_matches_the_search(name, seed):
+    """`is_E_filtered` and `_efiltered_search` give the same flag on a
+    tower's crystal family and on the modules that are not E-filtered."""
+    negatives = _not_efiltered()
+    mods = _crystal_family(name, seed) + negatives
+    with pimod.memo_run():
+        flags = [is_E_filtered(X)[0] for X in mods]
+        assert flags == [pimod._efiltered_search(X)[0] for X in mods]
+    assert not any(flags[-len(negatives):])
 
 
 # -- the per-run memo -----------------------------------------------------------
@@ -1983,6 +2082,18 @@ def test_operations_on_two_modules_refuse_mixed_fields_and_data(op, a2, b2):
     with pytest.raises(ValueError, match="different data"):
         fn(E, generalized_simple(a2, 1))
     fn(F, F)
+
+
+def test_module_refuses_matrices_over_another_field(b2):
+    """E_1's matrices over GF(7) make no module over Q, and a Q arrow none
+    over GF(7); the error names the generator."""
+    E, F = generalized_simple(b2, 1), generalized_simple(b2, 1, linalg.GF(7))
+    with pytest.raises(ValueError, match=r"loop at 1 is over GF\(7\), the module over QQ"):
+        ModuleRep(b2, F.dims, F.eps, F.arrows)
+    key = ("arr", 2, 1, 1)
+    with pytest.raises(ValueError, match=re.escape("arrow %r is over QQ" % (key,))):
+        ModuleRep(b2, {1: 2, 2: 1}, {1: F.eps[1]}, {key: Mat.zeros(QQ, 1, 2)}, linalg.GF(7))
+    assert hom_dim(ModuleRep(b2, E.dims, E.eps, E.arrows), E) == hom_dim(E, E)
 
 
 def end_is_local_reference(M, endb):
