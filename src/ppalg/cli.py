@@ -4,13 +4,19 @@ Every command reads/writes the JSON formats defined by the library
 (algebra configs, module files, matrices as "p/q" strings) and prints a
 JSON (default) or Markdown report.  Randomized commands echo their seed
 and trial count so results can be reproduced; identical invocations with
-identical seeds produce byte-identical output.  Exit codes: 0 success,
-1 assertion/verification failure, 2 usage error.  Output files are only
+identical seeds produce byte-identical output.  Output files are only
 written after a command has fully succeeded.
+
+Exit codes: 0 success, 1 a failed verification, 2 a usage error.  The exit
+code of a library error is a property of its type, decided in one place,
+the wrapper that `_report_options` puts around every command: `_FAILED`
+types are reported with their message and exit 1, `_USAGE` types exit 2.
+A command catches only what its own payload or message depends on.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -155,13 +161,30 @@ def _parse_rank_vector(text, datum):
     return tuple(parts)
 
 
-def _report_options(fn):
-    """--format and --out, which every command takes."""
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "md"]),
-                      default="json", show_default=True)(fn)
-    fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                      help="Write the report to a file instead of stdout.")(fn)
-    return fn
+# Library errors by exit code.  _FAILED is tested first: NotCertified is a
+# SymmetrizerError.  A bare ValueError is neither, so an internal fault
+# still shows its traceback.
+_FAILED = (catalog.CatalogError, DivisionUndefined, starop.RankMismatch, symred.NotCertified)
+_USAGE = (pimod.NotLocallyFree, NoTrials, symred.SymmetrizerError)
+
+
+def _report_options(command):
+    """--format and --out, which every command takes, and the exit code of
+    the library errors the command raises: `_FAILED` exits 1 with the error
+    in the report, `_USAGE` exits 2 with the command's usage line."""
+    @functools.wraps(command)
+    def run(**kwargs):
+        try:
+            return command(**kwargs)
+        except _FAILED as exc:
+            _fail(str(exc), kwargs.get("seed"), kwargs["fmt"], kwargs["out"])
+        except _USAGE as exc:
+            raise click.UsageError(str(exc))
+
+    run = click.option("--format", "fmt", type=click.Choice(["json", "md"]),
+                       default="json", show_default=True)(run)
+    return click.option("--out", type=click.Path(dir_okay=False), default=None,
+                        help="Write the report to a file instead of stdout.")(run)
 
 
 def _common(fn):
@@ -251,10 +274,7 @@ def hom(mod_a, mod_b, field, fmt, out):
 def ext(mod_a, mod_b, field, fmt, out):
     """dim Ext^1(A, B) for locally free modules."""
     A, B = _load_pair(mod_a, mod_b, field)
-    try:
-        payload = {"dim_ext1": pimod.ext1_dim(A, B), "field": field.name}
-    except pimod.NotLocallyFree as exc:
-        raise click.UsageError(str(exc))
+    payload = {"dim_ext1": pimod.ext1_dim(A, B), "field": field.name}
     _emit(payload, fmt, out)
 
 
@@ -326,10 +346,7 @@ def crystal(module, field, fmt, out):
 def rigid(module, field, fmt, out):
     """Rigidity and orbit codimension (self-Ext dimension halved)."""
     M = _load_module(module, field)
-    try:
-        flag, codim = pimod.is_rigid(M)
-    except pimod.NotLocallyFree as exc:
-        raise click.UsageError(str(exc))
+    flag, codim = pimod.is_rigid(M)
     payload = {"rigid": flag, "orbit_codim": codim}
     _emit(payload, fmt, out)
 
@@ -401,10 +418,7 @@ def star(mod_a, mod_b, seed, trials, field, fmt, out):
     """The generic extension A * B (A on top, B as sub)."""
     A, B = _load_pair(mod_a, mod_b, field)
     _require_crystal(("A", "B"), (A, B))
-    try:
-        res = starop.generic_extension(A, B, trials=trials, seed=seed)
-    except NoTrials as exc:
-        raise click.UsageError(str(exc))
+    res = starop.generic_extension(A, B, trials=trials, seed=seed)
     _emit(_star_payload(res), fmt, out)
 
 
@@ -443,12 +457,7 @@ def _divide(division, names, path_a, path_b, seed, trials, field, fmt, out):
     emit its module."""
     A, B = _load_pair(path_a, path_b, field)
     _require_crystal(names, (A, B))
-    try:
-        D = division(A, B, trials=trials, seed=seed)
-    except (pimod.NotLocallyFree, NoTrials) as exc:
-        raise click.UsageError(str(exc))
-    except (DivisionUndefined, ValueError) as exc:
-        _fail(str(exc), seed, fmt, out)
+    D = division(A, B, trials=trials, seed=seed)
     _emit({"seed": seed, "trials": trials, "module": pimod.module_to_json(D)}, fmt, out)
 
 
@@ -479,21 +488,16 @@ def _md_table(payload):
 @_randomized
 def table(suite, seed, trials, fmt, out):
     """The full product table of a catalog suite."""
-    try:
-        if suite == "b2":
-            s = catalog.b2_suite(trials=trials, seed=seed)
-            entries = [(e.label, e.module) for e in s.entries]
-            extras = [(e.label, e.module) for e in s.extras]
-        else:
-            s = catalog.a2_suite(seed=seed)
-            entries = [(s.s1.label, s.s1.module), (s.s2.label, s.s2.module)]
-            extras = [(label, catalog.certified_product(label, top.module, sub.module,
-                                                        trials=trials, seed=seed))
-                      for label, top, sub in (("1/2", s.s1, s.s2), ("2/1", s.s2, s.s1))]
-    except NoTrials as exc:
-        raise click.UsageError(str(exc))
-    except catalog.CatalogError as exc:
-        _fail(str(exc), seed, fmt, out)
+    if suite == "b2":
+        s = catalog.b2_suite(trials=trials, seed=seed)
+        entries = [(e.label, e.module) for e in s.entries]
+        extras = [(e.label, e.module) for e in s.extras]
+    else:
+        s = catalog.a2_suite(seed=seed)
+        entries = [(s.s1.label, s.s1.module), (s.s2.label, s.s2.module)]
+        extras = [(label, catalog.certified_product(label, top.module, sub.module,
+                                                    trials=trials, seed=seed))
+                  for label, top, sub in (("1/2", s.s1, s.s2), ("2/1", s.s2, s.s1))]
     cells = starop.star_table(entries, extra_pool=extras, trials=trials, seed=seed)
     payload = {
         "suite": suite, "seed": seed, "trials": trials,
@@ -517,11 +521,7 @@ def reduce_cmd(module, field, fmt, out):
     n = ns.pop()
     base = validate_datum([list(r) for r in M.datum.cartan], [1] * M.datum.n(),
                           [tuple(p) for p in M.datum.orient], M.datum.vertices)
-    try:
-        pair = symred.sym_pair(base, n)
-        red = symred.reduce_module(pair, M)
-    except (symred.SymmetrizerError, pimod.NotLocallyFree) as exc:
-        raise click.UsageError(str(exc))
+    red = symred.reduce_module(symred.sym_pair(base, n), M)
     _emit({"n": n, "module": pimod.module_to_json(red)}, fmt, out)
 
 
@@ -532,11 +532,7 @@ def reduce_cmd(module, field, fmt, out):
 def lift(module, ncopies, field, fmt, out):
     """Lift a module over minimal (C, D) to (C, nD) by the shift construction."""
     M = _load_module(module, field)
-    try:
-        pair = symred.sym_pair(M.datum, ncopies)
-        big = symred.tilde_lift(pair, M)
-    except symred.SymmetrizerError as exc:
-        raise click.UsageError(str(exc))
+    big = symred.tilde_lift(symred.sym_pair(M.datum, ncopies), M)
     _emit({"n": ncopies, "module": pimod.module_to_json(big)}, fmt, out)
 
 
@@ -549,16 +545,8 @@ def lift(module, ncopies, field, fmt, out):
 def check_symmetrizer(mod_a, mod_b, ncopies, seed, trials, field, fmt, out):
     """Compare reduce(lift(A) * lift(B)) against A * B up to isomorphism."""
     A, B = _load_pair(mod_a, mod_b, field)
-    try:
-        pair = symred.sym_pair(A.datum, ncopies)
-    except symred.SymmetrizerError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        report = symred.verify_symmetrizer_compat(pair, A, B, trials=trials, seed=seed)
-    except NoTrials as exc:
-        raise click.UsageError(str(exc))
-    except symred.SymmetrizerError as exc:
-        _fail(str(exc), seed, fmt, out)
+    pair = symred.sym_pair(A.datum, ncopies)
+    report = symred.verify_symmetrizer_compat(pair, A, B, trials=trials, seed=seed)
     report.update({"seed": seed, "trials": trials})
     _emit(report, fmt, out)
     if not report["agree"]:
@@ -575,12 +563,7 @@ def catalog_group():
 @_randomized
 def catalog_list(seed, trials, fmt, out):
     """List all catalog entries with their certified flags."""
-    try:
-        entries = catalog.all_entries(trials=trials, seed=seed)
-    except NoTrials as exc:
-        raise click.UsageError(str(exc))
-    except catalog.CatalogError as exc:
-        _fail(str(exc), seed, fmt, out)
+    entries = catalog.all_entries(trials=trials, seed=seed)
     payload = {"entries": [{"label": label, **entry.flags()} for label, entry in entries]}
     _emit(payload, fmt, out)
 
@@ -591,12 +574,7 @@ def catalog_list(seed, trials, fmt, out):
 @_randomized
 def catalog_export(label, seed, trials, fmt, out):
     """Export one catalog entry as a module file."""
-    try:
-        entries = catalog.all_entries(trials=trials, seed=seed)
-    except NoTrials as exc:
-        raise click.UsageError(str(exc))
-    except catalog.CatalogError as exc:
-        _fail(str(exc), seed, fmt, out)
+    entries = catalog.all_entries(trials=trials, seed=seed)
     for name, entry in entries:
         if name == label or entry.label == label:
             _emit(pimod.module_to_json(entry.module), fmt, out)
@@ -618,12 +596,7 @@ def _md_selftest(report):
 @_randomized
 def selftest(seed, trials, fmt, out):
     """Run the full acceptance suite and report one line per criterion."""
-    try:
-        report = run_selftest(seed=seed, trials=trials)
-    except NoTrials as exc:
-        raise click.UsageError(str(exc))
-    except catalog.CatalogError as exc:
-        _fail(str(exc), seed, fmt, out)
+    report = run_selftest(seed=seed, trials=trials)
     if fmt != "md":
         for c in report["criteria"]:
             click.echo("%s %s: %s" % (c["id"], c["title"],

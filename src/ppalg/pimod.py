@@ -987,7 +987,9 @@ def random_combination(basis, rng):
 
 
 def hom_is_injective(f, M):
-    return all(linalg.rank(f[i]) == M.dims[i] for i in M.datum.vertices)
+    """Whether the map f (vertex -> block) is injective on M; a vertex where
+    M is zero needs no block, so the empty map {} is injective on 0."""
+    return all(i in f and linalg.rank(f[i]) == d for i, d in M.dims.items() if d)
 
 
 @_memoized

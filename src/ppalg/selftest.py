@@ -175,7 +175,7 @@ def criterion_efiltered_closure(seed=0, trials=8):
             hb = pimod.hom_basis(a, b)
             for _ in range(4):
                 f = pimod.random_combination(hb, rng)
-                if f and pimod.hom_is_injective(f, a):
+                if pimod.hom_is_injective(f, a):
                     if not pimod.is_E_filtered(pimod.quotient(b, f))[0]:
                         failures.append({"kind": kind, "attempt": attempts})
                     done[kind] += 1

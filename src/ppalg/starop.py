@@ -39,6 +39,12 @@ class NoTrials(ValueError):
     draws nothing and has nothing to return."""
 
 
+class RankMismatch(ValueError):
+    """A division whose sub (or top) has a rank vector exceeding the ambient
+    module's at some vertex: no embedding (or surjection) exists, so the
+    division answers nothing, as `DivisionUndefined` does."""
+
+
 def extension_module(top, sub, delta):
     """The middle term of the extension of `top` (quotient) by `sub` with
     derivation `delta` (arrow key -> sub_dims[target] x top_dims[source]
@@ -169,16 +175,18 @@ def generic_cokernel(mid, sub, trials=8, seed=0):
     Samples hom space elements, keeps the injective ones, and returns the
     first cokernel minimizing dim Ext^1 with itself (a rigid one ends the
     search).  The result is checked to be E-filtered (cokernels of
-    monomorphisms between crystal modules are).  Raises NoTrials (a
-    ValueError) when `trials` is below 1.
+    monomorphisms between crystal modules are).  Raises RankMismatch when
+    no embedding can exist and NoTrials (a ValueError) when `trials` is
+    below 1.  Dividing by the zero module gives `mid` back: the zero map,
+    the empty draw {}, is injective on it.
     """
     if any(a < b for a, b in zip(pimod.rank_vector(mid), pimod.rank_vector(sub))):
-        raise ValueError("rank vector of the sub exceeds the ambient module")
+        raise RankMismatch("rank vector of the sub exceeds the ambient module")
     if trials < 1:
         raise NoTrials("division undefined: %d trials draw no embedding" % trials)
     best = _least_self_ext(pimod.hom_basis(sub, mid),
                            lambda f: pimod.quotient(mid, f),   # injective => independent columns
-                           trials, seed, keep=lambda f: f and pimod.hom_is_injective(f, sub))
+                           trials, seed, keep=lambda f: pimod.hom_is_injective(f, sub))
     if best is None:
         raise DivisionUndefined("division undefined (no generic embedding found)")
     if not pimod.is_E_filtered(best[2])[0]:
@@ -191,7 +199,7 @@ def generic_kernel(top, mid, trials=8, seed=0):
     """The generic kernel of surjections from `mid` onto `top`: the dual of
     the generic cokernel of embeddings top^v -> mid^v (see `pimod.dual`)."""
     if any(a < b for a, b in zip(pimod.rank_vector(mid), pimod.rank_vector(top))):
-        raise ValueError("rank vector of the top exceeds the ambient module")
+        raise RankMismatch("rank vector of the top exceeds the ambient module")
     return pimod.dual(generic_cokernel(pimod.dual(mid), pimod.dual(top), trials, seed))
 
 

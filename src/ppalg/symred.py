@@ -20,7 +20,13 @@ from .pimod import ModuleRep
 
 
 class SymmetrizerError(ValueError):
-    pass
+    """The symmetrizer reduction does not apply to the given data."""
+
+
+class NotCertified(SymmetrizerError):
+    """A non-rigid input or an uncertified product in
+    `verify_symmetrizer_compat`: the comparison cannot be certified, a failed
+    verification rather than data the reduction does not apply to."""
 
 
 @dataclass(frozen=True)
@@ -113,14 +119,14 @@ def verify_symmetrizer_compat(pair, M1, M2, trials=8, seed=0):
     for M in (M1, M2):
         rigid, _ = pimod.is_rigid(M)
         if not rigid:
-            raise SymmetrizerError("not certified: inputs must be rigid")
+            raise NotCertified("not certified: inputs must be rigid")
     lifted = starop.generic_extension(tilde_lift(pair, M1), tilde_lift(pair, M2),
                                       trials=trials, seed=seed)
     if not lifted.certified:
-        raise SymmetrizerError("not certified: big-side product %r" % (lifted.flags,))
+        raise NotCertified("not certified: big-side product %r" % (lifted.flags,))
     down = starop.generic_extension(M1, M2, trials=trials, seed=seed)
     if not down.certified:
-        raise SymmetrizerError("not certified: base-side product %r" % (down.flags,))
+        raise NotCertified("not certified: base-side product %r" % (down.flags,))
     A = reduce_module(pair, lifted.module)
     agree = pimod.iso_test(A, down.module, trials=max(trials, 8), seed=seed)
     return {

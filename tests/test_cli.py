@@ -6,7 +6,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from ppalg import catalog, cli, linalg, pimod, selftest
+from ppalg import catalog, cli, linalg, pimod, selftest, starop, symred
 from ppalg.cartan import default_orientation, validate_datum
 from ppalg.cli import main
 
@@ -862,3 +862,84 @@ def test_file_format_examples_in_readme(runner, tmp_path):
     assert check["ok"] and check["violated"] == []
     rank = run_json(runner, ["rank", str(tmp_path / "module.json")])
     assert rank["locally_free"] and rank["rank_vector"] == [1, 1]
+
+
+@pytest.mark.parametrize("error, code", [
+    (catalog.CatalogError, 1), (starop.DivisionUndefined, 1), (starop.RankMismatch, 1),
+    (symred.NotCertified, 1), (pimod.NotLocallyFree, 2), (starop.NoTrials, 2),
+    (symred.SymmetrizerError, 2)], ids=lambda x: getattr(x, "__name__", str(x)))
+def test_library_error_type_decides_the_exit_code(runner, files, monkeypatch, error, code):
+    """`hom` handles no library error itself: the wrapper around every
+    command reports a failed verification with exit 1 and the error in the
+    report, and refuses its input with exit 2 and the message."""
+    def raise_error(A, B):
+        raise error("no answer")
+
+    monkeypatch.setattr(pimod, "hom_dim", raise_error)
+    result = runner.invoke(main, ["hom", files["e1.json"], files["e2.json"]])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    if code == 1:
+        assert json.loads(result.output) == {"error": "no answer", "seed": None}
+    else:
+        assert "Usage: main hom" in result.output and "Error: no answer" in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["table", "b2", "--trials", "1"], "2/12/1: product not certified"),
+    (["catalog", "list", "--trials", "1"], "2/12/1: product not certified"),
+    (["catalog", "export", "b2:2", "--trials", "1"], "2/12/1: product not certified"),
+    (["divide-right", "E2", "E1"], "rank vector of the sub exceeds the ambient module"),
+    (["divide-left", "E1", "E2"], "rank vector of the top exceeds the ambient module"),
+], ids=["table", "catalog-list", "catalog-export", "divide-right", "divide-left"])
+def test_failed_verifications_exit_1(runner, files, args, message):
+    """An uncertified catalog product and a division by a module of larger
+    rank are failures reported with the seed, not usage errors."""
+    names = {"E1": "e1.json", "E2": "e2.json"}
+    result = runner.invoke(main, [files[names[a]] if a in names else a for a in args])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    out = json.loads(result.output)
+    assert out["seed"] == 0 and out["error"].startswith(message)
+
+
+def test_failed_division_in_markdown(runner, files):
+    result = runner.invoke(main, ["divide-right", files["e2.json"], files["e1.json"],
+                                  "--format", "md"])
+    assert result.exit_code == 1
+    assert result.output == ("- **error**: rank vector of the sub exceeds the ambient module\n"
+                             "- **seed**: 0\n")
+
+
+def test_reduce_refuses_a_module_not_locally_free(runner, tmp_path):
+    """Over (A2, 2D) the loop at vertex 1 must have rank 1 on a free module:
+    a one-dimensional space is not, and `reduce` exits 2."""
+    datum = validate_datum([[2, -1], [-1, 2]], [2, 2], [(1, 2)])
+    path = tmp_path / "nlf.json"
+    path.write_text(json.dumps({"algebra": datum.to_json(), "dims": {"1": 1},
+                                "epsilon": {"1": [["0"]]}, "arrows": {}}))
+    result = runner.invoke(main, ["reduce", str(path)])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "Error: reduction requires a locally free module" in result.output
+
+
+@pytest.mark.parametrize("args", [["divide-right", "M", "Z"], ["divide-left", "Z", "M"],
+                                  ["divide-right", "Z", "Z"]], ids=" ".join)
+def test_dividing_by_the_zero_module(runner, files, tmp_path, args):
+    """M / 0 = M and 0 \\ M = M: the output is the input module's file."""
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(pimod.module_to_json(pimod.zero_module(catalog.b2_datum()))))
+    paths = {"M": files["e1e2.json"], "Z": str(path)}
+    out = run_json(runner, [args[0]] + [paths[a] for a in args[1:]])
+    with open(paths["M" if "M" in args else "Z"]) as fh:
+        assert out["module"] == json.load(fh)
+
+
+def test_readme_exit_code_table_matches_the_rule():
+    """README's exit-code table lists exactly the types of cli._FAILED
+    (exit 1) and cli._USAGE (exit 2)."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        section = fh.read().split("| error | exit |")[1].split("\n\n")[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines()[2:]]
+    table = {name.strip(" `"): int(code) for name, code in rows}
+    assert table == {**{t.__name__: 1 for t in cli._FAILED},
+                     **{t.__name__: 2 for t in cli._USAGE}}

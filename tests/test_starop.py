@@ -211,6 +211,28 @@ class TestDivisions:
         with pytest.raises(ValueError, match="rank vector of the top"):
             generic_kernel(E2, E1, seed=0)
 
+    def test_rank_mismatch_is_its_own_type(self, b2):
+        """Both rank checks raise RankMismatch, which stays a ValueError."""
+        E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
+        assert issubclass(starop.RankMismatch, ValueError)
+        with pytest.raises(starop.RankMismatch, match="rank vector of the sub"):
+            generic_cokernel(E2, E1, seed=0)
+        with pytest.raises(starop.RankMismatch, match="rank vector of the top"):
+            generic_kernel(E1, E2, seed=0)
+
+    @pytest.mark.parametrize("name", ["E1", "E1 * E2"])
+    def test_dividing_by_the_zero_module(self, b2, name):
+        """The zero map, the empty draw {} of the empty Hom basis, is
+        injective on 0: M / 0 and 0 \\ M give M back, matrices and all, and
+        0 / 0 = 0."""
+        E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
+        M = E1 if name == "E1" else star(E1, E2, seed=0)
+        Z = pimod.zero_module(b2)
+        assert pimod.hom_is_injective({}, Z) and not pimod.hom_is_injective({}, M)
+        for D in (generic_cokernel(M, Z, seed=0), generic_kernel(Z, M, seed=0)):
+            assert pimod.module_to_json(D) == pimod.module_to_json(M)
+        assert generic_cokernel(Z, Z, seed=0).dim_total() == 0
+
     def test_leclerc_division_defined_but_not_inverse(self):
         # dividing the rigid middle of a self-extension recovers the member,
         # yet the product of two distinct members is the split module, which
