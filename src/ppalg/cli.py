@@ -165,7 +165,7 @@ def _parse_rank_vector(text, datum):
 # SymmetrizerError.  A bare ValueError is neither, so an internal fault
 # still shows its traceback.
 _FAILED = (catalog.CatalogError, DivisionUndefined, starop.RankMismatch, symred.NotCertified)
-_USAGE = (pimod.NotLocallyFree, NoTrials, symred.SymmetrizerError)
+_USAGE = (pimod.NotLocallyFree, pimod.RationalFieldOnly, NoTrials, symred.SymmetrizerError)
 
 
 def _report_options(command):
@@ -381,8 +381,6 @@ def decompose(module, seed, field, fmt, out):
     M = _load_module(module, field)
     try:
         parts = pimod.decompose(M, seed=seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     except DecomposeUndecided as exc:
         _emit({"undecided": str(exc), "seed": seed}, fmt, out)
         sys.exit(1)

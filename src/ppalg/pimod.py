@@ -37,20 +37,21 @@ submodule matrices, and only `canonical_pieces` asks for both.
 
 One rule decides freeness over H_i = K[x]/(x^c_i) from a rank:
 `_free_rank(M, i, B, K)`, the H_i-rank of col(B) / col(K) when that is
-free.  `is_locally_free`, `is_E_filtered` and `is_crystal` call it.  It and
+free.  `is_locally_free`, `peel` and `is_crystal` call it.  It and
 `sub_space` pass block rows to `rows_rank` / `rows_nullspace` and build no
 stacked matrix; `k_space` keeps its stack, whose columns its basis selects.
 
-`is_crystal` runs no E-filtered search: it certifies E-filtered by peeling
-off a nonzero sub_i (see `is_crystal`), so its False verdicts are exact.
-It builds no sub_i or fac_i: their local freeness is one `_free_rank`
-each, and only the Q_i and K_i it recurses into are built.
-`is_E_filtered` certifies True the same way, peeling a whole free sub_i
-at a time, and runs the backtracking search `_efiltered_search` only on a
-module where that peel gets stuck, which no crystal module is.  Both
-tests stop at a module whose arrows all act by zero (`_arrows_vanish`): it
-is crystal and E-filtered exactly when it is locally free, a sum of the
-E_i (Geiss-Leclerc-Schroer, Invent. Math. 2017).
+One function peels socles: `peel` takes off each free sub_i whole, along
+the vertices 1...n, 1...n, ..., and stops at a module whose arrows all act
+by zero (`_arrows_vanish`), which is a sum of the E_i exactly when it is
+locally free (Geiss-Leclerc-Schroer, Invent. Math. 2017).  `is_E_filtered`
+certifies True by it, and runs the backtracking search `_efiltered_search`
+only where it gets stuck, which it does on no crystal module.  Over a
+minimal symmetrizer it is the socle series, and it decides E-filtered and
+crystal there.  `is_crystal` runs no E-filtered search: it certifies
+E-filtered by peeling off a nonzero sub_i (see `is_crystal`), so its False
+verdicts are exact.  It builds no sub_i or fac_i: their local freeness is
+one `_free_rank` each, and only the Q_i and K_i it recurses into are built.
 
 `decompose` has one split step: split M into the generalized eigenspaces
 of a random endomorphism, drawn from End(M) and then from the annihilator
@@ -93,6 +94,10 @@ from .cartan import alpha_form, arrow_key, arrow_name, eps_key, gen_source, gen_
 
 class NotLocallyFree(ValueError):
     pass
+
+
+class RationalFieldOnly(ValueError):
+    """The operation is defined over the rational field only."""
 
 
 class IsoInconclusive(RuntimeError):
@@ -810,72 +815,65 @@ def _rank_one_candidates(M, i):
             yield U.columns(viable) * ones
 
 
-def _is_nilpotent_rep(M):
-    """Whether the span of all generator images shrinks to zero (so every
-    long enough path acts by zero)."""
-    spaces = {i: Mat.identity(M.field, M.dims[i]) for i in M.datum.vertices}
-    total = M.dim_total()
-    while total:
-        imgs = {i: [] for i in M.datum.vertices}
-        for g in M.datum.generators():
-            imgs[gen_target(g)].append(M.gen_mat(g) * spaces[gen_source(g)])
-        new = {i: linalg.column_space(linalg.hstack(imgs[i])) for i in M.datum.vertices}
-        new_total = sum(b.cols for b in new.values())
-        if new_total == total:
-            return False
-        spaces = new
-        total = new_total
-    return True
-
-
 def _minimal_symmetric(datum):
     return all(datum.ci(i) == 1 for i in datum.vertices)
 
 
+def peel(M):
+    """(witness, leftover): the locally free M peeled by whole free socles
+    along the vertices 1...n, 1...n, ...; a zero leftover certifies
+    E-filtered (E-filtered modules are closed under extensions).
+
+    Step k works at i = vertices[k mod n]: a sub_i(X) free over
+    K[x]/(x^c_i) of rank r > 0 (`_free_rank`) is E_i^r, so the witness
+    gains (i,) * r and X becomes X / sub_i(X), locally free again.  The
+    peel is stuck where a sub_i is not free, or after n steps in a row
+    with r = 0.  An X whose arrows all act by zero, a sum of E_i's exactly
+    when it is locally free (Geiss-Leclerc-Schroer, Invent. Math. 2017),
+    ends the peel with no quotient built: with (j,) * r_j over the
+    vertices in cyclic order from step k, or stuck.  With every c_i = 1
+    this is the socle series, which reaches zero iff the representation
+    is nilpotent.  On a crystal module it never gets stuck (`is_crystal`).
+    """
+    vs = M.datum.vertices
+    n, witness, X, idle, k = len(vs), (), M, 0, 0
+    while X.dim_total() and idle < n:
+        if _arrows_vanish(X):
+            ok, ranks = is_locally_free(X)
+            if ok:
+                rank = dict(zip(vs, ranks))
+                witness += tuple(j for j in vs[k:] + vs[:k] for _ in range(rank[j]))
+                X = zero_module(M.datum, M.field)
+            break
+        i = vs[k]
+        U = sub_space(X, i)
+        r = _free_rank(X, i, B=U)
+        if r is None:
+            break
+        if r:
+            witness, X, idle = witness + (i,) * r, quotient(X, {i: U}), 0
+        else:
+            idle += 1
+        k = (k + 1) % n
+    return witness, X
+
+
 @_memoized
 def is_E_filtered(M):
-    """(flag, witness) where the witness is the tuple of peeled vertices,
-    bottom-up (None when the flag is False).
-
-    Decides whether M admits a filtration with subquotients among the E_i.
-    A locally free M is first peeled by whole free socles, with no search:
-    at the first vertex i, in vertex order, where sub_i(M) is nonzero and
-    free over K[x]/(x^c_i) (`_free_rank`), sub_i(M) is E_i^r, so the
-    witness gains (i,) * r and the peel goes on with M / sub_i(M).  The
-    quotient is again locally free, and E-filtered modules are closed under
-    extensions, so a peel that reaches zero certifies True.  A module
-    whose arrows all act by zero is a sum of E_i's, and ends the peel with
-    (i,) * r_i in vertex order.  On crystal modules the peel never gets
-    stuck (see `is_crystal`); where no vertex qualifies, M itself goes to
-    the backtracking search `_efiltered_search`: pick a vertex i and a free
-    rank-one loop-submodule of sub_i(M), pass to the quotient, recurse over
-    all vertex choices (and a small set of generator choices per vertex).
-    With a minimal symmetrizer and symmetric C the property reduces to
-    nilpotency of the representation, which prunes the search up front.
-
-    True comes with its witness and is certified; a False from the search
-    is not (only a few generators are tried per vertex), except where the
-    arrows of M all act by zero: such a module is a sum of E_i's exactly
-    when it is locally free.  `is_crystal` does not call this test: it
-    certifies E-filtered by peeling a nonzero sub_i, as the peel here does.
-    """
+    """(flag, witness), the witness the tuple of peeled vertices bottom-up
+    (None when the flag is False): whether M has a filtration with
+    subquotients among the E_i.  A locally free M is peeled (`peel`), with
+    no search.  Where the peel gets stuck, a minimal symmetrizer gives an
+    exact False, and otherwise M goes to `_efiltered_search`."""
     ok, _ = is_locally_free(M)
     if not ok:
         return False, None
-    if _minimal_symmetric(M.datum) and not _is_nilpotent_rep(M):
+    witness, X = peel(M)
+    if not X.dim_total():
+        return True, witness
+    if _minimal_symmetric(M.datum):
         return False, None
-    witness, X = (), M
-    while not _arrows_vanish(X):
-        for i in X.datum.vertices:
-            U = sub_space(X, i)
-            r = _free_rank(X, i, B=U) if U.cols else None
-            if r:
-                break
-        else:
-            return _efiltered_search(M)
-        witness += (i,) * r
-        X = quotient(X, {i: U})
-    return True, witness + _zero_arrow_witness(X)
+    return _efiltered_search(M)
 
 
 def _arrows_vanish(M, away=None):
@@ -884,17 +882,16 @@ def _arrows_vanish(M, away=None):
     return not any(any(A.nz) for g, A in M.arrows.items() if away not in g[1:3])
 
 
-def _zero_arrow_witness(M):
-    """(i,) * r_i in vertex order, r the rank vector of a locally free M
-    whose arrows all act by zero, a sum of E_i's."""
-    return tuple(i for i in M.datum.vertices for _ in range(M.dims[i] // M.datum.ci(i)))
-
-
 def _efiltered_search(M):
+    """The backtracking search: a free rank-one loop-submodule of some
+    sub_i(M) (`_rank_one_candidates`), then its quotient, over all vertex
+    choices; a zero-arrow M is decided by `peel`.  True is certified, with
+    its witness; False is not, as only a few generators are tried."""
     if M.dim_total() == 0:
         return True, ()
     if _arrows_vanish(M):
-        return (True, _zero_arrow_witness(M)) if is_locally_free(M)[0] else (False, None)
+        witness, X = peel(M)
+        return (False, None) if X.dim_total() else (True, witness)
     for i in M.datum.vertices:
         for v in _rank_one_candidates(M, i):
             cols = _loop_powers(v, M.datum.ci(i), lambda X: M.eps[i] * X)
@@ -909,9 +906,9 @@ def is_crystal(M):
     """Recursive test: E-filtered, with locally free sub_i / fac_i and
     crystal Q_i / K_i at every vertex (proper pieces only, which makes the
     recursion terminate).  Over a minimal symmetrizer with symmetric C the
-    crystal and E-filtered properties coincide, which shortcuts the
-    recursion entirely.  The shortcut pays: without it, criterion c3 (whose
-    leclerc A5 modules take it) ran 0.75 s per pass, not 0.12 s (2 cores).
+    crystal and E-filtered properties coincide, and `peel` decides both.
+    That shortcut pays: without it, criterion c3 (whose leclerc A5 modules
+    take it) ran 0.21 s per pass, not 0.03 s (CPU, min of 5, 2 cores).
 
     sub_i and fac_i are not built: both live at vertex i alone, and their
     local freeness is one `_free_rank` each, of col(U) with
@@ -919,23 +916,21 @@ def is_crystal(M):
     Q_i = `quotient(M, {i: U})` is built only when U is nonzero, and
     K_i = `submodule(M, ...)` only when col(K) is not all of M_i.
 
-    E-filtered is certified by peeling, with no search (`is_E_filtered` is
-    not called): a nonzero M passing the per-vertex tests is E-filtered iff
+    E-filtered is certified with no search (`is_E_filtered` is not
+    called): a nonzero M passing the per-vertex tests is E-filtered iff
     some sub_i(M) is nonzero, because
       - a locally free sub_i(M) is supported at i, so it is E_i^r;
       - Q_i is crystal, hence E-filtered, and E-filtered modules are closed
         under extensions, so M is E-filtered;
       - conversely, the bottom step E_j of a filtration lies in sub_j(M).
     So every False rests on exact rank tests alone.  The same argument
-    keeps the peel of `is_E_filtered` from getting stuck on a crystal M:
-    its first nonzero sub_i is free and its Q_i is crystal again, so that
-    test runs no search on crystal modules either.
+    keeps `peel` from getting stuck on a crystal M: each sub_i it meets is
+    free, each Q_i crystal again, and a nonzero one has a nonzero sub_i.
 
     A locally free M whose arrows all act by zero is a sum of E_i's, so it
-    is crystal with no piece built, and a False there is exact.  Where the
-    arrows away from i vanish, a Q_i with sub_i = M_i and a K_i with
-    K_i(M) zero at i are M away from i, crystal by the same rule, and are
-    not built."""
+    is crystal with no piece built.  Where the arrows away from i vanish,
+    a Q_i with sub_i = M_i and a K_i with K_i(M) zero at i are M away from
+    i, crystal by the same rule, and are not built."""
     if M.dim_total() == 0:
         return True
     ok, _ = is_locally_free(M)
@@ -944,7 +939,7 @@ def is_crystal(M):
     if _arrows_vanish(M):
         return True
     if _minimal_symmetric(M.datum):
-        return _is_nilpotent_rep(M)
+        return not peel(M)[1].dim_total()
     peeled = False
     for i in M.datum.vertices:
         U = sub_space(M, i)
@@ -1117,7 +1112,7 @@ def decompose(M, seed=0):
     fails -- never a wrong split.  Requires the rational ground field.
     """
     if M.field is not QQ:
-        raise ValueError("decompose requires the rational field")
+        raise RationalFieldOnly("decompose requires the rational field")
     rng = random.Random(seed)
     return _decompose(M, rng)
 

@@ -943,3 +943,17 @@ def test_readme_exit_code_table_matches_the_rule():
     table = {name.strip(" `"): int(code) for name, code in rows}
     assert table == {**{t.__name__: 1 for t in cli._FAILED},
                      **{t.__name__: 2 for t in cli._USAGE}}
+
+
+def test_decompose_shows_an_internal_fault(runner, files, monkeypatch):
+    """A bare ValueError out of `decompose`, such as `_split`'s refusal of a
+    space that is not closed, is an internal fault: it keeps its traceback
+    and is not reported as a usage error.  Only the rational-field refusal
+    exits 2."""
+    def fault(M, seed=0):
+        raise ValueError("spaces are not closed under ('eps', 1)")
+
+    monkeypatch.setattr(pimod, "decompose", fault)
+    result = runner.invoke(main, ["decompose", files["e1.json"]])
+    assert isinstance(result.exception, ValueError) and "Usage:" not in result.output
+    assert issubclass(pimod.RationalFieldOnly, ValueError) and pimod.RationalFieldOnly in cli._USAGE

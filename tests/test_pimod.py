@@ -797,6 +797,25 @@ class TestFiltrationAndCrystal:
 
 # -- is_crystal: E-filtered certified by peeling ---------------------------------
 
+def nilpotent_reference(M):
+    """Whether the span of all generator images shrinks to zero (so every
+    long enough path acts by zero): the image-span loop, an independent
+    check of what `pimod.peel` decides over a minimal symmetrizer."""
+    spaces = {i: Mat.identity(M.field, M.dims[i]) for i in M.datum.vertices}
+    total = M.dim_total()
+    while total:
+        imgs = {i: [] for i in M.datum.vertices}
+        for g in M.datum.generators():
+            imgs[gen_target(g)].append(M.gen_mat(g) * spaces[gen_source(g)])
+        new = {i: linalg.column_space(linalg.hstack(imgs[i])) for i in M.datum.vertices}
+        new_total = sum(b.cols for b in new.values())
+        if new_total == total:
+            return False
+        spaces = new
+        total = new_total
+    return True
+
+
 @pimod._memoized
 def crystal_reference(M):
     """The crystal test that runs the E-filtered search first, in place of
@@ -807,7 +826,7 @@ def crystal_reference(M):
     if not ok:
         return False
     if pimod._minimal_symmetric(M.datum):
-        return pimod._is_nilpotent_rep(M)
+        return nilpotent_reference(M)
     if not is_E_filtered(M)[0]:
         return False
     for i in M.datum.vertices:
@@ -961,7 +980,7 @@ def test_certified_negative_on_minimal_symmetrizer():
     M = ModuleRep(_wider("A1~"), {1: 1, 2: 1}, {}, {("arr", 2, 1, 1): one, ("arr", 1, 2, 2): one})
     assert M.datum.sym == (1, 1) and M.datum.orient == ((1, 2),)
     assert check_relations(M) == [] and is_locally_free(M) == (True, (1, 1))
-    assert not pimod._is_nilpotent_rep(M)
+    assert not nilpotent_reference(M)
     assert is_crystal(M) is False
     assert is_E_filtered(M) == (False, None)
 
@@ -1796,19 +1815,24 @@ def _count_searches(monkeypatch):
 
 def socle_blocks(M):
     """The peel's witness, rebuilt from canonical pieces with no zero-arrow
-    rule: at the first vertex i with sub_i nonzero and locally free, the
-    block (i,) * rank sub_i, then the same on Q_i; None where it is stuck."""
-    witness = ()
+    rule: at step k, at i = vertices[k mod n], where sub_i is nonzero and
+    locally free, the block (i,) * rank sub_i, then the same on Q_i; None
+    where a sub_i is not locally free or n steps in a row find sub_i zero."""
+    vs = M.datum.vertices
+    n, witness, k, idle = len(vs), (), 0, 0
     while M.dim_total():
-        for k, i in enumerate(M.datum.vertices):
-            p = canonical_pieces(M, i)
-            ok, ranks = is_locally_free(p.sub)
-            if ok and p.sub.dim_total():
-                break
-        else:
+        if idle == n:
             return None
-        witness += (i,) * ranks[k]
-        M = p.quot
+        i = vs[k % n]
+        p = canonical_pieces(M, i)
+        ok, ranks = is_locally_free(p.sub)
+        if not ok:
+            return None
+        if p.sub.dim_total():
+            witness, M, idle = witness + (i,) * ranks[k % n], p.quot, 0
+        else:
+            idle += 1
+        k += 1
     return witness
 
 
@@ -1838,6 +1862,73 @@ def test_efiltered_peel_gets_stuck_and_the_search_runs(monkeypatch):
         assert is_E_filtered(M) == (True, (1, 1, 1, 2, 1))
         assert is_crystal(M) is False
     assert calls and calls[0] is M
+
+
+# the stored towers on which the cyclic peel gets stuck, as (datum, rank, index)
+_STUCK_TOWERS = [("B2", 5, 1), ("C3", 8, 6), ("G2", 10, 0), ("G2", 10, 4)]
+
+
+def test_peel_on_every_stored_tower():
+    """The cyclic peel reaches zero on every stored tower but four, and its
+    witness is `socle_blocks`' on all of them.  None of the four is
+    crystal, so every crystal tower peels to zero."""
+    doc = _towers_doc()
+    stuck = []
+    with pimod.memo_run():
+        for name, spec in doc["data"].items():
+            datum = _stored_datum(spec)
+            for rank, docs in doc["towers"][name].items():
+                for index, tower in enumerate(docs):
+                    M = pimod.module_from_json(tower, datum)
+                    witness, X = pimod.peel(M)
+                    if X.dim_total():
+                        stuck.append((name, int(rank), index))
+                    assert socle_blocks(M) == (None if X.dim_total() else witness)
+        assert stuck == _STUCK_TOWERS
+        assert not any(is_crystal(_stored_tower(*key)) for key in stuck)
+
+
+def test_peel_stops_where_a_sub_is_not_free():
+    """The peel stops at a sub_i that is not free and tries no later
+    vertex: on the C3 seed-38 tower, sub_1 is zero and sub_2 not free, so
+    the leftover is the tower itself, though sub_3 = E_3^2 could be
+    peeled.  The tower is E-filtered, by the search, but not crystal."""
+    M = _crystal_family("C3", 38)[0]
+    assert [pimod._free_rank(M, i, B=pimod.sub_space(M, i)) for i in M.datum.vertices] == \
+        [0, None, 2]
+    assert pimod.peel(M) == ((), M)
+    assert is_E_filtered(M) == (True, (3, 2, 3, 2)) and is_crystal(M) is False
+
+
+def _cycle(C, arrows):
+    """The module K at every vertex of the minimal-symmetric datum C, with
+    the given arrows acting by 1 and no other."""
+    datum = validate_datum(C, [1] * len(C), default_orientation(C))
+    one = Mat.from_rows(QQ, [[1]])
+    return ModuleRep(datum, {i: 1 for i in datum.vertices}, {}, {k: one for k in arrows})
+
+
+def test_peel_decides_nilpotency_on_minimal_symmetric_data():
+    """Over a minimal symmetrizer the peel is the socle series: it reaches
+    zero exactly on nilpotent representations.  Towers over A2, A3 and A5
+    and the leclerc modules are nilpotent; a cycle of arrows over A1~ and
+    over A2~ is not, alone or beside E_1."""
+    rng = random.Random(36)
+    nilpotent = [random_tower(catalog.a_type_datum(n), rank, rng)
+                 for n in (2, 3, 5) for rank in range(1, 7) for _ in range(2)]
+    nilpotent += [e.module for e in catalog.leclerc_suite()[1]]
+    cycles = [_cycle(_WIDER_DATA["A1~"][0], [("arr", 2, 1, 1), ("arr", 1, 2, 2)]),
+              _cycle([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+                     [("arr", 2, 1, 1), ("arr", 3, 2, 1), ("arr", 1, 3, 1)])]
+    cycles += [direct_sum(X, generalized_simple(X.datum, 1)) for X in cycles]
+    mods = nilpotent + cycles
+    assert all(check_relations(X) == [] and is_locally_free(X)[0] for X in cycles)
+    want = [nilpotent_reference(X) for X in mods]
+    assert want == [True] * len(nilpotent) + [False] * len(cycles)
+    assert [not pimod.peel(X)[1].dim_total() for X in mods] == want
+    with pimod.memo_run():
+        assert [is_crystal(X) for X in mods] == want
+        assert [is_E_filtered(X)[0] for X in mods] == want
 
 
 def _not_efiltered():
