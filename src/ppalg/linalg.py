@@ -268,9 +268,13 @@ class Mat:
         return Mat.from_form(self.field, self.rows, other.cols, self.den * other.den, out)
 
     def power(self, k):
+        """self^k; once a power is zero, the higher ones are it, with no
+        product taken."""
         assert self.rows == self.cols and k >= 0
         out = self if k else Mat.identity(self.field, self.rows)
         for _ in range(k - 1):
+            if out.is_zero():
+                break
             out = out * self
         return out
 

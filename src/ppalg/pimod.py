@@ -244,13 +244,32 @@ def _memoized(fn):
     return memo
 
 
+def _acts(A):
+    """Whether A, a matrix or None (the identity), acts by something nonzero."""
+    return A is None or not A.is_zero()
+
+
+def _nonzero_terms(terms):
+    """The terms (coeff, k, L, R) of an equation with no zero factor."""
+    return [term for term in terms if _acts(term[2]) and _acts(term[3])]
+
+
+def _zero_gens(M):
+    """The generators of M that act by zero: a word through one of them is
+    zero, so the relation check and the Der system skip it unbuilt."""
+    return {g for g in M.datum.generators() if M.gen_mat(g).is_zero()}
+
+
 def _word(M, word, target):
     """The matrix of a path word, leftmost factor applied last; the empty
-    word is the identity at `target`."""
+    word is the identity at `target`.  Once a partial product is zero, the
+    word is the zero matrix, with no further product taken."""
     if not word:
         return Mat.identity(M.field, M.dims[target])
     out = M.gen_mat(word[0])
     for gen in word[1:]:
+        if out.is_zero():
+            return Mat.zeros(M.field, out.rows, M.dims[gen_source(word[-1])])
         out = out * M.gen_mat(gen)
     return out
 
@@ -258,14 +277,20 @@ def _word(M, word, target):
 def check_relations(M):
     """Labels of all violated defining relations (empty list when ok).
 
-    Each relation's words are summed over the lcm of their denominators and
-    the integer sum is tested for zero exactly (mod p over GF(p))."""
-    p = M.field.char
+    Each relation's words are summed over the lcm of their denominators
+    and the integer sum is tested for zero exactly (mod p over GF(p)).  A
+    word with a factor that acts by zero (`_zero_gens`) is skipped unbuilt,
+    a zero word adds nothing, and a relation with no word left holds."""
+    p, zero = M.field.char, _zero_gens(M)
     bad = []
     for rel in M.datum.relations():
         if not (M.dims[rel.target] and M.dims[rel.source]):
             continue
-        words = [(coeff, _word(M, word, rel.target)) for coeff, word in rel.terms]
+        words = [(coeff, _word(M, word, rel.target))
+                 for coeff, word in rel.terms if zero.isdisjoint(word)]
+        words = [(coeff, W) for coeff, W in words if not W.is_zero()]
+        if not words:
+            continue
         den = lcm(*[W.den for _, W in words])
         total = [{} for _ in range(M.dims[rel.target])]
         for coeff, W in words:
@@ -318,7 +343,7 @@ def _free_rank(M, i, B=None, K=None):
     if f % c:
         return None
     top = M.eps[i].power(c - 1)
-    if B is not None:
+    if B is not None and B.cols < M.dims[i]:   # a square B is invertible: same rank
         top = top * B
     rows = top.nz if not k else [{**a, **{k + j: x for j, x in b.items()}}
                                  for a, b in zip(K.nz, top.nz)]
@@ -384,17 +409,25 @@ def _var_layout(shapes):
     return offsets, total
 
 
+def _den(A):
+    return 1 if A is None else A.den
+
+
 def _linear_system(field, shapes, equations):
     """(rows, nvars): the kernel rows (see `linalg`) of `equations` in the
     unknown blocks X_k of `shapes`.
 
     Each equation is a list of terms (coeff, k, L, R), with L and R
-    matrices, and stands for sum coeff * L X_k R = 0;
-    it contributes rows(L) x cols(R) rows, row-major and zero rows dropped,
-    so all its terms must share that shape.  The unknowns are the blocks X_k,
-    vec'd row by row in the layout of `_var_layout(shapes)`.  Each term is
-    scaled by m / (L.den * R.den), m the lcm of L.den * R.den over the
-    equation's terms, which scales the equation by m.
+    matrices or None, the identity on that side of X_k, and stands for
+    sum coeff * L X_k R = 0.  The callers pass no term with a factor that
+    acts by zero: such a term adds nothing, so they drop it, and an
+    equation left with no terms adds no rows.  An equation contributes
+    rows(L) x cols(R) rows (from shapes[k] where a factor is None),
+    row-major and zero rows dropped, so all its terms must share that
+    shape.  The unknowns are the blocks X_k, vec'd row by row in the layout
+    of `_var_layout(shapes)`.  Each term is scaled by m / (L.den * R.den),
+    m the lcm of L.den * R.den over the equation's terms (the identity has
+    den 1), which scales the equation by m.
     """
     offsets, nvars = _var_layout(shapes)
     p = field.char
@@ -402,24 +435,30 @@ def _linear_system(field, shapes, equations):
     for terms in equations:
         if not terms:
             continue
-        m = lcm(*[L.den * R.den for _, _, L, R in terms])
-        _, _, L0, R0 = terms[0]
-        rcols = R0.cols
-        block = [{} for _ in range(L0.rows * rcols)]
+        m = lcm(*[_den(L) * _den(R) for _, _, L, R in terms])
+        _, k0, L0, R0 = terms[0]
+        rcols = shapes[k0][1] if R0 is None else R0.cols
+        block = [{} for _ in range((shapes[k0][0] if L0 is None else L0.rows) * rcols)]
         for coeff, k, L, R in terms:
             # (L X R)[u][v] = sum over r, c of L[u][r] X[r][c] R[c][v]: walk
             # the nonzeros of L's rows and R's columns only
-            s = coeff * (m // (L.den * R.den))
-            base, width = offsets[k], shapes[k][1]
-            rnz = [[] for _ in range(rcols)]
-            for c, row in enumerate(R.nz):
-                for v, y in row.items():
-                    rnz[v].append((c, y))
-            rnz = [(v, rv) for v, rv in enumerate(rnz) if rv]
-            for u, lrow in enumerate(L.nz):
-                if not lrow:
+            s = coeff * (m // (_den(L) * _den(R)))
+            base, (height, width) = offsets[k], shapes[k]
+            if R is None:
+                rnz = [(v, ((v, 1),)) for v in range(width)]
+            else:
+                rnz = [[] for _ in range(rcols)]
+                for c, row in enumerate(R.nz):
+                    for v, y in row.items():
+                        rnz[v].append((c, y))
+                rnz = [(v, rv) for v, rv in enumerate(rnz) if rv]
+            if L is None:
+                lus = ([(base + u * width, s)] for u in range(height))
+            else:
+                lus = ([(base + r * width, s * x) for r, x in lrow.items()] for lrow in L.nz)
+            for u, lu in enumerate(lus):
+                if not lu:
                     continue
-                lu = [(base + r * width, s * x) for r, x in lrow.items()]
                 for v, rv in rnz:
                     out = block[u * rcols + v]
                     for off, x in lu:
@@ -498,56 +537,86 @@ def _hom_system(M, N, arrows, ranks=None):
     `arrows`, in one unknown block X_i per vertex, f_i = sum L X_i R over
     the pairs (L, R) of vertex i.
 
-    Without `ranks`, X_i = f_i, of shape N_i x M_i, with the loop equation
-    f_i eps_M = eps_N f_i.  With `ranks`, the rank vector of a locally free
-    N, X_i = Z_i, of shape s_i x M_i, and f_i = sum over k < c_i of
-    eps_N^k G_i Z_i eps_M^(c_i - 1 - k) (see `hom_dim`), with the equation
-    Z_i eps_M^c_i = 0 where that power is nonzero.  Then each arrow
-    g: s -> t in `arrows` gives f_t M_g - N_g f_s = 0."""
+    Without `ranks`, X_i = f_i, of shape N_i x M_i (L = R = None, the
+    identity), with the loop equation f_i eps_M = eps_N f_i.  With `ranks`,
+    the rank vector of a locally free N, X_i = Z_i, of shape s_i x M_i, and
+    f_i = sum over k < c_i of eps_N^k G_i Z_i eps_M^(c_i - 1 - k) (see
+    `hom_dim`), with the equation Z_i eps_M^c_i = 0 where that power is
+    nonzero; G_i is the column selection of the pivot columns of
+    eps_N^(c_i - 1), so N_g G_i is read as N_g's columns, not multiplied.
+    Then each arrow g: s -> t in `arrows` gives f_t M_g - N_g f_s = 0.
+
+    Only nonzero terms are written, and no product is taken by a zero or
+    an identity factor: a pair (L, R) with a zero factor is dropped, so is
+    the side of an arrow equation whose arrow acts by zero, and an equation
+    left with no terms adds nothing (`_linear_system`)."""
     check_pair(M, N)
     datum, field = M.datum, M.field
 
-    def powers(E, n):   # E^0, ..., E^(n - 1), with no product by the identity
-        out = [Mat.identity(field, E.rows), E][:n]
+    def powers(E, n):   # E^0 = None, ..., E^(n - 1); a zero power is repeated
+        out = [None, E][:n]
         while len(out) < n:
-            out.append(out[-1] * E)
+            out.append(out[-1] if out[-1].is_zero() else out[-1] * E)
         return out
 
+    # maps[i]: the triples (L, G, R) of vertex i, G the column list G_i where
+    # L is the bare selection G_i (k = 0, c_i > 1), and None elsewhere
     shapes, maps, equations = {}, {}, []
     for a, i in enumerate(datum.vertices):
         if ranks is None:
-            I, J = Mat.identity(field, N.dims[i]), Mat.identity(field, M.dims[i])
-            shapes[i], maps[i] = (N.dims[i], M.dims[i]), [(I, J)]
-            equations.append([(1, i, I, M.eps[i]), (-1, i, N.eps[i], J)])
+            shapes[i], maps[i] = (N.dims[i], M.dims[i]), [(None, None, None)]
+            equations.append(_nonzero_terms([(1, i, None, M.eps[i]), (-1, i, N.eps[i], None)]))
             continue
-        c = datum.ci(i)
+        c, n = datum.ci(i), N.dims[i]
         shapes[i] = (ranks[a], M.dims[i])
         left, right = powers(N.eps[i], c), powers(M.eps[i], c + 1)
-        G = linalg.pivot_columns(left[-1])
-        maps[i] = [(left[k].columns(G), right[c - 1 - k]) for k in range(c)]
+        lefts = [(None, None)]
+        if c > 1:
+            G = linalg.pivot_columns(left[-1])
+            rows = [{} for _ in range(n)]
+            for k, r in enumerate(G):
+                rows[r] = {k: 1}
+            lefts = [(Mat.from_form(field, n, len(G), 1, rows), G)]
+            lefts += [(E.columns(G), None) for E in left[1:]]
+        maps[i] = [(L, G, right[c - 1 - k]) for k, (L, G) in enumerate(lefts)
+                   if _acts(L) and _acts(right[c - 1 - k])]
         if not right[c].is_zero():
-            equations.append([(1, i, Mat.identity(field, ranks[a]), right[c])])
+            equations.append([(1, i, None, right[c])])
     for g in arrows:
         t, s = gen_target(g), gen_source(g)
-        equations.append([(1, t, L, R * M.arrows[g]) for L, R in maps[t]]
-                         + [(-1, s, N.arrows[g] * L, R) for L, R in maps[s]])
+        Mg, Ng = M.arrows[g], N.arrows[g]
+        terms = []
+        if not Mg.is_zero():
+            terms += [(1, t, L, Mg if R is None else R * Mg) for L, _, R in maps[t]]
+        if not Ng.is_zero():
+            terms += [(-1, s, Ng if L is None else Ng * L if G is None else Ng.columns(G), R)
+                      for L, G, R in maps[s]]
+        equations.append(_nonzero_terms(terms))
     return _linear_system(field, shapes, equations), shapes
 
 
 def _der_system(M, N):
     """(system, shapes) of Der(M, N): one block N_{t(a)} x M_{s(a)} per
     arrow a, and per relation its word derivative,
-    sum coeff * N(prefix) delta_a M(suffix) = 0 over the arrow positions."""
+    sum coeff * N(prefix) delta_a M(suffix) = 0 over the arrow positions.
+    An empty prefix or suffix is None (the identity), and a position whose
+    prefix or suffix has a factor that acts by zero (`_zero_gens`), or is
+    zero, adds no term."""
     check_pair(M, N)
-    datum = M.datum
+    datum, zero_n, zero_m = M.datum, _zero_gens(N), _zero_gens(M)
     shapes = {k: (N.dims[k[1]], M.dims[gen_source(k)]) for k in datum.arrow_keys()}
     equations = []
     for rel in datum.relations():
-        if N.dims[rel.target] and M.dims[rel.source]:
-            equations.append([(coeff, gen, _word(N, word[:p], rel.target),
-                               _word(M, word[p + 1:], gen_source(gen)))
-                              for coeff, word in rel.terms
-                              for p, gen in enumerate(word) if gen[0] == "arr"])
+        if not (N.dims[rel.target] and M.dims[rel.source]):
+            continue
+        terms = []
+        for coeff, word in rel.terms:
+            for p, gen in enumerate(word):
+                prefix, suffix = word[:p], word[p + 1:]
+                if gen[0] == "arr" and zero_n.isdisjoint(prefix) and zero_m.isdisjoint(suffix):
+                    terms.append((coeff, gen, _word(N, prefix, rel.target) if prefix else None,
+                                  _word(M, suffix, gen_source(gen)) if suffix else None))
+        equations.append(_nonzero_terms(terms))
     return _linear_system(M.field, shapes, equations), shapes
 
 
@@ -672,7 +741,9 @@ def _split(M, spaces, sub=True, quot=True):
     [0 | I] and [I | I], so there the completion and the products by B_i,
     C_i, L_i and P_i are skipped: the matrices are A itself, a column
     selection of A or empty.  B_i = I is recognized on its nonzeros, with
-    no identity built.
+    no identity built.  A generator that acts by zero, or whose block
+    A B_j or A C_j is zero, gives zero blocks with no product by them, and
+    so does an empty P_i (where B_i spans M_i).
     """
     field, vertices = M.field, M.datum.vertices
     basis, extra, coords, proj = {}, {}, {}, {}
@@ -684,29 +755,44 @@ def _split(M, spaces, sub=True, quot=True):
         if B.cols == M.dims[i] and B.den == 1 and all(row == {r: 1} for r, row in enumerate(B.nz)):
             extra[i] = []                # whole to the submodule
         else:
-            extra[i], coords[i], proj[i] = linalg.complete_basis(B)
+            extra[i], coords[i], P = linalg.complete_basis(B)
+            if extra[i]:                 # else B_i spans M_i: nothing to project
+                proj[i] = P
+
+    def sub_dim(i):
+        return basis[i].cols if i in basis else 0
+
+    def quot_dim(i):
+        return len(extra[i]) if i in extra else M.dims[i]
+
     sub_mats, quot_mats = {}, {}
     for g in M.datum.generators():
         i, j = gen_target(g), gen_source(g)
         A = M.gen_mat(g)
+        if A.is_zero():                  # zero blocks, closed, no product
+            if sub:
+                sub_mats[g] = Mat.zeros(field, sub_dim(i), sub_dim(j))
+            if quot:
+                quot_mats[g] = Mat.zeros(field, quot_dim(i), quot_dim(j))
+            continue
         if j in basis:
             AB = A * basis[j] if j in coords else A
-            closed = (proj[i] * AB).is_zero() if i in proj else (i in basis or AB.is_zero())
+            closed = AB.is_zero() or ((proj[i] * AB).is_zero() if i in proj else i in basis)
             if not closed:
                 raise ValueError("spaces are not closed under %r" % (g,))
         if sub:
-            if j not in basis:
-                sub_mats[g] = Mat.zeros(field, basis[i].cols if i in basis else 0, 0)
-            elif i in coords:
-                sub_mats[g] = coords[i] * AB
+            if i in basis and j in basis and not AB.is_zero():
+                sub_mats[g] = coords[i] * AB if i in coords else AB
             else:
-                sub_mats[g] = AB if i in basis else Mat.zeros(field, 0, AB.cols)
+                sub_mats[g] = Mat.zeros(field, sub_dim(i), sub_dim(j))
         if quot:
             AC = A.columns(extra[j]) if j in extra else A
-            if i in proj:
+            if i not in basis:
+                quot_mats[g] = AC
+            elif i in proj and not AC.is_zero():
                 quot_mats[g] = proj[i] * AC
             else:
-                quot_mats[g] = Mat.zeros(field, 0, AC.cols) if i in basis else AC
+                quot_mats[g] = Mat.zeros(field, quot_dim(i), quot_dim(j))
     return (ModuleRep.from_generators(M.datum, sub_mats, field) if sub else None,
             ModuleRep.from_generators(M.datum, quot_mats, field) if quot else None)
 
@@ -734,7 +820,8 @@ def quotient(M, spaces):
 def _loop_powers(first, d, step):
     """[first, step(first), step(step(first)), ...] up to the first zero
     block or d blocks; by Cayley-Hamilton, a d x d loop's d-th power adds
-    nothing to the span of the lower ones."""
+    nothing to the span of the lower ones.  A caller whose loop acts by
+    zero passes d = 1, so that no product by it is taken."""
     blocks = [first]
     while len(blocks) < d and not blocks[-1].is_zero():
         blocks.append(step(blocks[-1]))
@@ -749,8 +836,8 @@ def sub_space(M, i):
     E, p = M.eps[i], M.field.char
     A = linalg.vstack([M.arrows[k] for k in M.datum.arrow_keys() if gen_source(k) == i],
                       field=M.field, cols=M.dims[i])
-    rows = [linalg.kernel_row(r, p)
-            for X in _loop_powers(A, M.dims[i], lambda X: X * E) for r in X.nz]
+    blocks = _loop_powers(A, 1 if E.is_zero() else M.dims[i], lambda X: X * E)
+    rows = [linalg.kernel_row(r, p) for X in blocks for r in X.nz]
     return linalg.rows_nullspace(M.field, rows, M.dims[i])
 
 
@@ -762,7 +849,8 @@ def k_space(M, i):
     E = M.eps[i]
     S = linalg.hstack([M.arrows[k] for k in M.datum.arrow_keys() if gen_target(k) == i],
                       field=M.field, rows=M.dims[i])
-    return linalg.column_space(linalg.hstack(_loop_powers(S, M.dims[i], lambda X: E * X)))
+    blocks = _loop_powers(S, 1 if E.is_zero() else M.dims[i], lambda X: E * X)
+    return linalg.column_space(linalg.hstack(blocks))
 
 
 @dataclass
@@ -886,9 +974,13 @@ def _efiltered_search(M):
     """The backtracking search: a free rank-one loop-submodule of some
     sub_i(M) (`_rank_one_candidates`), then its quotient, over all vertex
     choices; a zero-arrow M is decided by `peel`.  True is certified, with
-    its witness; False is not, as only a few generators are tried."""
+    its witness; False is not, as only a few generators are tried.  An M
+    that is not locally free is not E-filtered, as in `is_E_filtered`: its
+    loop powers of a candidate may be dependent, which `quotient` refuses."""
     if M.dim_total() == 0:
         return True, ()
+    if not is_locally_free(M)[0]:
+        return False, None
     if _arrows_vanish(M):
         witness, X = peel(M)
         return (False, None) if X.dim_total() else (True, witness)

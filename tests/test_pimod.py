@@ -346,8 +346,12 @@ def exact_rows(A):
 def dense_linear_system(field, shapes, equations):
     """The reference for `pimod._linear_system`: the system of `equations`
     as one dense `Mat`, summed on the exact dense rows of their factors, one
-    nvars-wide row per entry of each equation, zero rows kept."""
+    nvars-wide row per entry of each equation, zero rows kept.  A factor
+    None is the identity on its side of the block, built explicitly."""
     offsets, nvars = pimod._var_layout(shapes)
+    equations = [[(coeff, k, Mat.identity(field, shapes[k][0]) if L is None else L,
+                   Mat.identity(field, shapes[k][1]) if R is None else R)
+                  for coeff, k, L, R in terms] for terms in equations]
     rows = []
     for terms in equations:
         if not terms:
@@ -510,6 +514,116 @@ def test_words_and_relations_match_dense_references(name, seed, rank, modular):
     bad = _perturbed(M, eps_key(i), r, r, t)
     labels = check_relations(bad)
     assert labels == dense_check_relations(bad) and "nilpotency@%r" % (i,) in labels
+
+
+# -- the Hom, Hom_T and Der systems against their definitions -------------------
+
+def definition_hom_equations(M, N, arrows, ranks=None):
+    """(shapes, equations) of the Hom system as `_hom_system`'s docstring
+    defines it: every loop and arrow term, each identity factor an explicit
+    identity matrix, the k = 0 left factor eps_N^0 G_i a product, and no
+    term or equation left out."""
+    field = M.field
+    shapes, maps, equations = {}, {}, []
+    for a, i in enumerate(M.datum.vertices):
+        I_N, I_M = Mat.identity(field, N.dims[i]), Mat.identity(field, M.dims[i])
+        if ranks is None:
+            shapes[i], maps[i] = (N.dims[i], M.dims[i]), [(I_N, I_M)]
+            equations.append([(1, i, I_N, M.eps[i]), (-1, i, N.eps[i], I_M)])
+            continue
+        c = M.datum.ci(i)
+        shapes[i] = (ranks[a], M.dims[i])
+        G = I_N.columns(linalg.pivot_columns(N.eps[i].power(c - 1)))
+        maps[i] = [(N.eps[i].power(k) * G, M.eps[i].power(c - 1 - k)) for k in range(c)]
+        equations.append([(1, i, Mat.identity(field, ranks[a]), M.eps[i].power(c))])
+    for g in arrows:
+        t, s = gen_target(g), gen_source(g)
+        equations.append([(1, t, L, R * M.arrows[g]) for L, R in maps[t]]
+                         + [(-1, s, N.arrows[g] * L, R) for L, R in maps[s]])
+    return shapes, equations
+
+
+def definition_der_equations(M, N):
+    """(shapes, equations) of the Der system: per relation, every arrow
+    position of every word, the prefix and suffix as dense products."""
+    shapes = {k: (N.dims[k[1]], M.dims[gen_source(k)]) for k in M.datum.arrow_keys()}
+    equations = [[(coeff, gen, eval_word(N, word[:p], rel.target),
+                   eval_word(M, word[p + 1:], gen_source(gen)))
+                  for coeff, word in rel.terms for p, gen in enumerate(word) if gen[0] == "arr"]
+                 for rel in M.datum.relations()]
+    return shapes, equations
+
+
+def assert_systems_match_definitions(M, N):
+    """The Hom system (full, and over free generators where N is locally
+    free), the Hom_T system and the Der system give the definition's kernel
+    rows, in the same order."""
+    arrows = M.datum.arrow_keys()
+    cases = [(pimod._hom_system(M, N, arrows), definition_hom_equations(M, N, arrows)),
+             (pimod._hom_system(M, N, []), definition_hom_equations(M, N, [])),
+             (pimod._der_system(M, N), definition_der_equations(M, N))]
+    ok, ranks = is_locally_free(N)
+    if ok:
+        cases.append((pimod._hom_system(M, N, arrows, ranks),
+                      definition_hom_equations(M, N, arrows, ranks)))
+    for ((rows, nvars), shapes), (ref_shapes, equations) in cases:
+        assert shapes == ref_shapes
+        ref = dense_linear_system(M.field, shapes, equations)
+        assert nvars == ref.cols and rows == kernel_rows_of(ref)
+
+
+def _system_modules(name):
+    """The zero module, the generalized simples, the sums E_i (+) E_j, a
+    tower conjugated to have denominators (its arrows act where those of
+    the sums vanish), modules that are not locally free (one whose loop is
+    not nilpotent, a source whose Z_i eps_M^c_i = 0 rows are written) and
+    over A1~ the (1, 1) cycle."""
+    datum = _wider(name)
+    rng = random.Random(38)
+    T = random_tower(datum, 3, rng)
+    simples = [generalized_simple(datum, i) for i in datum.vertices]
+    mods = [pimod.zero_module(datum), *simples,
+            *[direct_sum(X, Y) for a, X in enumerate(simples) for Y in simples[a:]],
+            _conjugate(T, {i: _random_invertible(rng, T.dims[i]) for i in datum.vertices}),
+            *_short_jordan_blocks(datum)[:2],
+            ModuleRep(datum, {1: 1}, {1: Mat.from_rows(QQ, [[1]])})]
+    if name == "A1~":
+        mods.append(_cycle(_WIDER_DATA["A1~"][0], [("arr", 2, 1, 1), ("arr", 1, 2, 2)]))
+    return mods
+
+
+@pytest.mark.parametrize("field", [QQ, linalg.GF(32003)], ids=["Q", "GF32003"])
+@pytest.mark.parametrize("name", sorted(_WIDER_DATA))
+def test_systems_match_their_definitions(name, field):
+    """Every ordered pair of `_system_modules`: the systems built from
+    nonzero terms only are row for row the definition's, and the relation
+    check agrees with the dense reference on each module."""
+    mods = [_over(X, field) for X in _system_modules(name)]
+    assert any(not A.is_zero() for X in mods for A in X.arrows.values())
+    assert check_relations(mods[-1 if name != "A1~" else -2]) == ["nilpotency@1"]
+    for M in mods:
+        assert check_relations(M) == dense_check_relations(M)
+        for N in mods:
+            assert_systems_match_definitions(M, N)
+
+
+@pytest.mark.parametrize("field", [QQ, linalg.GF(32003)], ids=["Q", "GF32003"])
+@pytest.mark.parametrize("name, ranks", [("C3", (4, 5)), ("G2", (4, 5))])
+def test_systems_match_their_definitions_on_stored_towers(name, ranks, field):
+    pair = [_over(_stored_tower(name, r, 0), field) for r in ranks]
+    for M in pair:
+        assert check_relations(M) == dense_check_relations(M) == []
+        for N in pair:
+            assert_systems_match_definitions(M, N)
+
+
+def test_relations_of_modules_that_break_them_match_the_dense_reference():
+    """The not locally free modules of `_not_locally_free`, some of which
+    break the relations, over Q and GF(32003)."""
+    for X in _not_locally_free():
+        for field in (QQ, linalg.GF(32003)):
+            Y = _over(X, field)
+            assert check_relations(Y) == dense_check_relations(Y)
 
 
 # -- submodule and quotient: one block-triangular split per vertex ------------
@@ -1728,6 +1842,19 @@ def _cancelling_sum_module():
     every column of eps_1 is nonzero, but eps_1 kills their sum."""
     eps = Mat.from_rows(QQ, [[1, -1, 0, 0], [1, -1, 0, 0], [0, 0, 1, -1], [0, 0, 1, -1]])
     return ModuleRep(catalog.b2_datum(), {1: 4}, {1: eps})
+
+
+def test_efiltered_search_refuses_modules_that_break_the_relations():
+    """The B2 modules whose loop at 2 is not nilpotent: a candidate's loop
+    powers there may be dependent (`quotient` refuses them), so the search
+    answers False first, as `is_E_filtered` does, over Q and GF(32003)."""
+    for X in list(_not_locally_free())[-2:]:
+        for field in (QQ, MODULAR):
+            Y = _over(X, field)
+            assert "nilpotency@2" in check_relations(Y) and is_locally_free(Y) == (False, None)
+            with pimod.memo_run():
+                assert pimod._efiltered_search(Y) == (False, None)
+                assert is_E_filtered(Y) == (False, None)
 
 
 def test_rank_one_candidates_skip_a_sum_the_loop_kills(monkeypatch):
