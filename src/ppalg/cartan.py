@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from math import gcd, lcm
 
 
@@ -255,37 +256,6 @@ def _check_cartan_matrix(cartan, vertices):
     return vertices
 
 
-def _find_cycle(vertices, arcs):
-    """A directed cycle in (vertices, arcs) as a vertex list, or None."""
-    succ = {v: [] for v in vertices}
-    for (i, j) in arcs:
-        succ[i].append(j)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in vertices}
-    stack = []
-
-    def dfs(v):
-        color[v] = GRAY
-        stack.append(v)
-        for w in succ[v]:
-            if color[w] == GRAY:
-                return stack[stack.index(w):] + [w]
-            if color[w] == WHITE:
-                cyc = dfs(w)
-                if cyc:
-                    return cyc
-        stack.pop()
-        color[v] = BLACK
-        return None
-
-    for v in vertices:
-        if color[v] == WHITE:
-            cyc = dfs(v)
-            if cyc:
-                return cyc
-    return None
-
-
 def validate_datum(cartan, sym, orient, vertices=None):
     """Validate (C, D, Omega) and return the immutable datum.
 
@@ -331,10 +301,14 @@ def validate_datum(cartan, sym, orient, vertices=None):
                 if hit == 2:
                     raise DatumError("orientation_pair",
                                      "edge {%s,%s} is oriented in both directions" % _js(i, j))
-    cyc = _find_cycle(vertices, pairs)
-    if cyc:
-        raise DatumError("orientation_cycle", "orientation contains the cycle %s" % _js(cyc))
-    return CartanDatum(vertices, cartan, sym, sorted(pairs, key=lambda p: (idx[p[0]], idx[p[1]])))
+    arcs = sorted(pairs, key=lambda p: (idx[p[0]], idx[p[1]]))
+    succ = {v: [j for i, j in arcs if i == v] for v in vertices}
+    try:   # graphlib reads `succ` as predecessors, so its cycle runs backwards
+        TopologicalSorter(succ).prepare()
+    except CycleError as exc:
+        raise DatumError("orientation_cycle",
+                         "orientation contains the cycle %s" % _js(exc.args[1][::-1])) from None
+    return CartanDatum(vertices, cartan, sym, arcs)
 
 
 def default_orientation(cartan, vertices=None):

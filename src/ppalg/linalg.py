@@ -268,13 +268,11 @@ class Mat:
         return Mat.from_form(self.field, self.rows, other.cols, self.den * other.den, out)
 
     def power(self, k):
-        """self^k; once a power is zero, the higher ones are it, with no
-        product taken."""
+        """self^k by k - 1 products from self (the identity at k = 0); a
+        product by a zero power is cheap, so none is skipped."""
         assert self.rows == self.cols and k >= 0
         out = self if k else Mat.identity(self.field, self.rows)
         for _ in range(k - 1):
-            if out.is_zero():
-                break
             out = out * self
         return out
 
@@ -762,13 +760,16 @@ def coprime_factors(coeffs):
 
 def eval_poly(coeffs, A):
     """Evaluate a polynomial (highest degree first) at a square matrix, by
-    Horner's rule: each coefficient is added on the diagonal."""
-    out = Mat.zeros(A.field, A.rows, A.rows)
-    for c in coeffs:
-        out = out * A
-        if c:
-            out = out + Mat.identity(A.field, A.rows).scale(c)
-    return out
+    Horner's rule from the leading coefficient: c_0 A, then each further
+    coefficient added on the diagonal, and a product by A after all but the
+    last.  Degree d takes d - 1 products, none by zero or the identity."""
+    I = Mat.identity(A.field, A.rows)
+    if len(coeffs) < 2:
+        return I.scale(coeffs[0] if coeffs else 0)
+    out = A.scale(coeffs[0])
+    for c in coeffs[1:-1]:
+        out = (out + I.scale(c) if c else out) * A
+    return out + I.scale(coeffs[-1]) if coeffs[-1] else out
 
 
 # -- serialization -----------------------------------------------------------

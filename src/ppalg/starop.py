@@ -54,9 +54,9 @@ def extension_module(top, sub, delta):
     Lives on the vertex-wise direct sum sub_i (+) top_i; each generator g
     acts by [[sub_g, delta_g], [0, top_g]], with delta_g = 0 on the loops
     (derivations have no loop component), written by one `linalg._stack`
-    of its nonzero blocks: a block that acts by zero is left out.  The
-    relations of the result are re-checked and InvalidDerivation is raised
-    on a nonzero residual.
+    of its blocks (a stack of a zero block is cheap, so none is left out).
+    The relations of the result are re-checked and InvalidDerivation is
+    raised on a nonzero residual.
     """
     pimod.check_pair(top, sub)
     datum, fld = top.datum, top.field
@@ -66,16 +66,16 @@ def extension_module(top, sub, delta):
     mats = {}
     for g in datum.generators():
         i, j = gen_target(g), gen_source(g)
-        blocks = [(sub.gen_mat(g), (0, 0)), (top.gen_mat(g), (sub.dims[i], sub.dims[j]))]
+        blocks, place = [sub.gen_mat(g), top.gen_mat(g)], [(0, 0), (sub.dims[i], sub.dims[j])]
         d = delta.get(g)
         if d is not None:
             if (d.rows, d.cols) != (sub.dims[i], top.dims[j]):
                 raise ValueError("derivation block %r must be %dx%d"
                                  % (g, sub.dims[i], top.dims[j]))
-            blocks.append((d, (0, sub.dims[j])))
-        blocks = [(X, at) for X, at in blocks if not X.is_zero()]
-        mats[g] = linalg._stack([X for X, _ in blocks], fld, sub.dims[i] + top.dims[i],
-                                sub.dims[j] + top.dims[j], [at for _, at in blocks])
+            blocks.append(d)
+            place.append((0, sub.dims[j]))
+        mats[g] = linalg._stack(blocks, fld, sub.dims[i] + top.dims[i],
+                                sub.dims[j] + top.dims[j], place)
     mid = ModuleRep.from_generators(datum, mats, fld)
     bad = pimod.check_relations(mid)
     if bad:

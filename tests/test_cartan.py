@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -79,6 +80,24 @@ class TestValidate:
             validate_datum(C, [1, 1, 1], [(1, 2), (2, 3), (3, 1)])
         assert code_of(e) == "orientation_cycle"
         assert "cycle" in str(e.value)
+
+    @pytest.mark.parametrize("C, orient, want", [
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [(1, 2), (2, 3), (3, 1)], [1, 2, 3, 1]),
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [(2, 1), (3, 2), (1, 3)], [1, 3, 2, 1]),
+        ([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]],
+         [(1, 2), (2, 3), (3, 4), (4, 1)], [1, 2, 3, 4, 1]),
+        ([[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]],
+         [(2, 1), (3, 2), (4, 3), (1, 4)], [1, 4, 3, 2, 1]),
+    ])
+    def test_orientation_cycle_runs_along_the_pairs(self, C, orient, want):
+        """Both orientations of the A2~ triangle and of a 4-cycle: the
+        printed cycle is a closed walk along the given pairs."""
+        with pytest.raises(DatumError) as e:
+            validate_datum(C, [1] * len(C), orient)
+        assert code_of(e) == "orientation_cycle"
+        cycle = json.loads(str(e.value).split("cycle ", 1)[1])
+        assert cycle == want
+        assert cycle[0] == cycle[-1] and set(zip(cycle, cycle[1:])) <= set(orient)
 
 
 class TestMinimalSymmetrizer:

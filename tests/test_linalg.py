@@ -980,14 +980,24 @@ def test_coprime_factors_keep_a_reducible_quartic_whole():
             == [f for f in sympy_factor_list(as_sympy(poly)) if len(f[0]) == 2])
 
 
-@pytest.mark.parametrize("coeffs", [[Fraction(c) for c in (2, 3, 4)], [Fraction(1, 3)], []])
-def test_eval_poly_matches_power_sum(coeffs):
-    """Horner on the diagonal equals sum c_k A^(d-k), entry for entry."""
-    A = mat([[Fraction(1, 2), 3, 0], [-1, 0, Fraction(2, 7)], [0, 5, -2]])
-    want = Mat.zeros(QQ, 3, 3)
-    for k, c in enumerate(coeffs):
-        want = want + A.power(len(coeffs) - 1 - k).scale(c)
-    assert linalg.eval_poly(coeffs, A) == want
+@pytest.mark.parametrize("coeffs", [[Fraction(c) for c in (2, 3, 4)], [Fraction(1, 3)], [],
+                                    [Fraction(c) for c in (1, 0, -2, 0, 5)]])
+def test_eval_poly_matches_power_sum(coeffs, monkeypatch):
+    """Horner on the diagonal equals sum c_k A^(d-k), entry for entry, on
+    a generic and a nilpotent A (A^3 = 0), and takes max(d - 1, 0)
+    products at degree d, monic or not."""
+    products = []
+    mul = Mat.__mul__
+    for A in (mat([[Fraction(1, 2), 3, 0], [-1, 0, Fraction(2, 7)], [0, 5, -2]]),
+              mat([[0, 1, 0], [0, 0, Fraction(3, 2)], [0, 0, 0]])):
+        want = Mat.zeros(QQ, 3, 3)
+        for k, c in enumerate(coeffs):
+            want = want + A.power(len(coeffs) - 1 - k).scale(c)
+        with monkeypatch.context() as m:
+            m.setattr(Mat, "__mul__", lambda X, Y: products.append(1) or mul(X, Y))
+            got = linalg.eval_poly(coeffs, A)
+        assert got == want and len(products) == max(len(coeffs) - 2, 0)
+        products.clear()
 
 
 # -- sympy stays out of the runtime -------------------------------------------

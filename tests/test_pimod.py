@@ -2015,6 +2015,22 @@ def test_peel_on_every_stored_tower():
         assert not any(is_crystal(_stored_tower(*key)) for key in stuck)
 
 
+def test_search_gets_only_stuck_modules(monkeypatch):
+    """On the four towers where the peel gets stuck, the search finds a
+    filtration, and every `_efiltered_search` call, recursion included,
+    gets a nonzero, locally free module whose peel is stuck: each node of
+    the search is peeled before it is searched."""
+    calls = _count_searches(monkeypatch)
+    with pimod.memo_run():
+        got = [is_E_filtered(_stored_tower(*key)) for key in _STUCK_TOWERS]
+    assert got == [(True, (1, 1, 1, 2, 1)), (True, (1, 1, 2, 1, 3, 3, 3, 2)),
+                   (True, (1, 2, 2, 2, 2, 1, 2, 2, 2, 1)),
+                   (True, (1, 1, 2, 2, 1, 2, 2, 2, 2, 1))]
+    assert len(calls) >= len(_STUCK_TOWERS)
+    for X in calls:
+        assert X.dim_total() and is_locally_free(X)[0] and pimod.peel(X)[1].dim_total()
+
+
 def test_peel_stops_where_a_sub_is_not_free():
     """The peel stops at a sub_i that is not free and tries no later
     vertex: on the C3 seed-38 tower, sub_1 is zero and sub_2 not free, so
