@@ -85,12 +85,22 @@ def certified_product(label, top, sub, trials=8, seed=0):
     return res.module
 
 
+def _boot(label, top, sub, trials, seed):
+    """The catalog entry `label` made as the product top * sub: certified,
+    then gated as every entry is.  The one maker of a labelled product."""
+    return _certify(label, certified_product(label, top, sub, trials, seed), seed=seed)
+
+
 @dataclass(frozen=True)
-class B2Suite:
+class Suite:
+    """Certified entries over one datum, the further certified products
+    that name table results (extras), and `expected`, a read-only map from
+    a product to its sorted summand labels."""
+
     datum: object
-    entries: tuple         # the six non-projective indecomposable rigids
-    extras: tuple          # additional indecomposables appearing in the table
-    expected_table: MappingProxyType   # read-only: (row label, col label) -> sorted label tuple
+    entries: tuple
+    extras: tuple
+    expected: MappingProxyType
 
 
 @pimod._memoized
@@ -110,18 +120,14 @@ def b2_suite(trials=8, seed=0):
     datum = b2_datum()
     E1 = pimod.generalized_simple(datum, 1)
     E2 = pimod.generalized_simple(datum, 2)
-
-    def boot(label, top, sub):
-        return _certify(label, certified_product(label, top, sub, trials, seed), seed=seed)
-
     e1 = _certify("1/1", E1, seed=seed)
     e2 = _certify("2", E2, seed=seed)
-    m3 = boot("1/1/2", E1, E2)
-    m4 = boot("2/1/1", E2, E1)
-    m5 = boot("2/12/1", E2, m4.module)
-    m6 = boot("1/21/2", m3.module, E2)
-    big = boot("1/21/12/1", m3.module, m4.module)
-    proj = boot("2/1/1/2", m4.module, E2)
+    m3 = _boot("1/1/2", E1, E2, trials, seed)
+    m4 = _boot("2/1/1", E2, E1, trials, seed)
+    m5 = _boot("2/12/1", E2, m4.module, trials, seed)
+    m6 = _boot("1/21/2", m3.module, E2, trials, seed)
+    big = _boot("1/21/12/1", m3.module, m4.module, trials, seed)
+    proj = _boot("2/1/1/2", m4.module, E2, trials, seed)
     entries = [e1, e2, m3, m4, m5, m6]
     for k in range(len(entries)):
         for l in range(k + 1, len(entries)):
@@ -151,25 +157,20 @@ def b2_suite(trials=8, seed=0):
         labels = [rl, cl] if val == "+" else list(val)
         expected[(rl, cl)] = tuple(sorted(labels))
     assert len(expected) == 36
-    return B2Suite(datum, tuple(entries), (big, proj), MappingProxyType(expected))
+    return Suite(datum, tuple(entries), (big, proj), MappingProxyType(expected))
 
 
-@dataclass
-class A2Suite:
-    datum: object
-    s1: CatalogEntry
-    s2: CatalogEntry
-    expected: dict   # name -> sorted tuple of labels
-
-
-def a2_suite(seed=0):
-    """The rank-one pair over the symmetric rank-two datum, with the expected
-    (decomposed) values of both bracketings of the triple product."""
+def a2_suite(trials=8, seed=0):
+    """The rank-one pair "1", "2" over the symmetric rank-two datum, their
+    products "1/2" and "2/1" as extras, and the expected (decomposed)
+    values of both bracketings of the triple product."""
     datum = a2_datum()
-    s1 = _certify("1", pimod.generalized_simple(datum, 1), seed=seed)
-    s2 = _certify("2", pimod.generalized_simple(datum, 2), seed=seed)
+    S1 = pimod.generalized_simple(datum, 1)
+    S2 = pimod.generalized_simple(datum, 2)
+    entries = (_certify("1", S1, seed=seed), _certify("2", S2, seed=seed))
+    extras = (_boot("1/2", S1, S2, trials, seed), _boot("2/1", S2, S1, trials, seed))
     expected = {"(s1*s2)*s1": ("1", "1/2"), "s1*(s2*s1)": ("1", "2/1")}
-    return A2Suite(datum, s1, s2, expected)
+    return Suite(datum, entries, extras, MappingProxyType(expected))
 
 
 def leclerc_datum():
@@ -233,10 +234,11 @@ def leclerc_suite():
 
 
 def all_entries(trials=8, seed=0):
-    """Every catalog entry under a suite-qualified label, for the CLI."""
-    a2 = a2_suite(seed=seed)
+    """Every catalog entry under a suite-qualified label, for the CLI; the
+    A2 products are extras of its table, not entries, and are not listed."""
+    a2 = a2_suite(trials=trials, seed=seed)
     b2 = b2_suite(trials=trials, seed=seed)
     _, lec = leclerc_suite()
-    return ([("a2:%s" % e.label, e) for e in (a2.s1, a2.s2)]
+    return ([("a2:%s" % e.label, e) for e in a2.entries]
             + [("b2:%s" % e.label, e) for e in b2.entries + b2.extras]
             + [("a5:%s" % e.label, e) for e in lec])

@@ -486,16 +486,9 @@ def _md_table(payload):
 @_randomized
 def table(suite, seed, trials, fmt, out):
     """The full product table of a catalog suite."""
-    if suite == "b2":
-        s = catalog.b2_suite(trials=trials, seed=seed)
-        entries = [(e.label, e.module) for e in s.entries]
-        extras = [(e.label, e.module) for e in s.extras]
-    else:
-        s = catalog.a2_suite(seed=seed)
-        entries = [(s.s1.label, s.s1.module), (s.s2.label, s.s2.module)]
-        extras = [(label, catalog.certified_product(label, top.module, sub.module,
-                                                    trials=trials, seed=seed))
-                  for label, top, sub in (("1/2", s.s1, s.s2), ("2/1", s.s2, s.s1))]
+    built = {"a2": catalog.a2_suite, "b2": catalog.b2_suite}[suite](trials=trials, seed=seed)
+    entries = [(e.label, e.module) for e in built.entries]
+    extras = [(e.label, e.module) for e in built.extras]
     cells = starop.star_table(entries, extra_pool=extras, trials=trials, seed=seed)
     payload = {
         "suite": suite, "seed": seed, "trials": trials,
@@ -571,13 +564,11 @@ def catalog_list(seed, trials, fmt, out):
 @_report_options
 @_randomized
 def catalog_export(label, seed, trials, fmt, out):
-    """Export one catalog entry as a module file."""
-    entries = catalog.all_entries(trials=trials, seed=seed)
-    for name, entry in entries:
-        if name == label or entry.label == label:
-            _emit(pimod.module_to_json(entry.module), fmt, out)
-            return
-    raise click.UsageError("unknown catalog label %r" % label)
+    """Export one catalog entry, named by its `catalog list` label, as a module file."""
+    entries = dict(catalog.all_entries(trials=trials, seed=seed))
+    if label not in entries:
+        raise click.UsageError("unknown catalog label %r" % label)
+    _emit(pimod.module_to_json(entries[label].module), fmt, out)
 
 
 def _md_selftest(report):

@@ -206,8 +206,8 @@ def generic_kernel(top, mid, trials=8, seed=0):
 
 @dataclass
 class TableCell:
-    row: str
-    col: str
+    """One product of `star_table`, which keys it by (row label, col label)."""
+
     labels: tuple        # decomposition of the product, as pool labels
     split: bool          # product is row (+) col
     certified: bool
@@ -220,8 +220,9 @@ def star_table(entries, extra_pool=(), trials=8, seed=0):
     `entries` is a list of (label, module) pairs; row = top (quotient),
     column = sub.  Each product is decomposed and matched against the input
     list plus `extra_pool`; summands not matching anything are labeled by
-    their rank vector and End/Ext fingerprint.  Per-cell errors are
-    recorded, not raised.
+    their rank vector and End/Ext fingerprint.  A cell whose iso test is
+    inconclusive or whose decomposition is undecided records that error; an
+    internal fault (`pimod.ConsistencyError`) is raised, not recorded.
     """
     pool = list(entries) + list(extra_pool)
     cells = {}
@@ -231,10 +232,9 @@ def star_table(entries, extra_pool=(), trials=8, seed=0):
                 res = generic_extension(M, N, trials=trials, seed=seed)
                 labels = _cell_labels(res.module, rl, M, cl, N, pool, trials, seed)
                 split = sorted([rl, cl]) == labels
-                cells[(rl, cl)] = TableCell(rl, cl, tuple(labels), split, res.certified)
-            except (pimod.IsoInconclusive, pimod.DecomposeUndecided,
-                    pimod.ConsistencyError) as exc:
-                cells[(rl, cl)] = TableCell(rl, cl, (), False, False, str(exc))
+                cells[(rl, cl)] = TableCell(tuple(labels), split, res.certified)
+            except (pimod.IsoInconclusive, pimod.DecomposeUndecided) as exc:
+                cells[(rl, cl)] = TableCell((), False, False, str(exc))
     return cells
 
 

@@ -8,11 +8,12 @@ everything else just has to hold exactly.  The same checks back the CLI
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from ppalg import catalog, selftest
+from ppalg import catalog, pimod, selftest, starop
 from ppalg.cli import main
 from ppalg.selftest import (criterion_a2, criterion_b2_table,
                             criterion_cancellation, criterion_dim_formulas,
@@ -21,6 +22,7 @@ from ppalg.selftest import (criterion_a2, criterion_b2_table,
                             criterion_symmetrizer_change)
 
 SEED = 0
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _run(fn, budget=None, **kw):
@@ -54,6 +56,39 @@ def test_c02_a2_non_associativity():
 
 def test_c03_leclerc_numbers():
     _run(criterion_leclerc, budget=60)
+
+
+def test_c03_inconclusive_split_check_is_a_dont_know(monkeypatch):
+    """An inconclusive split check makes c3 fail as "don't know", which the
+    benchmark's check counts as undecided, not wrong."""
+    def inconclusive(*args, **kwargs):
+        raise pimod.IsoInconclusive("forced")
+
+    monkeypatch.setattr(pimod, "iso_test", inconclusive)
+    report = criterion_leclerc(seed=SEED)
+    assert not report["passed"]
+    assert report["details"]["distinct_star_splits"] is False
+    assert report["details"]["inconclusive"] is True
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    assert [wrong for _, _, wrong in workloads.criterion_failures(report)] == [False]
+
+
+@pytest.mark.parametrize("criterion, owner, name", [
+    (criterion_b2_table, pimod, "decompose"),
+    (criterion_divisions, starop, "generic_cokernel"),
+], ids=["c1", "c7"])
+def test_internal_fault_is_raised_not_recorded(monkeypatch, criterion, owner, name):
+    """A ConsistencyError inside c1's table or c7's divisions is a fault of
+    the program, not an undecided cell or pair: it leaves the criterion."""
+    def fault(*args, **kwargs):
+        raise pimod.ConsistencyError("forced")
+
+    with pimod.memo_run():
+        catalog.b2_suite(trials=8, seed=SEED)   # the pass's suite, built unfaulted
+        monkeypatch.setattr(owner, name, fault)
+        with pytest.raises(pimod.ConsistencyError, match="forced"):
+            criterion(seed=SEED)
 
 
 def test_c04_ext_formula_and_duality():

@@ -47,14 +47,14 @@ class TestB2Suite:
         assert [pimod.rank_vector(e.module) for e in suite.extras] == [(2, 2), (1, 2)]
 
     def test_expected_table_shape(self, suite):
-        assert len(suite.expected_table) == 36
+        assert len(suite.expected) == 36
         labels = {e.label for e in suite.entries} | {e.label for e in suite.extras}
-        for cell in suite.expected_table.values():
+        for cell in suite.expected.values():
             assert all(l in labels for l in cell)
 
     def test_split_cell_expansion(self, suite):
-        assert suite.expected_table[("1/1", "1/1")] == ("1/1", "1/1")
-        assert suite.expected_table[("1/1", "2")] == ("1/1/2",)
+        assert suite.expected[("1/1", "1/1")] == ("1/1", "1/1")
+        assert suite.expected[("1/1", "2")] == ("1/1/2",)
 
     def test_one_build_per_suite_per_run(self, monkeypatch):
         """Inside one run, the spelling the criteria use builds once; other
@@ -77,7 +77,7 @@ class TestB2Suite:
             assert built == [2, 2]
         assert isinstance(suite.entries, tuple) and isinstance(suite.extras, tuple)
         with pytest.raises(TypeError):
-            suite.expected_table[("1/1", "2")] = ()
+            suite.expected[("1/1", "2")] = ()
 
 
 class TestA2Suite:
@@ -85,6 +85,19 @@ class TestA2Suite:
         suite = a2_suite(seed=0)
         assert suite.expected["(s1*s2)*s1"] == ("1", "1/2")
         assert suite.expected["s1*(s2*s1)"] == ("1", "2/1")
+
+    def test_products_are_gated_entries(self):
+        """The products "1/2" and "2/1" are extras made like every other
+        catalog product: certified, then gated rigid and indecomposable."""
+        suite = a2_suite(trials=8, seed=0)
+        assert [e.label for e in suite.entries] == ["1", "2"]
+        assert [e.label for e in suite.extras] == ["1/2", "2/1"]
+        for e in suite.extras:
+            assert isinstance(e, catalog.CatalogEntry)
+            assert all(e.flags().values()) and e.rigid
+        assert [pimod.rank_vector(e.module) for e in suite.extras] == [(1, 1), (1, 1)]
+        with pytest.raises(TypeError):
+            suite.expected["(s1*s2)*s1"] = ()
 
 
 class TestLeclercFamily:

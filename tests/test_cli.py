@@ -500,6 +500,17 @@ class TestStarCommands:
         assert "| M \\ N | 1 | 2 |" in result.output
         assert "(+)" in result.output and "1/2" in result.output
 
+    def test_table_a2_json(self, runner):
+        """The A2 table at seed 0: both diagonal cells split, and each
+        off-diagonal product is the extra the suite names, all certified."""
+        out = run_json(runner, ["table", "a2"])
+        assert (out["suite"], out["seed"], out["trials"]) == ("a2", 0, 8)
+        assert out["labels"] == ["1", "2"]
+        cells = {key: (cell["labels"], cell["split"]) for key, cell in out["cells"].items()}
+        assert cells == {"1|1": (["1", "1"], True), "1|2": (["1/2"], False),
+                         "2|1": (["2/1"], False), "2|2": (["2", "2"], True)}
+        assert all(cell["certified"] and cell["error"] == "" for cell in out["cells"].values())
+
     def test_table_b2_json(self, runner, files):
         out = run_json(runner, ["table", "b2"])
         assert len(out["cells"]) == 36
@@ -563,6 +574,17 @@ class TestCatalogCommands:
     def test_export_unknown_label(self, runner):
         result = runner.invoke(main, ["catalog", "export", "nope"])
         assert result.exit_code == 2
+
+    def test_export_takes_only_qualified_labels(self, runner):
+        """A bare label is ambiguous ("2" names an entry of a2 and of b2), so
+        only the labels `catalog list` prints are exported."""
+        listed = [e["label"] for e in run_json(runner, ["catalog", "list"])["entries"]]
+        assert "a2:2" in listed and "b2:2" in listed
+        result = runner.invoke(main, ["catalog", "export", "2"])
+        assert result.exit_code == 2
+        assert "Error: unknown catalog label '2'" in result.output
+        doc = run_json(runner, ["catalog", "export", "b2:2"])
+        assert doc["algebra"]["cartan"] == [[2, -1], [-2, 2]]
 
     def test_export_into_missing_directory_exit_2(self, runner, tmp_path):
         """An --out path in a directory that does not exist is a usage error
