@@ -46,18 +46,21 @@ free.  `is_locally_free`, `peel` and `is_crystal` call it.  It and
 stacked matrix; `k_space` keeps its stack, whose columns its basis selects.
 
 One function peels socles: `peel` takes off each free sub_i whole, along
-the vertices 1...n, 1...n, ..., and stops at a module whose arrows all act
-by zero (`_arrows_vanish`), which is a sum of the E_i exactly when it is
-locally free (Geiss-Leclerc-Schroer, Invent. Math. 2017).  `is_E_filtered`
-certifies True by it, and runs the backtracking search `_efiltered_search`
-only where it gets stuck, which it does on no crystal module; the search
-sends each quotient it tries back to `is_E_filtered`, so every node is
-peeled before it is searched.  Over a minimal symmetrizer the peel is the
-socle series, and it decides E-filtered there, which `is_crystal` reads.
+the vertices 1...n, 1...n, ..., until nothing is left or it gets stuck.
+`is_E_filtered` certifies True by it, and runs the backtracking search
+`_efiltered_search` only where it gets stuck, which it does on no crystal
+module; the search sends each quotient it tries back to `is_E_filtered`,
+so every node is peeled before it is searched.  Over a minimal
+symmetrizer the peel is the socle series, and it decides E-filtered
+there, which `is_crystal` reads.
 `is_crystal` runs no E-filtered search: it certifies E-filtered by peeling
 off a nonzero sub_i (see `is_crystal`), so its False verdicts are exact.
 It builds no sub_i or fac_i: their local freeness is one `_free_rank`
-each, and only the Q_i and K_i it recurses into are built.
+each, and only the Q_i and K_i it recurses into are built.  A locally free
+module whose arrows all act by zero is a sum of the E_i
+(Geiss-Leclerc-Schroer, Invent. Math. 2017), hence crystal; so where the
+arrows away from i vanish, a Q_i or K_i that is M away from i is crystal
+and is not built (`_arrows_vanish`).
 
 `decompose` has one split step: split M into the generalized eigenspaces
 of a random endomorphism, drawn from End(M) and then from the annihilator
@@ -285,17 +288,14 @@ def check_relations(M):
     Each relation's words are summed over the lcm of their denominators
     and the integer sum is tested for zero exactly (mod p over GF(p)).  A
     word with a factor that acts by zero (`_zero_gens`) is skipped unbuilt,
-    a zero word adds nothing, and a relation with no word left holds.
+    and a relation with no word left holds; a zero word is summed.
     The `_zero_gens` skip stays: without it `criteria` makes 4.7% more
     calls (cProfile, two `run_criteria` passes)."""
     p, zero = M.field.char, _zero_gens(M)
     bad = []
     for rel in M.datum.relations():
-        if not (M.dims[rel.target] and M.dims[rel.source]):
-            continue
         words = [(coeff, _word(M, word, rel.target))
                  for coeff, word in rel.terms if zero.isdisjoint(word)]
-        words = [(coeff, W) for coeff, W in words if not W.is_zero()]
         if not words:
             continue
         den = lcm(*[W.den for _, W in words])
@@ -341,7 +341,9 @@ def _free_rank(M, i, B=None, K=None):
     freeness of sub_i (B = `sub_space(M, i)`) and of fac_i
     (K = `k_space(M, i)`) here, without building either piece.  The rows
     of [K | eps^(c-1) B] keep each block's denominator: column scaling
-    keeps the rank.
+    keeps the rank.  A square B is invertible, so it is not multiplied in;
+    that skip stays: without it `module_ops` makes 0.67% more calls
+    (cProfile).
     """
     c, k = M.datum.ci(i), 0 if K is None else K.cols
     f = (M.dims[i] if B is None else B.cols) - k
@@ -611,9 +613,11 @@ def _der_system(M, N):
     sum coeff * N(prefix) delta_a M(suffix) = 0 over the arrow positions.
     An empty prefix or suffix is None (the identity), and a position whose
     prefix or suffix has a factor that acts by zero (`_zero_gens`), or is
-    zero, adds no term.  The `_zero_gens` skip stays: without it `criteria`
-    makes 1.2% more calls (cProfile).  The `_nonzero_terms` filter stays:
-    without it `criteria` makes 0.6% more calls."""
+    zero, adds no term, and a relation whose target is zero in N or whose
+    source is zero in M adds no equation.  Each of these skips stays:
+    without it `criteria` makes more calls (cProfile), 1.2% for the
+    `_zero_gens` skip, 0.6% for the `_nonzero_terms` filter and 1.84% for
+    the zero-dimension skip."""
     check_pair(M, N)
     datum, zero_n, zero_m = M.datum, _zero_gens(N), _zero_gens(M)
     shapes = {k: (N.dims[k[1]], M.dims[gen_source(k)]) for k in datum.arrow_keys()}
@@ -753,11 +757,13 @@ def _split(M, spaces, sub=True, quot=True):
     [0 | I] and [I | I], so there the completion and the products by B_i,
     C_i, L_i and P_i are skipped: the matrices are A itself, a column
     selection of A or empty.  B_i = I is recognized on its nonzeros, with
-    no identity built.  A generator that acts by zero, or whose block
-    A B_j or A C_j is zero, gives zero blocks with no product by them, and
-    so does an empty P_i (where B_i spans M_i).  The zero-generator branch
-    stays: without it `criteria` makes 0.4% more calls and `module_ops`
-    0.7% (cProfile).
+    no identity built; that detection stays: without it `module_ops` makes
+    10.7% more calls (cProfile).  A B_i that spans M_i but is not the
+    identity is completed like any other, with an empty P_i.  A generator
+    that acts by zero, or whose block A B_j or A C_j is zero, gives zero
+    blocks with no product by them.  The zero-generator branch stays:
+    without it `criteria` makes 0.4% more calls and `module_ops` 0.7%
+    (cProfile).
     """
     field, vertices = M.field, M.datum.vertices
     basis, extra, coords, proj = {}, {}, {}, {}
@@ -769,9 +775,7 @@ def _split(M, spaces, sub=True, quot=True):
         if B.cols == M.dims[i] and B.den == 1 and all(row == {r: 1} for r, row in enumerate(B.nz)):
             extra[i] = []                # whole to the submodule
         else:
-            extra[i], coords[i], P = linalg.complete_basis(B)
-            if extra[i]:                 # else B_i spans M_i: nothing to project
-                proj[i] = P
+            extra[i], coords[i], proj[i] = linalg.complete_basis(B)
 
     def sub_dim(i):
         return basis[i].cols if i in basis else 0
@@ -932,23 +936,15 @@ def peel(M):
     K[x]/(x^c_i) of rank r > 0 (`_free_rank`) is E_i^r, so the witness
     gains (i,) * r and X becomes X / sub_i(X), locally free again.  The
     peel is stuck where a sub_i is not free, or after n steps in a row
-    with r = 0.  An X whose arrows all act by zero, a sum of E_i's exactly
-    when it is locally free (Geiss-Leclerc-Schroer, Invent. Math. 2017),
-    ends the peel with no quotient built: with (j,) * r_j over the
-    vertices in cyclic order from step k, or stuck.  With every c_i = 1
-    this is the socle series, which reaches zero iff the representation
-    is nilpotent.  On a crystal module it never gets stuck (`is_crystal`).
+    with r = 0.  On an X whose arrows all act by zero each sub_j is all of
+    X_j, so X, a sum of E_j's, peels off as (j,) * r_j over the vertices
+    in cyclic order, one quotient each.  With every c_i = 1 this is the
+    socle series, which reaches zero iff the representation is nilpotent.
+    On a crystal module it never gets stuck (`is_crystal`).
     """
     vs = M.datum.vertices
     n, witness, X, idle, k = len(vs), (), M, 0, 0
     while X.dim_total() and idle < n:
-        if _arrows_vanish(X):
-            ok, ranks = is_locally_free(X)
-            if ok:
-                rank = dict(zip(vs, ranks))
-                witness += tuple(j for j in vs[k:] + vs[:k] for _ in range(rank[j]))
-                X = zero_module(M.datum, M.field)
-            break
         i = vs[k]
         U = sub_space(X, i)
         r = _free_rank(X, i, B=U)
@@ -1036,17 +1032,18 @@ def is_crystal(M):
     keeps `peel` from getting stuck on a crystal M: each sub_i it meets is
     free, each Q_i crystal again, and a nonzero one has a nonzero sub_i.
 
-    A locally free M whose arrows all act by zero is a sum of E_i's, so it
-    is crystal with no piece built.  Where the arrows away from i vanish,
-    a Q_i with sub_i = M_i and a K_i with K_i(M) zero at i are M away from
-    i, crystal by the same rule, and are not built."""
+    Where the arrows away from i vanish (`rest`), a Q_i with sub_i = M_i
+    and a K_i with K_i(M) zero at i are M away from i: locally free with
+    every arrow acting by zero, so a sum of E_j's (Geiss-Leclerc-Schroer,
+    Invent. Math. 2017), crystal, and not built.  That rule stays: without
+    it `module_ops` makes 22.8% more calls and `criteria` 2.0% (cProfile).
+    On an M whose arrows all vanish it holds at every vertex, where sub_i
+    is all of M_i and K_i(M) is zero, so no piece is built there either."""
     if M.dim_total() == 0:
         return True
     ok, _ = is_locally_free(M)
     if not ok:
         return False
-    if _arrows_vanish(M):
-        return True
     if _minimal_symmetric(M.datum):
         return is_E_filtered(M)[0]
     peeled = False
@@ -1246,7 +1243,7 @@ def _decompose(M, rng):
     if M.dim_total() == 0:
         return []
     endb = hom_basis(M, M)
-    if len(endb) == 1 or _end_is_local(M, endb):
+    if _end_is_local(M, endb):
         return [M]
     for basis in _endomorphism_sources(M, endb):
         for _ in range(DECOMPOSE_RETRIES):

@@ -1227,18 +1227,28 @@ def test_zero_arrow_rule_on_the_crystal_family(name, seed, monkeypatch):
     _assert_rule_matches_full_search(family, monkeypatch)
 
 
-def test_crystal_builds_no_piece_on_zero_arrows(b2, monkeypatch):
-    """E_1^2 (+) E_2 is decided by the rule alone: `is_crystal` builds no
-    piece and the E-filtered search no quotient."""
+def test_zero_arrow_sum_is_crystal_and_peels_in_vertex_order(b2):
+    """E_1^2 (+) E_2, all arrows zero, takes the general path: it is
+    crystal, and the peel takes E_1 twice, then E_2."""
     E1 = generalized_simple(b2, 1)
     X = direct_sum(direct_sum(E1, E1), generalized_simple(b2, 2))
-    calls = []
-    split = pimod._split
-    monkeypatch.setattr(pimod, "_split", lambda *a, **k: calls.append(a) or split(*a, **k))
     with pimod.memo_run():
         assert is_crystal(X) is True
         assert is_E_filtered(X) == (True, (1, 1, 2))
-    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["B2", "C3", "G2"])
+def test_decompose_returns_each_simple_whole_with_no_draw(name, monkeypatch):
+    """End(E_i) = K[x]/(x^c_i) is local, and `_end_is_local` certifies it
+    for c_i = 1 as for c_i > 1: no endomorphism is drawn."""
+    def no_draw(basis, rng):
+        raise AssertionError("drew from End(E_i)")
+
+    monkeypatch.setattr(pimod, "random_combination", no_draw)
+    datum = _datum(name)
+    for i in datum.vertices:
+        E = generalized_simple(datum, i)
+        assert decompose(E) == [E]
 
 
 @pytest.mark.parametrize("side", ["quot", "ker"])
@@ -1899,6 +1909,18 @@ def _stored_tower(name, rank, index):
     doc = _towers_doc()
     return pimod.module_from_json(doc["towers"][name][str(rank)][index],
                                   _stored_datum(doc["data"][name]))
+
+
+def test_quotient_by_a_scaled_identity_is_the_quotient_by_the_identity():
+    """A space that is all of M_j but not the identity is completed like
+    any other, with an empty projection: on the stored towers, the fac_i
+    quotient with 2 I at every j != i equals the one with I there."""
+    for M in _stored_towers(max_rank=6):
+        for i in M.datum.vertices:
+            spaces = pimod._ker_spaces(M, i, pimod.k_space(M, i))
+            scaled = {j: B if j == i else B.scale(2) for j, B in spaces.items()}
+            assert pimod.module_to_json(pimod.quotient(M, scaled)) == \
+                pimod.module_to_json(pimod.quotient(M, spaces))
 
 
 def test_rank_one_candidates_meet_their_docstring_on_stored_towers():
