@@ -40,7 +40,8 @@ def arrow_key(i, j, g):
 
 
 def arrow_name(key):
-    """The name "a_<target>_<source>_<g>" of an arrow key in JSON files."""
+    """The name "a_<target>_<source>_<g>" of an arrow key: the one spelling
+    of an arrow, in module files, relation labels and relation words."""
     return "a_%s_%s_%d" % key[1:]
 
 
@@ -64,7 +65,7 @@ class Relation:
 
     def pretty(self):
         def wstr(word):
-            return "*".join("eps%s" % g[1] if g[0] == "eps" else "a%s%s_%d" % (g[1], g[2], g[3])
+            return "*".join("eps%s" % g[1] if g[0] == "eps" else arrow_name(g)
                             for g in word) or "1"
         parts = []
         for coeff, word in self.terms:
@@ -152,7 +153,7 @@ class CartanDatum:
                 a = arrow_key(i, j, g)
                 left = (eps_key(i),) * self.fij(j, i) + (a,)
                 right = (a,) + (eps_key(j),) * self.fij(i, j)
-                rels.append(Relation("commutativity@%r%r#%d" % (i, j, g),
+                rels.append(Relation("commutativity@%s" % arrow_name(a),
                                      "commutativity", j, i, ((1, left), (-1, right))))
         for i in self.vertices:
             terms = []

@@ -427,8 +427,6 @@ def _forward(sparse, p, limit):
             _eliminate(P, c, [(i, sparse[i]) for i in cand if i != piv], p, col_rows, limit)
         pivots.append(c)
         pivot_rows.append(piv)
-        if len(pivots) == len(sparse):
-            break
     return pivots, pivot_rows
 
 
@@ -665,10 +663,8 @@ def _divmod(a, b):
 
 
 def _gcd(a, b):
-    """The gcd of a and b, primitive with a positive leading coefficient (by
-    pseudo-remainders made primitive)."""
-    if len(a) < len(b):
-        a, b = b, a
+    """The gcd of a and b, deg b < deg a, primitive with a positive leading
+    coefficient (by pseudo-remainders made primitive)."""
     while b:
         r = _divmod([b[0] ** (len(a) - len(b) + 1) * c for c in a], b)[1]
         g = gcd(*r)

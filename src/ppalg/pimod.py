@@ -909,8 +909,6 @@ def _rank_one_candidates(M, i):
     all viable columns, unless eps_i^{c_i - 1} kills the sum.
     """
     U = sub_space(M, i)
-    if U.cols == 0:
-        return
     top = M.eps[i].power(M.datum.ci(i) - 1) * U
     viable = sorted(set().union(*top.nz))   # the columns k with top e_k != 0
     if not viable:
@@ -1320,25 +1318,27 @@ def _dim_value(v):
     return d
 
 
+def _mat_from_json(field, rows, cols, m, what):
+    """`linalg.mat_from_json`, its error naming `what`, the loop or arrow."""
+    try:
+        return linalg.mat_from_json(field, rows, cols, m)
+    except ValueError as exc:
+        raise ValueError("%s (%s)" % (exc, what)) from None
+
+
 def module_from_json(doc, datum, field=QQ):
     dims = {parse_vertex(datum, k): _dim_value(v) for k, v in _json_object(doc, "dims").items()}
     eps = {}
     for k, m in _json_object(doc, "epsilon").items():
         i = parse_vertex(datum, k)
         d = dims.get(i, 0)
-        eps[i] = linalg.mat_from_json(field, d, d, m)
+        eps[i] = _mat_from_json(field, d, d, m, "loop at %s" % i)
+    names = {arrow_name(key): key for key in datum.arrow_keys()}
     arrows = {}
     for k, m in _json_object(doc, "arrows").items():
-        parts = k.split("_")
-        if len(parts) != 4 or parts[0] != "a" or not parts[3].isdecimal():
-            raise ValueError("bad arrow key %r (expected a_<target>_<source>_<g>)" % (k,))
-        i = parse_vertex(datum, parts[1])
-        j = parse_vertex(datum, parts[2])
-        g = int(parts[3])
-        key = arrow_key(i, j, g)
-        if key not in set(datum.arrow_keys()):
-            raise ValueError("arrow %r does not exist in the double quiver" % (k,))
-        if k != arrow_name(key):    # one spelling per arrow: a_2_1_01 is not a_2_1_1
-            raise ValueError("bad arrow key %r (expected %r)" % (k, arrow_name(key)))
-        arrows[key] = linalg.mat_from_json(field, dims.get(i, 0), dims.get(j, 0), m)
+        if k not in names:   # only the exact name: a_2_1_01 is not a_2_1_1
+            raise ValueError("unknown arrow key %r (the arrows are %s)" % (k, list(names)))
+        key = names[k]
+        arrows[key] = _mat_from_json(field, dims.get(key[1], 0), dims.get(key[2], 0), m,
+                                     "arrow %s" % k)
     return ModuleRep(datum, dims, eps, arrows, field)

@@ -182,8 +182,20 @@ class TestRelations:
     def test_pretty_with_string_vertices(self):
         datum = validate_datum([[2, -1], [-1, 2]], [1, 1], [("a", "b")], vertices=("a", "b"))
         pretty = {r.label: r.pretty() for r in datum.relations()}
-        assert pretty["mesh@'a'"] == "aab_1*aba_1"
+        assert pretty["mesh@'a'"] == "a_a_b_1*a_b_a_1"
         assert pretty["nilpotency@'b'"] == "epsb"
+
+    def test_labels_and_words_spell_arrows_by_name(self):
+        """Relation labels and words name arrows by `arrow_name`, so the
+        arrows 1 <- 12 and 11 <- 2 of a 12-vertex datum get two labels."""
+        C = [[2 if a == b else -1 if {a, b} in ({1, 12}, {11, 2}) else 0
+              for b in range(1, 13)] for a in range(1, 13)]
+        datum = validate_datum(C, [1] * 12, default_orientation(C))
+        pretty = {r.label: r.pretty() for r in datum.relations()}
+        assert len(datum.relations()) == len(pretty) == 20
+        assert pretty["commutativity@a_1_12_1"] == "eps1*a_1_12_1 - a_1_12_1*eps12"
+        assert pretty["commutativity@a_11_2_1"] == "eps11*a_11_2_1 - a_11_2_1*eps2"
+        assert pretty["mesh@12"] == "- a_12_1_1*a_1_12_1"
 
     def test_symmetric_minimal_mesh_has_no_loops(self):
         datum = validate_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [1, 1, 1],

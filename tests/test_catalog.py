@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
-from ppalg import catalog, pimod
+from ppalg import catalog, pimod, selftest
+from ppalg.cartan import default_orientation, validate_datum
+from ppalg.linalg import QQ, Mat
 from ppalg.catalog import a2_suite, b2_suite, leclerc_module, leclerc_suite
 from ppalg.pimod import generalized_simple, hom_dim, iso_test
 
@@ -141,3 +145,34 @@ def test_all_entries_unique_labels():
     assert len(labels) == len(set(labels))
     assert "b2:1/1/2" in labels and "a2:1" in labels
     assert any(label.startswith("a5:leclerc") for label in labels)
+
+
+
+def _not_crystal():
+    """A tower that is E-filtered but not crystal."""
+    C = [[2, -2], [-1, 2]]
+    rng = random.Random(145)
+    return selftest.random_tower(validate_datum(C, [1, 2], default_orientation(C)),
+                                 rng.randint(2, 5), rng)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda b2: pimod.ModuleRep(b2, {1: 0, 2: 1}, {2: Mat.identity(QQ, 1)}, {}),
+     "defining relations violated"),
+    (lambda b2: pimod.ModuleRep(b2, {1: 1, 2: 0}, {}, {}),   # c_1 = 2 does not divide 1
+     "not locally free"),
+    (lambda b2: _not_crystal(), "not a crystal module"),
+    (lambda b2: pimod.direct_sum(generalized_simple(b2, 1), generalized_simple(b2, 2)),
+     "decomposes into 2 summands"),
+], ids=["relations", "locally-free", "crystal", "indecomposable"])
+def test_certify_gates(build, message):
+    """Each gate of a catalog entry refuses a module that fails it, naming
+    the entry."""
+    with pytest.raises(catalog.CatalogError, match="^x: %s" % message):
+        catalog._certify("x", build(catalog.b2_datum()))
+
+def test_isomorphic_suite_entries_refused(monkeypatch):
+    """The six B2 entries must be pairwise non-isomorphic."""
+    monkeypatch.setattr(pimod, "iso_test", lambda *args, **kwargs: True)
+    with pytest.raises(catalog.CatalogError, match="entries 1/1 and 2 are isomorphic"):
+        b2_suite(seed=0)

@@ -118,7 +118,18 @@ class TestValidation:
 
     def test_string_vertex_labels(self, runner, files):
         out = run_json(runner, ["validate", files["labels.json"]])
-        assert out["relations"]["mesh@'a'"] == "aab_1*aba_1"
+        assert out["relations"]["mesh@'a'"] == "a_a_b_1*a_b_a_1"
+
+    def test_every_relation_listed(self, runner, tmp_path):
+        """Commutativity labels name their arrow, so the arrows 1 <- 12 and
+        11 <- 2 of a 12-vertex datum list two relations, and all 20 show."""
+        C = [[2 if a == b else -1 if {a, b} in ({1, 12}, {11, 2}) else 0
+              for b in range(1, 13)] for a in range(1, 13)]
+        path = tmp_path / "twelve.json"
+        path.write_text(json.dumps({"cartan": C}))
+        relations = run_json(runner, ["validate", str(path)])["relations"]
+        assert len(relations) == 20
+        assert {"commutativity@a_1_12_1", "commutativity@a_11_2_1"} <= set(relations)
 
     def test_labels_that_print_the_same_exit_2(self, runner, files):
         result = runner.invoke(main, ["validate", files["labels_same_str.json"]])
@@ -373,22 +384,26 @@ class TestModuleCommands:
         ("dims", {"1": "-2"}, "dimension -2 is negative"),
         ("dims", {"1": "abc"}, "dimension 'abc' is not an integer"),
         ("arrows", {"a_1_2_x": [["1"], ["0"]]},
-         "bad arrow key 'a_1_2_x' (expected a_<target>_<source>_<g>)"),
+         "unknown arrow key 'a_1_2_x' (the arrows are ['a_1_2_1', 'a_2_1_1'])"),
         ("arrows", {"a_2_1_1": [], "a_2_1_01": []},
-         "bad arrow key 'a_2_1_01' (expected 'a_2_1_1')"),
+         "unknown arrow key 'a_2_1_01' (the arrows are ['a_1_2_1', 'a_2_1_1'])"),
         ("arrows", {"a_2_1_1": [], "a_2_1_\u0661": []},
-         "bad arrow key 'a_2_1_\u0661' (expected 'a_2_1_1')"),
+         "unknown arrow key 'a_2_1_\u0661' (the arrows are ['a_1_2_1', 'a_2_1_1'])"),
+        ("epsilon", {"1": [["0", "0"]]}, "matrix shape mismatch: expected 2x2 (loop at 1)"),
+        ("arrows", {"a_2_1_1": [["1", "0"]]},
+         "matrix shape mismatch: expected 0x2 (arrow a_2_1_1)"),
         ("arrows", False, "'arrows' must be a JSON object"),
         ("epsilon", 0, "'epsilon' must be a JSON object"),
         ("dims", [], "'dims' must be a JSON object"),
     ], ids=["negative", "negative-string", "not-a-number", "arrow-index",
-            "arrow-index-zero-padded", "arrow-index-non-ascii-digit", "arrows-false",
-            "epsilon-zero", "dims-empty-list"])
+            "arrow-index-zero-padded", "arrow-index-non-ascii-digit", "loop-shape",
+            "arrow-shape", "arrows-false", "epsilon-zero", "dims-empty-list"])
     def test_module_file_names_the_bad_value(self, runner, tmp_path, key, value, message):
-        """A bad dimension or arrow key in a module file is a usage error
-        naming the value, not a traceback or a later shape mismatch.  An
-        arrow index int() reads but spelled other than the arrow's name is
-        refused, so no arrow is given twice with the later entry winning."""
+        """A bad dimension, arrow key or matrix in a module file is a usage
+        error naming the value or the matrix's loop or arrow, not a traceback
+        or a later shape mismatch.  An arrow index int() reads but spelled
+        other than the arrow's name is refused, so no arrow is given twice
+        with the later entry winning."""
         doc = dict(pimod.module_to_json(pimod.generalized_simple(catalog.b2_datum(), 1)))
         doc[key] = value
         path = tmp_path / "bad_value.json"
@@ -398,6 +413,21 @@ class TestModuleCommands:
         assert isinstance(result.exception, SystemExit)
         assert "%s: %s" % (path, message) in result.output
         assert "Traceback" not in result.output
+
+    def test_product_over_labels_with_underscores_reads_back(self, runner, tmp_path):
+        """A product written by `star --out` over the labels x_1 and y names
+        its arrow a_y_x_1_1, and every command that reads it finds it."""
+        algebra = {"vertices": ["x_1", "y"], "cartan": [[2, -1], [-1, 2]]}
+        for v in ("x_1", "y"):
+            (tmp_path / ("E_%s.json" % v)).write_text(json.dumps({"algebra": algebra,
+                                                                   "dims": {v: 1}}))
+        p = str(tmp_path / "p.json")
+        result = runner.invoke(main, ["star", str(tmp_path / "E_x_1.json"),
+                                      str(tmp_path / "E_y.json"), "--out", p])
+        assert result.exit_code == 0, result.output
+        assert list(json.loads(open(p).read())["module"]["arrows"]) == ["a_y_x_1_1"]
+        assert run_json(runner, ["check", p])["ok"]
+        assert run_json(runner, ["decompose", p])["count"] == 1
 
     @pytest.mark.parametrize("command", [["hom"], ["ext"], ["iso"], ["star"],
                                          ["check-symmetrizer", "--n", "2"],
@@ -499,6 +529,20 @@ class TestStarCommands:
         assert result.exit_code == 0
         assert "| M \\ N | 1 | 2 |" in result.output
         assert "(+)" in result.output and "1/2" in result.output
+
+    def test_table_markdown_marks_an_undecided_cell(self, runner, monkeypatch):
+        labels = starop._cell_labels
+
+        def undecided(mid, rl, M, cl, N, *args):
+            if (rl, cl) == ("1", "2"):
+                raise pimod.DecomposeUndecided("forced")
+            return labels(mid, rl, M, cl, N, *args)
+
+        monkeypatch.setattr(starop, "_cell_labels", undecided)
+        result = runner.invoke(main, ["table", "a2", "--format", "md"])
+        assert result.exit_code == 0, result.output
+        assert "| 1 | (+) | error |" in result.output
+        assert "| 2 | 2/1 | (+) |" in result.output
 
     def test_table_a2_json(self, runner):
         """The A2 table at seed 0: both diagonal cells split, and each

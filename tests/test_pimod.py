@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from ppalg import catalog, linalg, pimod, selftest, starop, symred
 from ppalg.cartan import (alpha_form, default_orientation, eps_key, gen_source, gen_target,
-                          symmetrized_form, validate_datum)
+                          minimal_symmetrizer, symmetrized_form, validate_datum)
 from ppalg.linalg import QQ, Mat
 from ppalg.pimod import (ModuleRep, NotLocallyFree,
                          canonical_pieces, check_relations, decompose,
@@ -1582,6 +1582,11 @@ class TestClosureProperties:
         assert found
 
 
+# 12 vertices whose only edges are {1, 12} and {11, 2}
+TWELVE_VERTICES = [[2 if a == b else -1 if {a, b} in ({1, 12}, {11, 2}) else 0
+                    for b in range(1, 13)] for a in range(1, 13)]
+
+
 class TestSerialization:
     def test_module_round_trip(self, b2_mods):
         _, _, M3 = b2_mods
@@ -1599,6 +1604,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             pimod.module_from_json({"dims": {"1": 2, "2": 1},
                                     "arrows": {"a_1_1_1": [["1", "1"], ["1", "1"]]}}, b2)
+
+    @pytest.mark.parametrize("C, labels", [
+        ([[2, -1], [-2, 2]], ["x_1", "y_2_3"]),
+        ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], ["x_1", "y_2_3", "z"]),
+        ([[2, -3], [-1, 2]], ["y_2_3", "x_1"]),
+        (TWELVE_VERTICES, list(range(1, 13))),
+    ], ids=["B2", "C3", "G2", "12-vertices"])
+    def test_round_trip_for_every_label(self, C, labels):
+        """Arrow keys are looked up by their names, so labels holding "_"
+        read back too, and so do the arrows 1 <- 12 and 11 <- 2."""
+        datum = validate_datum(C, minimal_symmetrizer(C), default_orientation(C, labels),
+                               vertices=labels)
+        rng = random.Random(5)
+        for rank in range(2, 7):
+            M = random_tower(datum, rank, rng)
+            back = pimod.module_from_json(pimod.module_to_json(M), datum)
+            assert pimod._content_key(back) == pimod._content_key(M)
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None,
@@ -2455,3 +2477,28 @@ def test_ext_from_two_homs_matches_der_route(name, seed, rank_m, rank_n, modular
             ext1_dim(*pair)
         with pytest.raises(NotLocallyFree):
             pimod.ext1_dim_der(*pair)
+
+
+def test_negative_ext_is_a_fault(b2, monkeypatch):
+    """ext1_dim never returns a negative number: with both Homs forced to 0,
+    E_1 against itself gives 0 + 0 - (e_1, e_1)_H = -4, an internal fault."""
+    monkeypatch.setattr(pimod, "hom_dim", lambda M, N: 0)
+    E1 = generalized_simple(b2, 1)
+    with pytest.raises(pimod.ConsistencyError, match="negative Ext"):
+        pimod.ext1_dim(E1, E1)
+
+
+def test_odd_self_ext_is_a_fault(b2, monkeypatch):
+    """is_rigid's orbit codimension is ext^1(M, M) / 2; an odd ext^1 is an
+    internal fault, not a rounded codimension."""
+    monkeypatch.setattr(pimod, "ext1_dim", lambda M, N: 1)
+    with pytest.raises(pimod.ConsistencyError, match="odd self-extension"):
+        is_rigid(generalized_simple(b2, 1))
+
+
+def test_zero_modules_are_isomorphic_and_have_no_summand(b2):
+    """Two zero modules are isomorphic with no draw, and 0 decomposes into
+    no summand."""
+    Z = pimod.zero_module(b2)
+    assert iso_test(Z, pimod.zero_module(b2), trials=0) is True
+    assert decompose(Z) == []

@@ -233,6 +233,14 @@ class TestDivisions:
             assert pimod.module_to_json(D) == pimod.module_to_json(M)
         assert generic_cokernel(Z, Z, seed=0).dim_total() == 0
 
+    def test_cokernel_that_fails_the_efiltered_test_is_a_fault(self, b2, monkeypatch):
+        """A cokernel of crystal modules that is not E-filtered is an
+        internal fault, not a division result."""
+        E1 = generalized_simple(b2, 1)
+        monkeypatch.setattr(pimod, "is_E_filtered", lambda M: (False, None))
+        with pytest.raises(pimod.ConsistencyError, match="E-filtered"):
+            generic_cokernel(E1, E1, seed=0)
+
     def test_leclerc_division_defined_but_not_inverse(self):
         # dividing the rigid middle of a self-extension recovers the member,
         # yet the product of two distinct members is the split module, which
@@ -266,6 +274,32 @@ class TestTableAndCancellation:
         assert len(cells) == 36
         assert cells[("1/1", "2/12/1")].labels == ("anon(dims=[4, 2],rank=[2, 2],end=4,ext=0)",)
         assert cells[("2", "1/1/2")].labels == ("anon(dims=[2, 2],rank=[1, 2],end=2,ext=0)",)
+
+    @pytest.mark.parametrize("error", [pimod.IsoInconclusive, pimod.DecomposeUndecided])
+    def test_undecided_cell_is_recorded(self, a2, monkeypatch, error):
+        """A cell whose labels cannot be decided records the error, with no
+        labels and not certified; the other cells are unaffected."""
+        S1, S2 = generalized_simple(a2, 1), generalized_simple(a2, 2)
+        labels = starop._cell_labels
+
+        def undecided(mid, rl, M, cl, N, *args):
+            if (rl, cl) == ("1", "2"):
+                raise error("forced")
+            return labels(mid, rl, M, cl, N, *args)
+
+        monkeypatch.setattr(starop, "_cell_labels", undecided)
+        cells = star_table([("1", S1), ("2", S2)], seed=0)
+        assert cells[("1", "2")] == starop.TableCell((), False, False, "forced")
+        assert cells[("1", "1")].split and cells[("1", "1")].error == ""
+
+    def test_cancellation_collision_is_reported(self, a2):
+        """Two labels for one module collide on both sides, under each fixed
+        factor: X * R and R * X are the same module for X = "1" and "1'"."""
+        S1 = generalized_simple(a2, 1)
+        report = starop.check_cancellation([("1", S1), ("1'", S1)], seed=0)
+        assert not report["ok"] and report["comparisons"] == 4
+        assert report["collisions"] == [{"side": side, "fixed": fixed, "pair": ("1", "1'")}
+                                        for side in ("right", "left") for fixed in ("1", "1'")]
 
     def test_cancellation_singleton(self, b2):
         E1 = generalized_simple(b2, 1)
