@@ -4,14 +4,14 @@ Every command reads/writes the JSON formats defined by the library
 (algebra configs, module files, matrices as "p/q" strings) and prints a
 JSON (default) or Markdown report.  Randomized commands echo their seed
 and trial count so results can be reproduced; identical invocations with
-identical seeds produce byte-identical output.  Output files are only
-written after a command has fully succeeded.
+identical seeds produce byte-identical output.
 
-Exit codes: 0 success, 1 a failed verification, 2 a usage error.  The exit
-code of a library error is a property of its type, decided in one place,
-the wrapper that `_report_options` puts around every command: `_FAILED`
-types are reported with their message and exit 1, `_USAGE` types exit 2.
-A command catches only what its own payload or message depends on.
+Exit codes: 0 success, 1 a failed verification, 2 a usage error.  A
+command returns its report, or raises `_Failed` with the report of a
+failed verification; the wrapper that `_report_options` puts around every
+command is the one writer of a report, to stdout or `--out`, and the one
+place that exits 1.  A command catches only what its own report or
+message depends on.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _parse_field(ctx, param, flag):
     if flag in ("q", "Q"):
         return QQ
     digits = flag[3:] if flag.startswith("fp:") else ""
-    if not digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):
         raise click.BadParameter("must be 'q' or 'fp:<prime>'")
     try:
         return GF(int(digits))
@@ -68,8 +68,6 @@ def _datum_from_doc(doc, path):
         return validate_datum(cartan, sym, orient, vertices)
     except DatumError as exc:
         raise click.UsageError("%s: invalid algebra (%s): %s" % (path, exc.code, exc))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise click.UsageError("%s: malformed algebra config: %r" % (path, exc))
 
 
 def _load_algebra(path):
@@ -116,15 +114,9 @@ def _load_pair(path_a, path_b, field):
     return A, B
 
 
-def _fail(message, seed, fmt, out):
-    """Report a failed verification and exit 1."""
-    _emit({"error": message, "seed": seed}, fmt, out)
-    sys.exit(1)
-
-
-def _emit(payload, fmt, out, md=None):
+def _emit(payload, fmt, out, md):
     if fmt == "md":
-        text = md(payload) if md else _md_kv(payload)
+        text = md(payload)
     else:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out:
@@ -168,18 +160,32 @@ _FAILED = (catalog.CatalogError, DivisionUndefined, starop.RankMismatch, symred.
 _USAGE = (pimod.NotLocallyFree, pimod.RationalFieldOnly, NoTrials, symred.SymmetrizerError)
 
 
-def _report_options(command):
-    """--format and --out, which every command takes, and the exit code of
-    the library errors the command raises: `_FAILED` exits 1 with the error
-    in the report, `_USAGE` exits 2 with the command's usage line."""
+class _Failed(Exception):
+    """A failed verification, carrying the command's report."""
+
+    def __init__(self, report):
+        super().__init__(report)
+        self.report = report
+
+
+def _report_options(command, md=_md_kv):
+    """--format and --out, which every command takes, and the one writer of
+    its report, `md` rendering it under --format md.  The command's report
+    exits 0, a `_Failed` report 1, a `_FAILED` library error 1 with the
+    error and seed as the report, and a `_USAGE` one 2 with the command's
+    usage line and no report."""
     @functools.wraps(command)
-    def run(**kwargs):
+    def run(fmt, out, **kwargs):
         try:
-            return command(**kwargs)
+            _emit(command(**kwargs), fmt, out, md)
+            return
+        except _Failed as exc:
+            _emit(exc.report, fmt, out, md)
         except _FAILED as exc:
-            _fail(str(exc), kwargs.get("seed"), kwargs["fmt"], kwargs["out"])
+            _emit({"error": str(exc), "seed": kwargs.get("seed")}, fmt, out, _md_kv)
         except _USAGE as exc:
             raise click.UsageError(str(exc))
+        sys.exit(1)
 
     run = click.option("--format", "fmt", type=click.Choice(["json", "md"]),
                        default="json", show_default=True)(run)
@@ -216,10 +222,10 @@ def main(ctx):
 @main.command()
 @click.argument("algebra", type=click.Path(exists=True, dir_okay=False))
 @_report_options
-def validate(algebra, fmt, out):
+def validate(algebra):
     """Validate an algebra config file."""
     datum = _load_algebra(algebra)
-    payload = {
+    return {
         "valid": True,
         "vertices": list(datum.vertices),
         "symmetrizer": list(datum.sym),
@@ -227,55 +233,51 @@ def validate(algebra, fmt, out):
         "arrows": [arrow_name(k) for k in datum.arrow_keys()],
         "relations": {r.label: r.pretty() for r in datum.relations()},
     }
-    _emit(payload, fmt, out)
 
 
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def check(module, field, fmt, out):
+def check(module, field):
     """Check the defining relations on a module file."""
     M = _parse_module(module, field)
     bad = pimod.check_relations(M)
-    payload = {"ok": not bad, "violated": bad, "dims": {str(i): M.dims[i] for i in M.datum.vertices}}
-    _emit(payload, fmt, out)
+    report = {"ok": not bad, "violated": bad, "dims": {str(i): M.dims[i] for i in M.datum.vertices}}
     if bad:
-        sys.exit(1)
+        raise _Failed(report)
+    return report
 
 
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def rank(module, field, fmt, out):
+def rank(module, field):
     """Local freeness and the rank vector of a module."""
     M = _load_module(module, field)
     ok, ranks = pimod.is_locally_free(M)
-    payload = {"locally_free": ok,
-               "rank_vector": list(ranks) if ok else None,
-               "dims": {str(i): M.dims[i] for i in M.datum.vertices}}
-    _emit(payload, fmt, out)
+    return {"locally_free": ok,
+            "rank_vector": list(ranks) if ok else None,
+            "dims": {str(i): M.dims[i] for i in M.datum.vertices}}
 
 
 @main.command()
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
-def hom(mod_a, mod_b, field, fmt, out):
+def hom(mod_a, mod_b, field):
     """dim Hom(A, B)."""
     A, B = _load_pair(mod_a, mod_b, field)
-    payload = {"dim_hom": pimod.hom_dim(A, B), "field": field.name}
-    _emit(payload, fmt, out)
+    return {"dim_hom": pimod.hom_dim(A, B), "field": field.name}
 
 
 @main.command()
 @click.argument("mod_a", type=click.Path(exists=True, dir_okay=False))
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
-def ext(mod_a, mod_b, field, fmt, out):
+def ext(mod_a, mod_b, field):
     """dim Ext^1(A, B) for locally free modules."""
     A, B = _load_pair(mod_a, mod_b, field)
-    payload = {"dim_ext1": pimod.ext1_dim(A, B), "field": field.name}
-    _emit(payload, fmt, out)
+    return {"dim_ext1": pimod.ext1_dim(A, B), "field": field.name}
 
 
 @main.command()
@@ -283,22 +285,20 @@ def ext(mod_a, mod_b, field, fmt, out):
 @click.argument("dvec")
 @click.argument("evec")
 @_report_options
-def forms(algebra, dvec, evec, fmt, out):
+def forms(algebra, dvec, evec):
     """Euler forms and dimension formulas for two rank vectors."""
     datum = _load_algebra(algebra)
     d = _parse_rank_vector(dvec, datum)
     e = _parse_rank_vector(evec, datum)
     a, b, s = euler_forms(datum, d, e)
-    payload = {"alpha": a, "beta": b, "symmetrized": s}
-    payload.update(dim_formulas(datum, d, e))
-    _emit(payload, fmt, out)
+    return {"alpha": a, "beta": b, "symmetrized": s, **dim_formulas(datum, d, e)}
 
 
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @click.argument("vertex")
 @_common
-def pieces(module, vertex, field, fmt, out):
+def pieces(module, vertex, field):
     """The canonical pieces sub_i, fac_i, K_i, Q_i at a vertex."""
     M = _load_module(module, field)
     try:
@@ -306,7 +306,7 @@ def pieces(module, vertex, field, fmt, out):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     p = pimod.canonical_pieces(M, i)
-    payload = {
+    return {
         "vertex": str(i),
         "sub": pimod.module_to_json(p.sub),
         "Q": pimod.module_to_json(p.quot),
@@ -315,40 +315,36 @@ def pieces(module, vertex, field, fmt, out):
         "dim_sub": p.sub.dim_total(), "dim_Q": p.quot.dim_total(),
         "dim_K": p.ker.dim_total(), "dim_fac": p.fac.dim_total(),
     }
-    _emit(payload, fmt, out)
 
 
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def efiltered(module, field, fmt, out):
+def efiltered(module, field):
     """Decide whether a module admits a filtration by generalized simples."""
     M = _load_module(module, field)
     ok, witness = pimod.is_E_filtered(M)
-    payload = {"e_filtered": ok,
-               "witness": [str(i) for i in witness] if witness is not None else None}
-    _emit(payload, fmt, out)
+    return {"e_filtered": ok,
+            "witness": [str(i) for i in witness] if witness is not None else None}
 
 
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def crystal(module, field, fmt, out):
+def crystal(module, field):
     """Decide the recursive crystal-module property."""
     M = _load_module(module, field)
-    payload = {"crystal": pimod.is_crystal(M)}
-    _emit(payload, fmt, out)
+    return {"crystal": pimod.is_crystal(M)}
 
 
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def rigid(module, field, fmt, out):
+def rigid(module, field):
     """Rigidity and orbit codimension (self-Ext dimension halved)."""
     M = _load_module(module, field)
     flag, codim = pimod.is_rigid(M)
-    payload = {"rigid": flag, "orbit_codim": codim}
-    _emit(payload, fmt, out)
+    return {"rigid": flag, "orbit_codim": codim}
 
 
 @main.command()
@@ -356,40 +352,33 @@ def rigid(module, field, fmt, out):
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
 @_randomized
-def iso(mod_a, mod_b, seed, trials, field, fmt, out):
+def iso(mod_a, mod_b, seed, trials, field):
     """Randomized isomorphism test (certified answers; may be inconclusive)."""
     A, B = _load_pair(mod_a, mod_b, field)
     try:
         verdict = "isomorphic" if pimod.iso_test(A, B, trials=trials, seed=seed) \
             else "not-isomorphic"
-        inconclusive = False
     except IsoInconclusive:
-        verdict = "inconclusive"
-        inconclusive = True
-    payload = {"verdict": verdict, "seed": seed, "trials": trials}
-    _emit(payload, fmt, out)
-    if inconclusive:
-        sys.exit(1)
+        raise _Failed({"verdict": "inconclusive", "seed": seed, "trials": trials})
+    return {"verdict": verdict, "seed": seed, "trials": trials}
 
 
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
 @_seed_option
-def decompose(module, seed, field, fmt, out):
+def decompose(module, seed, field):
     """Split a module into indecomposable summands."""
     M = _load_module(module, field)
     try:
         parts = pimod.decompose(M, seed=seed)
     except DecomposeUndecided as exc:
-        _emit({"undecided": str(exc), "seed": seed}, fmt, out)
-        sys.exit(1)
-    payload = {
+        raise _Failed({"undecided": str(exc), "seed": seed})
+    return {
         "seed": seed,
         "summands": [pimod.module_to_json(x) for x in parts],
         "count": len(parts),
     }
-    _emit(payload, fmt, out)
 
 
 def _star_payload(res):
@@ -412,12 +401,11 @@ def _star_payload(res):
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
 @_randomized
-def star(mod_a, mod_b, seed, trials, field, fmt, out):
+def star(mod_a, mod_b, seed, trials, field):
     """The generic extension A * B (A on top, B as sub)."""
     A, B = _load_pair(mod_a, mod_b, field)
     _require_crystal(("A", "B"), (A, B))
-    res = starop.generic_extension(A, B, trials=trials, seed=seed)
-    _emit(_star_payload(res), fmt, out)
+    return _star_payload(starop.generic_extension(A, B, trials=trials, seed=seed))
 
 
 @main.command(name="divide-right")
@@ -425,9 +413,9 @@ def star(mod_a, mod_b, seed, trials, field, fmt, out):
 @click.argument("mod_b", type=click.Path(exists=True, dir_okay=False))
 @_common
 @_randomized
-def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
+def divide_right(mod_m, mod_b, seed, trials, field):
     """The generic cokernel M / B (B embedded generically into M)."""
-    _divide(starop.generic_cokernel, ("M", "B"), mod_m, mod_b, seed, trials, field, fmt, out)
+    return _divide(starop.generic_cokernel, ("M", "B"), mod_m, mod_b, seed, trials, field)
 
 
 @main.command(name="divide-left")
@@ -435,9 +423,9 @@ def divide_right(mod_m, mod_b, seed, trials, field, fmt, out):
 @click.argument("mod_m", type=click.Path(exists=True, dir_okay=False))
 @_common
 @_randomized
-def divide_left(mod_a, mod_m, seed, trials, field, fmt, out):
+def divide_left(mod_a, mod_m, seed, trials, field):
     """The generic kernel A \\ M (M mapped generically onto A)."""
-    _divide(starop.generic_kernel, ("A", "M"), mod_a, mod_m, seed, trials, field, fmt, out)
+    return _divide(starop.generic_kernel, ("A", "M"), mod_a, mod_m, seed, trials, field)
 
 
 def _require_crystal(names, modules):
@@ -450,13 +438,13 @@ def _require_crystal(names, modules):
             raise click.UsageError("%s is not a crystal module" % name)
 
 
-def _divide(division, names, path_a, path_b, seed, trials, field, fmt, out):
-    """Run `division` on the two module files, `names` in the messages, and
-    emit its module."""
+def _divide(division, names, path_a, path_b, seed, trials, field):
+    """The report of `division` on the two module files, `names` in the
+    messages."""
     A, B = _load_pair(path_a, path_b, field)
     _require_crystal(names, (A, B))
     D = division(A, B, trials=trials, seed=seed)
-    _emit({"seed": seed, "trials": trials, "module": pimod.module_to_json(D)}, fmt, out)
+    return {"seed": seed, "trials": trials, "module": pimod.module_to_json(D)}
 
 
 def _md_table(payload):
@@ -482,28 +470,27 @@ def _md_table(payload):
 
 @main.command()
 @click.argument("suite", type=click.Choice(["b2", "a2"]))
-@_report_options
+@functools.partial(_report_options, md=_md_table)
 @_randomized
-def table(suite, seed, trials, fmt, out):
+def table(suite, seed, trials):
     """The full product table of a catalog suite."""
     built = {"a2": catalog.a2_suite, "b2": catalog.b2_suite}[suite](trials=trials, seed=seed)
     entries = [(e.label, e.module) for e in built.entries]
     extras = [(e.label, e.module) for e in built.extras]
     cells = starop.star_table(entries, extra_pool=extras, trials=trials, seed=seed)
-    payload = {
+    return {
         "suite": suite, "seed": seed, "trials": trials,
         "labels": [label for label, _ in entries],
         "cells": {"%s|%s" % key: {"labels": list(cell.labels), "split": cell.split,
                                   "certified": cell.certified, "error": cell.error}
                   for key, cell in cells.items()},
     }
-    _emit(payload, fmt, out, md=_md_table)
 
 
 @main.command(name="reduce")
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @_common
-def reduce_cmd(module, field, fmt, out):
+def reduce_cmd(module, field):
     """Quotient a module over (C, nD) by its loop images, landing over (C, D)."""
     M = _load_module(module, field)
     ns = set(M.datum.sym)
@@ -513,18 +500,18 @@ def reduce_cmd(module, field, fmt, out):
     base = validate_datum([list(r) for r in M.datum.cartan], [1] * M.datum.n(),
                           [tuple(p) for p in M.datum.orient], M.datum.vertices)
     red = symred.reduce_module(symred.sym_pair(base, n), M)
-    _emit({"n": n, "module": pimod.module_to_json(red)}, fmt, out)
+    return {"n": n, "module": pimod.module_to_json(red)}
 
 
 @main.command()
 @click.argument("module", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "ncopies", type=int, required=True, help="Symmetrizer multiple.")
 @_common
-def lift(module, ncopies, field, fmt, out):
+def lift(module, ncopies, field):
     """Lift a module over minimal (C, D) to (C, nD) by the shift construction."""
     M = _load_module(module, field)
     big = symred.tilde_lift(symred.sym_pair(M.datum, ncopies), M)
-    _emit({"n": ncopies, "module": pimod.module_to_json(big)}, fmt, out)
+    return {"n": ncopies, "module": pimod.module_to_json(big)}
 
 
 @main.command(name="check-symmetrizer")
@@ -533,15 +520,15 @@ def lift(module, ncopies, field, fmt, out):
 @click.option("--n", "ncopies", type=int, required=True, help="Symmetrizer multiple.")
 @_common
 @_randomized
-def check_symmetrizer(mod_a, mod_b, ncopies, seed, trials, field, fmt, out):
+def check_symmetrizer(mod_a, mod_b, ncopies, seed, trials, field):
     """Compare reduce(lift(A) * lift(B)) against A * B up to isomorphism."""
     A, B = _load_pair(mod_a, mod_b, field)
     pair = symred.sym_pair(A.datum, ncopies)
     report = symred.verify_symmetrizer_compat(pair, A, B, trials=trials, seed=seed)
     report.update({"seed": seed, "trials": trials})
-    _emit(report, fmt, out)
     if not report["agree"]:
-        sys.exit(1)
+        raise _Failed(report)
+    return report
 
 
 @main.group(name="catalog")
@@ -552,23 +539,22 @@ def catalog_group():
 @catalog_group.command(name="list")
 @_report_options
 @_randomized
-def catalog_list(seed, trials, fmt, out):
+def catalog_list(seed, trials):
     """List all catalog entries with their certified flags."""
     entries = catalog.all_entries(trials=trials, seed=seed)
-    payload = {"entries": [{"label": label, **entry.flags()} for label, entry in entries]}
-    _emit(payload, fmt, out)
+    return {"entries": [{"label": label, **entry.flags()} for label, entry in entries]}
 
 
 @catalog_group.command(name="export")
 @click.argument("label")
 @_report_options
 @_randomized
-def catalog_export(label, seed, trials, fmt, out):
+def catalog_export(label, seed, trials):
     """Export one catalog entry, named by its `catalog list` label, as a module file."""
     entries = dict(catalog.all_entries(trials=trials, seed=seed))
     if label not in entries:
         raise click.UsageError("unknown catalog label %r" % label)
-    _emit(pimod.module_to_json(entries[label].module), fmt, out)
+    return pimod.module_to_json(entries[label].module)
 
 
 def _md_selftest(report):
@@ -581,18 +567,18 @@ def _md_selftest(report):
 
 
 @main.command()
-@_report_options
+@functools.partial(_report_options, md=_md_selftest)
 @_randomized
-def selftest(seed, trials, fmt, out):
+def selftest(seed, trials):
     """Run the full acceptance suite and report one line per criterion."""
     report = run_selftest(seed=seed, trials=trials)
-    if fmt != "md":
+    if click.get_current_context().params["fmt"] != "md":
         for c in report["criteria"]:
             click.echo("%s %s: %s" % (c["id"], c["title"],
                                       "pass" if c["passed"] else "FAIL"), err=True)
-    _emit(report, fmt, out, md=_md_selftest)
     if not report["all_passed"]:
-        sys.exit(1)
+        raise _Failed(report)
+    return report
 
 
 if __name__ == "__main__":

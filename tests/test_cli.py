@@ -5,6 +5,7 @@ import random
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from ppalg import catalog, cli, linalg, pimod, selftest, starop, symred
 from ppalg.cartan import default_orientation, validate_datum
@@ -99,6 +100,50 @@ def run_json(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     return json.loads(result.output)
+
+
+_NO_INT = st.none() | st.booleans() | st.floats(allow_nan=False) | st.text(max_size=2)
+_JSON_NO_INT = st.recursive(_NO_INT, lambda inner: st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                            max_leaves=6)
+_JSON = st.recursive(_NO_INT | st.integers(), lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=6)
+_ABSENT = object()
+
+
+def _mostly(common, rare):
+    """`common` nine draws in ten, else `rare`."""
+    return st.integers(0, 9).flatmap(lambda k: rare if k == 0 else common)
+
+
+@st.composite
+def _algebra_configs(draw):
+    """Algebra configs whose four fields are each missing, near valid for
+    n vertices, or any JSON.  A Cartan entry is a small c_ij <= 0 or, one
+    time in ten, a positive or large integer or not an integer: a large
+    negative one would make gcd(c_ij, c_ji) arrows."""
+    n = draw(st.integers(1, 3))
+    odd = st.integers(1, 3) | st.integers(3, 2 ** 70) | _JSON_NO_INT
+    cartan = [[draw(_mostly(st.just(2) if a == b else st.integers(-3, 0), odd))
+               for b in range(draw(_mostly(st.just(n), st.integers(0, 4))))]
+              for a in range(n)]
+    label = st.sampled_from([1, 2, 3, "x", "1"]) | st.integers()
+    vertices = st.lists(_mostly(label, _JSON), min_size=n, max_size=n)
+    fields = {
+        "cartan": _mostly(st.just(cartan), _JSON_NO_INT),
+        "vertices": st.sampled_from([_ABSENT, None]) | _mostly(vertices, _JSON),
+        "symmetrizer": st.sampled_from([_ABSENT, None, "minimal"])
+        | _mostly(st.lists(_mostly(st.integers(1, 3), _JSON), min_size=n, max_size=n), _JSON),
+    }
+    doc = {key: v for key, v in ((key, draw(f)) for key, f in fields.items()) if v is not _ABSENT}
+    names = doc.get("vertices")
+    names = names if isinstance(names, list) and names else list(range(1, n + 1))
+    pair = st.lists(_mostly(st.sampled_from(names), _JSON), min_size=2, max_size=2)
+    orientation = draw(st.sampled_from([_ABSENT, None])
+                       | _mostly(st.lists(_mostly(pair, _JSON), max_size=3), _JSON))
+    if orientation is not _ABSENT:
+        doc["orientation"] = orientation
+    return doc
 
 
 class TestValidation:
@@ -240,6 +285,21 @@ class TestValidation:
         assert result.exit_code == 2, result.output
         assert "%s: invalid algebra %s" % (path, message) in result.output
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(doc=_algebra_configs())
+    def test_any_algebra_config_is_a_datum_or_a_datum_error(self, runner, tmp_path_factory,
+                                                            doc):
+        """Whatever JSON the four fields hold, `validate` exits 0 or exits 2
+        with "invalid algebra": `cartan` raises a DatumError for every
+        malformed field, and no other error reaches the command."""
+        path = tmp_path_factory.getbasetemp() / "any_algebra.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code in (0, 2), (doc, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), doc
+        if result.exit_code == 2:
+            assert "%s: invalid algebra (" % path in result.output, doc
+
     def test_algebra_not_an_object_exit_2(self, runner, files):
         result = runner.invoke(main, ["validate", files["list_algebra.json"]])
         assert result.exit_code == 2
@@ -303,6 +363,15 @@ class TestModuleCommands:
                                       "--field", "fp:561"])
         assert result.exit_code == 2
         assert "modulus 561 is not prime" in result.output
+
+    @pytest.mark.parametrize("flag", ["fp:\u0663", "fp:\uff17", "fp:\u00b2"],
+                             ids=["arabic-indic-3", "fullwidth-7", "superscript-2"])
+    def test_field_prime_is_ascii_digits(self, runner, files, flag):
+        """A prime is spelled in ASCII digits: str.isdigit takes an
+        Arabic-Indic 3, a fullwidth 7 and a superscript 2 too."""
+        result = runner.invoke(main, ["hom", files["e1.json"], files["e1.json"], "--field", flag])
+        assert result.exit_code == 2, result.output
+        assert "must be 'q' or 'fp:<prime>'" in result.output
 
     def test_field_only_on_commands_that_read_it(self, runner, files):
         # these commands load no module file, so a field would go unused
@@ -966,6 +1035,41 @@ def test_failed_verifications_exit_1(runner, files, args, message):
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
     out = json.loads(result.output)
     assert out["seed"] == 0 and out["error"].startswith(message)
+
+
+def _force_disagree(monkeypatch):
+    monkeypatch.setattr(symred, "verify_symmetrizer_compat", lambda pair, A, B, trials, seed: {
+        "n": pair.n, "reduced_rank": [1, 1], "base_rank": [1, 1], "agree": False})
+
+
+def _force_selftest_failure(monkeypatch):
+    monkeypatch.setattr(cli, "run_selftest", lambda seed, trials: {
+        "seed": seed, "trials": trials, "all_passed": False, "criteria": [
+            {"id": "c1", "title": "b2-table", "passed": False, "details": {}}]})
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+@pytest.mark.parametrize("args, force", [
+    (["check", "bad.json"], None),
+    (["iso", "e1.json", "e1.json", "--trials", "0"], None),
+    (["decompose", "e1e2.json"], lambda mp: mp.setattr(pimod, "DECOMPOSE_RETRIES", 0)),
+    (["check-symmetrizer", "s1.json", "s2.json", "--n", "2"], _force_disagree),
+    (["selftest"], _force_selftest_failure),
+    (["divide-right", "e2.json", "e1.json"], None),
+], ids=["check", "iso-inconclusive", "decompose-undecided", "check-symmetrizer-disagree",
+        "selftest-failed", "divide-right-rank-mismatch"])
+def test_failure_report_goes_to_out(runner, files, monkeypatch, tmp_path, args, force, fmt):
+    """A failed verification writes its report where a success would: with
+    --out the file holds what stdout shows without it, and stdout is empty."""
+    if force:
+        force(monkeypatch)
+    args = [files.get(a, a) for a in args] + ["--format", fmt]
+    shown = runner.invoke(main, args)
+    target = tmp_path / "report.txt"
+    written = runner.invoke(main, args + ["--out", str(target)])
+    assert shown.exit_code == written.exit_code == 1, shown.output
+    assert written.stdout == ""
+    assert target.read_text() == shown.stdout
 
 
 def test_failed_division_in_markdown(runner, files):
