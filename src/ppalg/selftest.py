@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import inspect
 import json
+import marshal
+import os
 import random
+import threading
 
 from . import catalog, pimod, starop, symred
 from .cartan import alpha_form, beta_form, validate_datum
@@ -343,16 +346,92 @@ _CRITERIA = (
 )
 
 
+def _cpus():
+    """How many processes a pass runs on: one per available CPU, and only
+    the caller where the affinity is unknown or where a second thread is
+    alive, since forking a threaded process can deadlock."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(len(_CRITERIA), len(os.sched_getaffinity(0)))
+
+
+def _run(k, seed, trials):
+    fn = _CRITERIA[k]
+    return (fn(seed=seed, trials=trials) if "trials" in inspect.signature(fn).parameters
+            else fn(seed=seed))
+
+
+def _pull(queue, seed, trials):
+    """{index: report} of each criterion index read from the queue until it
+    is empty.  One that raises is left out, for the caller to run again."""
+    reports = {}
+    while k := os.read(queue, 1):
+        try:
+            reports[k[0]] = _run(k[0], seed, trials)
+        except Exception:
+            pass
+    return reports
+
+
+def _work(queue, out, seed, trials):
+    """A forked worker: pull from the queue, write the reports to `out`, and
+    exit, never returning into the caller's stack."""
+    code = 1
+    try:
+        with os.fdopen(out, "wb") as f:
+            f.write(marshal.dumps(_pull(queue, seed, trials)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_criteria(seed=0, trials=8):
     """Criteria one through nine, with per-criterion derived seeds.
 
     Each pass is one run of `pimod.memo_run`: it starts from an empty memo,
     so the two passes of `run_selftest` are independent computations.  The
-    memo also builds the pass's `catalog.b2_suite` once, for c1, c5, c6 and
-    c7 to share."""
+    caller builds the pass's `catalog.b2_suite` in that memo, for c1, c5, c6
+    and c7 to share, and then forks one worker per further available CPU;
+    each worker inherits a copy of the memo.  The caller and the workers
+    pull criterion indices from one queue.  The caller runs again, in order,
+    every criterion that no worker reported, so an exception reaches it with
+    its own type, and a worker that died costs only time.  The reports come
+    back in criterion order, the same with one CPU or many."""
     with pimod.memo_run():
-        return [fn(seed=seed, trials=trials) if "trials" in inspect.signature(fn).parameters
-                else fn(seed=seed) for fn in _CRITERIA]
+        catalog.b2_suite(trials=trials, seed=seed)
+        queue, feed = os.pipe()
+        os.write(feed, bytes(range(len(_CRITERIA))))
+        os.close(feed)
+        workers = []   # (pid, read end of its report pipe) until reaped
+        try:
+            for _ in range(_cpus() - 1):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:   # no further process: the others take its share
+                    os.close(r)
+                    os.close(w)
+                    break
+                if pid == 0:
+                    _work(queue, w, seed, trials)
+                os.close(w)
+                workers.append((pid, open(r, "rb")))
+            done = _pull(queue, seed, trials)
+            while workers:
+                pid, f = workers[-1]
+                with f:
+                    blob = f.read()
+                status = os.waitpid(pid, 0)[1]
+                workers.pop()
+                if status == 0:
+                    done.update(marshal.loads(blob))
+        finally:
+            os.close(queue)
+            for pid, f in workers:   # left only when the caller is unwinding
+                f.close()
+                os.kill(pid, 9)      # SIGKILL
+                os.waitpid(pid, 0)
+        return [done[k] if k in done else _run(k, seed, trials) for k in range(len(_CRITERIA))]
 
 
 def run_selftest(seed=0, trials=8):

@@ -5,8 +5,11 @@ everything else just has to hold exactly.  The same checks back the CLI
 `selftest` command, which criterion ten runs twice for byte-identity.
 """
 
+import functools
 import hashlib
 import json
+import os
+import threading
 import time
 from pathlib import Path
 
@@ -146,20 +149,59 @@ def test_c10_selftest_determinism():
     assert [c["id"] for c in report["criteria"]] == ["c%d" % k for k in range(1, 11)]
 
 
-def test_run_criteria_builds_each_b2_suite_once(monkeypatch):
+# -- the worker path: the caller and forked workers pull from one queue --------
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Run passes on the caller and two forked workers, and check that no
+    worker outlives the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _one_cpu_reports(monkeypatch, seed):
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return json.dumps(selftest.run_criteria(seed=seed))
+
+
+def _stub(k):
+    def criterion(seed=0):
+        return {"id": "c%d" % (k + 1), "passed": True, "details": {"seed": seed}}
+    return criterion
+
+
+def _faulty(message):
+    def criterion(seed=0):
+        raise pimod.ConsistencyError(message)
+    return criterion
+
+
+def test_run_criteria_builds_each_b2_suite_once(monkeypatch, tmp_path, three_cpus):
     """c1, c5, c6 and c7 share the pass's suite, at the default trials and
-    at others.  A build is counted where it certifies its first entry."""
-    built, given = [], []
+    at others, in whichever process runs them.  A build is counted where it
+    certifies its first entry.  Calls are logged to a file, since a forked
+    worker's lists are its own; a worker keeps the address of an object it
+    inherits, so one id across processes is one object."""
+    log = tmp_path / "calls"
     certify, memoized = catalog._certify, catalog.b2_suite
+
+    def note(line):
+        with open(log, "a") as f:
+            f.write(line + "\n")
 
     def counted(label, M, seed=0):
         if label == "1/1":
-            built.append(seed)
+            note("built %d" % seed)
         return certify(label, M, seed=seed)
 
     def recorded(*args, **kwargs):   # outside the memo, as a tracer wraps it
-        given.append(memoized(*args, **kwargs))
-        return given[-1]
+        suite = memoized(*args, **kwargs)
+        note("given %d" % id(suite))
+        return suite
 
     names = ("criterion_b2_table", "criterion_efiltered_closure",
              "criterion_cancellation", "criterion_divisions")
@@ -167,10 +209,104 @@ def test_run_criteria_builds_each_b2_suite_once(monkeypatch):
     monkeypatch.setattr(catalog, "b2_suite", recorded)
     monkeypatch.setattr(selftest, "_CRITERIA", tuple(getattr(selftest, n) for n in names))
     for trials in (8, 4):
-        built.clear()
-        given.clear()
+        log.write_text("")
         reports = selftest.run_criteria(seed=3, trials=trials)
         assert all(r["passed"] for r in reports)
-        assert built == [3]
-        c1, c5, c6, c7 = given
-        assert c1 is c5 is c6 is c7
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert [arg for what, arg in calls if what == "built"] == ["3"]
+        given = [arg for what, arg in calls if what == "given"]
+        assert len(given) == 5 and len(set(given)) == 1   # the prebuild, c1, c5, c6, c7
+
+
+def test_run_criteria_workers_match_one_cpu(monkeypatch, three_cpus):
+    """Seeds 0-3: a pass on the caller and two workers gives the bytes of a
+    one-CPU pass."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    for seed in range(4):
+        one = _one_cpu_reports(monkeypatch, seed)
+        assert forks == []
+        assert json.dumps(selftest.run_criteria(seed=seed)) == one
+        assert len(forks) == 2
+        forks.clear()
+
+
+def test_run_criteria_raises_the_first_fault(monkeypatch, three_cpus):
+    """Criteria that raise in every process: the caller raises the
+    lower-indexed one, with its own type."""
+    crit = [_stub(k) for k in range(9)]
+    crit[3], crit[6] = _faulty("c4 fault"), _faulty("c7 fault")
+    monkeypatch.setattr(selftest, "_CRITERIA", tuple(crit))
+    with pytest.raises(pimod.ConsistencyError, match="^c4 fault$"):
+        selftest.run_criteria(seed=0)
+
+
+def test_run_criteria_survives_a_dead_worker(monkeypatch, three_cpus):
+    """Every criterion exits when a worker runs it, so each worker dies on
+    its first index; the caller runs what they lost."""
+    caller = os.getpid()
+
+    def dies_in_worker(fn):
+        @functools.wraps(fn)
+        def criterion(**kwargs):
+            if os.getpid() != caller:
+                os._exit(1)
+            return fn(**kwargs)
+        return criterion
+
+    one = _one_cpu_reports(monkeypatch, 0)
+    monkeypatch.setattr(selftest, "_CRITERIA", tuple(map(dies_in_worker, selftest._CRITERIA)))
+    assert json.dumps(selftest.run_criteria(seed=0)) == one
+
+
+def test_run_criteria_kills_workers_when_the_caller_unwinds(monkeypatch, three_cpus):
+    """An interrupt in the caller while the workers still compute: they are
+    killed and reaped before it propagates."""
+    caller = os.getpid()
+
+    def interrupted(seed=0):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(30)
+
+    monkeypatch.setattr(selftest, "_CRITERIA", (interrupted,) * 9)
+    start = time.time()
+    with pytest.raises(KeyboardInterrupt):
+        selftest.run_criteria(seed=0)
+    assert time.time() - start < 10
+
+
+def test_run_criteria_forks_no_threaded_process(monkeypatch, three_cpus):
+    def forbidden():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    monkeypatch.setattr(selftest, "_CRITERIA", tuple(_stub(k) for k in range(9)))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        reports = selftest.run_criteria(seed=5)
+    finally:
+        stop.set()
+        thread.join()
+    assert reports == [_stub(k)(seed=5) for k in range(9)]
+
+
+def test_run_criteria_without_a_further_process(monkeypatch, three_cpus):
+    """A fork that fails, as under a process limit, leaves its share to the
+    caller."""
+    def refused():
+        raise BlockingIOError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(selftest, "_CRITERIA", tuple(_stub(k) for k in range(9)))
+    assert selftest.run_criteria(seed=5) == [_stub(k)(seed=5) for k in range(9)]
