@@ -14,8 +14,7 @@ from .pimod import (ModuleRep, canonical_pieces, check_relations, decompose,
 from .starop import (StarResult, check_cancellation, extension_module,
                      generic_cokernel, generic_extension, generic_kernel, star,
                      star_table)
-from .symred import SymPair, reduce_module, sym_pair, tilde_lift, \
-    verify_symmetrizer_compat
+from .symred import reduce_module, tilde_lift, verify_symmetrizer_compat
 from .catalog import CatalogEntry, a2_suite, b2_suite, leclerc_module
 from .selftest import run_selftest
 

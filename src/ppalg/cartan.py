@@ -90,6 +90,7 @@ class CartanDatum:
         self._arrows = None
         self._generators = None
         self._relations = None
+        self._scaled = {}
 
     # raw accessors by vertex label
     def c(self, i, j):
@@ -130,8 +131,21 @@ class CartanDatum:
             self._build()
         return self._generators
 
+    def scaled(self, n):
+        """The datum (C, (n, ..., n), Omega) on the same vertices, validated
+        and built once per n, as the arrows and relations are; raises
+        DatumError where C is not symmetric or n is out of range.  Where
+        this datum's symmetrizer is (m, ..., m), the result's m-fold datum
+        is this one, so scaling there and back builds one datum."""
+        if n not in self._scaled:
+            big = validate_datum(self.cartan, [n] * self.n(), self.orient, self.vertices)
+            if len(set(self.sym)) == 1:
+                big._scaled[self.sym[0]] = self
+            self._scaled[n] = big
+        return self._scaled[n]
+
     def is_symmetric(self):
-        return all(self.c(i, j) == self.c(j, i) for i in self.vertices for j in self.vertices)
+        return self.cartan == tuple(zip(*self.cartan))
 
     def relations(self):
         """The defining relations, as a tuple of `Relation`s built once."""
@@ -251,6 +265,9 @@ def _check_cartan_matrix(cartan, vertices):
             if cartan[a][b] > 0:
                 raise DatumError("offdiag_positive",
                                  "c_ij must be <= 0 for i != j (at %s,%s)" % _js(vertices[a], vertices[b]))
+            if cartan[a][b] < -100:   # the quiver has gcd(c_ij, c_ji) arrows per edge
+                raise DatumError("entry_bound",
+                                 "c_ij must be >= -100 (at %s,%s)" % _js(vertices[a], vertices[b]))
             if (cartan[a][b] == 0) != (cartan[b][a] == 0):
                 raise DatumError("zero_pattern",
                                  "c_ij = 0 must imply c_ji = 0 (at %s,%s)" % _js(vertices[a], vertices[b]))
@@ -261,8 +278,9 @@ def validate_datum(cartan, sym, orient, vertices=None):
     """Validate (C, D, Omega) and return the immutable datum.
 
     Raises DatumError with a distinct code for each violated condition:
-    shape, diagonal, offdiag_positive, zero_pattern, symmetrizer_positive,
-    dc_not_symmetric, orientation_pair, orientation_cycle.
+    shape, diagonal, offdiag_positive, entry_bound, zero_pattern,
+    symmetrizer_positive, dc_not_symmetric, orientation_pair,
+    orientation_cycle.
     """
     vertices = _check_cartan_matrix(cartan, vertices)
     n = len(vertices)
@@ -272,6 +290,9 @@ def validate_datum(cartan, sym, orient, vertices=None):
         if not _is_int(sym[a]) or sym[a] < 1:
             raise DatumError("symmetrizer_positive",
                              "symmetrizer entries must be positive integers (vertex %s)" % _js(vertices[a]))
+        if sym[a] > 100:   # the nilpotency relation at a has length c_a
+            raise DatumError("entry_bound",
+                             "symmetrizer entries must be <= 100 (vertex %s)" % _js(vertices[a]))
     for a in range(n):
         for b in range(n):
             if sym[a] * cartan[a][b] != sym[b] * cartan[b][a]:

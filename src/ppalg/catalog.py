@@ -228,9 +228,11 @@ def leclerc_label(lam, mu):
 
 
 def leclerc_suite():
-    """The default three family members, certified crystal (not rigid)."""
-    return leclerc_datum(), [_certify(leclerc_label(lam, mu), leclerc_module(lam, mu))
-                             for lam, mu in LECLERC_DEFAULT]
+    """The default three family members, certified crystal (not rigid), with
+    no extras and no expected products."""
+    entries = tuple(_certify(leclerc_label(lam, mu), leclerc_module(lam, mu))
+                    for lam, mu in LECLERC_DEFAULT)
+    return Suite(leclerc_datum(), entries, (), MappingProxyType({}))
 
 
 def all_entries(trials=8, seed=0):
@@ -238,7 +240,7 @@ def all_entries(trials=8, seed=0):
     A2 products are extras of its table, not entries, and are not listed."""
     a2 = a2_suite(trials=trials, seed=seed)
     b2 = b2_suite(trials=trials, seed=seed)
-    _, lec = leclerc_suite()
+    lec = leclerc_suite()
     return ([("a2:%s" % e.label, e) for e in a2.entries]
             + [("b2:%s" % e.label, e) for e in b2.entries + b2.extras]
-            + [("a5:%s" % e.label, e) for e in lec])
+            + [("a5:%s" % e.label, e) for e in lec.entries])

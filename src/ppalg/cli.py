@@ -493,14 +493,8 @@ def table(suite, seed, trials):
 def reduce_cmd(module, field):
     """Quotient a module over (C, nD) by its loop images, landing over (C, D)."""
     M = _load_module(module, field)
-    ns = set(M.datum.sym)
-    if len(ns) != 1:
-        raise click.UsageError("symmetrizer is not a multiple of the identity")
-    n = ns.pop()
-    base = validate_datum([list(r) for r in M.datum.cartan], [1] * M.datum.n(),
-                          [tuple(p) for p in M.datum.orient], M.datum.vertices)
-    red = symred.reduce_module(symred.sym_pair(base, n), M)
-    return {"n": n, "module": pimod.module_to_json(red)}
+    red = symred.reduce_module(M)
+    return {"n": M.datum.sym[0], "module": pimod.module_to_json(red)}
 
 
 @main.command()
@@ -510,7 +504,7 @@ def reduce_cmd(module, field):
 def lift(module, ncopies, field):
     """Lift a module over minimal (C, D) to (C, nD) by the shift construction."""
     M = _load_module(module, field)
-    big = symred.tilde_lift(symred.sym_pair(M.datum, ncopies), M)
+    big = symred.tilde_lift(M, ncopies)
     return {"n": ncopies, "module": pimod.module_to_json(big)}
 
 
@@ -523,8 +517,7 @@ def lift(module, ncopies, field):
 def check_symmetrizer(mod_a, mod_b, ncopies, seed, trials, field):
     """Compare reduce(lift(A) * lift(B)) against A * B up to isomorphism."""
     A, B = _load_pair(mod_a, mod_b, field)
-    pair = symred.sym_pair(A.datum, ncopies)
-    report = symred.verify_symmetrizer_compat(pair, A, B, trials=trials, seed=seed)
+    report = symred.verify_symmetrizer_compat(A, B, ncopies, trials=trials, seed=seed)
     report.update({"seed": seed, "trials": trials})
     if not report["agree"]:
         raise _Failed(report)

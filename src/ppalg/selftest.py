@@ -99,8 +99,9 @@ def criterion_a2(seed=0, trials=8):
 
 def criterion_leclerc(seed=0, trials=8):
     """The rank-five family: all its published numerical invariants."""
-    datum, entries = catalog.leclerc_suite()
-    mods = [e.module for e in entries]
+    suite = catalog.leclerc_suite()
+    datum = suite.datum
+    mods = [e.module for e in suite.entries]
     d = pimod.rank_vector(mods[0])
     checks = {}
     checks["rank_vector"] = list(d) == [1, 2, 2, 2, 1]
@@ -240,22 +241,21 @@ def criterion_symmetrizer_change(seed=0, trials=8):
         simples = {i: pimod.generalized_simple(datum, i) for i in datum.vertices}
         nontrivial = starop.star(simples[1], simples[2], trials=trials, seed=seed)
         for n in (2, 3):
-            pair = symred.sym_pair(datum, n)
             for i in datum.vertices:
                 for j in datum.vertices:
                     runs += 1
                     try:
                         rep = symred.verify_symmetrizer_compat(
-                            pair, simples[i], simples[j], trials=trials, seed=seed)
+                            simples[i], simples[j], n, trials=trials, seed=seed)
                         if not rep["agree"]:
                             failures.append({"n": n, "pair": [i, j], "why": "products differ"})
                     except (symred.SymmetrizerError, pimod.IsoInconclusive) as exc:
                         failures.append({"n": n, "pair": [i, j], "error": str(exc)})
             for name, M in [("simple", simples[1]), ("extension", nontrivial)]:
-                lift = symred.tilde_lift(pair, M)
+                lift = symred.tilde_lift(M, n)
                 if not pimod.is_crystal(lift):
                     failures.append({"n": n, "module": name, "why": "lift not crystal"})
-                back = symred.reduce_module(pair, lift)
+                back = symred.reduce_module(lift)
                 try:
                     if not pimod.iso_test(back, M, trials=max(trials, 8), seed=seed):
                         failures.append({"n": n, "module": name, "why": "reduce(tilde) != id"})

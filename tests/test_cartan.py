@@ -50,6 +50,18 @@ class TestValidate:
             validate_datum([[2, -1], [-1, 2]], [1, 0], [(1, 2)])
         assert code_of(e) == "symmetrizer_positive"
 
+    def test_entry_bound(self):
+        """c_ij = -100 and c_i = 100 are the largest entries taken; every
+        maker that checks C refuses the next one."""
+        assert validate_datum([[2, -100], [-100, 2]], [100, 100], [(1, 2)]).gij(1, 2) == 100
+        for make in (lambda: validate_datum([[2, -101], [-1, 2]], [1, 101], [(1, 2)]),
+                     lambda: minimal_symmetrizer([[2, -1], [-10 ** 12, 2]]),
+                     lambda: default_orientation([[2, -101], [-101, 2]]),
+                     lambda: validate_datum([[2, -1], [-1, 2]], [101, 101], [(1, 2)])):
+            with pytest.raises(DatumError) as e:
+                make()
+            assert code_of(e) == "entry_bound"
+
     def test_orientation_both_orders(self):
         with pytest.raises(DatumError) as e:
             validate_datum(*B2_C12, [(1, 2), (2, 1)])

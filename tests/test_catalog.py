@@ -124,7 +124,7 @@ class TestLeclercFamily:
             leclerc_module(0, 0)
 
     def test_suite_flags(self):
-        _, entries = leclerc_suite()
+        entries = leclerc_suite().entries
         assert len(entries) == 3
         for e in entries:
             assert e.flags()["crystal"] and not e.rigid

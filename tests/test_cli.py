@@ -120,10 +120,11 @@ def _mostly(common, rare):
 def _algebra_configs(draw):
     """Algebra configs whose four fields are each missing, near valid for
     n vertices, or any JSON.  A Cartan entry is a small c_ij <= 0 or, one
-    time in ten, a positive or large integer or not an integer: a large
-    negative one would make gcd(c_ij, c_ji) arrows."""
+    time in ten, a positive or large integer of either sign or not an
+    integer; a symmetrizer entry is small or, as rarely, large."""
     n = draw(st.integers(1, 3))
-    odd = st.integers(1, 3) | st.integers(3, 2 ** 70) | _JSON_NO_INT
+    odd = (st.integers(1, 3) | st.integers(3, 2 ** 70) | st.integers(-2 ** 70, -3)
+           | _JSON_NO_INT)
     cartan = [[draw(_mostly(st.just(2) if a == b else st.integers(-3, 0), odd))
                for b in range(draw(_mostly(st.just(n), st.integers(0, 4))))]
               for a in range(n)]
@@ -133,7 +134,8 @@ def _algebra_configs(draw):
         "cartan": _mostly(st.just(cartan), _JSON_NO_INT),
         "vertices": st.sampled_from([_ABSENT, None]) | _mostly(vertices, _JSON),
         "symmetrizer": st.sampled_from([_ABSENT, None, "minimal"])
-        | _mostly(st.lists(_mostly(st.integers(1, 3), _JSON), min_size=n, max_size=n), _JSON),
+        | _mostly(st.lists(_mostly(st.integers(1, 3), st.integers(4, 2 ** 70) | _JSON),
+                           min_size=n, max_size=n), _JSON),
     }
     doc = {key: v for key, v in ((key, draw(f)) for key, f in fields.items()) if v is not _ABSENT}
     names = doc.get("vertices")
@@ -1038,8 +1040,8 @@ def test_failed_verifications_exit_1(runner, files, args, message):
 
 
 def _force_disagree(monkeypatch):
-    monkeypatch.setattr(symred, "verify_symmetrizer_compat", lambda pair, A, B, trials, seed: {
-        "n": pair.n, "reduced_rank": [1, 1], "base_rank": [1, 1], "agree": False})
+    monkeypatch.setattr(symred, "verify_symmetrizer_compat", lambda A, B, n, trials, seed: {
+        "n": n, "reduced_rank": [1, 1], "base_rank": [1, 1], "agree": False})
 
 
 def _force_selftest_failure(monkeypatch):

@@ -985,7 +985,7 @@ def test_crystal_needs_a_nonzero_sub():
     datum = _wider("A1~")
     one = Mat.from_rows(QQ, [[1]])
     M = ModuleRep(datum, {1: 1, 2: 1}, {}, {("arr", 2, 1, 1): one, ("arr", 1, 2, 2): one})
-    lift = symred.tilde_lift(symred.sym_pair(datum, 2), M)
+    lift = symred.tilde_lift(M, 2)
     assert lift.datum.sym == (2, 2) and check_relations(lift) == []
     assert is_locally_free(lift)[0]
     for i in lift.datum.vertices:
@@ -1077,7 +1077,7 @@ def test_crystal_builds_no_piece_where_sub_and_fac_are_zero(monkeypatch):
     datum = _wider("A1~")
     one = Mat.from_rows(QQ, [[1]])
     M = ModuleRep(datum, {1: 1, 2: 1}, {}, {("arr", 2, 1, 1): one, ("arr", 1, 2, 2): one})
-    lift = symred.tilde_lift(symred.sym_pair(datum, 2), M)
+    lift = symred.tilde_lift(M, 2)
     calls = []
     split = pimod._split
     monkeypatch.setattr(pimod, "_split", lambda *a, **k: calls.append(a) or split(*a, **k))
@@ -1862,7 +1862,7 @@ def test_stack_free_spaces_on_many_blocks_and_not_locally_free(field):
     """The A5 `leclerc_suite` members (vertices 2, 3 and 4 have two arrows
     out and two in, so the stacks there have many blocks) and modules that
     are not locally free give the stacked references' spaces and ranks."""
-    _, entries = catalog.leclerc_suite()
+    entries = catalog.leclerc_suite().entries
     mods = [e.module for e in entries] + list(_not_locally_free())
     assert not all(is_locally_free(X)[0] for X in mods)
     for X in mods:
@@ -1960,7 +1960,7 @@ def test_crystal_and_efiltered_tests_leave_their_inputs_unchanged():
     """One-block stacks hand back the block itself, so a caller that wrote
     into a stack would write into its module: `is_crystal`, `is_E_filtered`
     and `canonical_pieces` leave each input's content key as it was."""
-    _, entries = catalog.leclerc_suite()
+    entries = catalog.leclerc_suite().entries
     rng = random.Random(29)
     mods = ([e.module for e in entries] + [_cancelling_sum_module()]
             + [random_tower(_dual_datum(name), 4, rng) for name in sorted(_DUAL_DATA)])
@@ -2103,7 +2103,7 @@ def test_peel_decides_nilpotency_on_minimal_symmetric_data():
     rng = random.Random(36)
     nilpotent = [random_tower(catalog.a_type_datum(n), rank, rng)
                  for n in (2, 3, 5) for rank in range(1, 7) for _ in range(2)]
-    nilpotent += [e.module for e in catalog.leclerc_suite()[1]]
+    nilpotent += [e.module for e in catalog.leclerc_suite().entries]
     cycles = [_cycle(_WIDER_DATA["A1~"][0], [("arr", 2, 1, 1), ("arr", 1, 2, 2)]),
               _cycle([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
                      [("arr", 2, 1, 1), ("arr", 3, 2, 1), ("arr", 1, 3, 1)])]
@@ -2125,7 +2125,7 @@ def _not_efiltered():
     one = Mat.from_rows(QQ, [[1]])
     cycle = ModuleRep(_wider("A1~"), {1: 1, 2: 1}, {},
                       {("arr", 2, 1, 1): one, ("arr", 1, 2, 2): one})
-    mods = [cycle, symred.tilde_lift(symred.sym_pair(cycle.datum, 2), cycle),
+    mods = [cycle, symred.tilde_lift(cycle, 2),
             ModuleRep(catalog.b2_datum(), {1: 1}, {}, {}), *_not_locally_free(),
             *_short_jordan_blocks(catalog.b2_datum())]
     return [X for X in mods if check_relations(X) == []]
