@@ -76,19 +76,14 @@ def _certify(label, M, seed=0):
     return CatalogEntry(label, M, rigid)
 
 
-def certified_product(label, top, sub, trials=8, seed=0):
-    """The product top * sub, certified by the short-exact-sequence lemma;
-    raises CatalogError when the product is not certified."""
+def _boot(label, top, sub, trials, seed):
+    """The catalog entry `label` made as the product top * sub: certified by
+    the short-exact-sequence lemma, or CatalogError, then gated as every
+    entry is.  The one maker of a labelled product."""
     res = starop.generic_extension(top, sub, trials=trials, seed=seed)
     if not res.certified:
         raise CatalogError("%s: product not certified (%r)" % (label, res.flags))
-    return res.module
-
-
-def _boot(label, top, sub, trials, seed):
-    """The catalog entry `label` made as the product top * sub: certified,
-    then gated as every entry is.  The one maker of a labelled product."""
-    return _certify(label, certified_product(label, top, sub, trials, seed), seed=seed)
+    return _certify(label, res.module, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -177,8 +172,9 @@ def leclerc_datum():
     return a_type_datum(5)
 
 
-def leclerc_module(lam, mu):
-    """A member of the rank-five family with dimension vector (1,2,2,2,1).
+def leclerc_module(lam, mu, datum=None):
+    """A member of the rank-five family with dimension vector (1,2,2,2,1),
+    over `datum` (a fresh `leclerc_datum()` by default).
 
     (lam, mu) != (0, 0) are genuine projective coordinates: scaling both by
     a nonzero constant gives an isomorphic module, distinct points give
@@ -201,7 +197,7 @@ def leclerc_module(lam, mu):
     if lam == 0 and mu == 0:
         raise ValueError("(lam, mu) must not be (0, 0)")
     lam, mu = lam + 2 * mu, 3 * lam + mu
-    datum = leclerc_datum()
+    datum = datum or leclerc_datum()
     dims = {1: 1, 2: 2, 3: 2, 4: 2, 5: 1}
     arrows = {
         ("arr", 1, 2, 1): Mat.from_rows(QQ, [[1, 0]]),
@@ -223,16 +219,13 @@ def leclerc_module(lam, mu):
 LECLERC_DEFAULT = ((1, 0), (0, 1), (1, 1))
 
 
-def leclerc_label(lam, mu):
-    return "leclerc[%s:%s]" % (lam, mu)
-
-
 def leclerc_suite():
-    """The default three family members, certified crystal (not rigid), with
-    no extras and no expected products."""
-    entries = tuple(_certify(leclerc_label(lam, mu), leclerc_module(lam, mu))
+    """The default three family members over one datum, certified crystal
+    (not rigid), with no extras and no expected products."""
+    datum = leclerc_datum()
+    entries = tuple(_certify("leclerc[%s:%s]" % (lam, mu), leclerc_module(lam, mu, datum))
                     for lam, mu in LECLERC_DEFAULT)
-    return Suite(leclerc_datum(), entries, (), MappingProxyType({}))
+    return Suite(datum, entries, (), MappingProxyType({}))
 
 
 def all_entries(trials=8, seed=0):

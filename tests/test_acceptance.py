@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ppalg import catalog, pimod, selftest, starop
+from ppalg import catalog, pimod, pool, selftest, starop
 from ppalg.cli import main
 from ppalg.selftest import (criterion_a2, criterion_b2_table,
                             criterion_cancellation, criterion_dim_formulas,
@@ -310,3 +310,29 @@ def test_run_criteria_without_a_further_process(monkeypatch, three_cpus):
     monkeypatch.setattr(os, "fork", refused)
     monkeypatch.setattr(selftest, "_CRITERIA", tuple(_stub(k) for k in range(9)))
     assert selftest.run_criteria(seed=5) == [_stub(k)(seed=5) for k in range(9)]
+
+
+def test_fork_map_maps_any_indexed_batch(monkeypatch, three_cpus):
+    """A function that is not a criterion: 20 tuples come back in index
+    order from the caller and two workers; an empty batch forks nothing,
+    and one past the queue's 256 bytes is refused before any fork."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def triple(k):
+        return (k, k * k, "x" * k)
+
+    monkeypatch.setattr(os, "fork", counted)
+    assert pool.fork_map(triple, 20) == [triple(k) for k in range(20)]
+    assert len(forks) == 2
+    forks.clear()
+    assert pool.fork_map(triple, 0) == []
+    with pytest.raises(ValueError):
+        pool.fork_map(triple, 257)
+    assert forks == []

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from ppalg import catalog, pimod, selftest
+from ppalg import cartan, catalog, pimod, selftest
 from ppalg.cartan import default_orientation, validate_datum
 from ppalg.linalg import QQ, Mat
 from ppalg.catalog import a2_suite, b2_suite, leclerc_module, leclerc_suite
 from ppalg.pimod import generalized_simple, hom_dim, iso_test
+from ppalg.symred import tilde_lift
 
 
 class TestGeneralizedSimples:
@@ -128,6 +129,19 @@ class TestLeclercFamily:
         assert len(entries) == 3
         for e in entries:
             assert e.flags()["crystal"] and not e.rigid
+
+    def test_suite_is_over_one_datum(self, monkeypatch):
+        """The suite and its entries share one datum object, so lifting all
+        three entries to n = 2 builds one 2-fold datum."""
+        suite = leclerc_suite()
+        assert {id(e.module.datum) for e in suite.entries} == {id(suite.datum)}
+        calls = []
+        validate = cartan.validate_datum
+        monkeypatch.setattr(cartan, "validate_datum",
+                            lambda *a: calls.append(a) or validate(*a))
+        lifts = [tilde_lift(e.module, 2) for e in suite.entries]
+        assert len(calls) == 1
+        assert all(L.datum is suite.datum.scaled(2) for L in lifts)
 
     def test_self_extension_has_rigid_middle_only_on_diagonal(self):
         from ppalg import starop
