@@ -46,10 +46,13 @@ def _parse_field(ctx, param, flag):
 
 
 def _load_json(path):
+    """The JSON document in the UTF-8 file at `path`.  A file that does not
+    decode, an integer longer than int() reads and nesting deeper than the
+    parser's recursion limit are usage errors, as malformed JSON is."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise click.UsageError("cannot read %s: %s" % (path, exc))
 
 

@@ -269,13 +269,11 @@ def _zero_gens(M):
     return {g for g in M.datum.generators() if M.gen_mat(g).is_zero()}
 
 
-def _word(M, word, target):
-    """The matrix of a path word, leftmost factor applied last; the empty
-    word is the identity at `target`.  Every product is taken: its callers
-    skip the words through a zero generator (`_zero_gens`), and a product
-    by a zero partial product is cheap."""
-    if not word:
-        return Mat.identity(M.field, M.dims[target])
+def _word(M, word):
+    """The matrix of a nonempty path word, leftmost factor applied last.
+    Every product is taken: its callers skip the words through a zero
+    generator (`_zero_gens`), and a product by a zero partial product is
+    cheap."""
     out = M.gen_mat(word[0])
     for gen in word[1:]:
         out = out * M.gen_mat(gen)
@@ -294,7 +292,7 @@ def check_relations(M):
     p, zero = M.field.char, _zero_gens(M)
     bad = []
     for rel in M.datum.relations():
-        words = [(coeff, _word(M, word, rel.target))
+        words = [(coeff, _word(M, word))
                  for coeff, word in rel.terms if zero.isdisjoint(word)]
         if not words:
             continue
@@ -491,26 +489,19 @@ def _unflatten(field, shapes, den, rows, n):
 
 
 class KernelBasis:
-    """The solutions of a linear system as a read-only sequence of block
-    dicts laid out by `shapes`, held as the system's `rows_nullspace`
-    matrix, one column per solution, and unflattened on first index.
+    """The solutions of a linear system, block dicts laid out by `shapes`,
+    held as the system's `rows_nullspace` matrix, one column per solution.
     `combination` builds sum_b c_b x_b as one combination of the matrix's
     rows, unflattening that one element only (every `Mat` has one
     canonical form)."""
 
-    __slots__ = ("field", "kernel", "shapes", "_elements")
+    __slots__ = ("field", "kernel", "shapes")
 
     def __init__(self, field, kernel, shapes):
-        self.field, self.kernel, self.shapes, self._elements = field, kernel, shapes, None
+        self.field, self.kernel, self.shapes = field, kernel, shapes
 
     def __len__(self):
         return self.kernel.cols
-
-    def __getitem__(self, k):
-        if self._elements is None:
-            K = self.kernel
-            self._elements = _unflatten(self.field, self.shapes, K.den, K.nz, K.cols)
-        return self._elements[k]
 
     def combination(self, coeffs):
         field, K = self.field, self.kernel
@@ -630,8 +621,8 @@ def _der_system(M, N):
             for p, gen in enumerate(word):
                 prefix, suffix = word[:p], word[p + 1:]
                 if gen[0] == "arr" and zero_n.isdisjoint(prefix) and zero_m.isdisjoint(suffix):
-                    terms.append((coeff, gen, _word(N, prefix, rel.target) if prefix else None,
-                                  _word(M, suffix, gen_source(gen)) if suffix else None))
+                    terms.append((coeff, gen, _word(N, prefix) if prefix else None,
+                                  _word(M, suffix) if suffix else None))
         equations.append(_nonzero_terms(terms))
     return _linear_system(M.field, shapes, equations), shapes
 
@@ -1181,12 +1172,14 @@ def _split_complement(M, spaces):
     incl = {i: spaces.get(i, Mat.zeros(field, M.dims[i], 0)) for i in M.datum.vertices}
     sub = submodule(M, spaces)
     hb = hom_basis(M, sub)
+    K = hb.kernel
+    homs = _unflatten(field, hb.shapes, K.den, K.nz, K.cols)
 
     def flat(f):
         return Mat.column(field, [x for i in incl for row in f[i].data for x in row])
 
     sol = linalg.solve_matrix(
-        linalg.hstack([flat({i: h[i] * incl[i] for i in incl}) for h in hb], field=field,
+        linalg.hstack([flat({i: h[i] * incl[i] for i in incl}) for h in homs], field=field,
                       rows=sum(d * d for d in sub.dims.values())),
         flat({i: Mat.identity(field, d) for i, d in sub.dims.items()}))
     if sol is None:
@@ -1304,9 +1297,13 @@ def _json_object(doc, key):
     return value
 
 
-def _dim_value(v):
-    """A dimension from JSON: a nonnegative integer, or a string that int()
-    reads as one."""
+DIM_BOUND = 1000   # the stored benchmark towers reach 24 at a vertex
+
+
+def _dim_value(v, i):
+    """The dimension at vertex i from JSON: an integer from 0 to DIM_BOUND,
+    or a string that int() reads as one.  The bound holds for files only:
+    `symred.tilde_lift` may build larger modules."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise ValueError("dimension %r is not an integer" % (v,))
     try:
@@ -1315,6 +1312,8 @@ def _dim_value(v):
         raise ValueError("dimension %r is not an integer" % (v,)) from None
     if d < 0:
         raise ValueError("dimension %d is negative" % d)
+    if d > DIM_BOUND:
+        raise ValueError("dimension %d at vertex %s exceeds %d" % (d, i, DIM_BOUND))
     return d
 
 
@@ -1327,7 +1326,10 @@ def _mat_from_json(field, rows, cols, m, what):
 
 
 def module_from_json(doc, datum, field=QQ):
-    dims = {parse_vertex(datum, k): _dim_value(v) for k, v in _json_object(doc, "dims").items()}
+    dims = {}
+    for k, v in _json_object(doc, "dims").items():
+        i = parse_vertex(datum, k)
+        dims[i] = _dim_value(v, i)
     eps = {}
     for k, m in _json_object(doc, "epsilon").items():
         i = parse_vertex(datum, k)

@@ -2,6 +2,9 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -87,6 +90,21 @@ def files(tmp_path_factory):
     write("no_algebra.json", {"dims": {}})
     (root / "not_json.json").write_text("{not json")
     paths["not_json.json"] = str(root / "not_json.json")
+
+    entries = dict(catalog.all_entries())
+    write("m.json", pimod.module_to_json(entries["b2:1/21/2"].module))
+    write("a5_11.json", pimod.module_to_json(entries["a5:leclerc[1:1]"].module))
+    # E_1^2 (+) E_2 over B2, every arrow zero
+    write("e112.json", {"algebra": {"cartan": [[2, -1], [-2, 2]], "symmetrizer": [2, 1]},
+                        "dims": {"1": 4, "2": 1},
+                        "epsilon": {"1": [["0", "0", "0", "0"], ["1", "0", "0", "0"],
+                                          ["0", "0", "0", "0"], ["0", "0", "1", "0"]]}})
+    towers = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "data"
+                         / "towers.json").read_text())
+    for name, rank, index in (("B2", 5, 1), ("G2", 10, 0)):
+        write("%s_%d_%d.json" % (name, rank, index),
+              {**towers["towers"][name][str(rank)][index], "algebra": towers["data"][name]})
+    write("huge.json", {"cartan": [[2, -200000], [-200000, 2]]})
 
     a2 = catalog.a2_datum()
     write("s1.json", pimod.module_to_json(pimod.generalized_simple(a2, 1)))
@@ -329,15 +347,28 @@ class TestModuleCommands:
         assert out["locally_free"] and out["rank_vector"] == [1, 0]
 
     def test_hom_and_ext(self, runner, files):
-        assert run_json(runner, ["hom", files["e1.json"], files["e1.json"]])["dim_hom"] == 2
-        assert run_json(runner, ["ext", files["e1.json"], files["e1.json"]])["dim_ext1"] == 0
-        assert run_json(runner, ["ext", files["e1.json"], files["e2.json"]])["dim_ext1"] == 2
+        """Over Q and GF(32003); every arrow acts by zero on E_1 and E_2, so
+        Hom(E_1, E_2) writes no arrow equation.  b2:1/21/2 is rigid, and
+        a5:leclerc[1:1] is not."""
+        for field in ("q", "fp:32003"):
+            for command, a, b, key, dim in (
+                    ("hom", "e1.json", "e1.json", "dim_hom", 2),
+                    ("hom", "e1.json", "e2.json", "dim_hom", 0),
+                    ("ext", "e1.json", "e1.json", "dim_ext1", 0),
+                    ("ext", "e1.json", "e2.json", "dim_ext1", 2),
+                    ("ext", "m.json", "m.json", "dim_ext1", 0),
+                    ("ext", "a5_11.json", "a5_11.json", "dim_ext1", 2)):
+                out = run_json(runner, [command, files[a], files[b], "--field", field])
+                assert out[key] == dim, (field, command, a, b)
 
     def test_hom_prime_field(self, runner, files):
-        out = run_json(runner, ["hom", files["e1.json"], files["e1.json"]],)
-        fp = run_json(runner, ["hom", files["e1.json"], files["e1.json"],
-                               "--field", "fp:32003"])
-        assert fp["dim_hom"] == out["dim_hom"] and fp["field"] == "F32003"
+        """Also over a prime above the Miller-Rabin bound, which BPSW
+        certifies."""
+        for name in ("e1.json", "m.json"):
+            out = run_json(runner, ["hom", files[name], files[name]])
+            for p in (32003, 3317044064679887385962123):
+                fp = run_json(runner, ["hom", files[name], files[name], "--field", "fp:%d" % p])
+                assert fp["dim_hom"] == out["dim_hom"] and fp["field"] == "F%d" % p
 
     @pytest.mark.parametrize("field", ["q", "fp:32003"])
     def test_hom_with_a_module_not_locally_free(self, runner, files, tmp_path, field):
@@ -524,10 +555,26 @@ class TestModuleCommands:
     def test_pieces(self, runner, files):
         out = run_json(runner, ["pieces", files["e1.json"], "1"])
         assert out["dim_sub"] == 2 and out["dim_Q"] == 0
+        for name, vertex in (("m.json", "1"), ("a5_11.json", "3")):
+            out = run_json(runner, ["pieces", files[name], vertex])
+            dim = sum(json.loads(Path(files[name]).read_text())["dims"].values())
+            assert out["dim_sub"] + out["dim_Q"] == out["dim_K"] + out["dim_fac"] == dim
 
     def test_predicates(self, runner, files):
-        assert run_json(runner, ["efiltered", files["e1.json"]])["e_filtered"]
-        assert run_json(runner, ["crystal", files["e1.json"]])["crystal"]
+        """`efiltered`'s witness and `crystal`'s verdict on E_1, the B2 entry
+        1/21/2, E_1^2 (+) E_2 over B2 (no branch of its own: the cyclic peel
+        takes E_1 twice, then E_2), a5:leclerc[1:1], and the stored B2
+        rank-5 tower #1 and G2 rank-10 tower #0, where the cyclic peel gets
+        stuck and the search, peeling each quotient it tries, finds a
+        filtration."""
+        for name, witness, crystal in (("e1.json", "1", True), ("m.json", "221", True),
+                                       ("e112.json", "112", True),
+                                       ("a5_11.json", "23451342", True),
+                                       ("B2_5_1.json", "11121", False),
+                                       ("G2_10_0.json", "1222212221", False)):
+            assert run_json(runner, ["efiltered", files[name]]) == {
+                "e_filtered": True, "witness": list(witness)}, name
+            assert run_json(runner, ["crystal", files[name]]) == {"crystal": crystal}, name
         out = run_json(runner, ["rigid", files["e1.json"]])
         assert out["rigid"] and out["orbit_codim"] == 0
 
@@ -542,9 +589,17 @@ class TestModuleCommands:
         assert result.exit_code == 1
         assert json.loads(result.output) == {"verdict": "inconclusive", "seed": 0, "trials": 0}
 
-    def test_decompose(self, runner, files):
+    def test_decompose(self, runner, files, tmp_path):
+        """E_1 (+) E_1 and the product b2:1/21/2 * b2:1/21/2 split in two;
+        E_2, whose End the trace form certifies local, and a5:leclerc[1:1]
+        come back whole."""
         out = run_json(runner, ["decompose", files["sum.json"]])
         assert out["count"] == 2
+        square = str(tmp_path / "square.json")
+        assert runner.invoke(main, ["star", files["m.json"], files["m.json"],
+                                    "--out", square]).exit_code == 0
+        for path, count in ((square, 2), (files["e2.json"], 1), (files["a5_11.json"], 1)):
+            assert run_json(runner, ["decompose", path])["count"] == count, path
 
     def test_decompose_undecided_exit_1(self, runner, files, monkeypatch):
         monkeypatch.setattr(pimod, "DECOMPOSE_RETRIES", 0)
@@ -635,12 +690,16 @@ class TestStarCommands:
 
 class TestSymmetrizerCommands:
     def test_lift_reduce_round_trip(self, runner, files, tmp_path):
-        out = run_json(runner, ["lift", files["s1.json"], "--n", "2"])
-        assert out["module"]["dims"] == {"1": 2}
-        lifted = tmp_path / "lifted.json"
-        lifted.write_text(json.dumps(out["module"]))
-        back = run_json(runner, ["reduce", str(lifted)])
-        assert back["module"]["dims"] == {"1": 1}
+        """`reduce` gives back the file that was lifted."""
+        with open(files["s1.json"]) as fh:
+            s1 = json.load(fh)
+        for n in (2, 3):
+            out = run_json(runner, ["lift", files["s1.json"], "--n", str(n)])
+            assert out["module"]["dims"] == {"1": n}
+            lifted = tmp_path / "lifted.json"
+            lifted.write_text(json.dumps(out["module"]))
+            back = run_json(runner, ["reduce", str(lifted)])
+            assert back["module"] == s1
 
     def test_check_symmetrizer(self, runner, files):
         out = run_json(runner, ["check-symmetrizer", files["s1.json"], files["s2.json"],
@@ -951,6 +1010,54 @@ def test_split_reports_digest(runner, tmp_path):
     for i in ("1", "2", "3"):
         run(["pieces", big, i])
     assert digest.hexdigest() == SPLIT_REPORTS_SHA256
+
+
+@pytest.mark.parametrize("args", [["validate", "huge.json"],
+                                  ["lift", "s1.json", "--n", "1000000"]], ids=lambda a: a[0])
+def test_entry_bound_refuses_at_once(files, args):
+    """A Cartan entry below -100, or a lift to a symmetrizer entry above
+    100, is refused before any arrow is built: the command exits 2 within
+    20 s, in a process of its own that the timeout can stop."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-m", "ppalg.cli"] + [files.get(a, a) for a in args],
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert run.returncode == 2, run.stderr
+    assert "(entry_bound)" in run.stderr
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}", b'{"cartan": [[2, ' + b"9" * 5000 + b'], [-1, 2]]}', b"[" * 100000,
+], ids=["utf-16-bom", "5000-digit-integer", "nested-100000-deep"])
+def test_undecodable_json_exit_2(runner, tmp_path, content):
+    """A file that is not UTF-8, an integer longer than int() reads and
+    nesting deeper than the parser's recursion limit are refused like
+    malformed JSON, as algebra configs, module files and the algebra a
+    module file names by its path."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps({"algebra": "bad.json", "dims": {}}))
+    for args in (["validate", str(bad)], ["check", str(bad)], ["check", str(module)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), args
+        assert "cannot read %s: " % bad in result.output, args
+
+
+@pytest.mark.parametrize("dim, code", [(1000, 0), (1001, 2)])
+def test_module_dimension_bound(runner, tmp_path, dim, code):
+    """A module file's dimension is at most 1000 at each vertex: above it,
+    `check` exits 2 naming the file and the vertex, before any matrix is
+    built."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"algebra": {"cartan": [[2, -1], [-1, 2]]}, "dims": {"1": dim}}))
+    result = runner.invoke(main, ["check", str(path)])
+    assert result.exit_code == code, result.output
+    if code:
+        assert "%s: dimension %d at vertex 1 exceeds 1000" % (path, dim) in result.output
+    else:
+        assert json.loads(result.output)["dims"] == {"1": 1000, "2": 0}
 
 
 def test_byte_identical_reports(runner, files):

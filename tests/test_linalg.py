@@ -1013,15 +1013,24 @@ for M, N in zip(modules, modules[1:]):
     pimod.decompose(pimod.direct_sum(M, N))
 assert "sympy" not in sys.modules, "decompose"
 tmp = tempfile.mkdtemp()
-a, b = (os.path.join(tmp, name) for name in ("a.json", "b.json"))
-for path, M in ((a, modules[1]), (b, pimod.direct_sum(modules[0], modules[2]))):
+alg, a, b, s, lifted = (os.path.join(tmp, name + ".json")
+                        for name in ("alg", "a", "b", "s", "lifted"))
+for path, doc in ((alg, catalog.b2_datum().to_json()),
+                  (a, pimod.module_to_json(modules[1])),
+                  (b, pimod.module_to_json(pimod.direct_sum(modules[0], modules[2]))),
+                  (s, pimod.module_to_json(pimod.generalized_simple(catalog.a2_datum(), 1)))):
     with open(path, "w") as fh:
-        json.dump(pimod.module_to_json(M), fh)
+        json.dump(doc, fh)
 runner = CliRunner()
 commands = [["table", "b2"], ["star", a, a], ["iso", a, b], ["pieces", b, "1"],
             ["decompose", b], ["selftest", "--seed", "0"]]
 commands += [[cmd, a, b, "--field", field] for cmd in ("hom", "ext")
              for field in ("q", "fp:32003", "fp:3317044064679887385962123")]
+commands += [["validate", alg], ["forms", alg, "1,1", "1,0"], ["check", a], ["rank", a],
+             ["efiltered", b], ["crystal", b], ["rigid", b], ["divide-right", b, a],
+             ["divide-left", a, a], ["lift", s, "--n", "2", "--out", lifted], ["reduce", lifted],
+             ["check-symmetrizer", s, s, "--n", "2"], ["catalog", "list"],
+             ["catalog", "export", "b2:2"]]
 for args in commands:
     result = runner.invoke(main, args)
     assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.output)
@@ -1031,9 +1040,9 @@ assert "sympy" not in sys.modules
 
 
 def test_no_command_loads_sympy():
-    """`decompose` on the B2 sums and every listed command, in one process,
-    never import sympy, also over a prime field whose modulus is above the
-    Miller-Rabin bound: sympy is only the tests' reference."""
+    """`decompose` on the B2 sums and each of the 22 commands, in one
+    process, never import sympy, also over a prime field whose modulus is
+    above the Miller-Rabin bound: sympy is only the tests' reference."""
     src = os.path.dirname(os.path.dirname(linalg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

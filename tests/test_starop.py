@@ -13,6 +13,12 @@ from ppalg.starop import (DivisionUndefined, InvalidDerivation, extension_module
                           star_table)
 
 
+def elements(basis):
+    """Every element of a `KernelBasis`, unflattened from its kernel matrix."""
+    K = basis.kernel
+    return pimod._unflatten(basis.field, basis.shapes, K.den, K.nz, K.cols)
+
+
 @pytest.fixture(scope="module")
 def b2():
     return catalog.b2_datum()
@@ -31,7 +37,7 @@ class TestExtensionModule:
 
     def test_rank_vectors_add(self, b2):
         E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
-        derb = pimod.derivation_basis(E1, E2)
+        derb = elements(pimod.derivation_basis(E1, E2))
         mid = extension_module(E1, E2, derb[0])
         assert rank_vector(mid) == (1, 1)
         assert pimod.check_relations(mid) == []
@@ -55,7 +61,7 @@ class TestExtensionModule:
 
     def test_nonsplit_a2_is_indecomposable(self, a2):
         S1, S2 = generalized_simple(a2, 1), generalized_simple(a2, 2)
-        derb = pimod.derivation_basis(S1, S2)
+        derb = elements(pimod.derivation_basis(S1, S2))
         mid = extension_module(S1, S2, derb[0])
         assert len(pimod.decompose(mid, seed=0)) == 1
 
@@ -90,7 +96,7 @@ class TestExtensionModule:
         raises ValueError naming the key; dropping it would give the split
         extension."""
         E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
-        block = pimod.derivation_basis(E1, E2)[0][("arr", 2, 1, 1)]
+        block = elements(pimod.derivation_basis(E1, E2))[0][("arr", 2, 1, 1)]
         assert not block.is_zero()
         with pytest.raises(ValueError, match=re.escape(repr(key))):
             extension_module(E1, E2, {key: block})
