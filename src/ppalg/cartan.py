@@ -57,8 +57,7 @@ def gen_target(gen):
 class Relation:
     """A signed sum of words that must act by zero on every module."""
 
-    label: str
-    kind: str          # "nilpotency" | "commutativity" | "mesh"
+    label: str         # "<kind>@<vertex or arrow>": nilpotency, commutativity or mesh
     source: int
     target: int
     terms: tuple       # tuple of (coeff, word); word = tuple of generator keys
@@ -161,14 +160,14 @@ class CartanDatum:
         rels = []
         for i in self.vertices:
             word = (eps_key(i),) * self.ci(i)
-            rels.append(Relation("nilpotency@%r" % (i,), "nilpotency", i, i, ((1, word),)))
+            rels.append(Relation("nilpotency@%r" % (i,), i, i, ((1, word),)))
         for (i, j) in self.double_orient():
             for g in range(1, self.gij(i, j) + 1):
                 a = arrow_key(i, j, g)
                 left = (eps_key(i),) * self.fij(j, i) + (a,)
                 right = (a,) + (eps_key(j),) * self.fij(i, j)
-                rels.append(Relation("commutativity@%s" % arrow_name(a),
-                                     "commutativity", j, i, ((1, left), (-1, right))))
+                rels.append(Relation("commutativity@%s" % arrow_name(a), j, i,
+                                     ((1, left), (-1, right))))
         for i in self.vertices:
             terms = []
             for j in self.vertices:
@@ -183,7 +182,7 @@ class CartanDatum:
                                 + (eps_key(i),) * (fji - 1 - f))
                         terms.append((s, word))
             if terms:
-                rels.append(Relation("mesh@%r" % (i,), "mesh", i, i, tuple(terms)))
+                rels.append(Relation("mesh@%r" % (i,), i, i, tuple(terms)))
         self._relations = tuple(rels)
 
     # serialization

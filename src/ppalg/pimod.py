@@ -702,8 +702,8 @@ class ExtTheoremError(AssertionError):
 
 def verify_ext_theorems(M, N):
     """Check the Ext-formula and Ext-duality on a pair of locally free
-    modules, which `ext1_dim` meets by construction, and `ext1_dim`
-    against `ext1_dim_der` both ways.
+    modules on the Der route `ext1_dim_der` (`ext1_dim` meets both by
+    construction), and `ext1_dim` against `ext1_dim_der` both ways.
 
     Returns the computed dimensions; raises ExtTheoremError (carrying them)
     if a check fails.
@@ -720,8 +720,8 @@ def verify_ext_theorems(M, N):
         "ext_mn": ext_mn, "ext_nm": ext_nm,
         "der_mn": der_mn, "der_nm": der_nm,
         "euler": pairing,
-        "formula_ok": hom_mn - ext_mn + hom_nm == pairing,
-        "duality_ok": ext_mn == ext_nm,
+        "formula_ok": hom_mn - der_mn + hom_nm == pairing,
+        "duality_ok": der_mn == der_nm,
         "der_ok": (ext_mn, ext_nm) == (der_mn, der_nm),
     }
     if not (report["formula_ok"] and report["duality_ok"] and report["der_ok"]):
@@ -965,10 +965,10 @@ def is_E_filtered(M):
     return _efiltered_search(M)
 
 
-def _arrows_vanish(M, away=None):
-    """Whether every arrow of M acts by zero; with `away=i`, every arrow
-    that neither starts nor ends at i."""
-    return not any(any(A.nz) for g, A in M.arrows.items() if away not in g[1:3])
+def _arrows_vanish(M, i):
+    """Whether every arrow of M that neither starts nor ends at i acts by
+    zero."""
+    return not any(any(A.nz) for g, A in M.arrows.items() if i not in g[1:3])
 
 
 def _efiltered_search(M):
@@ -1043,7 +1043,7 @@ def is_crystal(M):
         K = k_space(M, i)
         if _free_rank(M, i, K=K) is None:
             return False
-        rest = _arrows_vanish(M, away=i)
+        rest = _arrows_vanish(M, i)
         if U.cols:
             if not (rest and U.cols == M.dims[i]) and not is_crystal(quotient(M, {i: U})):
                 return False

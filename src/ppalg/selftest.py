@@ -9,7 +9,6 @@ ten re-runs the first nine and compares the serialized payloads).
 
 from __future__ import annotations
 
-import inspect
 import json
 import random
 
@@ -131,8 +130,8 @@ def criterion_leclerc(seed=0, trials=8):
     }
 
 
-def criterion_ext_theorems(seed=0):
-    """Ext-formula and Ext-duality on seeded random locally free pairs."""
+def criterion_ext_theorems(seed=0, trials=8):
+    """Ext-formula and Ext-duality on seeded random locally free pairs (draws nothing)."""
     failures = []
     total = 0
     for salt, datum in ((1, catalog.a2_datum()), (2, catalog.b2_datum())):
@@ -287,9 +286,9 @@ _DATA_POOL = (
 )
 
 
-def criterion_dim_formulas(seed=0):
+def criterion_dim_formulas(seed=0, trials=8):
     """alpha(d,e) equals the solved Hom_T dimension; beta(d,d) does not
-    depend on the orientation."""
+    depend on the orientation (draws nothing)."""
     rng = _seeded(seed, 11)
     homt_failures = []
     for k in range(C9_COUNT):
@@ -344,14 +343,8 @@ _CRITERIA = (
 )
 
 
-def _run(k, seed, trials):
-    fn = _CRITERIA[k]
-    return (fn(seed=seed, trials=trials) if "trials" in inspect.signature(fn).parameters
-            else fn(seed=seed))
-
-
 def run_criteria(seed=0, trials=8):
-    """Criteria one through nine, with per-criterion derived seeds.
+    """Criteria one through nine, each one call `criterion(seed=seed, trials=trials)`.
 
     Each pass is one run of `pimod.memo_run`: it starts from an empty memo,
     so the two passes of `run_selftest` are independent computations.  The
@@ -361,7 +354,7 @@ def run_criteria(seed=0, trials=8):
     criterion order, the same with one CPU or many."""
     with pimod.memo_run():
         catalog.b2_suite(trials=trials, seed=seed)
-        return fork_map(lambda k: _run(k, seed, trials), len(_CRITERIA))
+        return fork_map(lambda k: _CRITERIA[k](seed=seed, trials=trials), len(_CRITERIA))
 
 
 def run_selftest(seed=0, trials=8):

@@ -181,27 +181,32 @@ def generic_cokernel(mid, sub, trials=8, seed=0):
     below 1.  Dividing by the zero module gives `mid` back: the zero map,
     the empty draw {}, is injective on it.
     """
-    if any(a < b for a, b in zip(pimod.rank_vector(mid), pimod.rank_vector(sub))):
-        raise RankMismatch("rank vector of the sub exceeds the ambient module")
-    if trials < 1:
-        raise NoTrials("division undefined: %d trials draw no embedding" % trials)
-    best = _least_self_ext(pimod.hom_basis(sub, mid),
-                           lambda f: pimod.quotient(mid, f),   # injective => independent columns
-                           trials, seed, keep=lambda f: pimod.hom_is_injective(f, sub))
-    if best is None:
-        raise DivisionUndefined("division undefined (no generic embedding found)")
-    if not pimod.is_E_filtered(best[2])[0]:
-        raise pimod.ConsistencyError(
-            "cokernel of a monomorphism between crystal modules failed the E-filtered test")
-    return best[2]
+    return _cokernel_search(mid, sub, trials, seed, "sub", "embedding")
 
 
 def generic_kernel(top, mid, trials=8, seed=0):
     """The generic kernel of surjections from `mid` onto `top`: the dual of
-    the generic cokernel of embeddings top^v -> mid^v (see `pimod.dual`)."""
-    if any(a < b for a, b in zip(pimod.rank_vector(mid), pimod.rank_vector(top))):
-        raise RankMismatch("rank vector of the top exceeds the ambient module")
-    return pimod.dual(generic_cokernel(pimod.dual(mid), pimod.dual(top), trials, seed))
+    the generic cokernel of embeddings top^v -> mid^v (see `pimod.dual`),
+    whose errors name the surjection and the top."""
+    return pimod.dual(_cokernel_search(pimod.dual(mid), pimod.dual(top), trials, seed,
+                                       "top", "surjection"))
+
+
+def _cokernel_search(mid, sub, trials, seed, part, drawn):
+    """The search of both divisions; its errors call `sub` the `part` and its maps `drawn`."""
+    if any(a < b for a, b in zip(pimod.rank_vector(mid), pimod.rank_vector(sub))):
+        raise RankMismatch("rank vector of the %s exceeds the ambient module" % part)
+    if trials < 1:
+        raise NoTrials("division undefined: %d trials draw no %s" % (trials, drawn))
+    best = _least_self_ext(pimod.hom_basis(sub, mid),
+                           lambda f: pimod.quotient(mid, f),   # injective => independent columns
+                           trials, seed, keep=lambda f: pimod.hom_is_injective(f, sub))
+    if best is None:
+        raise DivisionUndefined("division undefined (no generic %s found)" % drawn)
+    if not pimod.is_E_filtered(best[2])[0]:
+        raise pimod.ConsistencyError(
+            "cokernel of a monomorphism between crystal modules failed the E-filtered test")
+    return best[2]
 
 
 @dataclass
@@ -239,20 +244,22 @@ def star_table(entries, extra_pool=(), trials=8, seed=0):
 
 
 def _cell_labels(mid, rl, M, cl, N, pool, trials, seed):
-    # certify a split cell directly; kept for time only: decompose finds the
-    # same labels (run_criteria reports at seeds 0-3 are unchanged without it),
-    # but perfbench criteria then took 7.07 s, not 6.61 s (medians, 2 cores)
+    # certify a split cell directly; kept for time only: `_decomposed_labels`
+    # finds the same labels (tested at seeds 0-3), but serial run_criteria
+    # seeds 0-7 then took 3.13 s of CPU, not 2.87 s (medians of 5)
     try:
         if pimod.iso_test(mid, pimod.direct_sum(M, N), trials=trials, seed=seed):
             return sorted([rl, cl])
     except pimod.IsoInconclusive:
         pass
-    labels = []
-    for piece in pimod.decompose(mid, seed=seed):
-        name = pimod.match_label(piece, pool, trials=trials, seed=seed)
-        labels.append(anonymous_label(piece) if name is None else name)
-    labels.sort()
-    return labels
+    return _decomposed_labels(mid, pool, trials, seed)
+
+
+def _decomposed_labels(mid, pool, trials, seed):
+    """The sorted labels of mid's summands: a pool entry's, else `anonymous_label`."""
+    named = [(pimod.match_label(x, pool, trials=trials, seed=seed), x)
+             for x in pimod.decompose(mid, seed=seed)]
+    return sorted(anonymous_label(x) if name is None else name for name, x in named)
 
 
 def anonymous_label(M):

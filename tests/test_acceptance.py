@@ -169,13 +169,13 @@ def _one_cpu_reports(monkeypatch, seed):
 
 
 def _stub(k):
-    def criterion(seed=0):
+    def criterion(seed=0, trials=8):
         return {"id": "c%d" % (k + 1), "passed": True, "details": {"seed": seed}}
     return criterion
 
 
 def _faulty(message):
-    def criterion(seed=0):
+    def criterion(seed=0, trials=8):
         raise pimod.ConsistencyError(message)
     return criterion
 
@@ -272,7 +272,7 @@ def test_run_criteria_kills_workers_when_the_caller_unwinds(monkeypatch, three_c
     killed and reaped before it propagates."""
     caller = os.getpid()
 
-    def interrupted(seed=0):
+    def interrupted(seed=0, trials=8):
         if os.getpid() == caller:
             raise KeyboardInterrupt
         time.sleep(30)

@@ -156,10 +156,10 @@ class TestRelations:
     def test_b2_c12_presentation(self):
         datum = validate_datum(*B2_C12, [(1, 2)])
         rels = datum.relations()
-        nil = {r.source: r.terms[0][1] for r in rels if r.kind == "nilpotency"}
+        nil = {r.source: r.terms[0][1] for r in rels if r.label.startswith("nilpotency@")}
         assert nil[1] == (("eps", 1),)
         assert nil[2] == (("eps", 2), ("eps", 2))
-        mesh = {r.source: r for r in rels if r.kind == "mesh"}
+        mesh = {r.source: r for r in rels if r.label.startswith("mesh@")}
         # mesh at 1: + a12 a21
         assert mesh[1].terms == ((1, (("arr", 1, 2, 1), ("arr", 2, 1, 1))),)
         # mesh at 2: -(a21 a12 eps2 + eps2 a21 a12)
@@ -172,7 +172,7 @@ class TestRelations:
         datum = validate_datum(*B2_C12, [(1, 2)])
         rels = datum.relations()
         comm = {(r.target, r.source): r for r in rels
-                if r.kind == "commutativity"}
+                if r.label.startswith("commutativity@")}
         # eps_1^{f_21} a_12 = a_12 eps_2^{f_12} with f_21 = 1, f_12 = 2
         plus, minus = comm[(1, 2)].terms
         assert plus == (1, (("eps", 1), ("arr", 1, 2, 1)))
@@ -188,7 +188,7 @@ class TestRelations:
         datum = validate_datum([[2, -2], [-2, 2]], [1, 1], [(1, 2)])
         rels = datum.relations()
         assert len([a for a in datum.arrow_keys() if a[1] == 1]) == 2  # two arrows 2 -> 1
-        mesh = {r.source: r for r in rels if r.kind == "mesh"}
+        mesh = {r.source: r for r in rels if r.label.startswith("mesh@")}
         assert len(mesh[1].terms) == 2  # one per multiplicity index
 
     def test_pretty_with_string_vertices(self):
@@ -213,7 +213,7 @@ class TestRelations:
         datum = validate_datum([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [1, 1, 1],
                                [(1, 2), (2, 3)])
         rels = datum.relations()
-        mesh = [r for r in rels if r.kind == "mesh"]
+        mesh = [r for r in rels if r.label.startswith("mesh@")]
         assert mesh
         for r in mesh:
             for _, word in r.terms:

@@ -1189,6 +1189,30 @@ def test_failed_division_in_markdown(runner, files):
                              "- **seed**: 0\n")
 
 
+@pytest.mark.parametrize("command, args, drawn", [
+    ("divide-right", ("sum.json", "e1.json"), "embedding"),
+    ("divide-left", ("e1.json", "sum.json"), "surjection")], ids=["divide-right", "divide-left"])
+def test_zero_trial_division_names_the_map_it_draws(runner, files, command, args, drawn):
+    """divide-right draws embeddings B -> M and divide-left surjections M -> A."""
+    result = runner.invoke(main, [command] + [files[a] for a in args] + ["--trials", "0"])
+    assert result.exit_code == 2, result.output
+    assert "Error: division undefined: 0 trials draw no %s\n" % drawn in result.output
+
+
+def test_division_with_no_surjection_names_it(runner, tmp_path):
+    """M = b2:1/1 (+) b2:1/1/2 has rank vector (2, 1), yet Hom(M, b2:2) = 0:
+    divide-left finds no surjection, and exits 1 naming it."""
+    entries = dict(catalog.all_entries())
+    paths = [tmp_path / "a.json", tmp_path / "m.json"]
+    paths[0].write_text(json.dumps(pimod.module_to_json(entries["b2:2"].module)))
+    paths[1].write_text(json.dumps(pimod.module_to_json(pimod.direct_sum(
+        entries["b2:1/1"].module, entries["b2:1/1/2"].module))))
+    result = runner.invoke(main, ["divide-left"] + [str(p) for p in paths])
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output) == {
+        "error": "division undefined (no generic surjection found)", "seed": 0}
+
+
 def test_reduce_refuses_a_module_not_locally_free(runner, tmp_path):
     """Over (A2, 2D) the loop at vertex 1 must have rank 1 on a free module:
     a one-dimensional space is not, and `reduce` exits 2."""

@@ -8,9 +8,14 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-import sympy
 from hypothesis import example, given, settings, strategies as st
-from sympy.polys.matrices import DomainMatrix
+
+try:
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+except ImportError:   # the tests that compare with sympy skip, the rest run
+    sympy = None
+needs_sympy = pytest.mark.skipif(sympy is None, reason="compares with sympy")
 
 from ppalg import catalog, linalg, pimod
 from ppalg.linalg import GF, QQ, Mat
@@ -192,6 +197,7 @@ MR_BOUND = 3317044064679887385961981  # a strong pseudoprime to bases 2 ... 41
 
 
 class TestIsPrime:
+    @needs_sympy
     def test_matches_sympy_below_20000(self):
         assert [n for n in range(-3, 20000) if linalg._is_prime(n)] == \
             [n for n in range(-3, 20000) if sympy.isprime(n)]
@@ -213,12 +219,14 @@ class TestIsPrime:
         assert linalg._is_prime(2 ** 89 - 1) and linalg._is_prime(MR_BOUND + 142)
         assert not linalg._is_prime(MR_BOUND) and not linalg._is_prime(MR_BOUND - 2)
 
+    @needs_sympy
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(n=st.integers(MR_BOUND, 2 ** 200))
     @example(n=MR_BOUND)
     def test_matches_sympy_at_or_above_the_bound(self, n):
         assert linalg._is_prime(n) == sympy.isprime(n)
 
+    @needs_sympy
     @pytest.mark.parametrize("n", [
         # primes, from the first one above the bound
         MR_BOUND + 142, MR_BOUND + 196, 2 ** 89 - 1, 2 ** 127 - 1,
@@ -239,7 +247,6 @@ class TestIsPrime:
 
 P = 32003
 BIG = 2 ** 70
-SYMPY_FIELD = {QQ: sympy.QQ, GF(P): sympy.GF(P, symmetric=False)}
 
 
 @st.composite
@@ -269,7 +276,7 @@ def sparse_mat(draw, field, rows=None, cols=None):
 
 def to_domain(field, data, cols):
     """Dense rows of field elements as a sympy DomainMatrix."""
-    dom = SYMPY_FIELD[field]
+    dom = sympy.QQ if field is QQ else sympy.GF(P, symmetric=False)
     conv = ((lambda x: dom(x.numerator, x.denominator)) if field is QQ
             else dom)
     return DomainMatrix([[conv(x) for x in row] for row in data], (len(data), cols), dom)
@@ -308,6 +315,7 @@ FIELDS = pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF"])
 KERNEL_EXAMPLES = settings(derandomize=True, max_examples=50, deadline=None)
 
 
+@needs_sympy
 @FIELDS
 @KERNEL_EXAMPLES
 @given(data=st.data())
@@ -325,6 +333,7 @@ def test_rref_matches_sympy(field, data):
     assert A.data == before
 
 
+@needs_sympy
 @FIELDS
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (3, 4)])
 def test_rref_edge_shapes(field, shape):
@@ -334,6 +343,7 @@ def test_rref_edge_shapes(field, shape):
     assert kernel_rref(A, pivot_limit=shape[1] // 2)[1] == []
 
 
+@needs_sympy
 @FIELDS
 @KERNEL_EXAMPLES
 @given(data=st.data())
@@ -686,6 +696,7 @@ def dense_kernel_rows(A):
     return out
 
 
+@needs_sympy
 @FIELDS
 @KERNEL_EXAMPLES
 @given(data=st.data())
@@ -774,7 +785,7 @@ def test_canonical_form():
 
 # -- characteristic polynomials against sympy's Matrix.charpoly --------------
 
-X = sympy.Symbol("x")
+X = sympy.Symbol("x") if sympy else None
 
 
 def to_sympy(A):
@@ -816,6 +827,7 @@ def square_mat(draw):
     return Mat(QQ, n, n, [[Fraction(x) for x in row] for row in data]), kind, coeffs
 
 
+@needs_sympy
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(case=square_mat())
 @example(case=(Mat(QQ, 0, 0, []), "dense", []))
@@ -860,6 +872,7 @@ def sympy_factors(mats):
     return sympy_factor_list(poly)
 
 
+@needs_sympy
 def test_coprime_factors_match_sympy_route_on_decompose_draws(monkeypatch):
     """On the endomorphism blocks `decompose` draws for the B2 catalog
     entries and for sums of two of them, the factors and their order are
@@ -940,6 +953,7 @@ def linear(*roots):
     return poly
 
 
+@needs_sympy
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(factored_poly())
 @example(linear(Fraction(1, 101)))
@@ -960,6 +974,7 @@ def test_coprime_factors_match_factor_list(poly):
     assert linalg.coprime_factors(poly) == sympy_factor_list(as_sympy(poly))
 
 
+@needs_sympy
 def test_coprime_factors_keep_a_reducible_quartic_whole():
     """(x^2 - 2)(x^2 - 3) has no rational root, so it comes back whole: not
     sympy's factors, but still pairwise coprime factors whose product is the

@@ -198,19 +198,31 @@ class TestHomAndExt:
         assert report["duality_ok"]
 
     def test_ext_theorem_failure_is_reported(self, b2, monkeypatch):
-        """A wrong Ext^1 dimension breaks the Ext-formula: `verify_ext_theorems`
+        """A wrong Ext^1 dimension disagrees with the Der route: `verify_ext_theorems`
         raises with the report, and criterion c4 fails listing it."""
         real = pimod.ext1_dim
         monkeypatch.setattr(pimod, "ext1_dim", lambda M, N: real(M, N) + 1)
         E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
         with pytest.raises(pimod.ExtTheoremError) as exc:
             verify_ext_theorems(E1, E2)
-        assert exc.value.report["formula_ok"] is False
-        assert exc.value.report["duality_ok"] is True
+        assert exc.value.report["der_ok"] is False
+        assert exc.value.report["formula_ok"] is exc.value.report["duality_ok"] is True
         result = selftest.criterion_ext_theorems(seed=0)
         assert result["passed"] is False
         failures = result["details"]["failures"]
-        assert failures and all(f["report"]["formula_ok"] is False for f in failures)
+        assert failures and all(f["report"]["der_ok"] is False for f in failures)
+
+    def test_ext_theorems_are_checked_on_the_der_route(self, b2, monkeypatch):
+        """A fault in one direction of `ext1_dim_der` breaks the Ext-formula
+        and Ext-duality, which are checked on the Der route's values."""
+        real = pimod.ext1_dim_der
+        E1, E2 = generalized_simple(b2, 1), generalized_simple(b2, 2)
+        monkeypatch.setattr(pimod, "ext1_dim_der", lambda M, N: real(M, N) + (M is E1))
+        with pytest.raises(pimod.ExtTheoremError) as exc:
+            verify_ext_theorems(E1, E2)
+        report = exc.value.report
+        assert report["der_mn"] == report["ext_mn"] + 1 and report["der_nm"] == report["ext_nm"]
+        assert report["formula_ok"] is report["duality_ok"] is report["der_ok"] is False
 
     def test_ext_against_connecting_map_oracle(self, a2, b2):
         rng = random.Random(21)
@@ -1196,7 +1208,7 @@ def _assert_rule_matches_full_search(mods, monkeypatch, search=False):
     recursion and search, run with `_arrows_vanish` always False; each side
     runs in its own memo run.  Returns the verdicts."""
     got = _verdicts(mods, search)
-    monkeypatch.setattr(pimod, "_arrows_vanish", lambda M, away=None: False)
+    monkeypatch.setattr(pimod, "_arrows_vanish", lambda M, i: False)
     assert _verdicts(mods, search) == got
     return got
 
@@ -1204,11 +1216,10 @@ def _assert_rule_matches_full_search(mods, monkeypatch, search=False):
 def test_arrows_vanish_reads_every_arrow_or_those_away_from_a_vertex():
     datum = _wider("C3")
     one = Mat.from_rows(QQ, [[1]])
-    assert pimod._arrows_vanish(pimod.zero_module(datum))
+    assert all(pimod._arrows_vanish(pimod.zero_module(datum), v) for v in datum.vertices)
     for k in datum.arrow_keys():
         M = ModuleRep(datum, {k[1]: 1, k[2]: 1}, {}, {k: one})
-        assert not pimod._arrows_vanish(M)
-        assert [pimod._arrows_vanish(M, away=v) for v in datum.vertices] == \
+        assert [pimod._arrows_vanish(M, v) for v in datum.vertices] == \
             [v in k[1:3] for v in datum.vertices]
 
 
@@ -1232,7 +1243,7 @@ def test_zero_arrow_rule_on_modules_not_locally_free(name, monkeypatch):
 def test_zero_arrow_rule_on_the_crystal_family(name, seed, monkeypatch):
     """Each family holds zero-arrow modules: its sub_i and fac_i."""
     family = _crystal_family(name, seed)
-    assert any(pimod._arrows_vanish(X) for X in family)
+    assert any(all(A.is_zero() for A in X.arrows.values()) for X in family)
     _assert_rule_matches_full_search(family, monkeypatch)
 
 
@@ -1921,7 +1932,7 @@ def test_rank_one_candidates_skip_a_sum_the_loop_kills(monkeypatch):
     with pytest.raises(ValueError, match="linearly dependent"):
         pimod.quotient(M, {1: linalg.hstack([eager[2], M.eps[1] * eager[2]])})
     assert checked_candidates(M, 1) == eager[:2]
-    monkeypatch.setattr(pimod, "_arrows_vanish", lambda M, away=None: False)
+    monkeypatch.setattr(pimod, "_arrows_vanish", lambda M, i: False)
     with pimod.memo_run():
         assert is_E_filtered(M) == (True, (1, 1))
 

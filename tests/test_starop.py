@@ -298,6 +298,24 @@ class TestTableAndCancellation:
         assert cells[("1", "2")] == starop.TableCell((), False, False, "forced")
         assert cells[("1", "1")].split and cells[("1", "1")].error == ""
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split_shortcut_keeps_the_b2_labels(self, seed):
+        """`_cell_labels` certifies a split cell by one iso test; without it,
+        `_decomposed_labels` gives every B2 table cell the same labels, and
+        some cells are split."""
+        with pimod.memo_run():
+            suite = catalog.b2_suite(trials=8, seed=seed)
+            entries = [(e.label, e.module) for e in suite.entries]
+            pool = entries + [(e.label, e.module) for e in suite.extras]
+            split = 0
+            for rl, M in entries:
+                for cl, N in entries:
+                    mid = star(M, N, trials=8, seed=seed)
+                    labels = starop._cell_labels(mid, rl, M, cl, N, pool, 8, seed)
+                    assert labels == starop._decomposed_labels(mid, pool, 8, seed), (rl, cl)
+                    split += labels == sorted([rl, cl])
+        assert split > 0
+
     def test_cancellation_collision_is_reported(self, a2):
         """Two labels for one module collide on both sides, under each fixed
         factor: X * R and R * X are the same module for X = "1" and "1'"."""
