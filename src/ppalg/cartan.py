@@ -86,7 +86,8 @@ class CartanDatum:
         self.cartan = tuple(tuple(row) for row in cartan)
         self.sym = tuple(sym)
         self.orient = tuple(tuple(p) for p in orient)
-        self._arrows = None
+        self._arrows = tuple(arrow_key(i, j, g) for (i, j) in self.double_orient()
+                             for g in range(1, self.gij(i, j) + 1))
         self._generators = None
         self._relations = None
         self._scaled = {}
@@ -118,9 +119,7 @@ class CartanDatum:
         raise KeyError("(%r,%r) is not an oriented edge" % (i, j))
 
     def arrow_keys(self):
-        """The arrows ("arr", i, j, g) of the double quiver, built once."""
-        if self._arrows is None:
-            self._build()
+        """The arrows ("arr", i, j, g) of the double quiver."""
         return self._arrows
 
     def generators(self):
@@ -153,8 +152,6 @@ class CartanDatum:
         return self._relations
 
     def _build(self):
-        self._arrows = tuple(arrow_key(i, j, g) for (i, j) in self.double_orient()
-                             for g in range(1, self.gij(i, j) + 1))
         self._generators = tuple(eps_key(i) for i in self.vertices) + self._arrows
 
         rels = []
@@ -279,7 +276,7 @@ def validate_datum(cartan, sym, orient, vertices=None):
     Raises DatumError with a distinct code for each violated condition:
     shape, diagonal, offdiag_positive, entry_bound, zero_pattern,
     symmetrizer_positive, dc_not_symmetric, orientation_pair,
-    orientation_cycle.
+    orientation_cycle, arrow_name (two arrows share a name).
     """
     vertices = _check_cartan_matrix(cartan, vertices)
     n = len(vertices)
@@ -329,7 +326,14 @@ def validate_datum(cartan, sym, orient, vertices=None):
     except CycleError as exc:
         raise DatumError("orientation_cycle",
                          "orientation contains the cycle %s" % _js(exc.args[1][::-1])) from None
-    return CartanDatum(vertices, cartan, sym, arcs)
+    datum = CartanDatum(vertices, cartan, sym, arcs)
+    names = {}   # arrow name -> the first arrow given it
+    for key in datum._arrows:
+        other = names.setdefault(arrow_name(key), key)
+        if other != key:
+            raise DatumError("arrow_name", "the arrows [target, source, g] %s and %s are "
+                             "both named %s" % (_js(other[1:], key[1:]) + (arrow_name(key),)))
+    return datum
 
 
 def default_orientation(cartan, vertices=None):

@@ -36,11 +36,11 @@ def _parse_field(ctx, param, flag):
     """The field named by a --field value; a bad value is a usage error."""
     if flag in ("q", "Q"):
         return QQ
-    digits = flag[3:] if flag.startswith("fp:") else ""
-    if not (digits.isascii() and digits.isdigit()):
+    p = linalg.read_int(flag[3:]) if flag.startswith("fp:") else None
+    if p is None:
         raise click.BadParameter("must be 'q' or 'fp:<prime>'")
     try:
-        return GF(int(digits))
+        return GF(p)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
 
@@ -145,9 +145,8 @@ def _md_kv(payload, prefix=""):
 
 
 def _parse_rank_vector(text, datum):
-    try:
-        parts = [int(x) for x in text.replace(",", " ").split()]
-    except ValueError:
+    parts = [linalg.read_int(x) for x in text.replace(",", " ").split()]
+    if None in parts:
         raise click.UsageError("rank vectors are comma-separated integers")
     if len(parts) != datum.n():
         raise click.UsageError("rank vector needs %d entries" % datum.n())

@@ -16,10 +16,13 @@ kernel rows {col: int}: primitive integer rows over Q, residues over GF(p).
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, count
 from math import gcd, isqrt, lcm
+
+_NUMBER = re.compile(r"-?[0-9]+(/[0-9]+)?")   # README's spelling of a number
 
 
 class Field:
@@ -35,16 +38,17 @@ class Field:
         self.zero, self.one = (0, 1) if p else (Fraction(0), Fraction(1))
 
     def coerce(self, x):
-        """x (a Fraction, an int or a string "p/q") as an element of the field."""
+        """x (a Fraction, an int, no bool, or a `_NUMBER` string) in the field: the
+        one reader of numbers in input.  ValueError on anything else."""
         p = self.char
         if isinstance(x, Fraction) and not p:
             return x
-        if isinstance(x, int):
+        if isinstance(x, int) and not isinstance(x, bool):
             return x % p if p else Fraction(x)
-        if isinstance(x, str):
-            x = Fraction(x)  # accepts "p/q", "-3", "0"
+        if isinstance(x, str) and _NUMBER.fullmatch(x):
+            x = Fraction(x)
         elif not isinstance(x, Fraction):
-            raise TypeError("cannot coerce %r into %s" % (x, self.name))
+            raise ValueError("cannot coerce %r into %s" % (x, self.name))
         if not p:
             return x
         if not x.denominator % p:
@@ -150,6 +154,15 @@ def GF(p):
             raise ValueError("modulus %d is not prime" % p)
         _fp_cache[p] = Field(p)
     return _fp_cache[p]
+
+
+def read_int(x):
+    """The integer that `QQ.coerce` reads x as ("6/3" reads as 2), else None."""
+    try:
+        v = QQ.coerce(x)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return v.numerator if v.denominator == 1 else None
 
 
 class Mat:
@@ -776,7 +789,7 @@ def mat_to_json(A):
 
 def mat_from_json(field, rows, cols, data):
     """A rows x cols matrix from its JSON form; raises ValueError on a wrong
-    shape or an entry that is not an exact number (a float, a boolean, "1/0")."""
+    shape or an entry `field.coerce` refuses (a float, a bool, "0.5", "1/0")."""
     if data in (None, []):
         return Mat.zeros(field, rows, cols)
     if (not isinstance(data, list) or len(data) != rows
@@ -785,15 +798,13 @@ def mat_from_json(field, rows, cols, data):
     parsed = {}   # a matrix repeats few strings, "0" above all: parse each once
 
     def entry(x):
-        if isinstance(x, bool):
-            raise ValueError("bad matrix entry: %r is not a number" % (x,))
-        if not isinstance(x, str):
-            return x
+        if x.__class__ is not str:   # strings only: true == 1 would find a cached 1
+            return field.coerce(x)
         if x not in parsed:
             parsed[x] = field.coerce(x)
         return parsed[x]
 
     try:
         return Mat(field, rows, cols, [[entry(x) for x in row] for row in data])
-    except (TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("bad matrix entry: %s" % exc) from None

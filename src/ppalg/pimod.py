@@ -1267,7 +1267,7 @@ def match_label(M, pool, trials=8, seed=0):
 # -- serialization -------------------------------------------------------------
 
 def module_to_json(M, algebra=None):
-    doc = {
+    return {
         "algebra": algebra if algebra is not None else M.datum.to_json(),
         "dims": {str(i): M.dims[i] for i in M.datum.vertices if M.dims[i]},
         "epsilon": {str(i): linalg.mat_to_json(M.eps[i])
@@ -1276,7 +1276,6 @@ def module_to_json(M, algebra=None):
                    for key, A in sorted(M.arrows.items(), key=lambda kv: str(kv[0]))
                    if not A.is_zero()},
     }
-    return doc
 
 
 def parse_vertex(datum, s):
@@ -1301,15 +1300,11 @@ DIM_BOUND = 1000   # the stored benchmark towers reach 24 at a vertex
 
 
 def _dim_value(v, i):
-    """The dimension at vertex i from JSON: an integer from 0 to DIM_BOUND,
-    or a string that int() reads as one.  The bound holds for files only:
-    `symred.tilde_lift` may build larger modules."""
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
+    """The dimension at vertex i from JSON, a `linalg.read_int` from 0 to
+    DIM_BOUND; the bound holds for files only (`symred.tilde_lift` may exceed it)."""
+    d = linalg.read_int(v)
+    if d is None:
         raise ValueError("dimension %r is not an integer" % (v,))
-    try:
-        d = int(v)
-    except ValueError:
-        raise ValueError("dimension %r is not an integer" % (v,)) from None
     if d < 0:
         raise ValueError("dimension %d is negative" % d)
     if d > DIM_BOUND:

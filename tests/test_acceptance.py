@@ -57,6 +57,22 @@ def test_c02_a2_non_associativity():
     _run(criterion_a2)
 
 
+@pytest.mark.parametrize("trials, want", [(16, 16), (2, 8)])
+def test_c02_iso_tests_take_at_least_8_trials(monkeypatch, trials, want):
+    """c2 decides its two isomorphisms and labels its summands with
+    max(trials, 8) draws, as c3, c7 and c8 do: at least 8, and more on
+    request."""
+    seen, iso_test = [], pimod.iso_test
+
+    def recorded(M, N, trials=8, seed=0):
+        seen.append(trials)
+        return iso_test(M, N, trials=trials, seed=seed)
+
+    monkeypatch.setattr(pimod, "iso_test", recorded)
+    criterion_a2(trials=trials)
+    assert seen and set(seen) == {want}
+
+
 def test_c03_leclerc_numbers():
     _run(criterion_leclerc, budget=60)
 

@@ -1,10 +1,11 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from ppalg import cartan
+from ppalg import cartan, catalog, selftest
 from ppalg.cartan import (DatumError, alpha_form, beta_form, default_orientation,
                           dim_formulas, euler_forms, minimal_symmetrizer,
                           symmetrized_form, validate_datum)
@@ -19,6 +20,30 @@ def code_of(exc_info):
 
 
 class TestValidate:
+    def test_arrows_sharing_a_name(self):
+        """Over the vertices x, y_1, x_y and 1 with the edges x-y_1 and
+        x_y-1, the arrows x <- y_1 and x_y <- 1 are both named a_x_y_1_1:
+        the datum is refused, naming both."""
+        labels = ["x", "y_1", "x_y", 1]
+        C = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
+        with pytest.raises(DatumError, match=r'\["x", "y_1", 1\] and \["x_y", 1, 1\] are '
+                           r"both named a_x_y_1_1$") as e:
+            validate_datum(C, [1] * 4, default_orientation(C, labels), labels)
+        assert code_of(e) == "arrow_name"
+
+    def test_shipped_data_name_their_arrows_apart(self):
+        """Every catalog datum, every datum c9 draws from and the benchmark's
+        B2, C3 and G2 validate, their arrows named apart."""
+        towers = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "towers.json"
+        data = [catalog.a2_datum(), catalog.b2_datum(), catalog.b2_relabeled_datum(),
+                catalog.leclerc_datum()] + [catalog.a_type_datum(n) for n in range(1, 6)]
+        data += [validate_datum(C, D, default_orientation(C)) for C, D in selftest._DATA_POOL]
+        data += [validate_datum(spec["cartan"], spec["symmetrizer"], spec["orientation"])
+                 for spec in json.loads(towers.read_text())["data"].values()]
+        for datum in data:
+            names = {cartan.arrow_name(key) for key in datum.arrow_keys()}
+            assert len(names) == len(datum.arrow_keys())
+
     def test_b2_c12_valid(self):
         datum = validate_datum(*B2_C12, [(1, 2)])
         assert datum.vertices == (1, 2)

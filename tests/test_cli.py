@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ppalg import catalog, cli, linalg, pimod, selftest, starop, symred
 from ppalg.cartan import default_orientation, validate_datum
 from ppalg.cli import main
+from ppalg.linalg import Mat
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +202,19 @@ class TestValidation:
         result = runner.invoke(main, ["validate", files["labels_same_str.json"]])
         assert result.exit_code == 2
         assert "(shape)" in result.output and "duplicate vertex labels" in result.output
+
+    def test_arrows_sharing_a_name_exit_2(self, runner, tmp_path):
+        """Over the vertices x, y_1, x_y and 1 with the edges x-y_1 and
+        x_y-1, the arrows x <- y_1 and x_y <- 1 would both be a_x_y_1_1, so
+        a module file could not tell them apart: the algebra is refused."""
+        path = tmp_path / "xy.json"
+        path.write_text(json.dumps({"vertices": ["x", "y_1", "x_y", 1],
+                                    "cartan": [[2, -1, 0, 0], [-1, 2, 0, 0],
+                                               [0, 0, 2, -1], [0, 0, -1, 2]]}))
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2, result.output
+        assert ('(arrow_name): the arrows [target, source, g] ["x", "y_1", 1] and '
+                '["x_y", 1, 1] are both named a_x_y_1_1' in result.output)
 
     def test_cartan_not_a_matrix_exit_2(self, runner, files):
         result = runner.invoke(main, ["validate", files["cartan_x.json"]])
@@ -527,7 +542,7 @@ class TestModuleCommands:
         result = runner.invoke(main, ["star", str(tmp_path / "E_x_1.json"),
                                       str(tmp_path / "E_y.json"), "--out", p])
         assert result.exit_code == 0, result.output
-        assert list(json.loads(open(p).read())["module"]["arrows"]) == ["a_y_x_1_1"]
+        assert list(json.loads(Path(p).read_text())["module"]["arrows"]) == ["a_y_x_1_1"]
         assert run_json(runner, ["check", p])["ok"]
         assert run_json(runner, ["decompose", p])["count"] == 1
 
@@ -609,7 +624,7 @@ class TestModuleCommands:
         assert "could not split" in out["undecided"] and out["seed"] == 0
 
     def test_algebra_by_path_reference(self, runner, files):
-        doc = json.loads(open(files["e1.json"]).read())
+        doc = json.loads(Path(files["e1.json"]).read_text())
         doc["algebra"] = "b2.json"  # relative to the module file
         p = os.path.join(files["root"], "e1_ref.json")
         with open(p, "w") as fh:
@@ -1025,6 +1040,81 @@ def test_entry_bound_refuses_at_once(files, args):
                          env=env, capture_output=True, text=True, timeout=20)
     assert run.returncode == 2, run.stderr
     assert "(entry_bound)" in run.stderr
+
+
+def _number_input(files, tmp_path, where, value):
+    """The arguments of a command that reads `value` as `where`, and the
+    start of the message that input gives for a malformed value."""
+    if where in ("entry", "dimension"):
+        doc = dict(pimod.module_to_json(pimod.generalized_simple(catalog.b2_datum(), 1)))
+        if where == "entry":
+            doc["epsilon"] = {"1": [["0", "0"], [value, "0"]]}
+        else:
+            doc["dims"] = {"1": 2, "2": value}
+        path = tmp_path / "number.json"
+        path.write_text(json.dumps(doc))
+        if where == "entry":
+            return ["check", str(path)], "%s: bad matrix entry: " % path
+        return ["check", str(path)], "%s: dimension %r is not an integer" % (path, value)
+    if where == "rank vector":
+        return (["forms", files["b2.json"], "1," + value, "1,0"],
+                "rank vectors are comma-separated integers")
+    return (["hom", files["e1.json"], files["e1.json"], "--field", "fp:" + value],
+            "must be 'q' or 'fp:<prime>'")
+
+
+_EVERY_INPUT = ["0.5", "1e3", "1_0", "+2", "\u0663", "\uff17", "\u00b2"]
+_REFUSED = ([(where, v) for where in ("entry", "dimension", "rank vector", "fp")
+             for v in _EVERY_INPUT]
+            + [(where, " 2") for where in ("entry", "dimension", "fp")]   # forms splits on spaces
+            + [(where, v) for where in ("entry", "dimension") for v in (True, 2.0)])
+_NAMES = {"0.5": "decimal", "1e3": "exponent", "1_0": "underscore", "+2": "plus",
+          "\u0663": "arabic-indic-3", "\uff17": "fullwidth-7", "\u00b2": "superscript-2",
+          " 2": "space", True: "true", 2.0: "float"}
+
+
+@pytest.mark.parametrize("where, value", _REFUSED,
+                         ids=["%s-%s" % (w, _NAMES[v]) for w, v in _REFUSED])
+def test_number_outside_the_grammar_exit_2(runner, files, tmp_path, where, value):
+    """A matrix entry, a dimension, a rank vector of `forms` and an fp:
+    modulus are read by one reader, `linalg.Field.coerce`, in README's
+    spelling only: a JSON integer or an ASCII "-?[0-9]+(/[0-9]+)?".
+    Anything else exits 2 with that input's message for a malformed
+    value."""
+    args, message = _number_input(files, tmp_path, where, value)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+    assert message in result.output
+
+
+def test_exponent_entry_refuses_at_once(tmp_path):
+    """A 12-byte entry "1e-10000000" is refused as it is read: the command
+    exits 2 within 20 s, in a process of its own that the timeout can stop."""
+    doc = dict(pimod.module_to_json(pimod.generalized_simple(catalog.b2_datum(), 1)))
+    doc["epsilon"] = {"1": [["0", "0"], ["1e-10000000", "0"]]}
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    run = subprocess.run([sys.executable, "-m", "ppalg.cli", "check", str(path)],
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert run.returncode == 2, run.stderr
+    assert "bad matrix entry: cannot coerce '1e-10000000' into Q" in run.stderr
+
+
+def test_documented_spellings_read_as_before(runner, files):
+    """"-3", "3/2", "007" and a JSON 3 read as they did, and a number whose
+    value is an integer is one wherever an integer is asked for."""
+    for field in (linalg.QQ, linalg.GF(7)):
+        got = linalg.mat_from_json(field, 1, 4, [["-3", "3/2", "007", 3]])
+        assert got == Mat(field, 1, 4, [[Fraction(-3), Fraction(3, 2), 7, 3]])
+    M = pimod.module_from_json({"dims": {"1": "002", "2": "3/3"}}, catalog.b2_datum())
+    assert M.dims == {1: 2, 2: 1}
+    assert (run_json(runner, ["forms", files["b2.json"], "007,3/3", "3,0"])
+            == run_json(runner, ["forms", files["b2.json"], "7,1", "3,0"]))
+    assert {cli._parse_field(None, None, f) for f in ("fp:7", "fp:007", "fp:14/2")} == {
+        linalg.GF(7)}
 
 
 @pytest.mark.parametrize("content", [

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from ppalg import catalog, linalg, pimod, selftest, starop, symred
-from ppalg.cartan import (alpha_form, default_orientation, eps_key, gen_source, gen_target,
-                          minimal_symmetrizer, symmetrized_form, validate_datum)
+from ppalg.cartan import (alpha_form, arrow_name, default_orientation, eps_key, gen_source,
+                          gen_target, minimal_symmetrizer, symmetrized_form, validate_datum)
 from ppalg.linalg import QQ, Mat
 from ppalg.pimod import (ModuleRep, NotLocallyFree,
                          canonical_pieces, check_relations, decompose,
@@ -1963,6 +1963,34 @@ def _stored_tower(name, rank, index):
     doc = _towers_doc()
     return pimod.module_from_json(doc["towers"][name][str(rank)][index],
                                   _stored_datum(doc["data"][name]))
+
+
+def test_stored_towers_read_as_before():
+    """Every stored tower (3 data x 11 ranks x 8) reads to the module that
+    Fraction(str) on its entries and int() on its dimensions, the readers
+    before `linalg.Field.coerce`, give: each of its entries is a string in
+    README's spelling, so the one reader changes no value the program wrote."""
+    doc, count = _towers_doc(), 0
+    for name, spec in doc["data"].items():
+        datum = _stored_datum(spec)
+        keys = {arrow_name(key): key for key in datum.arrow_keys()}
+        for docs in doc["towers"][name].values():
+            for tower in docs:
+                dims = {pimod.parse_vertex(datum, k): int(v) for k, v in tower["dims"].items()}
+
+                def mat(m, i, j):
+                    assert all(re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x) for row in m for x in row)
+                    return Mat(QQ, dims.get(i, 0), dims.get(j, 0),
+                               [[Fraction(x) for x in row] for row in m])
+
+                eps = {i: mat(m, i, i) for i, m in
+                       ((pimod.parse_vertex(datum, k), m) for k, m in tower["epsilon"].items())}
+                arrows = {keys[k]: mat(m, keys[k][1], keys[k][2])
+                          for k, m in tower["arrows"].items()}
+                want = pimod._content_key(ModuleRep(datum, dims, eps, arrows))
+                assert pimod._content_key(pimod.module_from_json(tower, datum)) == want
+                count += 1
+    assert count == 3 * 11 * 8
 
 
 def test_quotient_by_a_scaled_identity_is_the_quotient_by_the_identity():
