@@ -45,14 +45,15 @@ free.  `is_locally_free`, `peel` and `is_crystal` call it.  It and
 `sub_space` pass block rows to `rows_rank` / `rows_nullspace` and build no
 stacked matrix; `k_space` keeps its stack, whose columns its basis selects.
 
-One function peels socles: `peel` takes off each free sub_i whole, along
-the vertices 1...n, 1...n, ..., until nothing is left or it gets stuck.
-`is_E_filtered` certifies True by it, and runs the backtracking search
-`_efiltered_search` only where it gets stuck, which it does on no crystal
-module; the search sends each quotient it tries back to `is_E_filtered`,
-so every node is peeled before it is searched.  Over a minimal
-symmetrizer the peel is the socle series, and it decides E-filtered
-there, which `is_crystal` reads.
+One function peels socles: `peel(M)` -> (steps, leftover) takes off each
+free sub_i whole, along the vertices 1...n, 1...n, ..., until nothing is
+left or it gets stuck, and records each step's rank r_k (the *-string).
+`is_E_filtered` certifies True by it, derives its witness from the steps,
+and runs the backtracking search `_efiltered_search` only where it gets
+stuck, which it does on no crystal module; the search sends each quotient
+it tries back to `is_E_filtered`, so every node is peeled before it is
+searched.  Over a minimal symmetrizer the peel is the socle series, and
+it decides E-filtered there, which `is_crystal` reads.
 `is_crystal` runs no E-filtered search: it certifies E-filtered by peeling
 off a nonzero sub_i (see `is_crystal`), so its False verdicts are exact.
 It builds no sub_i or fac_i: their local freeness is one `_free_rank`
@@ -72,8 +73,8 @@ is_locally_free, is_E_filtered, is_crystal, iso_fingerprint and
 `catalog.b2_suite`.  It keys the arguments as they are spelled: a positional
 module by its full content (datum, field, dims and every nonzero entry,
 compared exactly), any other argument and every keyword by value.  Results
-are immutable (a rank vector or a witness is a tuple, a suite's table a
-read-only mapping) and handed out uncopied.  A run is a
+are immutable (a rank vector, a peel's steps or a witness is a tuple, a
+suite's table a read-only mapping) and handed out uncopied.  A run is a
 `memo_run()` block: each `selftest.run_criteria` pass and each CLI command
 is one, and a memoized function called outside any run opens one for its
 outermost call.  Every run starts empty, so results never depend on an
@@ -917,34 +918,41 @@ def _minimal_symmetric(datum):
 
 
 def peel(M):
-    """(witness, leftover): the locally free M peeled by whole free socles
+    """(steps, leftover): the locally free M peeled by whole free socles
     along the vertices 1...n, 1...n, ...; a zero leftover certifies
     E-filtered (E-filtered modules are closed under extensions).
 
     Step k works at i = vertices[k mod n]: a sub_i(X) free over
-    K[x]/(x^c_i) of rank r > 0 (`_free_rank`) is E_i^r, so the witness
-    gains (i,) * r and X becomes X / sub_i(X), locally free again.  The
-    peel is stuck where a sub_i is not free, or after n steps in a row
-    with r = 0.  On an X whose arrows all act by zero each sub_j is all of
-    X_j, so X, a sum of E_j's, peels off as (j,) * r_j over the vertices
+    K[x]/(x^c_i) of rank r_k (`_free_rank`) is E_i^r_k, and where r_k > 0
+    X becomes X / sub_i(X), locally free again.  `steps` is the tuple of
+    the r_k up to the last nonzero one.  The peel stops where X is zero,
+    where a sub_i is not free (stuck), or where the last n steps are all
+    zero (stuck).  On an X whose arrows all act by zero each sub_j is all
+    of X_j, so X, a sum of E_j's, peels off as E_j^r_j over the vertices
     in cyclic order, one quotient each.  With every c_i = 1 this is the
     socle series, which reaches zero iff the representation is nilpotent.
     On a crystal module it never gets stuck (`is_crystal`).
+
+    The steps and the witness, the runs (vertices[k mod n],) * r_k in
+    order, determine each other: after a step at i, the preimage in X of
+    sub_i(X / sub_i X) is an extension of modules supported at i, so it
+    lies in sub_i X and the quotient's sub_i is zero.  So no two runs at
+    one vertex are adjacent, and two nonzero steps with only zeros
+    between them are fewer than n apart.
     """
-    vs = M.datum.vertices
-    n, witness, X, idle, k = len(vs), (), M, 0, 0
-    while X.dim_total() and idle < n:
-        i = vs[k]
+    n, steps, X = len(M.datum.vertices), [], M
+    while X.dim_total() and steps[-n:] != [0] * n:
+        i = M.datum.vertices[len(steps) % n]
         U = sub_space(X, i)
         r = _free_rank(X, i, B=U)
         if r is None:
             break
+        steps.append(r)
         if r:
-            witness, X, idle = witness + (i,) * r, quotient(X, {i: U}), 0
-        else:
-            idle += 1
-        k = (k + 1) % n
-    return witness, X
+            X = quotient(X, {i: U})
+    while steps and not steps[-1]:
+        steps.pop()
+    return tuple(steps), X
 
 
 @_memoized
@@ -952,14 +960,17 @@ def is_E_filtered(M):
     """(flag, witness), the witness the tuple of peeled vertices bottom-up
     (None when the flag is False): whether M has a filtration with
     subquotients among the E_i.  A locally free M is peeled (`peel`), with
-    no search.  Where the peel gets stuck, a minimal symmetrizer gives an
-    exact False, and otherwise M goes to `_efiltered_search`."""
+    no search; where the leftover is zero the witness is derived from the
+    peel's steps, the runs (vertices[k mod n],) * r_k in order.  Where the
+    peel gets stuck, a minimal symmetrizer gives an exact False, and
+    otherwise M goes to `_efiltered_search`."""
     ok, _ = is_locally_free(M)
     if not ok:
         return False, None
-    witness, X = peel(M)
+    steps, X = peel(M)
     if not X.dim_total():
-        return True, witness
+        vs = M.datum.vertices
+        return True, tuple(vs[k % len(vs)] for k, r in enumerate(steps) for _ in range(r))
     if _minimal_symmetric(M.datum):
         return False, None
     return _efiltered_search(M)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -2045,32 +2046,47 @@ def _count_searches(monkeypatch):
 
 
 def socle_blocks(M):
-    """The peel's witness, rebuilt from canonical pieces with no zero-arrow
-    rule: at step k, at i = vertices[k mod n], where sub_i is nonzero and
-    locally free, the block (i,) * rank sub_i, then the same on Q_i; None
-    where a sub_i is not locally free or n steps in a row find sub_i zero."""
+    """The peel's steps, rebuilt from canonical pieces with no zero-arrow
+    rule: at step k, at vertices[k mod n], the rank of sub_i where it is
+    locally free (0 where it is zero), then the same on Q_i, every zero
+    step kept; None where a sub_i is not locally free or n steps in a row
+    find sub_i zero.  A peel that reaches zero ends on a nonzero step, so
+    there are no trailing zeros to trim."""
     vs = M.datum.vertices
-    n, witness, k, idle = len(vs), (), 0, 0
+    n, steps = len(vs), []
     while M.dim_total():
-        if idle == n:
+        if len(steps) >= n and not any(steps[-n:]):
             return None
-        i = vs[k % n]
-        p = canonical_pieces(M, i)
+        k = len(steps) % n
+        p = canonical_pieces(M, vs[k])
         ok, ranks = is_locally_free(p.sub)
         if not ok:
             return None
+        steps.append(ranks[k])
         if p.sub.dim_total():
-            witness, M, idle = witness + (i,) * ranks[k % n], p.quot, 0
-        else:
-            idle += 1
-        k += 1
-    return witness
+            M = p.quot
+    return tuple(steps)
+
+
+def _runs(vertices, steps):
+    """The witness that steps spell: the runs (vertices[k mod n],) * r_k in
+    order."""
+    return tuple(vertices[k % len(vertices)] for k, r in enumerate(steps) for _ in range(r))
+
+
+def _steps_from_witness(vertices, witness):
+    """The steps read back from a witness, each maximal run of one vertex
+    the next step at that vertex, with a zero step at each vertex skipped."""
+    n, steps = len(vertices), []
+    for i, run in itertools.groupby(witness):
+        steps += [0] * ((vertices.index(i) - len(steps)) % n) + [len(list(run))]
+    return tuple(steps)
 
 
 def test_efiltered_peels_crystal_towers_with_no_search(monkeypatch):
     """On the stored towers of total rank up to 7 (B2, C3, G2), all crystal
     but B2 rank 5 #1 and C3 rank 7 #2, the peel of a crystal tower never
-    gets stuck, and its witness is the block sequence."""
+    gets stuck, and its witness is the runs of the reference steps."""
     mods = list(_stored_towers(max_rank=7))
     with pimod.memo_run():
         crystal = [M for M in mods if is_crystal(M)]
@@ -2079,7 +2095,8 @@ def test_efiltered_peels_crystal_towers_with_no_search(monkeypatch):
     assert {M.datum.cartan for M in crystal} == {M.datum.cartan for M in mods}
     calls = _count_searches(monkeypatch)
     with pimod.memo_run():
-        assert [is_E_filtered(M) for M in crystal] == [(True, w) for w in want]
+        assert [is_E_filtered(M) for M in crystal] == \
+            [(True, _runs(M.datum.vertices, w)) for M, w in zip(crystal, want)]
     assert calls == []
 
 
@@ -2101,7 +2118,7 @@ _STUCK_TOWERS = [("B2", 5, 1), ("C3", 8, 6), ("G2", 10, 0), ("G2", 10, 4)]
 
 def test_peel_on_every_stored_tower():
     """The cyclic peel reaches zero on every stored tower but four, and its
-    witness is `socle_blocks`' on all of them.  None of the four is
+    steps are `socle_blocks`' on all of them.  None of the four is
     crystal, so every crystal tower peels to zero."""
     doc = _towers_doc()
     stuck = []
@@ -2111,12 +2128,48 @@ def test_peel_on_every_stored_tower():
             for rank, docs in doc["towers"][name].items():
                 for index, tower in enumerate(docs):
                     M = pimod.module_from_json(tower, datum)
-                    witness, X = pimod.peel(M)
+                    steps, X = pimod.peel(M)
                     if X.dim_total():
                         stuck.append((name, int(rank), index))
-                    assert socle_blocks(M) == (None if X.dim_total() else witness)
+                    assert socle_blocks(M) == (None if X.dim_total() else steps)
         assert stuck == _STUCK_TOWERS
         assert not any(is_crystal(_stored_tower(*key)) for key in stuck)
+
+
+def test_peel_steps_read_back_from_the_witness():
+    """On every stored tower that peels to zero, `is_E_filtered`'s witness
+    is the runs of the peel's steps, and no two nonzero steps with only
+    zeros between them are n apart (nor more), so two runs at one vertex
+    are never adjacent and the steps read back from the witness."""
+    peeled = 0
+    with pimod.memo_run():
+        for M in _stored_towers():
+            steps, X = pimod.peel(M)
+            if X.dim_total():
+                continue
+            vs = M.datum.vertices
+            nonzero = [k for k, r in enumerate(steps) if r]
+            assert all(0 < b - a < len(vs) for a, b in zip(nonzero, nonzero[1:]))
+            assert is_E_filtered(M) == (True, _runs(vs, steps))
+            assert _steps_from_witness(vs, _runs(vs, steps)) == steps
+            peeled += 1
+    assert peeled == 264 - len(_STUCK_TOWERS)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(_WIDER_DATA)), seed=st.integers(0, 2 ** 16))
+@example(name="C3", seed=38)
+def test_peel_is_unchanged_by_a_change_of_basis(name, seed):
+    """On the locally free modules of a tower's crystal family, the peel's
+    steps and its leftover's dimension vector are unchanged by a change of
+    basis at every vertex; the C3 seed-38 tower's peel is stuck."""
+    rng = random.Random(seed)
+    for X in _crystal_family(name, seed):
+        if is_locally_free(X)[0]:
+            Y = _conjugate(X, {i: _random_invertible(rng, X.dims[i]) for i in X.datum.vertices})
+            (steps, left), (conj_steps, conj_left) = pimod.peel(X), pimod.peel(Y)
+            assert steps == conj_steps and left.dims == conj_left.dims
 
 
 def test_search_gets_only_stuck_modules(monkeypatch):
