@@ -88,7 +88,7 @@ class CartanDatum:
         self.orient = tuple(tuple(p) for p in orient)
         self._arrows = tuple(arrow_key(i, j, g) for (i, j) in self.double_orient()
                              for g in range(1, self.gij(i, j) + 1))
-        self._generators = None
+        self._generators = tuple(eps_key(i) for i in self.vertices) + self._arrows
         self._relations = None
         self._scaled = {}
 
@@ -124,9 +124,7 @@ class CartanDatum:
 
     def generators(self):
         """The loops ("eps", i) in vertex order, then `arrow_keys()`: every
-        generator of the double quiver, built once."""
-        if self._generators is None:
-            self._build()
+        generator of the double quiver, built with the datum."""
         return self._generators
 
     def scaled(self, n):
@@ -146,14 +144,13 @@ class CartanDatum:
         return self.cartan == tuple(zip(*self.cartan))
 
     def relations(self):
-        """The defining relations, as a tuple of `Relation`s built once."""
+        """The defining relations, as a tuple of `Relation`s built on first
+        use: only this method runs `_build`."""
         if self._relations is None:
             self._build()
         return self._relations
 
     def _build(self):
-        self._generators = tuple(eps_key(i) for i in self.vertices) + self._arrows
-
         rels = []
         for i in self.vertices:
             word = (eps_key(i),) * self.ci(i)

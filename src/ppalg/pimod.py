@@ -50,10 +50,13 @@ free sub_i whole, along the vertices 1...n, 1...n, ..., until nothing is
 left or it gets stuck, and records each step's rank r_k (the *-string).
 `is_E_filtered` certifies True by it, derives its witness from the steps,
 and runs the backtracking search `_efiltered_search` only where it gets
-stuck, which it does on no crystal module; the search sends each quotient
-it tries back to `is_E_filtered`, so every node is peeled before it is
-searched.  Over a minimal symmetrizer the peel is the socle series, and
-it decides E-filtered there, which `is_crystal` reads.
+stuck, which it does on no crystal module.  The search tries one E_i per
+vertex i, spanned by the first column of sub_i that eps_i^(c_i-1) does
+not kill, and sends its quotient back to `is_E_filtered`, so every node
+is peeled before it is searched.  Its False is exact where no vertex
+offers such a column, and not certified elsewhere.  Over a minimal
+symmetrizer the peel is the socle series, and it decides E-filtered
+there, which `is_crystal` reads.
 `is_crystal` runs no E-filtered search: it certifies E-filtered by peeling
 off a nonzero sub_i (see `is_crystal`), so its False verdicts are exact.
 It builds no sub_i or fac_i: their local freeness is one `_free_rank`
@@ -892,27 +895,6 @@ def _ker_spaces(M, i, K):
 
 # -- E-filtered and crystal tests ---------------------------------------------
 
-def _rank_one_candidates(M, i):
-    """Generators of free rank-one loop-submodules inside sub_i(M).
-
-    Yields, lazily, column vectors v with eps_i^{c_i - 1} v != 0; v then
-    spans, with its loop images, a submodule isomorphic to E_i.  They are
-    the first and last viable columns of sub_space(M, i) and their sum over
-    all viable columns, unless eps_i^{c_i - 1} kills the sum.
-    """
-    U = sub_space(M, i)
-    top = M.eps[i].power(M.datum.ci(i) - 1) * U
-    viable = sorted(set().union(*top.nz))   # the columns k with top e_k != 0
-    if not viable:
-        return
-    yield U.col(viable[0])
-    if len(viable) > 1:
-        yield U.col(viable[-1])
-        ones = Mat.from_form(M.field, len(viable), 1, 1, [{0: 1} for _ in viable])
-        if not (top.columns(viable) * ones).is_zero():
-            yield U.columns(viable) * ones
-
-
 def _minimal_symmetric(datum):
     return all(datum.ci(i) == 1 for i in datum.vertices)
 
@@ -983,25 +965,36 @@ def _arrows_vanish(M, i):
 
 
 def _efiltered_search(M):
-    """The backtracking search: a free rank-one loop-submodule of some
-    sub_i(M) (`_rank_one_candidates`), then `is_E_filtered` of its
-    quotient, over all vertex choices, so every node is peeled first and
-    searched only where its peel gets stuck.  True is certified, with its
-    witness; False is not, as only a few generators are tried.
+    """The backtracking search: at each vertex i in turn, the quotient of M
+    by the loop-submodule E_i that one generator spans, then `is_E_filtered`
+    of that quotient, so every node is peeled first and searched only where
+    its peel gets stuck.  The generator is the first column v of
+    U = `sub_space(M, i)` that eps_i^(c_i - 1) does not kill; v and its
+    loop images span a submodule of sub_i(M) isomorphic to E_i.
+
+    True is certified, with its witness.  False is exact where no vertex
+    offers a generator: the bottom E_j of any filtration lies in sub_j(M)
+    and is generated by a vector that eps_j^(c_j - 1) does not kill, so
+    some eps_j^(c_j - 1) U is nonzero on an E-filtered M.  Every other
+    False is not certified, as only one generator per vertex is tried.
     `is_E_filtered` calls it on nonzero, locally free modules whose peel is
     stuck; on the zero module it answers True and on a module that is not
-    locally free False, as `is_E_filtered` does (a candidate's loop powers
+    locally free False, as `is_E_filtered` does (a generator's loop powers
     may be dependent there, which `quotient` refuses)."""
     if M.dim_total() == 0:
         return True, ()
     if not is_locally_free(M)[0]:
         return False, None
     for i in M.datum.vertices:
-        for v in _rank_one_candidates(M, i):
-            cols = _loop_powers(v, M.datum.ci(i), lambda X: M.eps[i] * X)
-            ok, wit = is_E_filtered(quotient(M, {i: linalg.hstack(cols)}))
-            if ok:
-                return True, (i,) + wit
+        U = sub_space(M, i)
+        top = M.eps[i].power(M.datum.ci(i) - 1) * U
+        k = min(set().union(*top.nz), default=None)   # the first column with top e_k != 0
+        if k is None:
+            continue
+        cols = _loop_powers(U.col(k), M.datum.ci(i), lambda X: M.eps[i] * X)
+        ok, wit = is_E_filtered(quotient(M, {i: linalg.hstack(cols)}))
+        if ok:
+            return True, (i,) + wit
     return False, None
 
 

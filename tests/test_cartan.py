@@ -209,6 +209,18 @@ class TestRelations:
         assert datum.arrow_keys() == (("arr", 1, 2, 1), ("arr", 1, 2, 2),
                                       ("arr", 2, 1, 1), ("arr", 2, 1, 2))
 
+    def test_relations_are_built_on_first_use(self, monkeypatch):
+        """A datum lists its arrows and generators when it is made; only
+        `relations()` builds the relations, once."""
+        builds = []
+        build = cartan.CartanDatum._build
+        monkeypatch.setattr(cartan.CartanDatum, "_build",
+                            lambda self: builds.append(self) or build(self))
+        datum = validate_datum(*B2_C12, [(1, 2)])
+        datum.generators(), datum.arrow_keys()
+        assert builds == []
+        assert datum.relations() is datum.relations() and builds == [datum]
+
     def test_multiple_arrows_for_gcd_two(self):
         datum = validate_datum([[2, -2], [-2, 2]], [1, 1], [(1, 2)])
         rels = datum.relations()

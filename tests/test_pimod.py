@@ -1817,20 +1817,29 @@ def assert_candidates_meet_docstring(M, i, cands):
         assert linalg.rank(linalg.hstack([U, v])) == U.cols
 
 
-def checked_candidates(M, i):
-    """The lazy candidates at i, asserted to be the eager list less any sum
-    that eps_i^(c_i-1) kills, and to meet their docstring."""
+def reference_candidates(M, i):
+    """Reference: up to three generators at i, the eager list less any sum
+    that eps_i^(c_i-1) kills."""
     top = M.eps[i].power(M.datum.ci(i) - 1)
-    lazy = list(pimod._rank_one_candidates(M, i))
-    assert lazy == [v for v in eager_rank_one_candidates(M, i) if not (top * v).is_zero()]
-    assert_candidates_meet_docstring(M, i, lazy)
-    return lazy
+    return [v for v in eager_rank_one_candidates(M, i) if not (top * v).is_zero()]
+
+
+def checked_candidates(M, i):
+    """The reference candidates at i, asserted to meet their docstring, the
+    first of them the search's one generator: the first column of
+    `sub_space(M, i)` that eps_i^(c_i-1) does not kill."""
+    cands = reference_candidates(M, i)
+    assert_candidates_meet_docstring(M, i, cands)
+    U = pimod.sub_space(M, i)
+    top = M.eps[i].power(M.datum.ci(i) - 1)
+    assert [U.col(k) for k in range(U.cols) if not (top * U.col(k)).is_zero()][:1] == cands[:1]
+    return cands
 
 
 def assert_stack_free_forms_match(M):
-    """`sub_space`, `k_space`, `_free_rank` (whole M_i, B = sub_i and K = K_i)
-    and the lazy candidates equal their stacked-matrix references at every
-    vertex; the candidates are the eager list less any sum the loop kills."""
+    """`sub_space`, `k_space` and `_free_rank` (whole M_i, B = sub_i and
+    K = K_i) equal their stacked-matrix references at every vertex, and the
+    E-filtered search's one generator is the first reference candidate."""
     for i in M.datum.vertices:
         U, K = pimod.sub_space(M, i), pimod.k_space(M, i)
         assert U == stacked_sub_space(M, i)
@@ -1858,7 +1867,8 @@ def _over(M, field):
 def test_stack_free_spaces_match_stacked_references(name, seed, rank, modular):
     """On towers over B2, C3 (c = (4,2,1)), G2 (c = (1,3)) and A3, over Q or
     GF(32003), and on their canonical pieces (some not locally free), the
-    spaces, ranks and candidates read from block rows are the stacked ones."""
+    spaces and ranks read from block rows are the stacked ones, and so is
+    the search's generator."""
     field = MODULAR if modular else QQ
     rng = random.Random(seed)
     M = random_tower(_dual_datum(name), rank, rng, field)
@@ -1894,7 +1904,8 @@ def _not_locally_free():
 def test_stack_free_spaces_on_many_blocks_and_not_locally_free(field):
     """The A5 `leclerc_suite` members (vertices 2, 3 and 4 have two arrows
     out and two in, so the stacks there have many blocks) and modules that
-    are not locally free give the stacked references' spaces and ranks."""
+    are not locally free give the stacked references' spaces, ranks and
+    generator."""
     entries = catalog.leclerc_suite().entries
     mods = [e.module for e in entries] + list(_not_locally_free())
     assert not all(is_locally_free(X)[0] for X in mods)
@@ -1924,8 +1935,9 @@ def test_efiltered_search_refuses_modules_that_break_the_relations():
 
 def test_rank_one_candidates_skip_a_sum_the_loop_kills(monkeypatch):
     """The eager list's third candidate (1, 1, 1, 1) is killed by eps_1, so
-    its loop powers are dependent and `quotient` refuses them; the lazy
-    candidates leave it out, and the full search still peels E_1 twice."""
+    its loop powers are dependent and `quotient` refuses them; the reference
+    candidates leave it out, and the search, with its one generator, still
+    peels E_1 twice."""
     M = _cancelling_sum_module()
     assert check_relations(M) == [] and is_locally_free(M) == (True, (2, 0))
     eager = eager_rank_one_candidates(M, 1)
@@ -2007,8 +2019,9 @@ def test_quotient_by_a_scaled_identity_is_the_quotient_by_the_identity():
 
 
 def test_rank_one_candidates_meet_their_docstring_on_stored_towers():
-    """On every stored tower, each vertex's candidates are vectors of sub_i
-    that eps_i^(c_i-1) does not kill, the eager list less any killed sum."""
+    """On every stored tower, each vertex's reference candidates are vectors
+    of sub_i that eps_i^(c_i-1) does not kill, the first of them the
+    search's one generator."""
     assert sum(len(checked_candidates(M, i)) for M in _stored_towers() for i in M.datum.vertices)
 
 
@@ -2231,17 +2244,115 @@ def test_peel_decides_nilpotency_on_minimal_symmetric_data():
         assert [is_E_filtered(X)[0] for X in mods] == want
 
 
+def _no_generator_module():
+    """B2 with M_1 = K^2, eps_1 = [[0, 0], [1, 0]], M_2 = K and the arrows
+    M_1 -> M_2 = [[1, 0]], M_2 -> M_1 = [[0], [1]]: locally free of rank
+    vector (1, 1) and nilpotent, but sub_1 is the line eps_1 kills and
+    sub_2 is zero, so no vertex offers the search a generator."""
+    return ModuleRep(catalog.b2_datum(), {1: 2, 2: 1}, {1: Mat.from_rows(QQ, [[0, 0], [1, 0]])},
+                     {("arr", 2, 1, 1): Mat.from_rows(QQ, [[1, 0]]),
+                      ("arr", 1, 2, 1): Mat.from_rows(QQ, [[0], [1]])})
+
+
 def _not_efiltered():
     """The modules the tests above find not E-filtered that satisfy the
-    relations (the search's domain): not locally free, or locally free with
-    arrows in a cycle (over symmetrizers (1, 1) and (2, 2))."""
+    relations (the search's domain): not locally free; locally free with
+    arrows in a cycle (over symmetrizers (1, 1) and (2, 2)); or locally
+    free and nilpotent, with no vertex offering the search a generator
+    (`_no_generator_module`)."""
     one = Mat.from_rows(QQ, [[1]])
     cycle = ModuleRep(_wider("A1~"), {1: 1, 2: 1}, {},
                       {("arr", 2, 1, 1): one, ("arr", 1, 2, 2): one})
     mods = [cycle, symred.tilde_lift(cycle, 2),
             ModuleRep(catalog.b2_datum(), {1: 1}, {}, {}), *_not_locally_free(),
-            *_short_jordan_blocks(catalog.b2_datum())]
+            *_short_jordan_blocks(catalog.b2_datum()), _no_generator_module()]
     return [X for X in mods if check_relations(X) == []]
+
+
+def test_efiltered_false_is_exact_where_no_vertex_offers_a_generator(monkeypatch):
+    """The bottom E_j of a filtration lies in sub_j and is generated by a
+    vector that eps_j^(c_j-1) does not kill.  On `_no_generator_module` and
+    the C3 pieces 13 and 14 of dimension vector (0, 2, 1), the peel is stuck
+    at once and no vertex has such a vector, so `is_E_filtered` answers an
+    exact False with no quotient built, and none of them is crystal."""
+    family = _crystal_family("C3", 1994)
+    mods = [_no_generator_module(), family[13], family[14]]
+    assert is_locally_free(mods[0]) == (True, (1, 1))
+    assert [X.dims for X in mods[1:]] == [{1: 0, 2: 2, 3: 1}] * 2
+    quotients, quotient = [], pimod.quotient
+    monkeypatch.setattr(pimod, "quotient",
+                        lambda M, spaces: quotients.append(M) or quotient(M, spaces))
+    for X in mods:
+        assert check_relations(X) == [] and is_locally_free(X)[0]
+        assert pimod.peel(X) == ((), X)
+        for i in X.datum.vertices:
+            assert (X.eps[i].power(X.datum.ci(i) - 1) * pimod.sub_space(X, i)).is_zero()
+        with pimod.memo_run():
+            assert is_E_filtered(X) == (False, None)
+            assert quotients == []
+            assert is_crystal(X) is False
+
+
+def three_candidate_search(M, firsts):
+    """Reference: the E-filtered search with up to three generators per
+    vertex (`reference_candidates`), each node peeled first, as
+    `is_E_filtered` does; `firsts` collects, at each node that succeeds,
+    the position of its first candidate to succeed."""
+    if not is_locally_free(M)[0]:
+        return False, None
+    steps, X = pimod.peel(M)
+    vs = M.datum.vertices
+    if not X.dim_total():
+        return True, _runs(vs, steps)
+    for i in vs:
+        for k, v in enumerate(reference_candidates(M, i)):
+            cols = pimod._loop_powers(v, M.datum.ci(i), lambda Y: M.eps[i] * Y)
+            ok, wit = three_candidate_search(pimod.quotient(M, {i: linalg.hstack(cols)}), firsts)
+            if ok:
+                firsts.append(k)
+                return True, (i,) + wit
+    return False, None
+
+
+def _stuck_extensions(seed, count=8):
+    """`count` extensions of one random tower by another (total ranks 2 to
+    4 each) over B2 with symmetrizer (4, 2), glued by a random derivation,
+    on which the peel gets stuck; draws that peel to zero are skipped."""
+    C = [[2, -1], [-2, 2]]
+    datum = validate_datum(C, [4, 2], default_orientation(C))
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        top = random_tower(datum, rng.randint(2, 4), rng)
+        sub = random_tower(datum, rng.randint(2, 4), rng)
+        delta = pimod.random_combination(pimod.derivation_basis(top, sub), rng)
+        X = starop.extension_module(top, sub, delta)
+        if pimod.peel(X)[1].dim_total():
+            out.append(X)
+    return out
+
+
+def test_one_generator_search_matches_three_candidates():
+    """`is_E_filtered`, trying one generator per vertex, gives the flag of
+    the reference search with up to three: on the four stored towers whose
+    peel is stuck; on a G2 piece of dimension vector (1, 6) whose vertex 2
+    offers three candidates and which neither search filters; and on eight
+    stuck extensions over B2 with symmetrizer (4, 2), where a later
+    candidate is sometimes the first to succeed.  Those are E-filtered,
+    and each witness's vertex counts are the rank vector."""
+    piece = _crystal_family("G2", 3203)[10]
+    assert piece.dims == {1: 1, 2: 6} and len(reference_candidates(piece, 2)) == 3
+    stuck = [_stored_tower(*key) for key in _STUCK_TOWERS]
+    extensions = _stuck_extensions(40)
+    firsts = []
+    with pimod.memo_run():
+        for X in stuck + [piece] + extensions:
+            assert is_E_filtered(X)[0] == three_candidate_search(X, firsts)[0]
+        assert is_E_filtered(piece) == (False, None)
+        for X in extensions:
+            ranks = rank_vector(X)
+            for ok, wit in (is_E_filtered(X), three_candidate_search(X, [])):
+                assert ok and tuple(wit.count(i) for i in X.datum.vertices) == ranks
+    assert any(firsts)
 
 
 @settings(max_examples=15, derandomize=True, database=None, deadline=None,
